@@ -313,8 +313,10 @@ let permute_rows ctx (src : 'a Darray.t) perm (dst : 'a Darray.t) =
 (* ------------------------------------------------------------------ *)
 (* gen_mult — Gentleman's algorithm on the torus                       *)
 
-let gen_mult ctx ?(cost = default_elem_cost) ~add ~mul (a : 'a Darray.t)
-    (b : 'a Darray.t) (c : 'a Darray.t) =
+type 'a kernel = 'a array -> 'a array -> 'a array -> int -> unit
+
+let gen_mult ctx ?(cost = default_elem_cost) ?kernel ~add ~mul
+    (a : 'a Darray.t) (b : 'a Darray.t) (c : 'a Darray.t) =
   check_same_layout "array_gen_mult" a b;
   check_same_layout "array_gen_mult" a c;
   if a.Darray.id = b.Darray.id || a.Darray.id = c.Darray.id
@@ -371,15 +373,18 @@ let gen_mult ctx ?(cost = default_elem_cost) ~add ~mul (a : 'a Darray.t)
        a/b blocks are fixed within it, and only [cdata] is mutated *)
     protect_part ctx c cpart @@ fun () ->
     let ad = !ablock and bd = !bblock in
-    for i = 0 to bs - 1 do
-      for k = 0 to bs - 1 do
-        let aik = ad.((i * bs) + k) in
-        for j = 0 to bs - 1 do
-          let off = (i * bs) + j in
-          cdata.(off) <- add cdata.(off) (mul aik bd.((k * bs) + j))
-        done
-      done
-    done;
+    (match kernel with
+     | Some k -> k ad bd cdata bs
+     | None ->
+         for i = 0 to bs - 1 do
+           for k = 0 to bs - 1 do
+             let aik = ad.((i * bs) + k) in
+             for j = 0 to bs - 1 do
+               let off = (i * bs) + j in
+               cdata.(off) <- add cdata.(off) (mul aik bd.((k * bs) + j))
+             done
+           done
+         done);
     Machine.charge ctx Cost_model.Kernel ~ops:(bs * bs * bs) ~base:cost
   in
   for step = 1 to q do

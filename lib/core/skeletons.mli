@@ -132,9 +132,15 @@ val permute_rows :
     @raise Invalid_argument (the paper's run-time error) if [perm_f] is not
     a bijection on the row numbers. *)
 
+type 'a kernel = 'a array -> 'a array -> 'a array -> int -> unit
+(** A block kernel for [gen_mult]: [k ablock bblock cblock bs] accumulates
+    the product of two row-major [bs] x [bs] blocks into [cblock], exactly
+    as the closure loop does for its [add]/[mul] pair. *)
+
 val gen_mult :
   ctx ->
   ?cost:float ->
+  ?kernel:'a kernel ->
   add:('a -> 'a -> 'a) ->
   mul:('a -> 'a -> 'a) ->
   'a Darray.t ->
@@ -146,7 +152,9 @@ val gen_mult :
     accumulated into the existing contents of [c] (the paper's shortest-paths
     program relies on this by pre-initializing [c] with the neutral
     element).  Communication/computation overlap: partition rotations are
-    posted before each local block multiplication.
+    posted before each local block multiplication.  A [kernel], when
+    given, replaces the closure loop over [add]/[mul] in every block
+    multiplication and must compute the same values.
 
     Requirements (checked): [a], [b], [c] pairwise distinct, square n x n
     arrays block-distributed over a square processor grid whose side divides

@@ -13,7 +13,9 @@
        dispatch on the hot path);
      - call targets and arities are resolved at compile time: saturated
        calls invoke the target closure directly, and currying machinery is
-       only emitted for genuinely partial or dynamic applications.
+       only emitted for genuinely partial or dynamic applications;
+     - return, break and continue are values a statement returns, not
+       exceptions.
 
    Cost-accounting contract: the reference interpreter bumps
    [st.pending_ops] once per expression node evaluated and flushes before
@@ -37,7 +39,8 @@ type ecode = {
   run : Interp.state -> frame -> Value.t;
 }
 
-type scode = Interp.state -> frame -> unit
+(* A compiled statement returns its outcome: see [fall]. *)
+type scode = Interp.state -> frame -> Value.t
 
 type cfn = {
   c_arity : int;
@@ -47,7 +50,11 @@ type cfn = {
   mutable c_ix_safe : bool;
       (* body provably never assigns through an Index subscript, so a
          skeleton element loop may lend it the iteration's scratch index
-         without a private copy (see [stmt_writes_index]) *)
+         without a private copy (see [stmt_writes]) *)
+  mutable c_lend : bool;
+      (* body never assigns through a struct field either, and no code in
+         the program writes through a value it did not copy, so a direct
+         invoker may lend it struct and Index arguments (see [direct]) *)
   mutable c_run : Interp.state -> frame -> Value.t;
       (* run the body on a caller-built frame (specialised call sites fill
          slots directly, skipping the argument list) *)
@@ -95,47 +102,57 @@ let combine1 ce g =
           bump st 1;
           g (r st f))
 
-(* Whether a body contains an assignment through an Index subscript
-   (ix[i] = ...) — the only operation that mutates an Index array in place.
+(* Whether a body contains an assignment whose target satisfies [lhs].
+   Assigning through an Index subscript (ix[i] = ...) is the only
+   operation that mutates an Index array in place, and assigning through a
+   struct field (s.f = ...) the only one that mutates a struct in place.
    Every other boundary copies ([Value.copy] on declarations, assignments,
    parameter passing and returns), so a function whose body is free of
-   subscript assignment can be lent a skeleton iteration's scratch index
-   without a private copy: it can neither mutate nor retain it. *)
-let rec expr_writes_index (e : Ast.expr) =
+   such assignments can be lent an argument without a private copy: it can
+   neither mutate nor retain it.  Other code can still reach what it was
+   lent, unless every assignment in the program is rooted in a local
+   variable (see [shared_target]). *)
+let rec expr_writes lhs (e : Ast.expr) =
+  let w = expr_writes lhs in
   match e.Ast.desc with
-  | Ast.Assign ({ Ast.desc = Ast.Idx _; _ }, _) -> true
+  | Ast.Assign (l, r) -> lhs l.Ast.desc || w l || w r
   | Ast.Int _ | Ast.Float _ | Ast.Str _ | Ast.Chr _ | Ast.Var _
   | Ast.OpSection _ ->
       false
-  | Ast.Call (f, args) ->
-      expr_writes_index f || List.exists expr_writes_index args
-  | Ast.Binop (_, a, b) | Ast.Assign (a, b) | Ast.Idx (a, b) ->
-      expr_writes_index a || expr_writes_index b
+  | Ast.Call (f, args) -> w f || List.exists w args
+  | Ast.Binop (_, a, b) | Ast.Idx (a, b) -> w a || w b
   | Ast.Unop (_, a) | Ast.Field (a, _) | Ast.Arrow (a, _) | Ast.Deref a
   | Ast.New a ->
-      expr_writes_index a
-  | Ast.ArrayLit es -> List.exists expr_writes_index es
-  | Ast.Cond (a, b, c) ->
-      expr_writes_index a || expr_writes_index b || expr_writes_index c
+      w a
+  | Ast.ArrayLit es -> List.exists w es
+  | Ast.Cond (a, b, c) -> w a || w b || w c
 
-let rec stmt_writes_index = function
-  | Ast.SExpr e -> expr_writes_index e
-  | Ast.SDecl (_, _, init) ->
-      Option.fold ~none:false ~some:expr_writes_index init
-  | Ast.SIf (c, a, b) ->
-      expr_writes_index c
-      || List.exists stmt_writes_index a
-      || List.exists stmt_writes_index b
-  | Ast.SWhile (c, b) ->
-      expr_writes_index c || List.exists stmt_writes_index b
-  | Ast.SFor (i, c, s, b) ->
-      Option.fold ~none:false ~some:stmt_writes_index i
-      || Option.fold ~none:false ~some:expr_writes_index c
-      || Option.fold ~none:false ~some:expr_writes_index s
-      || List.exists stmt_writes_index b
-  | Ast.SReturn e -> Option.fold ~none:false ~some:expr_writes_index e
+let rec stmt_writes lhs s =
+  let we = expr_writes lhs and ws = stmt_writes lhs in
+  let opt f = Option.fold ~none:false ~some:f in
+  match s with
+  | Ast.SExpr e -> we e
+  | Ast.SDecl (_, _, init) -> opt we init
+  | Ast.SIf (c, a, b) -> we c || List.exists ws a || List.exists ws b
+  | Ast.SWhile (c, b) -> we c || List.exists ws b
+  | Ast.SFor (i, c, st, b) ->
+      opt ws i || opt we c || opt we st || List.exists ws b
+  | Ast.SReturn e -> opt we e
   | Ast.SBreak | Ast.SContinue -> false
-  | Ast.SBlock b -> List.exists stmt_writes_index b
+  | Ast.SBlock b -> List.exists ws b
+
+let index_target = function Ast.Idx _ -> true | _ -> false
+let field_target = function Ast.Idx _ | Ast.Field _ -> true | _ -> false
+
+(* A target rooted in a local variable (x, x.f, x[i], x.f[i]) writes to
+   the function's own copy.  Any other root (a call result such as
+   array_get_elem(a, ix).f, a pointer in p->f or *p, a conditional) may
+   write to a value that is also a partition element or another
+   function's argument. *)
+let rec shared_target = function
+  | Ast.Var _ -> false
+  | Ast.Field (b, _) | Ast.Idx (b, _) -> shared_target b.Ast.desc
+  | _ -> true
 
 (* ---------------- runtime application (currying fallback) -------------- *)
 
@@ -180,6 +197,12 @@ and rt_invoke prog st target args =
 
 (* ---------------- operator specialization ---------------- *)
 
+(* Truth values are shared: a [VInt] is immutable and never compared
+   physically, so comparisons need not allocate their result. *)
+let vtrue = VInt 1
+let vfalse = VInt 0
+let vbool b = if b then vtrue else vfalse
+
 (* Fast paths for the concrete representations; every fallthrough lands in
    the shared Interp implementation so error messages stay identical. *)
 let op_fn op : Value.t -> Value.t -> Value.t =
@@ -218,33 +241,33 @@ let op_fn op : Value.t -> Value.t -> Value.t =
   | "==" -> (
       fun a b ->
         match (a, b) with
-        | VInt x, VInt y -> VInt (if x = y then 1 else 0)
-        | _ -> VInt (if Interp.equal_values a b then 1 else 0))
+        | VInt x, VInt y -> vbool (x = y)
+        | _ -> vbool (Interp.equal_values a b))
   | "!=" -> (
       fun a b ->
         match (a, b) with
-        | VInt x, VInt y -> VInt (if x <> y then 1 else 0)
-        | _ -> VInt (if Interp.equal_values a b then 0 else 1))
+        | VInt x, VInt y -> vbool (x <> y)
+        | _ -> vbool (not (Interp.equal_values a b)))
   | "<" -> (
       fun a b ->
         match (a, b) with
-        | VInt x, VInt y -> VInt (if x < y then 1 else 0)
-        | _ -> VInt (if Interp.compare_values a b < 0 then 1 else 0))
+        | VInt x, VInt y -> vbool (x < y)
+        | _ -> vbool (Interp.compare_values a b < 0))
   | ">" -> (
       fun a b ->
         match (a, b) with
-        | VInt x, VInt y -> VInt (if x > y then 1 else 0)
-        | _ -> VInt (if Interp.compare_values a b > 0 then 1 else 0))
+        | VInt x, VInt y -> vbool (x > y)
+        | _ -> vbool (Interp.compare_values a b > 0))
   | "<=" -> (
       fun a b ->
         match (a, b) with
-        | VInt x, VInt y -> VInt (if x <= y then 1 else 0)
-        | _ -> VInt (if Interp.compare_values a b <= 0 then 1 else 0))
+        | VInt x, VInt y -> vbool (x <= y)
+        | _ -> vbool (Interp.compare_values a b <= 0))
   | ">=" -> (
       fun a b ->
         match (a, b) with
-        | VInt x, VInt y -> VInt (if x >= y then 1 else 0)
-        | _ -> VInt (if Interp.compare_values a b >= 0 then 1 else 0))
+        | VInt x, VInt y -> vbool (x >= y)
+        | _ -> vbool (Interp.compare_values a b >= 0))
   | op -> fun a b -> Interp.binop op a b
 
 (* Pure scalar builtins, resolved at the call site: the same results and
@@ -309,63 +332,122 @@ let scalar_builtin_2 = function
    at the call boundary differs.  [test/test_engines.ml] pins makespans,
    Stats and traces bit-identical across engines × specialisation. *)
 
-let box_i n = VInt n
-let box_f x = VFloat x
+(* Element representations a specialised invoker converts between: the
+   unboxed partition payloads and the boxed generic one. *)
+type 'e payload =
+  | Pint : int payload
+  | Pfloat : float payload
+  | Pgen : Value.t payload
 
-(* A user function saturated by exactly [extra] more arguments, as a target
-   for a direct-frame invoker; None sends the caller to the generic path. *)
-let user_target prog fv ~extra =
+(* Argument boxing.  Scalar boxes are fresh; a generic element is copied,
+   as [c_invoke] copies every argument, unless it is lent (see [direct]). *)
+let box_of (type e) ~lend (k : e payload) : e -> Value.t =
+  match k with
+  | Pint -> fun n -> VInt n
+  | Pfloat -> fun x -> VFloat x
+  | Pgen -> if lend then Fun.id else Value.copy
+
+(* Result unboxing.  A body's result needs no copy: [return] already
+   copied it. *)
+let unbox_of (type e) (k : e payload) : Value.t -> e =
+  match k with Pint -> as_int | Pfloat -> as_float | Pgen -> Fun.id
+
+(* A direct invoker runs a compiled body on a frame it fills itself,
+   skipping the argument list.  Invokers are built per rank and per
+   skeleton call, never per compiled call site (whose closures ranks on
+   other domains share), and a skeleton loop calls its invoker one element
+   at a time: a body that makes a skeleton call, even through the same
+   call site, builds a new invoker.  So each invoker owns one frame and
+   reuses it for every element.  Reuse is unobservable: a body writes every
+   slot before reading it (parameters here, locals at their declaration),
+   and no frame outlives its call.
+
+   The applied arguments and generic elements are copied in, as
+   [c_invoke] copies every argument, unless they can be lent ([c_lend]):
+   the body never assigns through a struct field or an Index subscript, so
+   it can neither mutate nor keep them, since declarations, assignments,
+   returns and calls all copy; and no code writes through a value it did
+   not copy, so nothing else changes them during the call. *)
+type direct = { fn : cfn; appl : Value.t array; frame : frame }
+
+(* The invoker of a user function saturated by exactly [extra] more
+   arguments; None sends the caller to the generic path. *)
+let direct prog fv ~extra =
   match fv with
   | VFun { fv_target = `User name; fv_applied } -> (
       match Hashtbl.find_opt prog.cfuncs name with
       | Some fn when List.length fv_applied + extra = fn.c_arity ->
-          Some (fn, Array.of_list fv_applied)
+          Some
+            {
+              fn;
+              appl = Array.of_list fv_applied;
+              frame = Array.make fn.c_size VUnit;
+            }
       | _ -> None)
   | _ -> None
 
+(* A frame holding the applied arguments; the caller fills the rest. *)
+let enter d =
+  let frame = d.frame and appl = d.appl in
+  if d.fn.c_lend then
+    for i = 0 to Array.length appl - 1 do
+      frame.(i) <- appl.(i)
+    done
+  else
+    for i = 0 to Array.length appl - 1 do
+      frame.(i) <- Value.copy appl.(i)
+    done;
+  frame
+
 (* Element function of map/fold-conv: last two parameters are (element,
-   Index).  The frame is built directly — applied arguments and boxed
-   element mirror [c_invoke]'s per-argument [Value.copy] (scalar boxes are
-   fresh, so they need no copy).  The Index argument: the generic path
-   hands the callee a private copy of the iteration's scratch index; when
-   the body provably never writes through an Index ([c_ix_safe]) the
-   scratch is lent directly. *)
-let elem_fn2 prog st fv ~box ~unbox =
-  match user_target prog fv ~extra:2 with
+   Index).  The Index argument: the generic path hands the callee a
+   private copy of the iteration's scratch index; when the body provably
+   never writes through an Index ([c_ix_safe]) the scratch is lent. *)
+let elem_fn2 prog st fv (arg : 'a payload) (res : 'b payload) :
+    ('a -> Index.t -> 'b) option =
+  match direct prog fv ~extra:2 with
   | None -> None
-  | Some (fn, appl) ->
-      let na = Array.length appl in
-      let size = fn.c_size and ix_safe = fn.c_ix_safe in
+  | Some d ->
+      let na = Array.length d.appl and ix_safe = d.fn.c_ix_safe in
+      let box = box_of ~lend:d.fn.c_lend arg and unbox = unbox_of res in
       Some
         (fun v ix ->
-          let frame = Array.make size VUnit in
-          for i = 0 to na - 1 do
-            frame.(i) <- Value.copy appl.(i)
-          done;
+          let frame = enter d in
           frame.(na) <- box v;
-          frame.(na + 1) <- VIndex (if ix_safe then ix else Array.copy ix);
-          unbox (fn.c_run st frame))
+          frame.(na + 1) <- VIndex (if ix_safe then ix else copy_ints ix);
+          unbox (d.fn.c_run st frame))
 
 (* Init function of array_create: Index -> element. *)
-let elem_fn1 prog st fv ~unbox =
-  match user_target prog fv ~extra:1 with
+let elem_fn1 prog st fv (res : 'b payload) : (Index.t -> 'b) option =
+  match direct prog fv ~extra:1 with
   | None -> None
-  | Some (fn, appl) ->
-      let na = Array.length appl in
-      let size = fn.c_size and ix_safe = fn.c_ix_safe in
+  | Some d ->
+      let na = Array.length d.appl and ix_safe = d.fn.c_ix_safe in
+      let unbox = unbox_of res in
       Some
         (fun ix ->
-          let frame = Array.make size VUnit in
-          for i = 0 to na - 1 do
-            frame.(i) <- Value.copy appl.(i)
-          done;
-          frame.(na) <- VIndex (if ix_safe then ix else Array.copy ix);
-          unbox (fn.c_run st frame))
+          let frame = enter d in
+          frame.(na) <- VIndex (if ix_safe then ix else copy_ints ix);
+          unbox (d.fn.c_run st frame))
 
-(* Binary combining functions (fold merge, gen_mult add/mul) at unboxed
-   int/float.  Operator sections and min/max keep the generic semantics
-   exactly (same division-by-zero messages, same tie-breaking: min/max
-   answer the LEFT operand on equality). *)
+(* Binary user function (fold merge, gen_mult add/mul) on direct frames. *)
+let user_fn2 prog st fv (k : 'a payload) : ('a -> 'a -> 'a) option =
+  match direct prog fv ~extra:2 with
+  | None -> None
+  | Some d ->
+      let na = Array.length d.appl in
+      let box = box_of ~lend:d.fn.c_lend k and unbox = unbox_of k in
+      Some
+        (fun a b ->
+          let frame = enter d in
+          frame.(na) <- box a;
+          frame.(na + 1) <- box b;
+          unbox (d.fn.c_run st frame))
+
+(* Binary combining functions at unboxed int/float.  Operator sections and
+   min/max keep the generic semantics exactly (same division-by-zero
+   messages, same tie-breaking: min/max answer the LEFT operand on
+   equality). *)
 let int_binop prog st fv : (int -> int -> int) option =
   match fv with
   | VFun { fv_target = `Op op; fv_applied = [] } -> (
@@ -382,21 +464,7 @@ let int_binop prog st fv : (int -> int -> int) option =
       Some (fun a b -> if a <= b then a else b)
   | VFun { fv_target = `Builtin "max"; fv_applied = [] } ->
       Some (fun a b -> if a >= b then a else b)
-  | _ -> (
-      match user_target prog fv ~extra:2 with
-      | None -> None
-      | Some (fn, appl) ->
-          let na = Array.length appl in
-          let size = fn.c_size in
-          Some
-            (fun a b ->
-              let frame = Array.make size VUnit in
-              for i = 0 to na - 1 do
-                frame.(i) <- Value.copy appl.(i)
-              done;
-              frame.(na) <- VInt a;
-              frame.(na + 1) <- VInt b;
-              as_int (fn.c_run st frame)))
+  | _ -> user_fn2 prog st fv Pint
 
 let float_binop prog st fv : (float -> float -> float) option =
   match fv with
@@ -411,41 +479,11 @@ let float_binop prog st fv : (float -> float -> float) option =
       Some (fun a b -> if Float.compare a b <= 0 then a else b)
   | VFun { fv_target = `Builtin "max"; fv_applied = [] } ->
       Some (fun a b -> if Float.compare a b >= 0 then a else b)
-  | _ -> (
-      match user_target prog fv ~extra:2 with
-      | None -> None
-      | Some (fn, appl) ->
-          let na = Array.length appl in
-          let size = fn.c_size in
-          Some
-            (fun a b ->
-              let frame = Array.make size VUnit in
-              for i = 0 to na - 1 do
-                frame.(i) <- Value.copy appl.(i)
-              done;
-              frame.(na) <- VFloat a;
-              frame.(na + 1) <- VFloat b;
-              as_float (fn.c_run st frame)))
+  | _ -> user_fn2 prog st fv Pfloat
 
 (* Value-level binary combining function: still boxed, but skips the
-   currying machinery (used for struct-accumulator fold merges and
-   generic-payload gen_mult). *)
-let value_fn2 prog st fv =
-  match user_target prog fv ~extra:2 with
-  | None -> None
-  | Some (fn, appl) ->
-      let na = Array.length appl in
-      let size = fn.c_size in
-      Some
-        (fun a b ->
-          let frame = Array.make size VUnit in
-          for i = 0 to na - 1 do
-            frame.(i) <- Value.copy appl.(i)
-          done;
-          frame.(na) <- Value.copy a;
-          frame.(na + 1) <- Value.copy b;
-          fn.c_run st frame)
-
+   currying machinery (struct-accumulator fold merges, generic-payload
+   gen_mult). *)
 let value_binop prog st fv : (Value.t -> Value.t -> Value.t) option =
   match fv with
   | VFun { fv_target = `Op op; fv_applied = [] } -> Some (op_fn op)
@@ -453,7 +491,52 @@ let value_binop prog st fv : (Value.t -> Value.t -> Value.t) option =
       Some (fun a b -> if Interp.compare_values a b <= 0 then a else b)
   | VFun { fv_target = `Builtin "max"; fv_applied = [] } ->
       Some (fun a b -> if Interp.compare_values a b >= 0 then a else b)
-  | _ -> value_fn2 prog st fv
+  | _ -> user_fn2 prog st fv Pgen
+
+(* Monomorphic block kernels for the operator pairs shpaths and matmul
+   pass to array_gen_mult (int min/+ and float +/* pairs): the closure
+   loop of [Skeletons.gen_mult] with the operators inlined, in the same
+   i-k-j order and with the same operand order, so every result is
+   bit-identical.  Other pairs, including / and % with their
+   division-by-zero errors, keep the closure loop. *)
+let min_plus_kernel (ad : int array) (bd : int array) (cd : int array) bs =
+  for i = 0 to bs - 1 do
+    for k = 0 to bs - 1 do
+      let aik = ad.((i * bs) + k) in
+      for j = 0 to bs - 1 do
+        let off = (i * bs) + j in
+        let c = cd.(off) and s = aik + bd.((k * bs) + j) in
+        cd.(off) <- (if c <= s then c else s)
+      done
+    done
+  done
+
+let float_plus_times_kernel (ad : float array) (bd : float array)
+    (cd : float array) bs =
+  for i = 0 to bs - 1 do
+    for k = 0 to bs - 1 do
+      let aik = ad.((i * bs) + k) in
+      for j = 0 to bs - 1 do
+        let off = (i * bs) + j in
+        cd.(off) <- cd.(off) +. (aik *. bd.((k * bs) + j))
+      done
+    done
+  done
+
+let prim fv =
+  match fv with
+  | VFun { fv_target = (`Op _ | `Builtin _) as t; fv_applied = [] } -> Some t
+  | _ -> None
+
+let int_kernel add mul : int Skeletons.kernel option =
+  match (prim add, prim mul) with
+  | Some (`Builtin "min"), Some (`Op "+") -> Some min_plus_kernel
+  | _ -> None
+
+let float_kernel add mul : float Skeletons.kernel option =
+  match (prim add, prim mul) with
+  | Some (`Op "+"), Some (`Op "*") -> Some float_plus_times_kernel
+  | _ -> None
 
 (* Compile-time interception of a saturated skeleton call.  Returns a
    handler over the already-evaluated arguments (the call-site wrapper
@@ -482,29 +565,23 @@ let specialize_skeleton prog (h : Ast.expr) name :
           match argv with
           | [ VInt dim; VIndex size; VIndex _; VIndex _; init; VInt distr ]
             -> (
-              let mk : 'e. ('e Darray.t -> darray) -> (Index.t -> 'e) ->
-                  Value.t =
-               fun wrap f ->
-                let ctx = Interp.ctx_of st in
-                if Array.length size <> dim then rte "array_create: bad Size";
-                VDarray
-                  (wrap
-                     (Skeletons.create ctx ~gsize:(Array.copy size)
-                        ~distr:(Interp.distr_of distr) f))
+              let mk : 'e. ('e Darray.t -> darray) -> 'e payload -> Value.t =
+               fun wrap res ->
+                match elem_fn1 prog st init res with
+                | None -> generic st argv
+                | Some f ->
+                    let ctx = Interp.ctx_of st in
+                    if Array.length size <> dim then
+                      rte "array_create: bad Size";
+                    VDarray
+                      (wrap
+                         (Skeletons.create ctx ~gsize:(Array.copy size)
+                            ~distr:(Interp.distr_of distr) f))
               in
               match kind "t" with
-              | Some `I -> (
-                  match elem_fn1 prog st init ~unbox:as_int with
-                  | Some f -> mk (fun a -> DInt a) f
-                  | None -> generic st argv)
-              | Some `F -> (
-                  match elem_fn1 prog st init ~unbox:as_float with
-                  | Some f -> mk (fun a -> DFloat a) f
-                  | None -> generic st argv)
-              | None -> (
-                  match elem_fn1 prog st init ~unbox:Value.copy with
-                  | Some f -> mk (fun a -> DGen a) f
-                  | None -> generic st argv))
+              | Some `I -> mk (fun a -> DInt a) Pint
+              | Some `F -> mk (fun a -> DFloat a) Pfloat
+              | None -> mk (fun a -> DGen a) Pgen)
           | argv -> generic st argv)
   | "array_create_const" ->
       (* constant-element variant (produced by the fusion pass): payload
@@ -541,40 +618,34 @@ let specialize_skeleton prog (h : Ast.expr) name :
           match argv with
           | [ fv; VDarray src; VDarray dst ] -> (
               let same :
-                  'e. ('e -> Index.t -> 'e) option -> 'e Darray.t ->
-                  'e Darray.t -> Value.t =
-               fun g s d ->
-                match g with
+                  'e. 'e payload -> 'e Darray.t -> 'e Darray.t -> Value.t =
+               fun k s d ->
+                match elem_fn2 prog st fv k k with
                 | Some g ->
                     Skeletons.map (Interp.ctx_of st) g s d;
                     VUnit
                 | None -> generic st argv
               in
               let into :
-                  'a 'b. ('a -> Index.t -> 'b) option -> 'a Darray.t ->
+                  'a 'b. 'a payload -> 'b payload -> 'a Darray.t ->
                   'b Darray.t -> Value.t =
-               fun g s d ->
-                match g with
+               fun ka kb s d ->
+                match elem_fn2 prog st fv ka kb with
                 | Some g ->
                     Skeletons.map_into (Interp.ctx_of st) g s d;
                     VUnit
                 | None -> generic st argv
               in
-              let fn2 ~box ~unbox = elem_fn2 prog st fv ~box ~unbox in
               match (src, dst) with
-              | DInt s, DInt d -> same (fn2 ~box:box_i ~unbox:as_int) s d
-              | DFloat s, DFloat d ->
-                  same (fn2 ~box:box_f ~unbox:as_float) s d
-              | DGen s, DGen d ->
-                  same (fn2 ~box:Value.copy ~unbox:Value.copy) s d
-              | DInt s, DFloat d -> into (fn2 ~box:box_i ~unbox:as_float) s d
-              | DFloat s, DInt d -> into (fn2 ~box:box_f ~unbox:as_int) s d
-              | DGen s, DInt d -> into (fn2 ~box:Value.copy ~unbox:as_int) s d
-              | DGen s, DFloat d ->
-                  into (fn2 ~box:Value.copy ~unbox:as_float) s d
-              | DInt s, DGen d -> into (fn2 ~box:box_i ~unbox:Value.copy) s d
-              | DFloat s, DGen d ->
-                  into (fn2 ~box:box_f ~unbox:Value.copy) s d)
+              | DInt s, DInt d -> same Pint s d
+              | DFloat s, DFloat d -> same Pfloat s d
+              | DGen s, DGen d -> same Pgen s d
+              | DInt s, DFloat d -> into Pint Pfloat s d
+              | DFloat s, DInt d -> into Pfloat Pint s d
+              | DGen s, DInt d -> into Pgen Pint s d
+              | DGen s, DFloat d -> into Pgen Pfloat s d
+              | DInt s, DGen d -> into Pint Pgen s d
+              | DFloat s, DGen d -> into Pfloat Pgen s d)
           | argv -> generic st argv)
   | "array_fold" ->
       let acc_kind = kind "t2" in
@@ -586,35 +657,28 @@ let specialize_skeleton prog (h : Ast.expr) name :
                  matching Value.wire_bytes on VInt/VFloat and the empty-
                  partition elem_bytes fallback); struct accumulators keep a
                  boxed acc but still run conv/merge on direct frames *)
-              let go :
-                  'e. box:('e -> Value.t) -> 'e Darray.t -> Value.t =
-               fun ~box a ->
-                let fn2 unbox = elem_fn2 prog st conv ~box ~unbox in
+              let go : 'e. 'e payload -> 'e Darray.t -> Value.t =
+               fun k a ->
+                let fold res binop box =
+                  match (elem_fn2 prog st conv k res, binop prog st fv) with
+                  | Some c, Some f ->
+                      Some
+                        (box
+                           (Skeletons.fold (Interp.ctx_of st)
+                              ~acc_bytes_of:(fun _ -> 4)
+                              ~conv:c f a))
+                  | _ -> None
+                in
                 let scalar =
                   match acc_kind with
-                  | Some `I -> (
-                      match (fn2 as_int, int_binop prog st fv) with
-                      | Some c, Some f -> Some (`IFold (c, f))
-                      | _ -> None)
-                  | Some `F -> (
-                      match (fn2 as_float, float_binop prog st fv) with
-                      | Some c, Some f -> Some (`FFold (c, f))
-                      | _ -> None)
+                  | Some `I -> fold Pint int_binop (fun n -> VInt n)
+                  | Some `F -> fold Pfloat float_binop (fun x -> VFloat x)
                   | None -> None
                 in
                 match scalar with
-                | Some (`IFold (c, f)) ->
-                    VInt
-                      (Skeletons.fold (Interp.ctx_of st)
-                         ~acc_bytes_of:(fun _ -> 4)
-                         ~conv:c f a)
-                | Some (`FFold (c, f)) ->
-                    VFloat
-                      (Skeletons.fold (Interp.ctx_of st)
-                         ~acc_bytes_of:(fun _ -> 4)
-                         ~conv:c f a)
+                | Some v -> v
                 | None -> (
-                    match fn2 Value.copy with
+                    match elem_fn2 prog st conv k Pgen with
                     | Some c ->
                         let g =
                           match value_binop prog st fv with
@@ -626,39 +690,33 @@ let specialize_skeleton prog (h : Ast.expr) name :
                     | None -> generic st argv)
               in
               match a with
-              | DInt a -> go ~box:box_i a
-              | DFloat a -> go ~box:box_f a
-              | DGen a -> go ~box:Value.copy a)
+              | DInt a -> go Pint a
+              | DFloat a -> go Pfloat a
+              | DGen a -> go Pgen a)
           | argv -> generic st argv)
   | "array_gen_mult" ->
       Some
         (fun st argv ->
           match argv with
           | [ VDarray a; VDarray b; add; mul; VDarray c ] -> (
+              let run ?kernel fa fm a b c =
+                match (fa, fm) with
+                | Some fa, Some fm ->
+                    Skeletons.gen_mult (Interp.ctx_of st) ?kernel ~add:fa
+                      ~mul:fm a b c;
+                    VUnit
+                | _ -> generic st argv
+              in
               match (a, b, c) with
-              | DInt a, DInt b, DInt c -> (
-                  match (int_binop prog st add, int_binop prog st mul) with
-                  | Some fa, Some fm ->
-                      Skeletons.gen_mult (Interp.ctx_of st) ~add:fa ~mul:fm a
-                        b c;
-                      VUnit
-                  | _ -> generic st argv)
-              | DFloat a, DFloat b, DFloat c -> (
-                  match (float_binop prog st add, float_binop prog st mul)
-                  with
-                  | Some fa, Some fm ->
-                      Skeletons.gen_mult (Interp.ctx_of st) ~add:fa ~mul:fm a
-                        b c;
-                      VUnit
-                  | _ -> generic st argv)
-              | DGen a, DGen b, DGen c -> (
-                  match (value_binop prog st add, value_binop prog st mul)
-                  with
-                  | Some fa, Some fm ->
-                      Skeletons.gen_mult (Interp.ctx_of st) ~add:fa ~mul:fm a
-                        b c;
-                      VUnit
-                  | _ -> generic st argv)
+              | DInt a, DInt b, DInt c ->
+                  run ?kernel:(int_kernel add mul) (int_binop prog st add)
+                    (int_binop prog st mul) a b c
+              | DFloat a, DFloat b, DFloat c ->
+                  run ?kernel:(float_kernel add mul)
+                    (float_binop prog st add) (float_binop prog st mul) a b c
+              | DGen a, DGen b, DGen c ->
+                  run (value_binop prog st add) (value_binop prog st mul)
+                    a b c
               | _ -> generic st argv)
           | argv -> generic st argv)
   (* array_get_elem / array_put_elem / array_part_bounds are intercepted
@@ -698,6 +756,17 @@ let field_get idx fname v =
   | VStruct s -> !(field_ref idx fname s)
   | VBounds b -> Interp.bounds_field b fname
   | v -> rte "field access on %s" (describe v)
+
+let arrow_get idx fname v =
+  match v with
+  | VPtr r -> field_get idx fname !r
+  | VBounds b -> Interp.bounds_field b fname
+  | VNull -> rte "dereference of NULL"
+  | v -> rte "-> applied to %s" (describe v)
+
+let index_get arr j =
+  if j >= 0 && j < Array.length arr then VInt arr.(j)
+  else rte "Index access out of range (%d)" j
 
 (* ---------------- expressions ---------------- *)
 
@@ -757,13 +826,13 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
         dyn (fun st f ->
             bump st 1;
             if truthy (ca st f) then
-              VInt (if truthy (cb st f) then 1 else 0)
+              vbool (truthy (cb st f))
             else VInt 0)
       else
         dyn (fun st f ->
             bump st 1;
             if truthy (ca st f) then VInt 1
-            else VInt (if truthy (cb st f) then 1 else 0))
+            else vbool (truthy (cb st f)))
   | Ast.Binop (op, a, b) -> (
       let fop = op_fn op in
       let ca = compile_expr fc scope a in
@@ -785,7 +854,7 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
               fop va vb))
   | Ast.Unop ("!", a) ->
       combine1 (compile_expr fc scope a) (fun v ->
-          VInt (if truthy v then 0 else 1))
+          vbool (not (truthy v)))
   | Ast.Unop ("-", a) ->
       combine1 (compile_expr fc scope a) (fun v ->
           match v with
@@ -797,37 +866,60 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
   | Ast.Assign (l, r) ->
       let cr = compile_expr fc scope r in
       compile_assign fc scope l cr
+  | Ast.Idx
+      ( ({ Ast.desc = Ast.Arrow (p, (("lowerBd" | "upperBd") as fname)); _ }
+         as a),
+        i ) -> (
+      (* bds->lowerBd[j] / bds->upperBd[j]: read the bound in place instead
+         of building the whole Index first.  Any other value takes the
+         generic Arrow path, with its errors, before [i] is evaluated. *)
+      let arrow = arrow_get (field_slot fc a fname) fname in
+      let upper = fname = "upperBd" in
+      let cp = compile_expr fc scope p in
+      let ci = compile_expr fc scope i in
+      let get pv ri st f =
+        match pv with
+        | VBounds b ->
+            let arr = if upper then b.Index.upper else b.Index.lower in
+            let j = as_int (ri st f) in
+            if j >= 0 && j < Array.length arr then
+              VInt (if upper then arr.(j) - 1 else arr.(j))
+            else rte "Index access out of range (%d)" j
+        | pv ->
+            let arr = as_index (arrow pv) in
+            index_get arr (as_int (ri st f))
+      in
+      match (cp.ops, ci.ops) with
+      | Some np, Some ni ->
+          let ri = ci.run in
+          known (2 + np + ni) (fun st f -> get (cp.run st f) ri st f)
+      | _ ->
+          let rp = seal cp and ri = seal ci in
+          dyn (fun st f ->
+              bump st 2;
+              get (rp st f) ri st f))
   | Ast.Idx (a, i) -> (
       let ca = compile_expr fc scope a in
       let ci = compile_expr fc scope i in
-      let get arr j =
-        if j >= 0 && j < Array.length arr then VInt arr.(j)
-        else rte "Index access out of range (%d)" j
-      in
       match (ca.ops, ci.ops) with
       | Some na, Some ni ->
           known
             (1 + na + ni)
             (fun st f ->
               let arr = as_index (ca.run st f) in
-              get arr (as_int (ci.run st f)))
+              index_get arr (as_int (ci.run st f)))
       | _ ->
           let ra = seal ca and ri = seal ci in
           dyn (fun st f ->
               bump st 1;
               let arr = as_index (ra st f) in
-              get arr (as_int (ri st f))))
+              index_get arr (as_int (ri st f))))
   | Ast.Field (s, fname) ->
       let idx = field_slot fc e fname in
       combine1 (compile_expr fc scope s) (field_get idx fname)
   | Ast.Arrow (p, fname) ->
       let idx = field_slot fc e fname in
-      combine1 (compile_expr fc scope p) (fun v ->
-          match v with
-          | VPtr r -> field_get idx fname !r
-          | VBounds b -> Interp.bounds_field b fname
-          | VNull -> rte "dereference of NULL"
-          | v -> rte "-> applied to %s" (describe v))
+      combine1 (compile_expr fc scope p) (arrow_get idx fname)
   | Ast.Deref p ->
       combine1 (compile_expr fc scope p) (fun v ->
           match v with
@@ -836,25 +928,34 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
           | v -> rte "dereference of %s" (describe v))
   | Ast.ArrayLit es -> (
       let cs = List.map (compile_expr fc scope) es in
-      let fill runs st f =
-        let n = Array.length runs in
-        let out = Array.make n 0 in
-        for i = 0 to n - 1 do
-          out.(i) <- as_int (runs.(i) st f)
-        done;
-        VIndex out
+      (* the one- and two-element literals of 1-D and 2-D arrays are
+         evaluated left to right into an inline allocation instead of an
+         [Array.make] C call *)
+      let fill = function
+        | [| r0 |] -> fun st f -> VIndex [| as_int (r0 st f) |]
+        | [| r0; r1 |] ->
+            fun st f ->
+              let x0 = as_int (r0 st f) in
+              VIndex [| x0; as_int (r1 st f) |]
+        | runs ->
+            fun st f ->
+              let n = Array.length runs in
+              let out = Array.make n 0 in
+              for i = 0 to n - 1 do
+                out.(i) <- as_int (runs.(i) st f)
+              done;
+              VIndex out
       in
       if List.for_all (fun c -> c.ops <> None) cs then
         let total =
           List.fold_left (fun s c -> s + Option.get c.ops) 1 cs
         in
-        let raws = Array.of_list (List.map (fun c -> c.run) cs) in
-        known total (fill raws)
+        known total (fill (Array.of_list (List.map (fun c -> c.run) cs)))
       else
-        let sealed = Array.of_list (List.map seal cs) in
+        let run = fill (Array.of_list (List.map seal cs)) in
         dyn (fun st f ->
             bump st 1;
-            fill sealed st f))
+            run st f))
   | Ast.Cond (c, a, b) ->
       let cc = seal (compile_expr fc scope c) in
       let ca = seal (compile_expr fc scope a) in
@@ -1203,6 +1304,17 @@ and compile_assign fc scope (l : Ast.expr) cr =
 
 (* ---------------- statements ---------------- *)
 
+(* Statement outcomes.  A compiled statement returns [fall] when control
+   falls through, [brk] or [cont] for break and continue, and otherwise the
+   value of the return it executed.  The sentinels are private physical
+   values no Skil expression can produce, so control flow costs one
+   pointer comparison instead of an exception raised through closure
+   frames; and since Typecheck rejects break/continue outside a loop, only
+   [fall] ever reaches the end of a function body. *)
+let fall = VStr "<fall through>"
+let brk = VStr "<break>"
+let cont = VStr "<continue>"
+
 (* Every statement flushes pending scalar work first, exactly like
    Interp.exec; compile_stmt returns the (possibly extended) scope. *)
 let rec compile_stmt fc scope s : (string * int) list * scode =
@@ -1215,19 +1327,26 @@ let rec compile_stmt fc scope s : (string * int) list * scode =
 and compile_stmt_raw fc scope = function
   | Ast.SExpr e ->
       let c = seal (compile_expr fc scope e) in
-      (scope, fun st f -> ignore (c st f))
+      ( scope,
+        fun st f ->
+          ignore (c st f);
+          fall )
   | Ast.SDecl (t, name, init) ->
       let slot = fresh_slot fc in
       let code =
         match init with
         | Some e ->
             let c = seal (compile_expr fc scope e) in
-            fun st f -> f.(slot) <- Value.copy (c st f)
+            fun st f ->
+              f.(slot) <- Value.copy (c st f);
+              fall
         | None ->
             (* the zero value of the type, evaluated once at compile time;
                copy gives each execution fresh struct field cells *)
             let template = Interp.default_value fc.scratch t in
-            fun _ f -> f.(slot) <- Value.copy template
+            fun _ f ->
+              f.(slot) <- Value.copy template;
+              fall
       in
       ((name, slot) :: scope, code)
   | Ast.SIf (c, a, b) ->
@@ -1240,11 +1359,12 @@ and compile_stmt_raw fc scope = function
       let cb = compile_block fc scope body in
       ( scope,
         fun st f ->
-          try
-            while truthy (cc st f) do
-              try cb st f with Interp.Continue_exc -> ()
-            done
-          with Interp.Break_exc -> () )
+          let out = ref fall in
+          while !out == fall && truthy (cc st f) do
+            let o = cb st f in
+            if o != cont then out := o
+          done;
+          if !out == brk then fall else !out )
   | Ast.SFor (init, cond, step, body) ->
       let scope', initc =
         match init with
@@ -1260,24 +1380,24 @@ and compile_stmt_raw fc scope = function
       let bodyc = compile_block fc scope' body in
       ( scope,
         fun st f ->
-          (match initc with Some c -> c st f | None -> ());
-          let check () =
-            match cc with Some c -> truthy (c st f) | None -> true
-          in
-          try
-            while check () do
-              (try bodyc st f with Interp.Continue_exc -> ());
+          (match initc with Some c -> ignore (c st f) | None -> ());
+          let out = ref fall in
+          while
+            !out == fall
+            && match cc with Some c -> truthy (c st f) | None -> true
+          do
+            let o = bodyc st f in
+            if o == fall || o == cont then
               match stepc with Some c -> ignore (c st f) | None -> ()
-            done
-          with Interp.Break_exc -> () )
-  | Ast.SReturn None ->
-      (scope, fun _ _ -> raise (Interp.Return_exc VUnit))
+            else out := o
+          done;
+          if !out == brk then fall else !out )
+  | Ast.SReturn None -> (scope, fun _ _ -> VUnit)
   | Ast.SReturn (Some e) ->
       let c = seal (compile_expr fc scope e) in
-      ( scope,
-        fun st f -> raise (Interp.Return_exc (Value.copy (c st f))) )
-  | Ast.SBreak -> (scope, fun _ _ -> raise Interp.Break_exc)
-  | Ast.SContinue -> (scope, fun _ _ -> raise Interp.Continue_exc)
+      (scope, fun st f -> Value.copy (c st f))
+  | Ast.SBreak -> (scope, fun _ _ -> brk)
+  | Ast.SContinue -> (scope, fun _ _ -> cont)
   | Ast.SBlock b ->
       let cb = compile_block fc scope b in
       (scope, cb)
@@ -1291,19 +1411,22 @@ and compile_block fc scope stmts : scode =
       (scope, []) stmts
   in
   match rev with
-  | [] -> fun _ _ -> ()
+  | [] -> fun _ _ -> fall
   | [ c ] -> c
   | rev ->
       let codes = Array.of_list (List.rev rev) in
       let n = Array.length codes in
       fun st f ->
-        for i = 0 to n - 1 do
-          codes.(i) st f
-        done
+        let out = ref fall and i = ref 0 in
+        while !out == fall && !i < n do
+          out := codes.(!i) st f;
+          incr i
+        done;
+        !out
 
 (* ---------------- program ---------------- *)
 
-let compile_func t scratch (f : Ast.func) =
+let compile_func t scratch ~lendable (f : Ast.func) =
   let cfn = Hashtbl.find t.cfuncs f.Ast.f_name in
   let fc = { prog = t; scratch; nslots = 0 } in
   let scope = List.mapi (fun i p -> (p.Ast.p_name, i)) f.Ast.f_params in
@@ -1312,12 +1435,12 @@ let compile_func t scratch (f : Ast.func) =
   let body = compile_block fc scope fbody in
   let size = fc.nslots in
   cfn.c_size <- size;
-  cfn.c_ix_safe <- not (List.exists stmt_writes_index fbody);
+  cfn.c_ix_safe <- not (List.exists (stmt_writes index_target) fbody);
+  cfn.c_lend <-
+    lendable && not (List.exists (stmt_writes field_target) fbody);
   let run st frame =
-    try
-      body st frame;
-      VUnit
-    with Interp.Return_exc v -> v
+    let r = body st frame in
+    if r == fall then VUnit else r
   in
   cfn.c_run <- run;
   cfn.c_invoke <-
@@ -1351,11 +1474,19 @@ let program ~tyenv ?(specialize = true) (prog_ast : Ast.program) : t =
           c_arity = List.length f.Ast.f_params;
           c_size = 0;
           c_ix_safe = false;
+          c_lend = false;
           c_run = missing;
           c_invoke = missing;
         })
     funcs;
-  List.iter (compile_func t scratch) funcs;
+  let lendable =
+    not
+      (List.exists
+         (fun f ->
+           List.exists (stmt_writes shared_target) (Option.get f.Ast.f_body))
+         funcs)
+  in
+  List.iter (compile_func t scratch ~lendable) funcs;
   t
 
 let apply prog st v args = rt_apply prog st v args

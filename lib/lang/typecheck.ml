@@ -265,6 +265,7 @@ type ctx = {
   env : env;
   mutable locals : (string * Ast.typ) list;
   ret : Ast.typ;
+  in_loop : bool; (* break/continue are legal here *)
 }
 
 let instantiate_scheme sch =
@@ -443,7 +444,7 @@ let rec check_stmt ctx = function
       check_block ctx b
   | Ast.SWhile (c, b) ->
       unify ctx.env (epos c) (check_expr ctx c) Ast.TInt;
-      check_block ctx b
+      check_block { ctx with in_loop = true } b
   | Ast.SFor (init, cond, step, body) ->
       let saved = ctx.locals in
       Option.iter (check_stmt ctx) init;
@@ -451,13 +452,18 @@ let rec check_stmt ctx = function
         (fun c -> unify ctx.env (epos c) (check_expr ctx c) Ast.TInt)
         cond;
       Option.iter (fun e -> ignore (check_expr ctx e)) step;
-      check_block ctx body;
+      check_block { ctx with in_loop = true } body;
       ctx.locals <- saved
   | Ast.SReturn None ->
       unify ctx.env no_pos ctx.ret Ast.TVoid
   | Ast.SReturn (Some e) ->
       unify ctx.env (epos e) (check_expr ctx e) ctx.ret
-  | Ast.SBreak | Ast.SContinue -> ()
+  (* statements carry no position of their own *)
+  | Ast.SBreak ->
+      if not ctx.in_loop then err no_pos "break statement not within a loop"
+  | Ast.SContinue ->
+      if not ctx.in_loop then
+        err no_pos "continue statement not within a loop"
   | Ast.SBlock b -> check_block ctx b
 
 and check_block ctx stmts =
@@ -523,6 +529,7 @@ let check_function env fn =
           locals =
             List.map (fun p -> (p.Ast.p_name, p.Ast.p_type)) fn.Ast.f_params;
           ret = fn.Ast.f_ret;
+          in_loop = false;
         }
       in
       check_block ctx body;
@@ -549,7 +556,7 @@ let check program =
   env
 
 let check_expr_in env e =
-  let ctx = { env; locals = []; ret = Ast.TVoid } in
+  let ctx = { env; locals = []; ret = Ast.TVoid; in_loop = false } in
   let t = check_expr ctx e in
   zonk_expr env e;
   zonk env t

@@ -45,15 +45,44 @@ exception Skil_runtime_error of string
 
 let rte fmt = Printf.ksprintf (fun m -> raise (Skil_runtime_error m)) fmt
 
+(* Copies of Index vectors and struct field cells.  Up to four elements
+   are allocated inline: [Array.copy] and [Array.map] are C calls, and the
+   short vectors of Index values and small structs are what element
+   functions pass around. *)
+let copy_ints (a : int array) =
+  match Array.length a with
+  | 1 -> [| a.(0) |]
+  | 2 -> [| a.(0); a.(1) |]
+  | 3 -> [| a.(0); a.(1); a.(2) |]
+  | 4 -> [| a.(0); a.(1); a.(2); a.(3) |]
+  | _ -> Array.copy a
+
 (* C value semantics: copy structs (recursively) and Index arrays. *)
 let rec copy = function
-  | VStruct s ->
-      VStruct
-        { s with s_vals = Array.map (fun r -> ref (copy !r)) s.s_vals }
-  | VIndex a -> VIndex (Array.copy a)
+  | VStruct s -> VStruct { s with s_vals = copy_cells s.s_vals }
+  | VIndex a -> VIndex (copy_ints a)
   | ( VUnit | VInt _ | VFloat _ | VStr _ | VChar _ | VBounds _ | VNull
     | VPtr _ | VFun _ | VDarray _ ) as v ->
       v
+
+and copy_cells c =
+  match Array.length c with
+  | 1 -> [| copy_cell c 0 |]
+  | 2 ->
+      let c0 = copy_cell c 0 in
+      [| c0; copy_cell c 1 |]
+  | 3 ->
+      let c0 = copy_cell c 0 in
+      let c1 = copy_cell c 1 in
+      [| c0; c1; copy_cell c 2 |]
+  | 4 ->
+      let c0 = copy_cell c 0 in
+      let c1 = copy_cell c 1 in
+      let c2 = copy_cell c 2 in
+      [| c0; c1; c2; copy_cell c 3 |]
+  | _ -> Array.map (fun r -> ref (copy !r)) c
+
+and copy_cell c i = ref (copy !(c.(i)))
 
 (* Wire size of a value in the paper's 1996 C representation: 4-byte ints
    and floats, 1-byte chars, structs as the sum of their fields (matching

@@ -20,9 +20,16 @@ type chan = {
   mutable nbuckets : int;
 }
 
+(* A processor's simulated clock and its charged compute time.  A
+   float-only record stores its fields unboxed, so advancing the clock
+   allocates nothing, where a float field of the mixed [proc] record would
+   box on every write.  [busy] is published into [Stats.compute_time] when
+   the run ends. *)
+type times = { mutable clock : float; mutable busy : float }
+
 type proc = {
   id : int;
-  mutable clock : float;
+  tm : times;
   channels : chan array; (* indexed by source rank *)
   mutable waiting : waiting option;
   mutable coll_count : int; (* collective call sites reached so far *)
@@ -182,7 +189,7 @@ let nprocs ctx = Array.length ctx.m.procs
 let topology ctx = ctx.m.topology
 let cost ctx = ctx.m.cost
 let profile ctx = ctx.m.cost.Cost_model.profile
-let clock ctx = ctx.p.clock
+let clock ctx = ctx.p.tm.clock
 let checkpoint_default ctx = ctx.m.faults_on && ctx.m.fplan.Fault.checkpoint
 let coll_mode ctx = ctx.m.coll_mode
 let coll_legacy ctx = ctx.m.coll_legacy
@@ -201,15 +208,15 @@ let record_collective ctx ~name ~bytes =
    already idle time, so stalling there would be unobservable. *)
 let rec apply_stalls ctx =
   match ctx.p.pending_stalls with
-  | s :: rest when s.Fault.stall_at <= ctx.p.clock ->
+  | s :: rest when s.Fault.stall_at <= ctx.p.tm.clock ->
       ctx.p.pending_stalls <- rest;
       if ctx.m.trace_on then begin
-        Trace.record ctx.m.trace ~proc:ctx.p.id ~start:ctx.p.clock
+        Trace.record ctx.m.trace ~proc:ctx.p.id ~start:ctx.p.tm.clock
           ~duration:s.Fault.stall_for Trace.Stall;
         Trace.record_fault ctx.m.trace ~kind:Trace.Fstall ~proc:ctx.p.id
-          ~time:ctx.p.clock ()
+          ~time:ctx.p.tm.clock ()
       end;
-      ctx.p.clock <- ctx.p.clock +. s.Fault.stall_for;
+      ctx.p.tm.clock <- ctx.p.tm.clock +. s.Fault.stall_for;
       ctx.p.stats.Stats.stall_time <-
         ctx.p.stats.Stats.stall_time +. s.Fault.stall_for;
       apply_stalls ctx
@@ -222,15 +229,15 @@ let rec apply_stalls ctx =
    Receivers parked forever are already surfaced by [Stalled]. *)
 let check_cancel (m : t) = if m.cancel_on && m.cancel () then raise Cancelled
 
-let compute ctx seconds =
+let[@inline] compute ctx seconds =
   assert (seconds >= 0.0);
   if ctx.m.cancel_on then check_cancel ctx.m;
   if ctx.m.faults_on then apply_stalls ctx;
   if ctx.m.trace_on then
-    Trace.record ctx.m.trace ~proc:ctx.p.id ~start:ctx.p.clock
+    Trace.record ctx.m.trace ~proc:ctx.p.id ~start:ctx.p.tm.clock
       ~duration:seconds Trace.Compute;
-  ctx.p.clock <- ctx.p.clock +. seconds;
-  ctx.p.stats.Stats.compute_time <- ctx.p.stats.Stats.compute_time +. seconds
+  ctx.p.tm.clock <- ctx.p.tm.clock +. seconds;
+  ctx.p.tm.busy <- ctx.p.tm.busy +. seconds
 
 let charge ctx cls ~ops ~base =
   if ops > 0 then begin
@@ -260,9 +267,9 @@ let overhead ctx seconds =
   if ctx.m.cancel_on then check_cancel ctx.m;
   if ctx.m.faults_on then apply_stalls ctx;
   if ctx.m.trace_on then
-    Trace.record ctx.m.trace ~proc:ctx.p.id ~start:ctx.p.clock
+    Trace.record ctx.m.trace ~proc:ctx.p.id ~start:ctx.p.tm.clock
       ~duration:seconds Trace.Overhead;
-  ctx.p.clock <- ctx.p.clock +. seconds;
+  ctx.p.tm.clock <- ctx.p.tm.clock +. seconds;
   ctx.p.stats.Stats.overhead_time <-
     ctx.p.stats.Stats.overhead_time +. seconds
 
@@ -292,11 +299,11 @@ let protect ctx ~bytes ~snapshot ~restore f =
     let rec attempt () =
       let r = f () in
       match ctx.p.pending_crashes with
-      | tc :: rest when tc <= ctx.p.clock ->
+      | tc :: rest when tc <= ctx.p.tm.clock ->
           ctx.p.pending_crashes <- rest;
           if m.trace_on then
             Trace.record_fault m.trace ~kind:Trace.Fcrash ~proc:ctx.p.id
-              ~time:ctx.p.clock ();
+              ~time:ctx.p.tm.clock ();
           ctx.p.stats.Stats.recoveries <- ctx.p.stats.Stats.recoveries + 1;
           overhead ctx m.fplan.Fault.reboot;
           restore snap;
@@ -313,14 +320,14 @@ let span_begin ctx ~cat name =
   if ctx.m.trace_on then
     ctx.p.span_stack <-
       Trace.span_begin ctx.m.trace ~proc:ctx.p.id ~cat ~name
-        ~start:ctx.p.clock
+        ~start:ctx.p.tm.clock
       :: ctx.p.span_stack
 
 let span_end ctx =
   if ctx.m.trace_on then
     match ctx.p.span_stack with
     | s :: rest ->
-        Trace.span_end s ~stop:ctx.p.clock;
+        Trace.span_end s ~stop:ctx.p.tm.clock;
         ctx.p.span_stack <- rest
     | [] -> ()
 
@@ -482,7 +489,7 @@ let send_faulty ctx ~rendezvous ~dest ~tag ~bytes v =
     let tmsg =
       if m.trace_on then
         Trace.record_send m.trace ~src ~dst:dest ~tag ~bytes ~hops
-          ~sent:ctx.p.clock ~arrival
+          ~sent:ctx.p.tm.clock ~arrival
       else None
     in
     let msg = { arrival; payload = Obj.repr v; tmsg; seq; delivery } in
@@ -498,22 +505,22 @@ let send_faulty ctx ~rendezvous ~dest ~tag ~bytes v =
   let record_fault kind =
     if m.trace_on then
       Trace.record_fault m.trace ~kind ~proc:src ~peer:dest ~tag
-        ~time:ctx.p.clock ()
+        ~time:ctx.p.tm.clock ()
   in
   let sender_wait ~arrival =
     if rendezvous || m.sync_comm then begin
-      let wait = Float.max 0.0 (arrival -. ctx.p.clock) in
+      let wait = Float.max 0.0 (arrival -. ctx.p.tm.clock) in
       if m.trace_on then
-        Trace.record m.trace ~proc:src ~start:ctx.p.clock ~duration:wait
+        Trace.record m.trace ~proc:src ~start:ctx.p.tm.clock ~duration:wait
           Trace.Wait;
-      ctx.p.clock <- Float.max ctx.p.clock arrival;
+      ctx.p.tm.clock <- Float.max ctx.p.tm.clock arrival;
       st.Stats.comm_wait <- st.Stats.comm_wait +. wait
     end
   in
   if m.reliable then begin
     let rto = m.rto_fixed +. (2.0 *. float_of_int bytes *. m.c_per_byte) in
     let cap = 16.0 *. rto in
-    let t0 = ctx.p.clock in
+    let t0 = ctx.p.tm.clock in
     let rec attempt k offset =
       if k >= max_attempts - 1 then (offset, Fault.clean)
       else
@@ -557,11 +564,11 @@ let send_faulty ctx ~rendezvous ~dest ~tag ~bytes v =
       (* the sender cannot tell: under a rendezvous/synchronous link it
          still waits the nominal transit as if delivery had happened; the
          receiver blocks forever and the run surfaces as [Stalled] *)
-      sender_wait ~arrival:(ctx.p.clock +. transit)
+      sender_wait ~arrival:(ctx.p.tm.clock +. transit)
     end
     else begin
       if d.Fault.d_delay_factor <> 1.0 then record_fault Trace.Fdelay;
-      let arrival = ctx.p.clock +. (transit *. d.Fault.d_delay_factor) in
+      let arrival = ctx.p.tm.clock +. (transit *. d.Fault.d_delay_factor) in
       let delivery =
         if d.Fault.d_corrupt then begin
           record_fault Trace.Fcorrupt;
@@ -589,7 +596,7 @@ let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
     overhead ctx m.c_send_overhead;
     let hops = Topology.hops m.topology ctx.p.id dest in
     let arrival =
-      ctx.p.clock +. m.c_latency
+      ctx.p.tm.clock +. m.c_latency
       +. (float_of_int hops *. m.c_per_hop)
       +. (float_of_int bytes *. m.c_per_byte)
     in
@@ -597,7 +604,7 @@ let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
     let tmsg =
       if m.trace_on then
         Trace.record_send m.trace ~src:ctx.p.id ~dst:dest ~tag ~bytes ~hops
-          ~sent:ctx.p.clock ~arrival
+          ~sent:ctx.p.tm.clock ~arrival
       else None
     in
     let msg = { arrival; payload = Obj.repr v; tmsg; seq = 0; delivery = Clean } in
@@ -613,11 +620,11 @@ let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
     if rendezvous || m.sync_comm then begin
       (* Rendezvous-style link: the sender is busy until delivery, so no
          communication/computation overlap is possible. *)
-      let wait = Float.max 0.0 (arrival -. ctx.p.clock) in
+      let wait = Float.max 0.0 (arrival -. ctx.p.tm.clock) in
       if m.trace_on then
-        Trace.record m.trace ~proc:ctx.p.id ~start:ctx.p.clock ~duration:wait
+        Trace.record m.trace ~proc:ctx.p.id ~start:ctx.p.tm.clock ~duration:wait
           Trace.Wait;
-      ctx.p.clock <- arrival;
+      ctx.p.tm.clock <- arrival;
       st.Stats.comm_wait <- st.Stats.comm_wait +. wait
     end;
     match xpar with
@@ -627,15 +634,15 @@ let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
 
 let finish_recv ctx msg =
   let m = ctx.m in
-  let wait = Float.max 0.0 (msg.arrival -. ctx.p.clock) in
+  let wait = Float.max 0.0 (msg.arrival -. ctx.p.tm.clock) in
   if m.trace_on then
-    Trace.record m.trace ~proc:ctx.p.id ~start:ctx.p.clock ~duration:wait
+    Trace.record m.trace ~proc:ctx.p.id ~start:ctx.p.tm.clock ~duration:wait
       Trace.Wait;
-  ctx.p.clock <- Float.max ctx.p.clock msg.arrival;
+  ctx.p.tm.clock <- Float.max ctx.p.tm.clock msg.arrival;
   ctx.p.stats.Stats.comm_wait <- ctx.p.stats.Stats.comm_wait +. wait;
   overhead ctx m.c_recv_overhead;
   match msg.tmsg with
-  | Some tm -> Trace.mark_received tm ~time:ctx.p.clock
+  | Some tm -> Trace.mark_received tm ~time:ctx.p.tm.clock
   | None -> ()
 
 (* Receiver-side dedup under [Reliable]: the transport discards a copy whose
@@ -725,9 +732,9 @@ let recv_any_safe ctx ~tag ~arrival =
     if !o <> p.id && not q.finished_p then begin
       let lb =
         match m.par with
-        | None -> q.clock
+        | None -> q.tm.clock
         | Some par ->
-            if q.shard = p.shard then q.clock else par.shards.(q.shard).lb
+            if q.shard = p.shard then q.tm.clock else par.shards.(q.shard).lb
       in
       if not (lb +. row.(!o) > arrival) then ok := false
     end;
@@ -836,11 +843,11 @@ let describe_blocked (p : proc) =
   match p.waiting with
   | Some (Exact (s, t)) ->
       Printf.sprintf "waiting on recv from p%d, tag %d (clock %.6f s)" s t
-        p.clock
+        p.tm.clock
   | Some (Any_source t) ->
       Printf.sprintf "waiting on recv from any source, tag %d (clock %.6f s)"
-        t p.clock
-  | None -> Printf.sprintf "blocked (clock %.6f s)" p.clock
+        t p.tm.clock
+  | None -> Printf.sprintf "blocked (clock %.6f s)" p.tm.clock
 
 (* ------------------------------------------------------------------ *)
 (* Shard driver                                                        *)
@@ -853,7 +860,7 @@ let publish_lb sh =
   sh.lb <-
     Array.fold_left
       (fun acc (p : proc) ->
-        if p.finished_p then acc else Float.min acc p.clock)
+        if p.finished_p then acc else Float.min acc p.tm.clock)
       infinity sh.smembers
 
 (* Move posted messages into the destination processors' channel queues and
@@ -1140,7 +1147,7 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
     Array.init n (fun id ->
         {
           id;
-          clock = 0.0;
+          tm = { clock = 0.0; busy = 0.0 };
           channels = Array.init n (fun _ -> chan_create ());
           waiting = None;
           coll_count = 0;
@@ -1275,8 +1282,11 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
       in
       drive ()
   | Some par -> run_sharded m par values f);
+  Array.iter
+    (fun (p : proc) -> p.stats.Stats.compute_time <- p.tm.busy)
+    m.procs;
   let makespan =
-    Array.fold_left (fun acc p -> Float.max acc p.clock) 0.0 m.procs
+    Array.fold_left (fun acc p -> Float.max acc p.tm.clock) 0.0 m.procs
   in
   stats.Stats.makespan <- makespan;
   let values =

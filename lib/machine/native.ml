@@ -470,8 +470,11 @@ let rec drive_group nt gid =
     Mutex.unlock c.qmx
   end
   else if Scheduler.all_finished g.gsched then begin
-    Atomic.set g.gstatus 4;
+    (* done and counted in one step under [qmx]: a status-4 block not yet
+       in [ndone] would let [maybe_resolve] report a stall with nothing
+       blocked *)
     Mutex.lock c.qmx;
+    Atomic.set g.gstatus 4;
     c.ndone <- c.ndone + 1;
     Condition.broadcast c.qcv;
     Mutex.unlock c.qmx
@@ -494,8 +497,8 @@ let exec_group nt gid =
     let bt = Printexc.get_raw_backtrace () in
     let c = nt.coordn in
     Atomic.set nt.abort true;
-    Atomic.set nt.groups.(gid).gstatus 4;
     Mutex.lock c.qmx;
+    Atomic.set nt.groups.(gid).gstatus 4;
     if c.failure = None then c.failure <- Some (e, bt);
     c.ndone <- c.ndone + 1;
     Condition.broadcast c.qcv;

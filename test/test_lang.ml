@@ -209,6 +209,34 @@ let test_typecheck_rejects () =
   Alcotest.(check bool) "operator misuse" true
     (check_fails "int main() { return 1 + \"x\"; }")
 
+(* break/continue must sit inside a loop body; a for loop's initialiser
+   is outside it *)
+let test_typecheck_loop_control () =
+  let rejects src =
+    match Typecheck.check (Parser.parse src) with
+    | _ -> Alcotest.failf "accepted %s" src
+    | exception Typecheck.Type_error { message; _ } -> message
+  in
+  Alcotest.(check string)
+    "continue" "continue statement not within a loop"
+    (rejects "void main() { continue; }");
+  Alcotest.(check string)
+    "break" "break statement not within a loop"
+    (rejects "int main() { if (1) { break; } return 0; }");
+  ignore (rejects "int f(int x) { while (x) { x = 0; } break; return x; }");
+  check_ok
+    {|
+      int main() {
+        int s = 0;
+        for (int i = 0; i < 4; i++) {
+          if (i == 1) continue;
+          while (1) { if (s > 100) { continue; } break; }
+          s = s + i;
+        }
+        return s;
+      }
+    |}
+
 let test_typecheck_pardata_restrictions () =
   (* "Distributed data structures may not be nested, in particular the type
      arguments of a pardata construct cannot be instantiated with other
@@ -922,6 +950,8 @@ let suite =
         Alcotest.test_case "accepts" `Quick test_typecheck_accepts;
         Alcotest.test_case "currying" `Quick test_typecheck_polymorphic_currying;
         Alcotest.test_case "rejects" `Quick test_typecheck_rejects;
+        Alcotest.test_case "break/continue outside a loop" `Quick
+          test_typecheck_loop_control;
         Alcotest.test_case "pardata restrictions" `Quick
           test_typecheck_pardata_restrictions;
         Alcotest.test_case "records instantiation" `Quick

@@ -204,6 +204,47 @@ let test_stall_detected () =
         "rank 0 reported" true
         (List.exists (fun (p, _) -> p = 0) blocked)
 
+(* ---------------- finished blocks vs the stall check ---------------- *)
+
+(* Regression: a block that finished was marked done before the finished
+   count included it, so the stall check on another domain could see every
+   block idle or done while the run was still short of done, and raise
+   [Stalled []] with no rank blocked.  The shrunk random program below hit
+   it in about half of all batches of the random-program property. *)
+let finish_race_src =
+  {|
+int init(Index ix) { return ix[0]; }
+int f(int c, int elem, Index ix) { return elem + c; }
+int conv(int elem, Index ix) { return elem; }
+int merge(int a, int b) { return a + b; }
+void main() {
+  array<int> a;
+  array<int> b;
+  a = array_create(1, {2}, {0}, {-1}, init, DISTR_DEFAULT);
+  b = array_create(1, {2}, {0}, {-1}, init, DISTR_DEFAULT);
+  array_map(f(1), a, b);
+  print_int(array_fold(conv, merge, b));
+  array_destroy(a);
+  array_destroy(b);
+}
+|}
+
+let test_finish_race () =
+  let topology = Topology.mesh ~width:2 ~height:2 in
+  let p = Spmd.prepare_source ~engine:`Native finish_race_src ~entry:"main" in
+  List.iter
+    (fun d ->
+      for i = 1 to 300 do
+        let r = Spmd.run_prepared ~native_domains:d ~topology p ~args:[] in
+        Array.iter
+          (fun (o : Spmd.outcome) ->
+            if o.Spmd.printed <> "3" then
+              Alcotest.failf "domains=%d run %d printed %S" d i
+                o.Spmd.printed)
+          r.Machine.values
+      done)
+    [ 2; 4 ]
+
 let suite =
   [
     ( "native",
@@ -211,6 +252,8 @@ let suite =
         Alcotest.test_case "corpus native vs simulator" `Quick
           test_corpus_native;
         qcheck_native;
+        Alcotest.test_case "finished blocks never read as stalled" `Quick
+          test_finish_race;
         Alcotest.test_case "farm recv_any exactly-once" `Quick
           test_farm_exactly_once;
         Alcotest.test_case "capacity-1 backpressure" `Quick

@@ -197,6 +197,10 @@ let test_error_classes_and_diagnostics () =
       submit ~spec:{ Jobspec.default with Jobspec.id = "s" } h
         "int main( { return 0; }\n";
       ignore (expect_err h Errclass.Syntax);
+      (* loop control outside a loop is a type error, not an internal one *)
+      submit ~spec:{ Jobspec.default with Jobspec.id = "c" } h
+        "void main() { continue; }\n";
+      ignore (expect_err h Errclass.Type_err);
       submit
         ~spec:{ Jobspec.default with Jobspec.id = "r"; width = 1; height = 1 }
         h "int main() { return 1 / 0; }\n";

@@ -107,11 +107,60 @@ let prop_specialisation_unobservable src =
   let n = observe src ~engine:`Compiled ~specialize:false in
   a = s && a = n
 
+(* Element functions with random loop control: a while loop nested in a
+   for loop, each able to break, continue or return at a random point.
+   Every loop is bounded (the while counter moves before any continue). *)
+let gen_loop_program =
+  let ctl =
+    oneofl [ "break;"; "continue;"; "return r + 7;"; "r = r + 1;" ]
+  in
+  int_range 0 4 >>= fun l1 ->
+  int_range 0 4 >>= fun l2 ->
+  int_range 1 4 >>= fun m1 ->
+  int_range 1 4 >>= fun m2 ->
+  int_range (-5) 20 >>= fun t ->
+  ctl >>= fun s1 ->
+  ctl >>= fun s2 ->
+  ctl >>= fun s3 ->
+  int_range 2 9 >>= fun n ->
+  int_range (-3) 3 >|= fun c ->
+  Printf.sprintf
+    {|
+int f(int c, int elem, Index ix) {
+  int r = elem;
+  for (int i = 0; i < %d; i++) {
+    if ((i + ix[0]) %% %d == 0) %s
+    int j = 0;
+    while (j < %d) {
+      j = j + 1;
+      if ((j + r) %% %d == 0) %s
+      r = r + i * j - c;
+    }
+    if (r > %d) %s
+  }
+  return r;
+}
+int init(Index ix) { return ix[0]; }
+int addi(int a, int b) { return a + b; }
+void main() {
+  array<int> a = array_create(1, {%d}, {0}, {-1}, init, DISTR_DEFAULT);
+  array<int> b = array_create(1, {%d}, {0}, {-1}, init, DISTR_DEFAULT);
+  array_map(f(%d), a, b);
+  print_int(array_fold(f(1), addi, b));
+  print_int(f(2, procId, {procId}));
+  array_destroy(a);
+  array_destroy(b);
+}
+|}
+    l1 m1 s1 l2 m2 s2 t s3 n n c
+
 let suite =
   [
     ( "specialize",
       [
         qt "random monomorphic programs: ast = spec = no-spec" gen_program
+          prop_specialisation_unobservable;
+        qt "random loop control: ast = spec = no-spec" gen_loop_program
           prop_specialisation_unobservable;
       ] );
   ]
