@@ -317,7 +317,7 @@ let print_pdes cells =
    bit-identical makespan at every shard count (and against the baseline
    dump when it pins the cell), and — on hosts with enough cores for the
    shards to actually run in parallel — sim-domains 4 must beat the
-   sequential scheduler in wall-clock.  The speedup leg is skipped on
+   one-shard run in wall-clock.  The speedup leg is skipped on
    narrower hosts, where every shard shares one core and only overhead
    would be measured. *)
 let check_pdes ?baseline cells =

@@ -209,6 +209,15 @@ let copy_with ctx conv (src : 'a Darray.t) (dst : 'b Darray.t) =
 
 let broadcast_part ctx (a : 'a Darray.t) ix =
   Darray.check_alive a;
+  (* an index outside the array would pick a wrong or nonexistent root, so
+     every rank rejects it before any communication *)
+  let size = Darray.gsize a in
+  let whole = { Index.lower = Array.map (fun _ -> 0) size; upper = size } in
+  if not (Index.contains whole ix) then
+    invalid_arg
+      (Format.asprintf
+         "array_broadcast_part: index %a is outside the array (size %a)"
+         Index.pp ix Index.pp size);
   with_span ctx "array_broadcast_part" @@ fun () ->
   skeleton ctx;
   let me = rank ctx in

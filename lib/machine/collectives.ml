@@ -1,9 +1,9 @@
 (* Collective operations in two flavours, dispatched on the machine's
    [Coll_alg.mode]:
 
-   - Legacy: the seed's binomial-tree implementations, kept verbatim below —
-     [--collectives tree] runs are byte-identical to the historical binary
-     (values, clocks, Stats, traces).
+   - Legacy: the seed's binomial-tree and linear patterns carrying the
+     real values — [--collectives tree] runs are byte-identical to the
+     historical binary (values, clocks, Stats, traces).
 
    - Algorithm-selecting (Auto / Force): a library of message patterns
      (pipelined broadcast, van de Geijn scatter+allgather, recursive
@@ -35,10 +35,15 @@ let rank_of ctx root vrank = (vrank + root) mod Machine.nprocs ctx
 let spanned ctx name f = Machine.with_span ctx ~cat:Trace.Collective name f
 
 (* ------------------------------------------------------------------ *)
-(* Legacy implementations — the seed's code, unchanged                  *)
+(* The seed's binomial and linear patterns, generic in the payload       *)
 
-let legacy_reduce ctx ~tag ~root ~bytes f v =
-  spanned ctx "reduce" @@ fun () ->
+(* Legacy mode runs these with real values inside its "reduce", "bcast",
+   "scan" and "gather" spans — the seed's code paths, byte-identical; the
+   selecting modes run the same bodies at unit payload as timing-plane
+   patterns ([unit_op] for the combine), so both modes send the same
+   messages with the same rendezvous discipline. *)
+
+let tree_reduce ctx ~tag ~root ~bytes f v =
   let p = Machine.nprocs ctx in
   let me = vrank_of ctx root (Machine.self ctx) in
   let acc = ref v in
@@ -62,8 +67,7 @@ let legacy_reduce ctx ~tag ~root ~bytes f v =
   done;
   !acc
 
-let legacy_bcast ctx ~tag ~root ~bytes v =
-  spanned ctx "bcast" @@ fun () ->
+let tree_bcast ctx ~tag ~root ~bytes v =
   let p = Machine.nprocs ctx in
   let me = vrank_of ctx root (Machine.self ctx) in
   let highest = ref 1 in
@@ -84,15 +88,7 @@ let legacy_bcast ctx ~tag ~root ~bytes v =
   done;
   !value
 
-let legacy_allreduce ctx ~tag ~bytes f v =
-  let combined = legacy_reduce ctx ~tag ~root:0 ~bytes f v in
-  legacy_bcast ctx ~tag ~root:0 ~bytes combined
-
-let legacy_barrier ctx ~tag =
-  ignore (legacy_allreduce ctx ~tag ~bytes:0 (fun () () -> ()) ())
-
-let legacy_scan ctx ~tag ~bytes f v =
-  spanned ctx "scan" @@ fun () ->
+let linear_scan ctx ~tag ~bytes f v =
   let p = Machine.nprocs ctx in
   let me = Machine.self ctx in
   let acc =
@@ -104,8 +100,7 @@ let legacy_scan ctx ~tag ~bytes f v =
   if me < p - 1 then Machine.send ctx ~dest:(me + 1) ~tag ~bytes acc;
   acc
 
-let legacy_gather_to ctx ~tag ~root ~bytes v =
-  spanned ctx "gather" @@ fun () ->
+let linear_gather ctx ~tag ~root ~bytes v =
   let p = Machine.nprocs ctx in
   let me = Machine.self ctx in
   if me = root then begin
@@ -119,6 +114,23 @@ let legacy_gather_to ctx ~tag ~root ~bytes v =
     Machine.send ctx ~dest:root ~tag ~bytes v;
     None
   end
+
+let unit_op () () = ()
+
+let legacy_reduce ctx ~tag ~root ~bytes f v =
+  spanned ctx "reduce" @@ fun () -> tree_reduce ctx ~tag ~root ~bytes f v
+
+let legacy_bcast ctx ~tag ~root ~bytes v =
+  spanned ctx "bcast" @@ fun () -> tree_bcast ctx ~tag ~root ~bytes v
+
+let legacy_gather_to ctx ~tag ~root ~bytes v =
+  spanned ctx "gather" @@ fun () -> linear_gather ctx ~tag ~root ~bytes v
+
+let legacy_allreduce ctx ~tag ~bytes f v =
+  let combined = legacy_reduce ctx ~tag ~root:0 ~bytes f v in
+  legacy_bcast ctx ~tag ~root:0 ~bytes combined
+
+let legacy_barrier ctx ~tag = legacy_allreduce ctx ~tag ~bytes:0 unit_op ()
 
 (* ------------------------------------------------------------------ *)
 (* Value plane: canonical combines over the per-call deposit cell       *)
@@ -143,7 +155,7 @@ let slot cell i =
 
 (* The seed's binomial-tree reduction order over vrank-indexed deposits:
    at round [offset], vrank j (j mod 2*offset = 0) absorbs vrank j+offset
-   with the receiver on the left — exactly [legacy_reduce]'s [f !acc w].
+   with the receiver on the left — exactly [tree_reduce]'s [f !acc w].
    Same expression tree, hence bit-identical results (floats included). *)
 let tree_combine f (vals : 'a array) =
   let p = Array.length vals in
@@ -164,45 +176,6 @@ let tree_combine f (vals : 'a array) =
 (* Timing plane: message patterns with dummy payloads, honest bytes     *)
 
 let recv_unit ctx ~src ~tag = (Machine.recv ctx ~src ~tag : unit)
-
-(* The seed's binomial patterns, payload-free (same sends, same rendezvous
-   discipline, same clocks as the legacy bodies). *)
-let tree_reduce_pattern ctx ~tag ~root ~bytes =
-  let p = Machine.nprocs ctx in
-  let me = vrank_of ctx root (Machine.self ctx) in
-  let offset = ref 1 in
-  let participating = ref true in
-  while !participating && !offset < p do
-    let span = 2 * !offset in
-    if me mod span = !offset then begin
-      Machine.send ctx ~rendezvous:true
-        ~dest:(rank_of ctx root (me - !offset))
-        ~tag ~bytes ();
-      participating := false
-    end
-    else if me mod span = 0 && me + !offset < p then
-      recv_unit ctx ~src:(rank_of ctx root (me + !offset)) ~tag;
-    offset := 2 * !offset
-  done
-
-let tree_bcast_pattern ctx ~tag ~root ~bytes =
-  let p = Machine.nprocs ctx in
-  let me = vrank_of ctx root (Machine.self ctx) in
-  let highest = ref 1 in
-  while !highest < p do
-    highest := 2 * !highest
-  done;
-  let offset = ref (!highest / 2) in
-  while !offset >= 1 do
-    let span = 2 * !offset in
-    if me mod span = 0 && me + !offset < p then
-      Machine.send ctx ~rendezvous:true
-        ~dest:(rank_of ctx root (me + !offset))
-        ~tag ~bytes ()
-    else if me mod span = !offset then
-      recv_unit ctx ~src:(rank_of ctx root (me - !offset)) ~tag;
-    offset := !offset / 2
-  done
 
 (* Segmented broadcast down the rank ring (vrank space, so it is rooted
    anywhere): the root streams segments to vrank 1, every interior rank
@@ -360,21 +333,6 @@ let binomial_scan_pattern ctx ~tag ~bytes =
     k := 2 * !k
   done
 
-let linear_scan_pattern ctx ~tag ~bytes =
-  let p = Machine.nprocs ctx in
-  let me = Machine.self ctx in
-  if me > 0 then recv_unit ctx ~src:(me - 1) ~tag;
-  if me < p - 1 then Machine.send ctx ~dest:(me + 1) ~tag ~bytes ()
-
-let linear_gather_pattern ctx ~tag ~root ~bytes =
-  let p = Machine.nprocs ctx in
-  let me = Machine.self ctx in
-  if me = root then
-    for src = 0 to p - 1 do
-      if src <> root then recv_unit ctx ~src ~tag
-    done
-  else Machine.send ctx ~dest:root ~tag ~bytes ()
-
 (* Binomial gather: the reduce tree with payloads growing by subtree size
    (a sender at round [offset] has absorbed min(offset, p - vrank) items). *)
 let tree_gather_pattern ctx ~tag ~root ~bytes =
@@ -424,7 +382,7 @@ let sel_bcast ctx ~tag ~root ~bytes v =
   (match alg with
    | Coll_alg.Pipeline -> pipeline_bcast_pattern ctx ~tag ~root ~bytes:b
    | Coll_alg.Vandegeijn -> vandegeijn_bcast_pattern ctx ~tag ~root ~bytes:b
-   | _ -> tree_bcast_pattern ctx ~tag ~root ~bytes:b);
+   | _ -> tree_bcast ctx ~tag ~root ~bytes:b ());
   slot cell 0
 
 let deposits cell = Array.init (Array.length cell.slots) (slot cell)
@@ -438,7 +396,7 @@ let sel_reduce ctx ~tag ~root ~bytes f v =
   selected ctx Coll_alg.Reduce alg ~bytes:b @@ fun () ->
   (match alg with
    | Coll_alg.Ring -> ring_reduce_pattern ctx ~tag ~root ~bytes:b
-   | _ -> tree_reduce_pattern ctx ~tag ~root ~bytes:b);
+   | _ -> tree_reduce ctx ~tag ~root ~bytes:b unit_op ());
   (* only the root's return value is meaningful, as in the legacy tree *)
   if me = root then tree_combine f (deposits cell) else v
 
@@ -456,8 +414,8 @@ let sel_allreduce ctx ~tag ~bytes f v =
        ring_steps_pattern ctx ~tag ~steps:(2 * (p - 1))
          ~bytes:(max 1 ((b + p - 1) / p))
    | _ ->
-       tree_reduce_pattern ctx ~tag ~root:0 ~bytes:b;
-       tree_bcast_pattern ctx ~tag ~root:0 ~bytes:b);
+       tree_reduce ctx ~tag ~root:0 ~bytes:b unit_op ();
+       tree_bcast ctx ~tag ~root:0 ~bytes:b ());
   tree_combine f (deposits cell)
 
 let sel_barrier ctx ~tag =
@@ -466,8 +424,8 @@ let sel_barrier ctx ~tag =
   match alg with
   | Coll_alg.Dissemination -> dissemination_pattern ctx ~tag
   | _ ->
-      tree_reduce_pattern ctx ~tag ~root:0 ~bytes:0;
-      tree_bcast_pattern ctx ~tag ~root:0 ~bytes:0
+      tree_reduce ctx ~tag ~root:0 ~bytes:0 unit_op ();
+      tree_bcast ctx ~tag ~root:0 ~bytes:0 ()
 
 let sel_scan ctx ~tag ~bytes f v =
   let me = Machine.self ctx in
@@ -477,7 +435,7 @@ let sel_scan ctx ~tag ~bytes f v =
   let alg = choose ctx Coll_alg.Scan ~sel_bytes:b in
   selected ctx Coll_alg.Scan alg ~bytes:b @@ fun () ->
   (match alg with
-   | Coll_alg.Linear -> linear_scan_pattern ctx ~tag ~bytes:b
+   | Coll_alg.Linear -> linear_scan ctx ~tag ~bytes:b unit_op ()
    | _ -> binomial_scan_pattern ctx ~tag ~bytes:b);
   (* the legacy chain's left-fold bracketing: f (.. (f v0 v1) ..) vme *)
   let acc = ref (slot cell 0) in
@@ -496,7 +454,7 @@ let sel_gather ctx ~tag ~root ~bytes v =
   selected ctx Coll_alg.Gather alg ~bytes:b @@ fun () ->
   (match alg with
    | Coll_alg.Tree -> tree_gather_pattern ctx ~tag ~root ~bytes:b
-   | _ -> linear_gather_pattern ctx ~tag ~root ~bytes:b);
+   | _ -> ignore (linear_gather ctx ~tag ~root ~bytes:b () : unit array option));
   if me = root then Some (Array.init p (slot cell)) else None
 
 let sel_allgather ctx ~tag ~bytes v =
@@ -532,7 +490,8 @@ let barrier ctx ~tag =
   else sel_barrier ctx ~tag
 
 let scan ctx ~tag ~bytes f v =
-  if Machine.coll_legacy ctx then legacy_scan ctx ~tag ~bytes f v
+  if Machine.coll_legacy ctx then
+    spanned ctx "scan" @@ fun () -> linear_scan ctx ~tag ~bytes f v
   else sel_scan ctx ~tag ~bytes f v
 
 let gather_to ctx ~tag ~root ~bytes v =

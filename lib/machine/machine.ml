@@ -32,7 +32,6 @@ type proc = {
   tm : times;
   channels : chan array; (* indexed by source rank *)
   mutable waiting : waiting option;
-  mutable coll_count : int; (* collective call sites reached so far *)
   mutable span_stack : Trace.span list; (* open trace spans, innermost first *)
   stats : Stats.proc;
   (* fault state — allocated/nonempty only when a plan or reliable mode is
@@ -41,8 +40,7 @@ type proc = {
   seen : (int * int, unit) Hashtbl.t; (* (src, seq) dedup under Reliable *)
   mutable pending_stalls : Fault.stall list; (* sorted by stall_at *)
   mutable pending_crashes : float list; (* sorted crash times *)
-  (* PDES shard placement; sequential runs keep shard 0 / fid = id *)
-  mutable shard : int;
+  shard : int; (* the rank group (PDES shard) owning this processor *)
   mutable fid : int; (* fiber id within the owning shard's scheduler *)
   mutable finished_p : bool; (* program body returned (monotone flag) *)
   mutable any_grant : bool; (* recv_any unblocked by the global-idle grant *)
@@ -55,7 +53,8 @@ type proc = {
 (* Conservative PDES sharding (--sim-domains).
 
    The simulated processors are partitioned into contiguous-rank shards,
-   each with its own fiber scheduler.  Because [recv] names its source and
+   the rank groups of {!Groups}, which drives them; [--sim-domains 1] is
+   one shard holding every processor.  Because [recv] names its source and
    per-(src, tag) streams are FIFO, the simulation is a Kahn network: every
    exact receive is deterministic whatever the shard interleaving, so shards
    run their fibers freely and only block on actual data dependencies — the
@@ -72,48 +71,24 @@ type proc = {
 type post = { pdst : proc; psrc : int; ptag : int; pmsg : message }
 
 type shard = {
-  sid : int;
-  sched : Scheduler.t;
   smembers : proc array; (* the contiguous rank block owned by this shard *)
   inbox_mutex : Mutex.t;
   mutable inbox : post list; (* reversed; guarded by inbox_mutex *)
   mutable sdone : bool;
       (* guarded by inbox_mutex: posts to a finished shard are dropped, as
-         the sequential machine leaves such messages queued unread *)
+         the receiver would have left such messages queued unread *)
   mutable lb : float;
-      (* published lower bound on every member clock, refreshed at idle
-         transitions; read racily by other shards' recv_any (monotone, so a
-         stale value is a sound lower bound) *)
-}
-
-(* Shard statuses (guarded by [cmutex]): 0 idle, 1 ready (queued for a
-   worker), 2 running, 3 done. *)
-type coord = {
-  cmutex : Mutex.t;
-  ccond : Condition.t;
-  ready : int Queue.t;
-  status : int array;
-  mutable live : int; (* shards not yet done *)
-  mutable running : int;
-  in_flight : int Atomic.t; (* posted but not yet drained cross-shard msgs *)
-  mutable failure : (exn * Printexc.raw_backtrace) option;
-}
-
-type par = {
-  nshards : int;
-  shard_of : int array;
-  shards : shard array;
-  coord : coord;
-  cmx : Mutex.t; (* collective deposit table + tag allocation *)
+      (* published lower bound on every member clock, refreshed at the end
+         of every step; read racily by other shards' recv_any (monotone, so
+         a stale value is a sound lower bound) *)
 }
 
 type t = {
   topology : Topology.t;
   cost : Cost_model.t;
   procs : proc array;
-  sched : Scheduler.t;
-  collectives : (int, Obj.t * int ref) Hashtbl.t;
-  mutable next_tag : int;
+  groups : Groups.t; (* shard scheduling and the collective deposit table *)
+  shards : shard array;
   trace : Trace.t;
   trace_on : bool; (* cached Trace.enabled: skips the call (and the float
                       boxing of its arguments) on every clock advance *)
@@ -140,7 +115,6 @@ type t = {
   coll_mode : Coll_alg.mode;
   coll_legacy : bool; (* cached [coll_mode = Legacy] *)
   coll_net : Coll_alg.net option; (* Some iff not coll_legacy *)
-  par : par option; (* Some iff sim_domains > 1 and nprocs > 1 *)
   cancel : unit -> bool;
   cancel_on : bool; (* a cancel callback was given; cancel-free runs pay
                        one dead branch per clock advance *)
@@ -166,10 +140,9 @@ type 'r result = {
   trace : Trace.t;
 }
 
-exception Stalled of (int * string) list
-
-(* One exception for both engines, so callers catch a single constructor
+(* Both engines raise the same constructors, so callers catch one
    whatever the backend. *)
+exception Stalled = Native.Stalled
 exception Cancelled = Native.Cancelled
 
 let stall_diagnostic blocked =
@@ -388,16 +361,11 @@ let chan_enqueue_queue c tag =
 
 (* ------------------------------------------------------------------ *)
 
-(* Scheduler owning [p]'s fiber.  Sequential machines keep every fiber on
-   [m.sched]; sharded ones give each shard its own. *)
-let sched_of m (p : proc) =
-  match m.par with
-  | None -> m.sched
-  | Some par -> par.shards.(p.shard).sched
+let sched_of m (p : proc) = Groups.sched m.groups p.shard
 
-(* Only ever called for a [target] on the *caller's own* shard (or in a
-   sequential machine): cross-shard deliveries go through [post_cross] and
-   are woken by the destination shard when it drains its inbox. *)
+(* Only ever called for a [target] on the *caller's own* shard: cross-shard
+   deliveries go through [post_cross] and are woken by the destination
+   shard when it drains its inbox. *)
 let wake_if_waiting m target ~src ~tag =
   match target.waiting with
   | Some (Exact (s, t)) when s = src && t = tag ->
@@ -408,40 +376,24 @@ let wake_if_waiting m target ~src ~tag =
       Scheduler.wake (sched_of m target) target.fid
   | Some _ | None -> ()
 
-(* Hand a message to another shard's mailbox and mark that shard ready.
-   The inbox mutex acquire/release pair is the happens-before edge that
+(* Hand a message to another shard's mailbox and wake that shard.  The
+   inbox mutex acquire/release pair is the happens-before edge that
    publishes the payload (and the sender-side trace record) to the domain
-   that will drain it.  [in_flight] is bumped before the shard is marked
-   ready so the quiescence test can never observe "all idle, nothing
-   queued" while a message is between mailboxes. *)
-let post_cross par ~target ~src ~tag msg =
-  let sh = par.shards.(par.shard_of.(target.id)) in
+   that will drain it.  The sender's shard is running until after the
+   wake, so the driver never sees every shard idle while a message sits
+   undrained in a mailbox. *)
+let post_cross m ~target ~src ~tag msg =
+  let sh = m.shards.(target.shard) in
   Mutex.lock sh.inbox_mutex;
-  if sh.sdone then
-    (* the receiver ran to completion: the sequential machine would leave
-       this message queued unread, so dropping it is value-equivalent *)
-    Mutex.unlock sh.inbox_mutex
-  else begin
-    Atomic.incr par.coord.in_flight;
+  (* a receiver that ran to completion would leave this message queued
+     unread, so dropping it is value-equivalent *)
+  let live = not sh.sdone in
+  if live then
     sh.inbox <- { pdst = target; psrc = src; ptag = tag; pmsg = msg } :: sh.inbox;
-    Mutex.unlock sh.inbox_mutex;
-    let c = par.coord in
-    Mutex.lock c.cmutex;
-    if c.status.(sh.sid) = 0 then begin
-      c.status.(sh.sid) <- 1;
-      Queue.add sh.sid c.ready;
-      Condition.broadcast c.ccond
-    end;
-    Mutex.unlock c.cmutex;
-    if Pool.worker_count () > 0 then Pool.kick ()
-  end
+  Mutex.unlock sh.inbox_mutex;
+  if live then Groups.wake m.groups target.shard
 
-(* Shard (Some par) of the destination when it lives on a different shard
-   than the sender; None on every same-shard or sequential send. *)
-let cross_shard m (sender : proc) ~dest =
-  match m.par with
-  | Some par when par.shard_of.(dest) <> sender.shard -> Some par
-  | _ -> None
+let cross_shard m (sender : proc) ~dest = m.procs.(dest).shard <> sender.shard
 
 (* Faulty/reliable send — the cold sibling of [send] below.  Timing here may
    legitimately differ from the plain path (that is the point), but the FIFO
@@ -484,7 +436,7 @@ let send_faulty ctx ~rendezvous ~dest ~tag ~bytes v =
   st.Stats.msgs_sent <- st.Stats.msgs_sent + 1;
   st.Stats.bytes_sent <- st.Stats.bytes_sent + bytes;
   st.Stats.hop_bytes <- st.Stats.hop_bytes + (bytes * hops);
-  let xpar = cross_shard m ctx.p ~dest in
+  let cross = cross_shard m ctx.p ~dest in
   let enqueue ~arrival ~delivery =
     let tmsg =
       if m.trace_on then
@@ -493,15 +445,10 @@ let send_faulty ctx ~rendezvous ~dest ~tag ~bytes v =
       else None
     in
     let msg = { arrival; payload = Obj.repr v; tmsg; seq; delivery } in
-    match xpar with
-    | None -> Queue.add msg (chan_enqueue_queue target.channels.(src) tag)
-    | Some par -> post_cross par ~target ~src ~tag msg
+    if cross then post_cross m ~target ~src ~tag msg
+    else Queue.add msg (chan_enqueue_queue target.channels.(src) tag)
   in
-  let wake () =
-    match xpar with
-    | None -> wake_if_waiting m target ~src ~tag
-    | Some _ -> ()
-  in
+  let wake () = if not cross then wake_if_waiting m target ~src ~tag in
   let record_fault kind =
     if m.trace_on then
       Trace.record_fault m.trace ~kind ~proc:src ~peer:dest ~tag
@@ -608,11 +555,9 @@ let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
       else None
     in
     let msg = { arrival; payload = Obj.repr v; tmsg; seq = 0; delivery = Clean } in
-    let xpar = cross_shard m ctx.p ~dest in
-    (match xpar with
-     | None ->
-         Queue.add msg (chan_enqueue_queue target.channels.(ctx.p.id) tag)
-     | Some par -> post_cross par ~target ~src:ctx.p.id ~tag msg);
+    let cross = cross_shard m ctx.p ~dest in
+    if cross then post_cross m ~target ~src:ctx.p.id ~tag msg
+    else Queue.add msg (chan_enqueue_queue target.channels.(ctx.p.id) tag);
     let st = ctx.p.stats in
     st.Stats.msgs_sent <- st.Stats.msgs_sent + 1;
     st.Stats.bytes_sent <- st.Stats.bytes_sent + bytes;
@@ -627,9 +572,7 @@ let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
       ctx.p.tm.clock <- arrival;
       st.Stats.comm_wait <- st.Stats.comm_wait +. wait
     end;
-    match xpar with
-    | None -> wake_if_waiting m target ~src:ctx.p.id ~tag
-    | Some _ -> ()
+    if not cross then wake_if_waiting m target ~src:ctx.p.id ~tag
   end
 
 let finish_recv ctx msg =
@@ -676,7 +619,7 @@ let recv ctx ~src ~tag =
         if m.reliable && dedup_discard ctx ~src msg then obtain () else msg
     | Some _ | None ->
         ctx.p.waiting <- Some (Exact (src, tag));
-        Scheduler.block m.sched;
+        Scheduler.block (sched_of m ctx.p);
         obtain ()
   in
   let msg = obtain () in
@@ -710,16 +653,15 @@ let lookahead_row ctx =
    produce a message for us that arrives at or before [arrival]: for every
    other unfinished processor [o], lb(o) + L(o -> me) must exceed [arrival]
    *strictly*, where lb(o) is a lower bound on o's clock — its actual clock
-   in the sequential engine and for shard-mates, the owning shard's
-   published idle bound otherwise (stale reads only lower it, which is
-   conservative).  Under sharding, a message posted to our mailbox but not
-   yet drained could also beat [arrival], so the mailbox is checked too.
+   for shard-mates, the owning shard's published bound otherwise (stale
+   reads only lower it, which is conservative).  A message posted to our
+   mailbox but not yet drained could also beat [arrival], so the mailbox is
+   checked too.
    Strictness makes the winner independent of which bounds we happened to
    observe: a message that could tie on arrival never invalidates the
    commit, because a tie is exactly what the strict test rejects —
    commits only happen when the present head beats every possible future
-   outright, so sequential and sharded runs (any shard count) pick the
-   same winner. *)
+   outright, so every shard count picks the same winner. *)
 let recv_any_safe ctx ~tag ~arrival =
   let m = ctx.m in
   let p = ctx.p in
@@ -730,28 +672,18 @@ let recv_any_safe ctx ~tag ~arrival =
   while !ok && !o < n do
     let q = m.procs.(!o) in
     if !o <> p.id && not q.finished_p then begin
-      let lb =
-        match m.par with
-        | None -> q.tm.clock
-        | Some par ->
-            if q.shard = p.shard then q.tm.clock else par.shards.(q.shard).lb
-      in
+      let lb = if q.shard = p.shard then q.tm.clock else m.shards.(q.shard).lb in
       if not (lb +. row.(!o) > arrival) then ok := false
     end;
     incr o
   done;
   !ok
   &&
-  match m.par with
-  | None -> true
-  | Some par ->
-      let sh = par.shards.(p.shard) in
-      Mutex.lock sh.inbox_mutex;
-      let pending =
-        List.exists (fun po -> po.pdst == p && po.ptag = tag) sh.inbox
-      in
-      Mutex.unlock sh.inbox_mutex;
-      not pending
+  let sh = m.shards.(p.shard) in
+  Mutex.lock sh.inbox_mutex;
+  let pending = List.exists (fun po -> po.pdst == p && po.ptag = tag) sh.inbox in
+  Mutex.unlock sh.inbox_mutex;
+  not pending
 
 let recv_any ctx ~tag =
   let m = ctx.m in
@@ -776,11 +708,10 @@ let recv_any ctx ~tag =
   (* Commit the head candidate only when the lookahead test proves no
      earlier message can still appear; otherwise park until either a new
      arrival wakes us or — at global idle, when nothing anywhere can run
-     and (under sharding) no message is in flight — the machine grants the
-     lowest-ranked parked receiver with a candidate ([any_grant]).  The
-     grant can only fire when the candidate set is final, so both paths
-     pick the same deterministic winner in the sequential engine and for
-     every shard count. *)
+     and no message is in flight — the machine grants the lowest-ranked
+     parked receiver with a candidate ([any_grant]).  The grant can only
+     fire when the candidate set is final, so both paths pick the same
+     deterministic winner for every shard count. *)
   let rec obtain () =
     match best () with
     | Some (src, q)
@@ -805,39 +736,8 @@ let sendrecv ctx ~dest ~src ~tag ~bytes v =
   send ctx ~dest ~tag ~bytes v;
   recv ctx ~src ~tag
 
-let collective_locked m idx f =
-  match Hashtbl.find_opt m.collectives idx with
-  | Some (v, remaining) ->
-      decr remaining;
-      if !remaining = 0 then Hashtbl.remove m.collectives idx;
-      Obj.obj v
-  | None ->
-      let v = f () in
-      let consumers = Array.length m.procs - 1 in
-      if consumers > 0 then
-        Hashtbl.add m.collectives idx (Obj.repr v, ref consumers);
-      v
-
-let collective ctx f =
-  let m = ctx.m in
-  let idx = ctx.p.coll_count in
-  ctx.p.coll_count <- idx + 1;
-  match m.par with
-  | None -> collective_locked m idx f
-  | Some par ->
-      (* the deposit table (and [next_tag], mutated by [tags]'s thunk) is
-         shared across shards; [f] must be rank-independent by the
-         collective contract, so running it under the lock is safe *)
-      Mutex.lock par.cmx;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock par.cmx)
-        (fun () -> collective_locked m idx f)
-
-let tags ctx n =
-  collective ctx (fun () ->
-      let t = ctx.m.next_tag in
-      ctx.m.next_tag <- ctx.m.next_tag + n;
-      t)
+let collective ctx f = Groups.collective ctx.m.groups ~rank:ctx.p.id f
+let tags ctx n = Groups.tags ctx.m.groups ~rank:ctx.p.id n
 
 let describe_blocked (p : proc) =
   match p.waiting with
@@ -850,12 +750,12 @@ let describe_blocked (p : proc) =
   | None -> Printf.sprintf "blocked (clock %.6f s)" p.tm.clock
 
 (* ------------------------------------------------------------------ *)
-(* Shard driver                                                        *)
+(* Shard steps and quiescence, the simulator's callbacks to {!Groups.run} *)
 
 (* Refresh the shard's published clock lower bound.  Called only by the
-   domain currently running the shard, just before it goes idle or done;
-   the minimum member clock is non-decreasing between idles, so racy
-   readers see a monotone (hence sound) bound. *)
+   domain currently running the shard, at the end of each step; member
+   clocks never decrease, so racy readers see a monotone (hence sound)
+   bound, and infinity once every member has finished. *)
 let publish_lb sh =
   sh.lb <-
     Array.fold_left
@@ -866,23 +766,34 @@ let publish_lb sh =
 (* Move posted messages into the destination processors' channel queues and
    wake receivers.  Runs on the domain that owns the shard right now, so
    the queue mutations are single-threaded. *)
-let drain_shard m par sh =
+let drain_shard m sh =
   Mutex.lock sh.inbox_mutex;
   let posts = sh.inbox in
   sh.inbox <- [];
   Mutex.unlock sh.inbox_mutex;
-  match posts with
-  | [] -> ()
-  | posts ->
-      let posts = List.rev posts in
-      ignore
-        (Atomic.fetch_and_add par.coord.in_flight (-List.length posts) : int);
-      List.iter
-        (fun po ->
-          Queue.add po.pmsg
-            (chan_enqueue_queue po.pdst.channels.(po.psrc) po.ptag);
-          wake_if_waiting m po.pdst ~src:po.psrc ~tag:po.ptag)
-        posts
+  List.iter
+    (fun po ->
+      Queue.add po.pmsg (chan_enqueue_queue po.pdst.channels.(po.psrc) po.ptag);
+      wake_if_waiting m po.pdst ~src:po.psrc ~tag:po.ptag)
+    (List.rev posts)
+
+(* Deliver the shard's mail, run its fibers until they all finish or park,
+   and publish its clock bound; true once every member has finished, after
+   which posts to the shard are dropped. *)
+let step m sid =
+  let sh = m.shards.(sid) in
+  drain_shard m sh;
+  let sched = Groups.sched m.groups sid in
+  Scheduler.run_until_idle sched;
+  publish_lb sh;
+  let finished = Scheduler.all_finished sched in
+  if finished then begin
+    Mutex.lock sh.inbox_mutex;
+    sh.sdone <- true;
+    sh.inbox <- [];
+    Mutex.unlock sh.inbox_mutex
+  end;
+  finished
 
 let has_msg (p : proc) tag =
   let n = Array.length p.channels in
@@ -895,209 +806,32 @@ let has_msg (p : proc) tag =
   in
   go 0
 
-(* Global idle: nothing can run, so the candidate set of every parked
-   [recv_any] is final.  Grant the lowest-ranked parked receiver that has a
-   deliverable message — the same winner the eager lookahead commit would
-   have picked had it been able to prove safety — and return it; [None]
-   means the machine is stalled for good.  Shared by the sequential
-   engine's deadlock recovery and the shard coordinator's quiescence. *)
-let grant_any m =
-  let n = Array.length m.procs in
-  let rec go r =
-    if r >= n then None
-    else
-      let p = m.procs.(r) in
-      match p.waiting with
-      | Some (Any_source tag) when has_msg p tag ->
-          p.any_grant <- true;
-          p.waiting <- None;
-          Scheduler.wake (sched_of m p) p.fid;
-          Some p
-      | _ -> go (r + 1)
-  in
-  go 0
-
-(* Every shard idle, nothing queued, no message between mailboxes: grant
-   one parked [recv_any] and mark its shard ready, or record the stall.
-   Called with [cmutex] held. *)
-let resolve_quiescence m par =
-  let c = par.coord in
-  match grant_any m with
+(* Global idle: nothing can run and no message is in flight, so the
+   candidate set of every parked [recv_any] is final.  Grant the
+   lowest-ranked parked receiver that has a deliverable message — the same
+   winner the eager lookahead commit would have picked had it been able to
+   prove safety — and wake its shard; with no such receiver the machine is
+   stalled for good. *)
+let quiesce m () =
+  match
+    Array.find_opt
+      (fun p ->
+        match p.waiting with
+        | Some (Any_source tag) -> has_msg p tag
+        | _ -> false)
+      m.procs
+  with
   | Some p ->
-      c.status.(p.shard) <- 1;
-      Queue.add p.shard c.ready;
-      if Pool.worker_count () > 0 then Pool.kick ()
+      p.any_grant <- true;
+      p.waiting <- None;
+      Scheduler.wake (sched_of m p) p.fid;
+      Groups.wake m.groups p.shard
   | None ->
-      let blocked =
-        Array.to_list m.procs
-        |> List.filter_map (fun (p : proc) ->
-               if p.finished_p then None
-               else Some (p.id, describe_blocked p))
-      in
-      c.failure <- Some (Stalled blocked, Printexc.get_callstack 0)
-
-(* [cmutex] held.  [in_flight] is read last: a poster increments it before
-   its shard could possibly go idle (the poster *is* a running shard), so
-   "running = 0 and ready empty and in_flight = 0" really means no work
-   exists anywhere. *)
-let maybe_quiesce m par =
-  let c = par.coord in
-  if
-    c.running = 0
-    && Queue.is_empty c.ready
-    && c.live > 0
-    && Atomic.get c.in_flight = 0
-    && c.failure = None
-  then resolve_quiescence m par
-
-(* Run one claimed shard (status 2) until it finishes or goes idle.  The
-   idle transition publishes status 0 *before* re-checking the inbox so a
-   racing poster either sees idle (and marks us ready) or its post is seen
-   by the re-check — no lost wakeups. *)
-let rec run_shard m par sid =
-  let sh = par.shards.(sid) in
-  let c = par.coord in
-  drain_shard m par sh;
-  Scheduler.run_until_idle sh.sched;
-  if Scheduler.all_finished sh.sched then begin
-    Mutex.lock sh.inbox_mutex;
-    sh.sdone <- true;
-    let leftover = List.length sh.inbox in
-    sh.inbox <- [];
-    Mutex.unlock sh.inbox_mutex;
-    if leftover > 0 then
-      ignore (Atomic.fetch_and_add c.in_flight (-leftover) : int);
-    sh.lb <- infinity;
-    Mutex.lock c.cmutex;
-    c.status.(sid) <- 3;
-    c.live <- c.live - 1;
-    c.running <- c.running - 1;
-    maybe_quiesce m par;
-    Condition.broadcast c.ccond;
-    Mutex.unlock c.cmutex
-  end
-  else begin
-    publish_lb sh;
-    Mutex.lock c.cmutex;
-    c.status.(sid) <- 0;
-    c.running <- c.running - 1;
-    Mutex.unlock c.cmutex;
-    Mutex.lock sh.inbox_mutex;
-    let empty = sh.inbox = [] in
-    Mutex.unlock sh.inbox_mutex;
-    if not empty then begin
-      (* a post landed during the idle transition; if its sender saw us
-         still running it did not mark us ready, so re-claim ourselves *)
-      Mutex.lock c.cmutex;
-      let reclaim = c.status.(sid) = 0 && c.failure = None in
-      if reclaim then begin
-        c.status.(sid) <- 2;
-        c.running <- c.running + 1
-      end;
-      Mutex.unlock c.cmutex;
-      if reclaim then run_shard m par sid
-    end
-    else begin
-      Mutex.lock c.cmutex;
-      maybe_quiesce m par;
-      Condition.broadcast c.ccond;
-      Mutex.unlock c.cmutex
-    end
-  end
-
-(* Worker/driver entry: run a shard, converting an escaping exception into
-   a recorded failure so every domain winds down instead of hanging. *)
-let exec_shard m par sid =
-  try run_shard m par sid
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    let sh = par.shards.(sid) in
-    let c = par.coord in
-    Mutex.lock sh.inbox_mutex;
-    sh.sdone <- true;
-    sh.inbox <- [];
-    Mutex.unlock sh.inbox_mutex;
-    sh.lb <- infinity;
-    Mutex.lock c.cmutex;
-    if c.failure = None then c.failure <- Some (e, bt);
-    c.status.(sid) <- 3;
-    c.live <- c.live - 1;
-    c.running <- c.running - 1;
-    Condition.broadcast c.ccond;
-    Mutex.unlock c.cmutex
-
-(* Drive a sharded machine to completion.  The calling domain always works;
-   Pool crew workers (if any) claim ready shards through a registered work
-   source.  A shard is a unit of work — its fibers' continuations may hop
-   between domains across idle periods, but only one domain runs a given
-   shard at a time (the status word enforces it). *)
-let run_sharded m par values f =
-  (* the topology's hop tables (and the Coll_alg predictor tables built
-     from them) are published read-only to every domain; pin the
-     no-mutation-after-publication contract *)
-  let topo_digest = Topology.digest m.topology in
-  let n = Array.length m.procs in
-  for id = 0 to n - 1 do
-    let p = m.procs.(id) in
-    let sid = par.shard_of.(id) in
-    p.shard <- sid;
-    let ctx = Sim { m; p } in
-    p.fid <-
-      Scheduler.spawn par.shards.(sid).sched (fun () ->
-          values.(id) <- Some (f ctx);
-          p.finished_p <- true)
-  done;
-  let c = par.coord in
-  for sid = 0 to par.nshards - 1 do
-    Queue.add sid c.ready (* statuses start at 1 (ready) *)
-  done;
-  let workers = Pool.ensure_workers (par.nshards - 1) in
-  let claim () =
-    Mutex.lock c.cmutex;
-    let r =
-      if c.failure <> None then None
-      else
-        match Queue.take_opt c.ready with
-        | Some sid ->
-            assert (c.status.(sid) = 1);
-            c.status.(sid) <- 2;
-            c.running <- c.running + 1;
-            Some sid
-        | None -> None
-    in
-    Mutex.unlock c.cmutex;
-    r
-  in
-  let source =
-    if workers > 0 then
-      Some
-        (Pool.register_source ~poll:(fun () ->
-             match claim () with
-             | Some sid -> Some (fun () -> exec_shard m par sid)
-             | None -> None))
-    else None
-  in
-  let rec drive () =
-    match claim () with
-    | Some sid ->
-        exec_shard m par sid;
-        drive ()
-    | None ->
-        Mutex.lock c.cmutex;
-        let done_ = c.live = 0 || c.failure <> None in
-        if (not done_) && Queue.is_empty c.ready then
-          Condition.wait c.ccond c.cmutex;
-        Mutex.unlock c.cmutex;
-        if not done_ then drive ()
-  in
-  drive ();
-  (match source with Some s -> Pool.unregister_source s | None -> ());
-  assert (Topology.digest m.topology = topo_digest);
-  (* on clean completion the last done-transition (under cmutex) happened
-     before our exit from [drive], so all member state is visible here *)
-  match c.failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
+      raise
+        (Stalled
+           (Array.to_list m.procs
+           |> List.filter_map (fun (p : proc) ->
+                  if p.finished_p then None else Some (p.id, describe_blocked p))))
 
 let run ?(cost = Cost_model.default) ?(trace = false) ?faults
     ?(reliable = false) ?(collectives = Coll_alg.Legacy) ?(sim_domains = 1)
@@ -1105,8 +839,7 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
   if sim_domains < 1 then
     invalid_arg "Machine.run: sim_domains must be >= 1";
   let n = Topology.nprocs topology in
-  let nshards = min sim_domains n in
-  let sched = Scheduler.create () in
+  let groups = Groups.create ~nranks:n ~ngroups:(min sim_domains n) in
   let params = cost.Cost_model.params in
   let cf = cost.Cost_model.profile.Cost_model.comm_factor in
   let faults_on = faults <> None in
@@ -1150,72 +883,37 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
           tm = { clock = 0.0; busy = 0.0 };
           channels = Array.init n (fun _ -> chan_create ());
           waiting = None;
-          coll_count = 0;
           span_stack = [];
           stats = Stats.fresh_proc ();
           next_seq = (if faulty then Array.make n 0 else [||]);
           seen = Hashtbl.create (if reliable then 64 else 1);
           pending_stalls = stalls_for id;
           pending_crashes = crashes_for id;
-          shard = 0;
-          fid = id;
+          shard = Groups.group_of groups id;
+          fid = 0;
           finished_p = false;
           any_grant = false;
           lookahead_row = [||];
         })
   in
-  let par =
-    if nshards <= 1 then None
-    else begin
-      let shard_of = Array.make n 0 in
-      let base = n / nshards and rem = n mod nshards in
-      let lo = ref 0 in
-      let shards =
-        Array.init nshards (fun sid ->
-            let size = base + if sid < rem then 1 else 0 in
-            let l = !lo in
-            lo := l + size;
-            for id = l to l + size - 1 do
-              shard_of.(id) <- sid
-            done;
-            {
-              sid;
-              sched = Scheduler.create ();
-              smembers = Array.sub procs l size;
-              inbox_mutex = Mutex.create ();
-              inbox = [];
-              sdone = false;
-              lb = 0.0;
-            })
-      in
-      Some
+  let shards =
+    Array.init (Groups.count groups) (fun sid ->
+        let first, size = Groups.span groups sid in
         {
-          nshards;
-          shard_of;
-          shards;
-          coord =
-            {
-              cmutex = Mutex.create ();
-              ccond = Condition.create ();
-              ready = Queue.create ();
-              status = Array.make nshards 1;
-              live = nshards;
-              running = 0;
-              in_flight = Atomic.make 0;
-              failure = None;
-            };
-          cmx = Mutex.create ();
-        }
-    end
+          smembers = Array.sub procs first size;
+          inbox_mutex = Mutex.create ();
+          inbox = [];
+          sdone = false;
+          lb = 0.0;
+        })
   in
   let m =
     {
       topology;
       cost;
       procs;
-      sched;
-      collectives = Hashtbl.create 16;
-      next_tag = 0;
+      groups;
+      shards;
       trace = Trace.create ~enabled:trace ~nprocs:n;
       trace_on = trace;
       c_send_overhead = cf *. params.Cost_model.send_overhead;
@@ -1240,7 +938,6 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
                 ~per_byte:(cf *. params.Cost_model.per_byte)
                 ~send_ovh:(cf *. params.Cost_model.send_overhead)
                 ~recv_ovh:(cf *. params.Cost_model.recv_overhead)));
-      par;
       cancel = (match cancel with Some f -> f | None -> fun () -> false);
       cancel_on = cancel <> None;
       min_delay_factor =
@@ -1253,35 +950,23 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
     { Stats.procs = Array.map (fun (p : proc) -> p.stats) m.procs;
       makespan = 0.0 }
   in
-  Scheduler.set_describer sched (fun id ->
-      if id >= 0 && id < n then Some (describe_blocked m.procs.(id)) else None);
   let values = Array.make n None in
-  (match par with
-  | None ->
-      for id = 0 to n - 1 do
-        let p = m.procs.(id) in
-        let ctx = Sim { m; p } in
-        p.fid <-
-          Scheduler.spawn sched (fun () ->
-              values.(id) <- Some (f ctx);
-              p.finished_p <- true)
-      done;
-      (* a "deadlock" with a grantable [recv_any] is just global idle: the
-         candidate set is final, so grant the winner and keep running *)
-      let rec drive () =
-        try Scheduler.run sched
-        with Scheduler.Deadlock blocked -> (
-          match grant_any m with
-          | Some _ -> drive ()
-          | None ->
-              raise
-                (Stalled
-                   (List.map
-                      (fun (id, d) -> (id, Option.value d ~default:"blocked"))
-                      blocked)))
-      in
-      drive ()
-  | Some par -> run_sharded m par values f);
+  Array.iter
+    (fun p ->
+      let ctx = Sim { m; p } in
+      p.fid <-
+        Scheduler.spawn (sched_of m p) (fun () ->
+            values.(p.id) <- Some (f ctx);
+            p.finished_p <- true))
+    m.procs;
+  (* the topology's hop tables (and the Coll_alg predictor tables built
+     from them) are published read-only to every domain; pin the
+     no-mutation-after-publication contract *)
+  let topo_digest = Topology.digest topology in
+  Groups.run groups ~step:(step m) ~quiesce:(quiesce m);
+  assert (Topology.digest topology = topo_digest);
+  (* on clean completion every shard's last step happened before
+     [Groups.run] returned, so all member state is visible here *)
   Array.iter
     (fun (p : proc) -> p.stats.Stats.compute_time <- p.tm.busy)
     m.procs;
@@ -1401,16 +1086,13 @@ let tags ctx n =
 (* Run the program on the native backend and convert its result to the
    common shape: [time] is wall-clock seconds, the trace is empty. *)
 let run_native ?cost ?collectives ?chan_cap ?domains ?cancel ~topology f =
-  let n = Topology.nprocs topology in
-  match
+  let r =
     Native.run ?cost ?collectives ?chan_cap ?domains ?cancel ~topology
       (fun c -> f (Native c))
-  with
-  | r ->
-      {
-        values = r.Native.nvalues;
-        time = r.Native.wall;
-        stats = r.Native.nstats;
-        trace = Trace.create ~enabled:false ~nprocs:n;
-      }
-  | exception Native.Stalled blocked -> raise (Stalled blocked)
+  in
+  {
+    values = r.Native.nvalues;
+    time = r.Native.wall;
+    stats = r.Native.nstats;
+    trace = Trace.create ~enabled:false ~nprocs:(Topology.nprocs topology);
+  }

@@ -23,10 +23,10 @@ type 'r result = {
 exception Stalled of (int * string) list
 (** The machine made no progress: every live fiber is blocked.  Carries, for
     each blocked processor, a description of the receive it is parked on —
-    source, tag and its clock at block time.  Raised instead of a silent
-    {!Scheduler.Deadlock} both for genuine program deadlocks and for
-    receivers starved by dropped messages under a fault plan without
-    [~reliable]. *)
+    source, tag and its clock at block time.  Raised both for genuine
+    program deadlocks and for receivers starved by dropped messages under a
+    fault plan without [~reliable].  The same constructor is raised by both
+    engines (it is {!Native.Stalled} re-exported). *)
 
 val stall_diagnostic : (int * string) list -> string
 (** Render a {!Stalled} payload as a multi-line human-readable report. *)
@@ -54,27 +54,29 @@ val run :
 
     [sim_domains] (default 1) shards the simulated processors into up to
     that many contiguous-rank logical processes, run as a conservative
-    parallel discrete-event simulation on OCaml domains borrowed from
-    {!Pool}'s crew.  Results — values, clocks, makespan, stats, traces —
-    are bit-identical to the sequential scheduler for every [sim_domains]:
-    exact receives form a Kahn network (deterministic under any
-    interleaving) and {!recv_any} commits a candidate only when per-link
-    lookahead (latency + hop distance, scaled by the fault plan's smallest
-    delay factor) proves no earlier arrival can still appear, parking until
-    global quiescence otherwise.  The logical shard count is always
-    honoured; only the number of backing worker domains is clamped to the
-    host (see {!Pool.ensure_workers}), so determinism tests at
-    [sim_domains > 1] are meaningful even on a single-core host.
+    parallel discrete-event simulation by {!Groups} — the group driver the
+    native engine uses too — on the calling domain plus workers borrowed
+    from {!Pool}'s crew; [sim_domains = 1] is one shard on the calling
+    domain.  Results — values, clocks, makespan, stats, traces — are
+    bit-identical for every [sim_domains]: exact receives form a Kahn
+    network (deterministic under any interleaving) and {!recv_any} commits
+    a candidate only when per-link lookahead (latency + hop distance,
+    scaled by the fault plan's smallest delay factor) proves no earlier
+    arrival can still appear, parking until global quiescence otherwise.
+    The logical shard count is always honoured; only the number of backing
+    worker domains is clamped to the host (see {!Pool.ensure_workers}), so
+    determinism tests at [sim_domains > 1] are meaningful even on a
+    single-core host.
 
     {!recv_any} — the only source-nondeterministic primitive — uses one
-    rule in both engines: the earliest simulated arrival wins, ties broken
-    by source rank then enqueue order, and a candidate is committed only
-    once lookahead proves no earlier arrival can still appear.  When no
-    candidate is provably final the receiver parks; at global idle the
-    lowest-ranked parked receiver is granted its earliest deliverable
-    message.  The winner is therefore a pure function of simulated arrival
-    times, never of host scheduling — which is exactly what makes the
-    shard count unobservable.
+    rule at every shard count: the earliest simulated arrival wins, ties
+    broken by source rank then enqueue order, and a candidate is committed
+    only once lookahead proves no earlier arrival can still appear.  When
+    no candidate is provably final the receiver parks; when every shard is
+    idle the lowest-ranked parked receiver is granted its earliest
+    deliverable message.  The winner is therefore a pure function of
+    simulated arrival times, never of host scheduling — which is exactly
+    what makes the shard count unobservable.
 
     [faults] installs a deterministic {!Fault.plan}: messages may be
     dropped, duplicated, corruption-flagged or delayed, processors may
@@ -105,7 +107,8 @@ val run :
 
     @raise Stalled if the program deadlocks or starves (see above).
     @raise Cancelled when [cancel] fires.
-    Exceptions raised by the program propagate.
+    Exceptions raised by the program propagate (the first one wins), and
+    only once every shard has stopped running.
 
     [collectives] (default {!Coll_alg.Legacy}) picks the collective-algorithm
     mode for the run: [Legacy] keeps the seed's binomial-tree code paths

@@ -23,21 +23,19 @@
    rank, per-link sequence) key, mirroring the simulator's
    earliest-arrival-then-lowest-source rule but on real time.
 
-   Scheduling.  Blocks are claimed and driven exactly like PDES shards
-   ([Machine.run_sharded]): a status word (idle / ready / running /
-   running+repost / done) makes wake-ups race-free, the calling domain
-   always drives, and {!Pool} crew workers claim ready blocks through a
-   registered work source — the native engine never spawns domains of its
-   own.  A drive runs the block's fibers until they all park, delivers
-   pending messages, wakes any fiber whose wait is now satisfiable, and
-   releases the block.  When every block is idle at once the coordinator
-   re-examines all parked waits under the queue lock; a wait no message can
-   ever satisfy raises {!Stalled}, like the simulator's quiescence check.
+   Scheduling.  Blocks are the rank groups of {!Groups}, which drives them
+   exactly like the simulator's PDES shards — the native engine never
+   spawns domains of its own.  A step runs the block's fibers until they
+   all park, delivers pending messages, and wakes any fiber whose wait is
+   now satisfiable (asking the driver to step the block again).  When
+   every block is idle at once, [quiesce] re-examines all parked waits and
+   re-queues the blocks that can move; a wait no message can ever satisfy
+   raises {!Stalled}, like the simulator's quiescence check.
 
    Full rings.  A sender finding its ring full parks (fiber-level, the
    domain keeps driving siblings) until the consumer pops; sends to a rank
    whose program body already returned are dropped, matching the
-   sequential machine's messages-left-queued-unread semantics. *)
+   simulator's messages-left-queued-unread semantics. *)
 
 type msg = {
   tag : int;
@@ -102,24 +100,7 @@ type rank = {
   mutable nwaiting : waitn option;
   mutable nfid : int;
   mutable nfinished : bool; (* program body returned (monotone) *)
-  mutable ncoll : int; (* collective call sites reached *)
-}
-
-(* Block statuses: 0 idle, 1 ready (queued), 2 running, 3 running with a
-   wake-up pending (re-drive before release), 4 done. *)
-type group = {
-  gid : int;
-  gsched : Scheduler.t;
-  members : rank array;
-  gstatus : int Atomic.t;
-}
-
-type coord = {
-  qmx : Mutex.t;
-  qcv : Condition.t;
-  readyq : int Queue.t;
-  mutable ndone : int;
-  mutable failure : (exn * Printexc.raw_backtrace) option;
+  gid : int; (* the block (rank group) holding this rank *)
 }
 
 type t = {
@@ -129,15 +110,8 @@ type t = {
   ranks : rank array;
   rings : ring array array; (* rings.(dst).(src) *)
   seqs : int array array; (* seqs.(src).(dst), touched only by src *)
-  groups : group array;
-  group_of : int array;
-  coordn : coord;
-  coll_mx : Mutex.t;
-  coll_tbl : (int, Obj.t * int ref) Hashtbl.t;
-  mutable next_tag : int; (* guarded by coll_mx *)
+  groups : Groups.t; (* block scheduling and the collective deposit table *)
   space_waiters : int Atomic.t; (* senders parked on a full ring *)
-  abort : bool Atomic.t;
-  have_workers : bool;
   ncancel : unit -> bool;
   ncancel_on : bool; (* a cancel callback was given; keeps the fault-free
                         hot path at one dead branch per poll site *)
@@ -147,7 +121,7 @@ type t = {
   t0 : float;
 }
 
-type ctx = { nt : t; r : rank; g : group }
+type ctx = { nt : t; r : rank }
 
 type 'r nresult = { nvalues : 'r array; wall : float; nstats : Stats.t }
 
@@ -156,10 +130,10 @@ exception Cancelled
 
 let now () = Unix.gettimeofday ()
 
-(* Cooperative cancellation: polled at every block drive, at every park/
+(* Cooperative cancellation: polled at every block step, at every park/
    retry loop of the communication primitives, and (through
    {!poll_cancel}) at the language engines' per-statement flush.  The
-   raise escapes the fiber (or the driver) into [exec_group]'s failure
+   raise escapes the fiber (or the step) into {!Groups.run}'s failure
    path, so the whole run winds down exactly like any program
    exception. *)
 let check_cancel nt = if nt.ncancel_on && nt.ncancel () then raise Cancelled
@@ -189,27 +163,6 @@ let charge_skeleton_call ctx =
   ctx.r.nstats.Stats.skeleton_calls <- ctx.r.nstats.Stats.skeleton_calls + 1
 
 (* ------------------------------------------------------------------ *)
-(* Wake-up plumbing                                                    *)
-
-let enqueue_ready nt g =
-  let c = nt.coordn in
-  Mutex.lock c.qmx;
-  Queue.add g.gid c.readyq;
-  Condition.broadcast c.qcv;
-  Mutex.unlock c.qmx;
-  if nt.have_workers then Pool.kick ()
-
-(* Mark [g] as having deliverable work: queue it if idle, flag a re-drive
-   if running.  Ready/done blocks need nothing. *)
-let rec wake_group nt g =
-  match Atomic.get g.gstatus with
-  | 0 ->
-      if Atomic.compare_and_set g.gstatus 0 1 then enqueue_ready nt g
-      else wake_group nt g
-  | 2 -> if not (Atomic.compare_and_set g.gstatus 2 3) then wake_group nt g
-  | _ -> () (* 1 ready, 3 already flagged, 4 done *)
-
-(* ------------------------------------------------------------------ *)
 (* Delivery                                                            *)
 
 let mailbox_push (r : rank) m =
@@ -227,9 +180,8 @@ let mailbox_push (r : rank) m =
 (* Pop everything addressed to [r] out of its rings into the per-(src, tag)
    buckets.  Runs only on the domain currently driving [r]'s block.  Ranks
    whose body already returned still drain (discarding) so parked senders
-   are freed.  Returns true when at least one message moved. *)
+   are freed. *)
 let drain nt (r : rank) =
-  let moved = ref false in
   let row = nt.rings.(r.id) in
   for src = 0 to nt.nranks - 1 do
     let rg = row.(src) in
@@ -245,15 +197,13 @@ let drain nt (r : rank) =
       in
       go ();
       if !popped then begin
-        moved := true;
         (* freed ring space: if any sender is parked on a full ring, let its
            block re-check (cheap check keeps the common case signal-free) *)
         if Atomic.get nt.space_waiters > 0 then
-          wake_group nt nt.groups.(nt.group_of.(src))
+          Groups.wake nt.groups nt.ranks.(src).gid
       end
     end
-  done;
-  !moved
+  done
 
 let bucket_nonempty (r : rank) key =
   match Hashtbl.find_opt r.mailbox key with
@@ -286,7 +236,7 @@ let describe_wait (r : rank) =
 
 let comm_wait_block ctx =
   let t = now () in
-  Scheduler.block ctx.g.gsched;
+  Scheduler.block (Groups.sched ctx.nt.groups ctx.r.gid);
   ctx.r.nstats.Stats.comm_wait <-
     ctx.r.nstats.Stats.comm_wait +. (now () -. t)
 
@@ -307,11 +257,11 @@ let send ctx ?rendezvous:_ ~dest ~tag ~bytes v =
   else begin
     let dst = nt.ranks.(dest) in
     let rg = nt.rings.(dest).(r.id) in
-    let cross = nt.group_of.(dest) <> ctx.g.gid in
+    let cross = dst.gid <> r.gid in
     let rec put () =
       if dst.nfinished then () (* dropped, like the simulator's unread queue *)
       else if ring_try_push rg m then begin
-        if cross then wake_group nt nt.groups.(nt.group_of.(dest))
+        if cross then Groups.wake nt.groups dst.gid
       end
       else begin
         (* Full ring: publish the space wait, then retry once — a consumer
@@ -322,7 +272,7 @@ let send ctx ?rendezvous:_ ~dest ~tag ~bytes v =
         if ring_try_push rg m then begin
           Atomic.decr nt.space_waiters;
           r.nwaiting <- None;
-          if cross then wake_group nt nt.groups.(nt.group_of.(dest))
+          if cross then Groups.wake nt.groups dst.gid
         end
         else begin
           comm_wait_block ctx;
@@ -351,7 +301,7 @@ let recv ctx ~src ~tag =
     match mailbox_take r key with
     | Some m -> m
     | None ->
-        ignore (drain nt r : bool);
+        drain nt r;
         (match mailbox_take r key with
         | Some m -> m
         | None ->
@@ -383,7 +333,7 @@ let recv_any ctx ~tag =
   let nt = ctx.nt in
   let r = ctx.r in
   let rec obtain () =
-    ignore (drain nt r : bool);
+    drain nt r;
     match best_any nt r ~tag with
     | Some (_, q) -> Queue.take q
     | None ->
@@ -403,180 +353,53 @@ let sendrecv ctx ~dest ~src ~tag ~bytes v =
 (* ------------------------------------------------------------------ *)
 (* Collective call sites                                               *)
 
-(* Same deposit-table protocol as the simulator: the first rank to reach
-   call site [idx] computes the value, the other [nranks - 1] pick it up.
-   [f] is rank-independent and communication-free by the collective
-   contract, so running it under the lock is safe. *)
-let collective ctx f =
-  let nt = ctx.nt in
-  let idx = ctx.r.ncoll in
-  ctx.r.ncoll <- idx + 1;
-  if nt.nranks = 1 then f ()
-  else begin
-    Mutex.lock nt.coll_mx;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock nt.coll_mx)
-      (fun () ->
-        match Hashtbl.find_opt nt.coll_tbl idx with
-        | Some (v, remaining) ->
-            decr remaining;
-            if !remaining = 0 then Hashtbl.remove nt.coll_tbl idx;
-            Obj.obj v
-        | None ->
-            let v = f () in
-            Hashtbl.add nt.coll_tbl idx (Obj.repr v, ref (nt.nranks - 1));
-            v)
-  end
-
-let tags ctx n =
-  collective ctx (fun () ->
-      let t = ctx.nt.next_tag in
-      ctx.nt.next_tag <- ctx.nt.next_tag + n;
-      t)
+let collective ctx f = Groups.collective ctx.nt.groups ~rank:ctx.r.id f
+let tags ctx n = Groups.tags ctx.nt.groups ~rank:ctx.r.id n
 
 (* ------------------------------------------------------------------ *)
-(* Block driver                                                        *)
+(* Block steps and quiescence, the callbacks to {!Groups.run}          *)
 
-(* Deliver pending messages to [g]'s members and wake every fiber whose
-   wait is now satisfiable.  Returns true when at least one fiber woke. *)
-let try_unblock nt g =
-  let progress = ref false in
-  Array.iter
-    (fun (r : rank) ->
-      ignore (drain nt r : bool);
-      if not r.nfinished then
-        match r.nwaiting with
-        | Some w when satisfiable nt r w ->
-            r.nwaiting <- None;
-            Scheduler.wake g.gsched r.nfid;
-            progress := true
-        | Some _ | None -> ())
-    g.members;
-  !progress
+let waits_satisfiably nt (r : rank) =
+  (not r.nfinished)
+  && match r.nwaiting with Some w -> satisfiable nt r w | None -> false
 
-(* Run one claimed block (status 2) until its fibers all park with nothing
-   deliverable, or all finish.  The release CAS 2 -> 0 fails exactly when a
-   wake-up arrived mid-drive (status 3): re-drive instead of releasing, so
-   that wake-up is never lost. *)
-let rec drive_group nt gid =
-  let g = nt.groups.(gid) in
-  let c = nt.coordn in
+(* Run the block's fibers until they all park or finish; then deliver
+   pending messages to its members and wake every fiber whose wait is now
+   satisfiable, asking the driver to step the block again if any woke. *)
+let step nt gid =
   check_cancel nt;
-  Scheduler.run_until_idle g.gsched;
-  if Atomic.get nt.abort then begin
-    Atomic.set g.gstatus 0;
-    Mutex.lock c.qmx;
-    Condition.broadcast c.qcv;
-    Mutex.unlock c.qmx
-  end
-  else if Scheduler.all_finished g.gsched then begin
-    (* done and counted in one step under [qmx]: a status-4 block not yet
-       in [ndone] would let [maybe_resolve] report a stall with nothing
-       blocked *)
-    Mutex.lock c.qmx;
-    Atomic.set g.gstatus 4;
-    c.ndone <- c.ndone + 1;
-    Condition.broadcast c.qcv;
-    Mutex.unlock c.qmx
-  end
-  else if try_unblock nt g then drive_group nt gid
-  else if Atomic.compare_and_set g.gstatus 2 0 then begin
-    (* idle: tell the coordinator so it can run the stall check *)
-    Mutex.lock c.qmx;
-    Condition.broadcast c.qcv;
-    Mutex.unlock c.qmx
-  end
-  else begin
-    Atomic.set g.gstatus 2; (* was 3: a wake-up raced in *)
-    drive_group nt gid
-  end
+  let sched = Groups.sched nt.groups gid in
+  Scheduler.run_until_idle sched;
+  Scheduler.all_finished sched
+  ||
+  let first, size = Groups.span nt.groups gid in
+  let woke = ref false in
+  for id = first to first + size - 1 do
+    let r = nt.ranks.(id) in
+    drain nt r;
+    if waits_satisfiably nt r then begin
+      r.nwaiting <- None;
+      Scheduler.wake sched r.nfid;
+      woke := true
+    end
+  done;
+  if !woke then Groups.wake nt.groups gid;
+  false
 
-let exec_group nt gid =
-  try drive_group nt gid
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    let c = nt.coordn in
-    Atomic.set nt.abort true;
-    Mutex.lock c.qmx;
-    Atomic.set nt.groups.(gid).gstatus 4;
-    if c.failure = None then c.failure <- Some (e, bt);
-    c.ndone <- c.ndone + 1;
-    Condition.broadcast c.qcv;
-    Mutex.unlock c.qmx;
-    if nt.have_workers then Pool.kick ()
-
-let claim nt =
-  let c = nt.coordn in
-  Mutex.lock c.qmx;
-  let r =
-    if c.failure <> None then None
-    else
-      match Queue.take_opt c.readyq with
-      | Some gid ->
-          Atomic.set nt.groups.(gid).gstatus 2;
-          Some gid
-      | None -> None
-  in
-  Mutex.unlock c.qmx;
-  r
-
-(* All blocks idle or done, ready queue empty, called with [qmx] held — no
-   fiber is running anywhere, so no message is in flight and every rank's
-   buckets are quiescent (the owning block's release CAS published them).
-   Re-queue any block with a satisfiable wait (a sender parked on a ring
-   whose receiver has since finished is the realistic case); if none
-   exists the program is stalled for good. *)
-let resolve_idle nt =
-  let c = nt.coordn in
-  let requeued = ref false in
-  Array.iter
-    (fun g ->
-      if Atomic.get g.gstatus = 0 then begin
-        let wants =
-          Array.exists
-            (fun (r : rank) ->
-              (not r.nfinished)
-              &&
-              match r.nwaiting with
-              | Some w -> satisfiable nt r w
-              | None -> false)
-            g.members
-        in
-        if wants && Atomic.compare_and_set g.gstatus 0 1 then begin
-          Queue.add g.gid c.readyq;
-          requeued := true
-        end
-      end)
-    nt.groups;
-  if !requeued then begin
-    Condition.broadcast c.qcv;
-    if nt.have_workers then Pool.kick ()
-  end
-  else begin
-    let blocked =
-      Array.to_list nt.ranks
-      |> List.filter_map (fun (r : rank) ->
-             if r.nfinished then None else Some (r.id, describe_wait r))
-    in
-    c.failure <- Some (Stalled blocked, Printexc.get_callstack 0);
-    Atomic.set nt.abort true;
-    Condition.broadcast c.qcv;
-    if nt.have_workers then Pool.kick ()
-  end
-
-(* [qmx] held.  True quiescence: nothing queued, nothing running. *)
-let maybe_resolve nt =
-  let c = nt.coordn in
-  if
-    Queue.is_empty c.readyq
-    && c.ndone < Array.length nt.groups
-    && c.failure = None
-    && Array.for_all
-         (fun g ->
-           let s = Atomic.get g.gstatus in
-           s = 0 || s = 4)
-         nt.groups
-  then resolve_idle nt
+(* Every block idle or done: no fiber runs anywhere, so no message is in
+   flight and every rank's buckets are quiescent (the owning block's
+   release published them).  Re-queue each block with a satisfiable wait
+   (a sender parked on a ring whose receiver has since finished is the
+   realistic case); if none exists the program is stalled for good. *)
+let quiesce nt () =
+  let movable = List.filter (waits_satisfiably nt) (Array.to_list nt.ranks) in
+  if movable = [] then
+    raise
+      (Stalled
+         (Array.to_list nt.ranks
+         |> List.filter_map (fun (r : rank) ->
+                if r.nfinished then None else Some (r.id, describe_wait r))));
+  List.iter (fun (r : rank) -> Groups.wake nt.groups r.gid) movable
 
 (* ------------------------------------------------------------------ *)
 (* Run                                                                 *)
@@ -593,11 +416,11 @@ let run ?(cost = Cost_model.default) ?(collectives = Coll_alg.Legacy)
         else min d n
   in
   (* Pool crew reuse (never spawn our own domains); the clamp inside
-     [ensure_workers] warns once when ranks oversubscribe the host.  The
-     logical block count is always honoured — blocks are short-lived work
-     items, so more blocks than workers just queue, exactly like PDES
+     [Pool.ensure_workers] warns once when ranks oversubscribe the host.
+     The logical block count is always honoured — blocks are short-lived
+     work items, so more blocks than workers just queue, exactly like PDES
      shards. *)
-  let workers = if ngroups > 1 then Pool.ensure_workers (ngroups - 1) else 0 in
+  let groups = Groups.create ~nranks:n ~ngroups in
   let params = cost.Cost_model.params in
   let cf = cost.Cost_model.profile.Cost_model.comm_factor in
   let ranks =
@@ -609,29 +432,11 @@ let run ?(cost = Cost_model.default) ?(collectives = Coll_alg.Legacy)
           nwaiting = None;
           nfid = 0;
           nfinished = false;
-          ncoll = 0;
+          gid = Groups.group_of groups id;
         })
   in
   let rings =
     Array.init n (fun _dst -> Array.init n (fun _src -> ring_create chan_cap))
-  in
-  let group_of = Array.make n 0 in
-  let base = n / ngroups and rem = n mod ngroups in
-  let lo = ref 0 in
-  let groups =
-    Array.init ngroups (fun gid ->
-        let size = base + if gid < rem then 1 else 0 in
-        let l = !lo in
-        lo := l + size;
-        for id = l to l + size - 1 do
-          group_of.(id) <- gid
-        done;
-        {
-          gid;
-          gsched = Scheduler.create ();
-          members = Array.sub ranks l size;
-          gstatus = Atomic.make 1 (* ready: queued below *);
-        })
   in
   let nt =
     {
@@ -642,21 +447,7 @@ let run ?(cost = Cost_model.default) ?(collectives = Coll_alg.Legacy)
       rings;
       seqs = Array.init n (fun _ -> Array.make n 0);
       groups;
-      group_of;
-      coordn =
-        {
-          qmx = Mutex.create ();
-          qcv = Condition.create ();
-          readyq = Queue.create ();
-          ndone = 0;
-          failure = None;
-        };
-      coll_mx = Mutex.create ();
-      coll_tbl = Hashtbl.create 16;
-      next_tag = 0;
       space_waiters = Atomic.make 0;
-      abort = Atomic.make false;
-      have_workers = workers > 0;
       ncancel = (match cancel with Some f -> f | None -> fun () -> false);
       ncancel_on = cancel <> None;
       nmode = collectives;
@@ -677,72 +468,13 @@ let run ?(cost = Cost_model.default) ?(collectives = Coll_alg.Legacy)
   let values = Array.make n None in
   Array.iter
     (fun (r : rank) ->
-      let g = groups.(group_of.(r.id)) in
       r.nfid <-
-        Scheduler.spawn g.gsched (fun () ->
-            values.(r.id) <- Some (f { nt; r; g });
+        Scheduler.spawn (Groups.sched groups r.gid) (fun () ->
+            values.(r.id) <- Some (f { nt; r });
             r.nfinished <- true))
     ranks;
-  Array.iter
-    (fun g ->
-      Scheduler.set_describer g.gsched (fun fid ->
-          match
-            Array.find_opt (fun (r : rank) -> r.nfid = fid) g.members
-          with
-          | Some r -> Some (describe_wait r)
-          | None -> None))
-    groups;
-  let c = nt.coordn in
-  Array.iter (fun g -> Queue.add g.gid c.readyq) groups;
-  let source =
-    if workers > 0 then
-      Some
-        (Pool.register_source ~poll:(fun () ->
-             match claim nt with
-             | Some gid -> Some (fun () -> exec_group nt gid)
-             | None -> None))
-    else None
-  in
-  let rec drive () =
-    match claim nt with
-    | Some gid ->
-        exec_group nt gid;
-        drive ()
-    | None ->
-        Mutex.lock c.qmx;
-        let done_ = c.ndone >= ngroups || c.failure <> None in
-        if not done_ then begin
-          maybe_resolve nt;
-          let done2 = c.ndone >= ngroups || c.failure <> None in
-          if (not done2) && Queue.is_empty c.readyq then
-            Condition.wait c.qcv c.qmx
-        end;
-        Mutex.unlock c.qmx;
-        if not done_ then drive ()
-  in
-  drive ();
-  (* On abort, workers may still be inside a drive; wait for every block to
-     reach a resting state before reading cross-domain results. *)
-  Mutex.lock c.qmx;
-  let rec settle () =
-    if
-      Array.exists
-        (fun g ->
-          let s = Atomic.get g.gstatus in
-          s = 2 || s = 3)
-        nt.groups
-    then begin
-      Condition.wait c.qcv c.qmx;
-      settle ()
-    end
-  in
-  settle ();
-  Mutex.unlock c.qmx;
-  (match source with Some s -> Pool.unregister_source s | None -> ());
+  Groups.run groups ~step:(step nt) ~quiesce:(quiesce nt);
   let wall = now () -. nt.t0 in
-  (match c.failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
   let stats =
     {
       Stats.procs = Array.map (fun (r : rank) -> r.nstats) ranks;

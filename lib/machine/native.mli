@@ -58,7 +58,7 @@ val run :
 
     @raise Stalled on deadlock.  @raise Cancelled when [cancel] fires.
     Exceptions raised by the program propagate (first failure wins, as in
-    the simulator). *)
+    the simulator), once every block has stopped running. *)
 
 (** {1 Context accessors — the native arms of {!Machine}'s dispatch} *)
 

@@ -2,8 +2,9 @@ let default_jobs () = Domain.recommended_domain_count ()
 
 (* One persistent, grow-only crew of worker domains serving *work sources*:
    pollable producers of thunks.  The harness's [map]/[run] register a
-   temporary source per batch; a PDES-sharded [Machine.run] registers one
-   source per machine whose thunks run ready shards.  Workers loop over the
+   temporary source per batch; [Groups.run] registers one source per run
+   with more than one rank group (a sharded [Machine.run] or a multi-block
+   native run) whose thunks step ready groups.  Workers loop over the
    registered sources (newest first, so a machine nested inside an
    experiment cell gets priority over sibling cells) and sleep when every
    poll returns [None]; [kick] wakes them after new work appears.

@@ -8,23 +8,20 @@
     The pool is a plain [Domain] + [Mutex]/[Condition] crew serving pollable
     {e work sources} — no external dependencies.  Worker domains persist and
     only grow, so the spawn cost is paid once per process.  Besides the
-    {!map}/{!run} batches of the harness, a PDES-sharded {!Machine.run}
-    registers a source whose items are ready simulation shards: shards
+    {!map}/{!run} batches of the harness, the group driver {!Groups.run}
+    registers a source whose items are ready rank groups, for both engines
+    when a run has more than one group: the shards of a PDES-sharded
+    {!Machine.run} and the blocks of a native run
+    ({!Machine.run_native}).  Ranks are blocked into [g] contiguous groups
+    by one rule — group sizes are [base = n / g] with the first [n mod g]
+    groups one rank larger, so rank [i] always lives next to its
+    neighbours — and each ready group is one short-lived work item.  Groups
     borrow crew workers instead of spawning domains of their own, and the
     crew never exceeds [recommended_domain_count () - 1] workers, so
     [--jobs] × [--sim-domains] oversubscription is structurally impossible
     (the product is clamped to the crew, with a one-time warning, and excess
-    work just queues).
-
-    The native backend ({!Machine.run_native}) borrows the crew the same
-    way.  Its [n] ranks are blocked into [g = min (domains, n)] contiguous
-    groups by the shared rank-blocking rule — group sizes are
-    [base = n / g] with the first [n mod g] groups one rank larger, so rank
-    [i] always lives next to its neighbours — and each ready group is one
-    short-lived work item.  Only the worker count is ever clamped (again
-    with the one-time warning when ranks exceed the crew); the logical
-    group count is honoured, excess groups simply queue, and the calling
-    domain always drives, so native runs complete even on a single-core
+    work just queues).  The logical group count is always honoured and the
+    calling domain always drives, so runs complete even on a single-core
     host. *)
 
 val default_jobs : unit -> int
@@ -49,7 +46,7 @@ val shutdown : unit -> unit
     {!ensure_workers} respawn them on demand; mainly for tests and clean
     process exit. *)
 
-(** {1 Work sources} — how PDES shards (and [map] batches) borrow workers *)
+(** {1 Work sources} — how rank groups (and [map] batches) borrow workers *)
 
 type source
 

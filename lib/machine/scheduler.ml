@@ -10,26 +10,11 @@ type t = {
   mutable fibers : state array;
   mutable nfibers : int;
   runnable : int Queue.t;
-  mutable current : int;
   mutable finished : int;
-  mutable describe : int -> string option;
-      (* consulted only when a deadlock is detected, so describing blocked
-         fibers costs nothing on the block/wake hot path *)
 }
 
-exception Deadlock of (int * string option) list
-
 let create () =
-  {
-    fibers = Array.make 8 Finished;
-    nfibers = 0;
-    runnable = Queue.create ();
-    current = -1;
-    finished = 0;
-    describe = (fun _ -> None);
-  }
-
-let set_describer t f = t.describe <- f
+  { fibers = Array.make 8 Finished; nfibers = 0; runnable = Queue.create (); finished = 0 }
 
 let spawn t f =
   if t.nfibers = Array.length t.fibers then begin
@@ -48,20 +33,16 @@ let block _t = Effect.perform Block_current
 (* Invariant: every [Ready] fiber is already in the runnable queue —
    [spawn] is the only transition into [Ready] and it enqueues atomically
    with the state change.  So waking a [Ready] fiber must NOT enqueue it
-   again: a duplicate entry would run the fiber's body twice ([run] would
-   find it [Ready] both times before the first dispatch flips it to
-   [Running]).  [Running] needs no entry (it is executing right now) and a
-   wake that races with termination finds [Finished] and is dropped; only
-   [Suspended] fibers are resumable.  Pinned by the "wake" cases in
-   [test/test_machine.ml]. *)
+   again: a duplicate entry would run the fiber's body twice
+   ([run_until_idle] would find it [Ready] both times before the first
+   dispatch flips it to [Running]).  [Running] needs no entry (it is
+   executing right now) and a wake that races with termination finds
+   [Finished] and is dropped; only [Suspended] fibers are resumable.
+   Pinned by the "wake" cases in [test/test_machine.ml]. *)
 let wake t id =
   match t.fibers.(id) with
   | Suspended _ -> Queue.add id t.runnable
   | Ready _ | Running | Finished -> ()
-
-let current t =
-  if t.current < 0 then invalid_arg "Scheduler.current: not inside a fiber";
-  t.current
 
 let handler t id =
   let open Effect.Deep in
@@ -81,59 +62,28 @@ let handler t id =
         | _ -> None);
   }
 
-let blocked_ids t =
-  let acc = ref [] in
-  for id = t.nfibers - 1 downto 0 do
-    match t.fibers.(id) with
-    | Suspended _ -> acc := id :: !acc
-    | Ready _ | Running | Finished -> ()
-  done;
-  !acc
-
-(* Drain the runnable queue and return.  Unlike [run], an empty queue with
-   unfinished fibers is not a deadlock here: a PDES shard goes idle whenever
-   its fibers all wait on messages from other shards, and is re-run once a
-   cross-shard delivery wakes one of them.  Global stall detection is the
-   shard coordinator's job (it sees every shard idle at once). *)
+(* Drain the runnable queue and return.  An empty queue with unfinished
+   fibers is not a deadlock here: a group goes idle whenever its fibers all
+   wait on messages, and is re-run once a delivery wakes one of them.
+   Global stall detection is {!Groups.run}'s job (it sees every group idle
+   at once). *)
 let run_until_idle t =
   let continue_ = ref true in
   while !continue_ do
     match Queue.take_opt t.runnable with
     | None -> continue_ := false
     | Some id -> (
-        t.current <- id;
-        (match t.fibers.(id) with
-         | Ready f ->
-             t.fibers.(id) <- Running;
-             Effect.Deep.match_with f () (handler t id)
-         | Suspended k ->
-             t.fibers.(id) <- Running;
-             Effect.Deep.continue k ()
-         | Running -> assert false
-         | Finished -> ());
-        t.current <- -1)
+        match t.fibers.(id) with
+        | Ready f ->
+            t.fibers.(id) <- Running;
+            Effect.Deep.match_with f () (handler t id)
+        | Suspended k ->
+            t.fibers.(id) <- Running;
+            Effect.Deep.continue k ()
+        | Running -> assert false
+        | Finished ->
+            (* stale queue entry from a wake that raced with termination *)
+            ())
   done
 
 let all_finished t = t.finished >= t.nfibers
-
-let run t =
-  while t.finished < t.nfibers do
-    match Queue.take_opt t.runnable with
-    | None ->
-        raise
-          (Deadlock (List.map (fun id -> (id, t.describe id)) (blocked_ids t)))
-    | Some id -> (
-        t.current <- id;
-        (match t.fibers.(id) with
-         | Ready f ->
-             t.fibers.(id) <- Running;
-             Effect.Deep.match_with f () (handler t id)
-         | Suspended k ->
-             t.fibers.(id) <- Running;
-             Effect.Deep.continue k ()
-         | Running -> assert false
-         | Finished ->
-             (* stale queue entry from a wake that raced with termination *)
-             ());
-        t.current <- -1)
-  done

@@ -1,28 +1,18 @@
 (** Cooperative fiber scheduler built on OCaml 5 effect handlers.
 
-    Each simulated processor runs as one fiber.  Fibers run uninterrupted
-    until they perform {!block}, which suspends them until another fiber (or
-    the spawner) calls {!wake}.  Execution is deterministic: fibers are
-    resumed in FIFO order of becoming runnable. *)
+    Each rank runs as one fiber.  Fibers run uninterrupted until they
+    perform {!block}, which suspends them until another fiber (or the
+    group driver) calls {!wake}.  Execution is deterministic: fibers are
+    resumed in FIFO order of becoming runnable.  {!Groups} owns one
+    scheduler per rank group and decides when each is run. *)
 
 type t
 
-exception Deadlock of (int * string option) list
-(** Raised by {!run} when no fiber is runnable but some are still blocked;
-    carries, for each blocked fiber, its id and — when a describer was
-    registered — a human-readable account of what it is waiting on (for the
-    machine layer: the [(src, tag)] of the pending receive). *)
-
 val create : unit -> t
-
-val set_describer : t -> (int -> string option) -> unit
-(** Register a callback mapping a blocked fiber id to a description of what
-    it waits on.  Consulted only when building a {!Deadlock} — never on the
-    block/wake hot path, so it may be arbitrarily informative. *)
 
 val spawn : t -> (unit -> unit) -> int
 (** Register a fiber; it becomes runnable immediately.  Returns its id
-    (consecutive from 0).  Must be called before {!run}. *)
+    (consecutive from 0). *)
 
 val block : t -> unit
 (** Suspend the calling fiber.  Only valid from inside a fiber. *)
@@ -31,21 +21,14 @@ val wake : t -> int -> unit
 (** Make a blocked fiber runnable.  No-op if the fiber is not blocked (it
     will observe whatever condition it checks before blocking again). *)
 
-val current : t -> int
-(** Id of the fiber currently executing.  Only valid from inside a fiber. *)
-
-val run : t -> unit
-(** Run all fibers to completion.
-    @raise Deadlock if blocked fibers remain with nothing runnable.
-    Exceptions escaping a fiber propagate out of [run]. *)
-
 val run_until_idle : t -> unit
 (** Run fibers until the runnable queue is empty, then return — blocked
-    fibers are left suspended, not reported as a deadlock.  Used by PDES
-    shards, which go idle while waiting on other shards' messages and are
-    re-run after a cross-shard wake; exceptions escaping a fiber propagate.
-    Suspended continuations may be resumed from a different domain than the
-    one that captured them (one shard, one domain at a time). *)
+    fibers are left suspended, not reported as a deadlock (a group goes
+    idle while waiting on other groups' messages and is re-run after a
+    wake; {!Groups.run} detects global stalls).  Exceptions escaping a
+    fiber propagate.  Suspended continuations may be resumed from a
+    different domain than the one that captured them (one group, one
+    domain at a time). *)
 
 val all_finished : t -> bool
 (** All spawned fibers have run to completion. *)

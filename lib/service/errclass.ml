@@ -95,6 +95,13 @@ let of_exn ?file e =
   | Instantiate.Unsupported { line; message } ->
       Some (Inst_err, Printf.sprintf "%s: not instantiable: %s" (where line 0) message)
   | Value.Skil_runtime_error m -> Some (Runtime, "runtime error: " ^ m)
+  | Darray.Local_access_violation { rank; index } ->
+      Some
+        ( Runtime,
+          Format.asprintf
+            "runtime error: element %a is not local to processor %d \
+             (array_get_elem and array_put_elem reach local elements only)"
+            Index.pp index rank )
   | Machine.Stalled blocked -> Some (Stall, Machine.stall_diagnostic blocked)
   | Invalid_argument m -> Some (Invalid, "error: " ^ m)
   | Sys_error m -> Some (Io, m)

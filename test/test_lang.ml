@@ -924,6 +924,61 @@ let test_standalone_cc () =
               (Test_engines.read out)))
       standalone_targets
 
+(* Bad indices in skeleton calls on a {2, 4} array over a 2x1 mesh: a
+   non-local element access is a runtime error naming the processor and the
+   index, and a broadcast root outside the array is rejected on every rank
+   before any message (the skeleton layer's argument-error class) — on
+   every engine, and under every collectives mode for the broadcast. *)
+let bad_index_src body =
+  Printf.sprintf
+    "int init(Index ix) { return ix[0] * 10 + ix[1]; }\n\
+     void main() {\n\
+    \  array<int> a;\n\
+    \  a = array_create(2, {2, 4}, {0, 0}, {-1, -1}, init, DISTR_DEFAULT);\n\
+    \  %s;\n\
+    \  array_destroy(a);\n\
+     }\n"
+    body
+
+let test_bad_indices_classified () =
+  let topology = Topology.mesh ~width:2 ~height:1 in
+  let expect ?(collectives = Coll_alg.Legacy) ~engine body cls needles =
+    match
+      Spmd.run_source ~engine ~collectives ~topology (bad_index_src body)
+        ~entry:"main" ~args:[]
+    with
+    | _ -> Alcotest.failf "%s: expected an error" body
+    | exception e -> (
+        match Errclass.of_exn e with
+        | None ->
+            Alcotest.failf "%s: unclassified %s" body (Printexc.to_string e)
+        | Some (got, msg) ->
+            Alcotest.(check string) (body ^ " class") (Errclass.name cls)
+              (Errclass.name got);
+            List.iter
+              (fun needle ->
+                if not (Test_machine.contains msg needle) then
+                  Alcotest.failf "%s: %S does not mention %S" body msg needle)
+              needles)
+  in
+  List.iter
+    (fun engine ->
+      expect ~engine "print_int(array_get_elem(a, {7, 0}))" Errclass.Runtime
+        [ "{7,0}"; "processor 0" ];
+      expect ~engine "array_put_elem(a, {7, 0}, 1)" Errclass.Runtime
+        [ "{7,0}"; "processor 0" ];
+      List.iter
+        (fun collectives ->
+          List.iter
+            (fun ix ->
+              expect ~engine ~collectives
+                (Printf.sprintf "array_broadcast_part(a, %s)" ix)
+                Errclass.Invalid
+                [ "array_broadcast_part"; String.concat "" (String.split_on_char ' ' ix) ])
+            [ "{2, 0}"; "{-1, 0}" ])
+        [ Coll_alg.Legacy; Coll_alg.Auto; Coll_alg.Force Coll_alg.Tree ])
+    [ `Ast; `Compiled; `Native ]
+
 let suite =
   [
     ( "lang lexer",
@@ -997,6 +1052,8 @@ let suite =
           test_spmd_shpaths_matches_reference;
         Alcotest.test_case "above_thresh" `Quick test_spmd_above_thresh;
         Alcotest.test_case "timing" `Quick test_spmd_timing_nonzero;
+        Alcotest.test_case "bad indices classified on every engine" `Quick
+          test_bad_indices_classified;
       ] );
     ( "lang emit C",
       [

@@ -6,13 +6,19 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* Run a standalone scheduler the way the group driver does: until idle,
+   then report whether every fiber finished. *)
+let run_sched s =
+  Scheduler.run_until_idle s;
+  Alcotest.(check bool) "all fibers finished" true (Scheduler.all_finished s)
+
 let test_scheduler_basic () =
   let s = Scheduler.create () in
   let log = ref [] in
   let note x = log := x :: !log in
   ignore (Scheduler.spawn s (fun () -> note "a"));
   ignore (Scheduler.spawn s (fun () -> note "b"));
-  Scheduler.run s;
+  run_sched s;
   Alcotest.(check (list string)) "fifo order" [ "a"; "b" ] (List.rev !log)
 
 let test_scheduler_block_wake () =
@@ -30,7 +36,7 @@ let test_scheduler_block_wake () =
          note "start1";
          Scheduler.wake s !id0;
          note "end1"));
-  Scheduler.run s;
+  run_sched s;
   Alcotest.(check (list string))
     "interleaving"
     [ "start0"; "start1"; "end1"; "resumed0" ]
@@ -50,7 +56,7 @@ let test_scheduler_wake_ready_runs_once () =
      pre-run case too by waking from outside the scheduler *)
   Scheduler.wake s target;
   Scheduler.wake s target;
-  Scheduler.run s;
+  run_sched s;
   Alcotest.(check int) "body ran exactly once" 1 !runs
 
 (* Waking a fiber that already terminated is dropped, not an error, and
@@ -64,12 +70,13 @@ let test_scheduler_wake_finished_noop () =
          (* target is Finished by the time this fiber runs *)
          Scheduler.wake s target;
          Scheduler.wake s target));
-  Scheduler.run s;
+  run_sched s;
   Alcotest.(check int) "no re-dispatch" 1 !runs
 
 (* Double-waking a suspended fiber: the first wake enqueues and flips
    nothing; once resumed and finished, the stale second entry finds the
-   fiber [Finished] (or already [Running]) and is skipped by [run]. *)
+   fiber [Finished] (or already [Running]) and is skipped by
+   [run_until_idle]. *)
 let test_scheduler_double_wake_suspended () =
   let s = Scheduler.create () in
   let resumes = ref 0 in
@@ -82,28 +89,8 @@ let test_scheduler_double_wake_suspended () =
     (Scheduler.spawn s (fun () ->
          Scheduler.wake s !id0;
          Scheduler.wake s !id0));
-  Scheduler.run s;
+  run_sched s;
   Alcotest.(check int) "resumed exactly once" 1 !resumes
-
-let test_scheduler_deadlock () =
-  let s = Scheduler.create () in
-  ignore (Scheduler.spawn s (fun () -> Scheduler.block s));
-  ignore (Scheduler.spawn s (fun () -> ()));
-  match Scheduler.run s with
-  | () -> Alcotest.fail "expected deadlock"
-  | exception Scheduler.Deadlock [ (0, None) ] -> ()
-  | exception Scheduler.Deadlock ids ->
-      Alcotest.failf "wrong blocked set (%d ids)" (List.length ids)
-
-let test_scheduler_deadlock_describer () =
-  let s = Scheduler.create () in
-  Scheduler.set_describer s (fun id -> Some (Printf.sprintf "fiber %d stuck" id));
-  ignore (Scheduler.spawn s (fun () -> Scheduler.block s));
-  match Scheduler.run s with
-  | () -> Alcotest.fail "expected deadlock"
-  | exception Scheduler.Deadlock [ (0, Some "fiber 0 stuck") ] -> ()
-  | exception Scheduler.Deadlock _ ->
-      Alcotest.fail "describer output not carried in Deadlock payload"
 
 let test_spmd_identity () =
   let r = run ~procs:4 (fun ctx -> Machine.self ctx * 10) in
@@ -168,27 +155,74 @@ let test_tags_distinguish () =
   in
   Alcotest.(check int) "tags" 120 r.Machine.values.(1)
 
+(* The engines a machine-level behaviour is pinned on: the simulator as one
+   group and as two (one rank each), and the native engine likewise. *)
+let engines_2x1 =
+  let topology = Topology.mesh ~width:2 ~height:1 in
+  [
+    ("sim_domains 1", fun f -> Machine.run ~sim_domains:1 ~topology f);
+    ("sim_domains 2", fun f -> Machine.run ~sim_domains:2 ~topology f);
+    ("native domains 1", fun f -> Machine.run_native ~domains:1 ~topology f);
+    ("native domains 2", fun f -> Machine.run_native ~domains:2 ~topology f);
+  ]
+
 let test_deadlock_detection () =
-  (* mutual recv: both fibers park; the machine must turn the scheduler's
-     deadlock into a [Stalled] diagnostic naming each blocked (src, tag) *)
-  match
-    run ~procs:2 (fun ctx ->
-        let other = 1 - Machine.self ctx in
-        let (_ : int) = Machine.recv ctx ~src:other ~tag:0 in
-        ())
-  with
-  | _ -> Alcotest.fail "expected Machine.Stalled"
-  | exception Machine.Stalled blocked ->
-      Alcotest.(check (list int)) "blocked ids" [ 0; 1 ] (List.map fst blocked);
-      List.iteri
-        (fun i (_, d) ->
-          let expect = Printf.sprintf "recv from p%d, tag 0" (1 - i) in
-          if not (contains d expect) then
-            Alcotest.failf "diagnostic %S does not mention %S" d expect)
-        blocked;
-      let report = Machine.stall_diagnostic blocked in
-      if not (contains report "p0") then
-        Alcotest.failf "report %S does not mention p0" report
+  (* mutual recv: both fibers park; the group driver's quiescence check must
+     raise a [Stalled] diagnostic naming each blocked (src, tag) *)
+  List.iter
+    (fun (name, run) ->
+      match
+        run (fun ctx ->
+            let other = 1 - Machine.self ctx in
+            let (_ : int) = Machine.recv ctx ~src:other ~tag:0 in
+            ())
+      with
+      | _ -> Alcotest.failf "%s: expected Machine.Stalled" name
+      | exception Machine.Stalled blocked ->
+          Alcotest.(check (list int))
+            (name ^ ": blocked ids") [ 0; 1 ] (List.map fst blocked);
+          List.iteri
+            (fun i (_, d) ->
+              let expect = Printf.sprintf "recv from p%d, tag 0" (1 - i) in
+              if not (contains d expect) then
+                Alcotest.failf "%s: diagnostic %S does not mention %S" name d
+                  expect)
+            blocked;
+          let report = Machine.stall_diagnostic blocked in
+          if not (contains report "p0") then
+            Alcotest.failf "%s: report %S does not mention p0" name report)
+    engines_2x1
+
+exception Boom
+
+(* A failed run returns only once every group has stopped running: rank 0
+   raises after a short wait while rank 1 — in another group, and on a Pool
+   worker when the host has one — keeps ticking a counter for a while.  Once
+   the exception reaches the caller, the counter must not move. *)
+let test_failure_waits_for_groups () =
+  List.iter
+    (fun (name, run) ->
+      let ticks = Atomic.make 0 in
+      (match
+         run (fun ctx ->
+             if Machine.self ctx = 0 then begin
+               Unix.sleepf 0.02;
+               raise Boom
+             end
+             else
+               for _ = 1 to 40 do
+                 Atomic.incr ticks;
+                 Unix.sleepf 0.002
+               done)
+       with
+      | _ -> Alcotest.failf "%s: expected the program's exception" name
+      | exception Boom -> ());
+      let at_raise = Atomic.get ticks in
+      Unix.sleepf 0.1;
+      Alcotest.(check int)
+        (name ^ ": ticks after the exception reached the caller")
+        at_raise (Atomic.get ticks))
+    engines_2x1
 
 let test_clock_advance () =
   let r =
@@ -435,9 +469,6 @@ let suite =
           test_scheduler_wake_finished_noop;
         Alcotest.test_case "double wake suspended" `Quick
           test_scheduler_double_wake_suspended;
-        Alcotest.test_case "deadlock" `Quick test_scheduler_deadlock;
-        Alcotest.test_case "deadlock describer" `Quick
-          test_scheduler_deadlock_describer;
       ] );
     ( "machine",
       [
@@ -447,6 +478,8 @@ let suite =
         Alcotest.test_case "fifo per tag" `Quick test_fifo_per_tag;
         Alcotest.test_case "tags distinguish" `Quick test_tags_distinguish;
         Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
+        Alcotest.test_case "failure waits for every group" `Quick
+          test_failure_waits_for_groups;
         Alcotest.test_case "clock advance" `Quick test_clock_advance;
         Alcotest.test_case "profile factor" `Quick test_charge_profile_factor;
         Alcotest.test_case "message timing" `Quick test_message_timing;

@@ -209,6 +209,22 @@ let test_error_classes_and_diagnostics () =
       submit ~spec:{ Jobspec.default with Jobspec.id = "ok" } h par_src;
       ignore (expect_ok h))
 
+(* Bad indices in skeleton calls reach clients with their own classes,
+   not [internal]: a non-local element read is a runtime error, a
+   broadcast root outside the array an invalid argument. *)
+let test_bad_indices_classified () =
+  let h = harness () in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown h.svc)
+    (fun () ->
+      let spec id = { Jobspec.default with Jobspec.id; width = 2; height = 1 } in
+      submit ~spec:(spec "get") h
+        (Test_lang.bad_index_src "print_int(array_get_elem(a, {7, 0}))");
+      ignore (expect_err h Errclass.Runtime);
+      submit ~spec:(spec "bcast") h
+        (Test_lang.bad_index_src "array_broadcast_part(a, {2, 0})");
+      ignore (expect_err h Errclass.Invalid))
+
 let test_stall_classified () =
   let h = harness () in
   Fun.protect
@@ -426,6 +442,8 @@ let suite =
           gen_cache_program prop_cache_hit_identical;
         Alcotest.test_case "error classes + verbatim diagnostics" `Quick
           test_error_classes_and_diagnostics;
+        Alcotest.test_case "bad skeleton indices classified" `Quick
+          test_bad_indices_classified;
         Alcotest.test_case "total message loss classified as stall" `Quick
           test_stall_classified;
         Alcotest.test_case "deadline expiry, then the service lives on" `Quick
