@@ -50,24 +50,5 @@ let () =
   Report.print_claim51 ~jobs ~quick ();
   Report.print_claim52 ~jobs ~quick ();
   Report.print_ablations ~jobs ~quick ();
-  (if trace_out <> None || want_profile then begin
-     let n, (w, h), r = Experiments.traced_gauss_cell ~quick () in
-     let nprocs = w * h in
-     Printf.printf "== traced cell: gauss n=%d on %dx%d (%.4f s simulated) ==\n"
-       n w h r.Machine.time;
-     (match trace_out with
-      | Some file ->
-          let oc = open_out file in
-          output_string oc (Profile.chrome_json r.Machine.trace ~nprocs);
-          close_out oc;
-          Printf.printf
-            "chrome trace written to %s (open in chrome://tracing or \
-             ui.perfetto.dev)\n"
-            file
-      | None -> ());
-     if want_profile then
-       Format.printf "%a@." Profile.pp
-         (Profile.of_trace r.Machine.trace ~nprocs ~makespan:r.Machine.time);
-     print_newline ()
-   end);
+  Report.print_traced_cell ?trace_out ~profile:want_profile ~quick ();
   Pool.shutdown ()

@@ -381,7 +381,8 @@ let run_par_cmd =
     Arg.(value
          & opt (some int) None
          & info [ "native-domains" ] ~docv:"N"
-             ~doc:"Native engine only: block the ranks into $(docv) \
+             ~doc:"Native engine only (an error with the others): block \
+                   the ranks into $(docv) \
                    contiguous groups, each a unit of real parallelism \
                    (default: one rank per group).  Worker domains are \
                    borrowed from the shared pool and clamped to the host's \
@@ -391,7 +392,8 @@ let run_par_cmd =
     Arg.(value
          & opt (some int) None
          & info [ "chan-cap" ] ~docv:"N"
-             ~doc:"Native engine only: per-link ring-buffer capacity in \
+             ~doc:"Native engine only (an error with the others): \
+                   per-link ring-buffer capacity in \
                    messages (default 256, rounded up to a power of two). \
                    Senders block fiber-style when a ring is full.")
   in

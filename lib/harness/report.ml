@@ -336,3 +336,30 @@ let write_csvs ~dir t1 t2 =
   file "figure1_left.csv" (Series.to_csv speedups);
   file "figure1_right.csv" (Series.to_csv slowdowns);
   Printf.printf "csv files written to %s\n\n" dir
+
+(* ------------------------------------------------------------------ *)
+
+(* Tracing is opt-in and re-runs its own cell, so the timed cells always
+   execute with recording disabled: one representative Table-2 Gauss cell,
+   written as a Chrome trace to [trace_out] and/or printed as a profile. *)
+let print_traced_cell ?trace_out ~profile ~quick () =
+  if trace_out <> None || profile then begin
+    let n, (w, h), r = Experiments.traced_gauss_cell ~quick () in
+    let nprocs = w * h in
+    Printf.printf "== traced cell: gauss n=%d on %dx%d (%.4f s simulated) ==\n"
+      n w h r.Machine.time;
+    (match trace_out with
+     | Some file ->
+         let oc = open_out file in
+         output_string oc (Profile.chrome_json r.Machine.trace ~nprocs);
+         close_out oc;
+         Printf.printf
+           "chrome trace written to %s (open in chrome://tracing or \
+            ui.perfetto.dev)\n"
+           file
+     | None -> ());
+    if profile then
+      Format.printf "%a@." Profile.pp
+        (Profile.of_trace r.Machine.trace ~nprocs ~makespan:r.Machine.time);
+    print_newline ()
+  end

@@ -62,25 +62,23 @@ let engine_of p = p.pengine
 let run_prepared ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
     ?chan_cap ?native_domains ?cancel ~topology p ~args =
   let { pprogram = program; ptyenv = tyenv; pentry = entry; _ } = p in
-  let compiled () =
-    match p.pcompiled with
-    | Some c -> c
-    | None -> assert false (* by construction: pengine <> `Ast *)
+  let body ctx =
+    let st = Interp.make ~backend:(`Par ctx) ~tyenv program in
+    let value =
+      match p.pcompiled with
+      | None -> Interp.call st entry args
+      | Some compiled -> Compile.call compiled st entry args
+    in
+    { value; printed = Interp.output st }
   in
   match p.pengine with
-  | `Ast ->
+  | `Ast | `Compiled ->
+      if native_domains <> None then
+        invalid_arg "Spmd.run: native_domains needs the native engine";
+      if chan_cap <> None then
+        invalid_arg "Spmd.run: chan_cap needs the native engine";
       Machine.run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
-        ?cancel ~topology (fun ctx ->
-          let st = Interp.make ~backend:(`Par ctx) ~tyenv program in
-          let value = Interp.call st entry args in
-          { value; printed = Interp.output st })
-  | `Compiled ->
-      let compiled = compiled () in
-      Machine.run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
-        ?cancel ~topology (fun ctx ->
-          let st = Interp.make ~backend:(`Par ctx) ~tyenv program in
-          let value = Compile.call compiled st entry args in
-          { value; printed = Interp.output st })
+        ?cancel ~topology body
   | `Native ->
       (* the compiled engine's closures, executed with real parallelism on
          the Native backend — simulator-only options make no sense here *)
@@ -98,12 +96,8 @@ let run_prepared ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
             "Spmd.run: --sim-domains shards the simulator; use \
              native_domains with the native engine"
       | _ -> ());
-      let compiled = compiled () in
       Machine.run_native ?cost ?collectives ?chan_cap
-        ?domains:native_domains ?cancel ~topology (fun ctx ->
-          let st = Interp.make ~backend:(`Par ctx) ~tyenv program in
-          let value = Compile.call compiled st entry args in
-          { value; printed = Interp.output st })
+        ?domains:native_domains ?cancel ~topology body
 
 let run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains ?chan_cap
     ?native_domains ?cancel ?instantiate ?engine ?specialize ?optimize

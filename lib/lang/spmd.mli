@@ -140,7 +140,10 @@ val run :
 
     [native_domains] and [chan_cap] apply only to the [`Native] engine:
     the rank-blocking group count and the per-link ring capacity handed to
-    {!Machine.run_native}. *)
+    {!Machine.run_native}.  Options of the other kind are rejected, never
+    ignored: [native_domains] or [chan_cap] on [`Ast]/[`Compiled], and
+    [faults], [reliable], [trace] or [sim_domains > 1] on [`Native], raise
+    [Invalid_argument]. *)
 
 val run_source :
   ?cost:Cost_model.t ->

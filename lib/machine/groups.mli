@@ -1,8 +1,9 @@
-(** Rank groups: the scheduling protocol shared by both engines.
+(** Rank groups: the run-wide state and the scheduling protocol shared by
+    both engines.
 
     Skil programs are SPMD, and both the simulator ({!Machine.run}, at any
-    [sim_domains]) and the native engine ({!Native.run}) run them as one
-    fiber per rank.  Ranks sit in contiguous groups, each with its own
+    [sim_domains]) and the native engine ({!Machine.run_native}) run them
+    as one fiber per rank.  Ranks sit in contiguous groups, each with its own
     {!Scheduler}; one domain at a time drives a group, message delivery
     {!wake}s the destination group, and when every group is idle at once
     the engine's [quiesce] callback either unblocks someone or reports a
@@ -16,18 +17,60 @@
     {!Pool} crew workers claim ready groups through a registered work
     source, so no domain is ever spawned here.
 
-    The run's ranks also share one collective deposit table ({!collective},
-    {!tags}): the first rank to reach a collective call site computes its
-    value, the others pick it up. *)
+    A [t] is also everything about a run that does not depend on the
+    engine: the topology, the cost model, the collective mode and its
+    {!Coll_alg.net}, the cancel hook, every rank's {!Stats.proc}, and one
+    collective deposit table ({!collective}, {!tags}): the first rank to
+    reach a collective call site computes its value, the others pick it
+    up. *)
 
 type t
 
-val create : nranks:int -> ngroups:int -> t
-(** Block ranks [0 .. nranks - 1] into [ngroups] contiguous groups: sizes
-    are [nranks / ngroups], the first [nranks mod ngroups] groups one rank
-    larger.  Every group starts ready.  When [ngroups > 1] the {!Pool} crew
-    is grown towards [ngroups - 1] workers (clamped to the host).
+exception Stalled of (int * string) list
+(** No rank can make progress; one (rank, description of its wait) per
+    blocked rank.  Raised by either engine's [quiesce]. *)
+
+exception Cancelled
+(** The run's cancel callback returned true at a poll point. *)
+
+val create :
+  topology:Topology.t ->
+  cost:Cost_model.t ->
+  collectives:Coll_alg.mode ->
+  cancel:(unit -> bool) option ->
+  ngroups:int ->
+  t
+(** Block the topology's ranks [0 .. nranks - 1] into [ngroups] contiguous
+    groups: sizes are [nranks / ngroups], the first [nranks mod ngroups]
+    groups one rank larger.  Every group starts ready.  When [ngroups > 1]
+    the {!Pool} crew is grown towards [ngroups - 1] workers (clamped to the
+    host).  The {!Coll_alg.net} is built from [cost]'s communication
+    coefficients unless [collectives] is [Legacy].
     @raise Invalid_argument unless [1 <= ngroups <= nranks]. *)
+
+(** {1 Run-wide state} *)
+
+val nranks : t -> int
+val topology : t -> Topology.t
+val cost : t -> Cost_model.t
+val coll_mode : t -> Coll_alg.mode
+
+val coll_legacy : t -> bool
+(** [coll_mode t = Legacy], cached. *)
+
+val coll_net : t -> Coll_alg.net
+(** @raise Invalid_argument under [Legacy], where none is built. *)
+
+val stats : t -> Stats.t
+(** Every rank's counters, [Stats.proc (stats t) rank]; the engine sets
+    the makespan when the run ends. *)
+
+val check_cancel : t -> unit
+(** Raise {!Cancelled} if the run's cancel callback fires; a single dead
+    branch when none was given.  Callable from any domain, so the callback
+    must be thread-safe (an [Atomic.t] read, typically). *)
+
+(** {1 Scheduling} *)
 
 val count : t -> int
 (** Number of groups. *)
@@ -59,8 +102,8 @@ val run : t -> step:(int -> bool) -> quiesce:(unit -> unit) -> unit
 
     [quiesce ()] is called on the calling domain when no group is running
     or ready and at least one is unfinished; nothing else runs during the
-    call.  It must {!wake} at least one group or raise (typically the
-    engine's [Stalled]).
+    call.  It must {!wake} at least one group or raise (typically
+    {!Stalled}).
 
     The first exception raised by a step or by [quiesce] stops further
     claims and is re-raised, with its backtrace, once every group has

@@ -84,10 +84,8 @@ type shard = {
 }
 
 type t = {
-  topology : Topology.t;
-  cost : Cost_model.t;
   procs : proc array;
-  groups : Groups.t; (* shard scheduling and the collective deposit table *)
+  groups : Groups.t; (* the run-wide state and shard scheduling *)
   shards : shard array;
   trace : Trace.t;
   trace_on : bool; (* cached Trace.enabled: skips the call (and the float
@@ -109,13 +107,6 @@ type t = {
   faults_on : bool; (* a plan was given *)
   reliable : bool; (* Reliable transport mode *)
   rto_fixed : float; (* retransmission timeout, bytes-independent part *)
-  (* collective-algorithm selection (Coll_alg): Legacy keeps the seed's
-     binomial-tree code paths untouched; the net summary is only built for
-     the algorithm-selecting modes *)
-  coll_mode : Coll_alg.mode;
-  coll_legacy : bool; (* cached [coll_mode = Legacy] *)
-  coll_net : Coll_alg.net option; (* Some iff not coll_legacy *)
-  cancel : unit -> bool;
   cancel_on : bool; (* a cancel callback was given; cancel-free runs pay
                        one dead branch per clock advance *)
   min_delay_factor : float;
@@ -127,11 +118,14 @@ type t = {
 
 type sctx = { m : t; p : proc }
 
-(* The public context is either a simulator context or a native-execution
-   one (ranks on real domains, see {!Native}); every context-taking
-   function below is shadowed by a two-way dispatch at the end of the
-   file, so the skeleton/collective/language layers stay engine-agnostic. *)
-type ctx = Sim of sctx | Native of Native.ctx
+(* One context type for both engines: the rank and the run-wide state
+   ({!Groups}) are shared, and [eng] carries what differs — a simulated
+   processor or a native rank (real domains, see {!Native}).  Operations
+   that differ are written for [sctx] below and dispatched on [eng] at the
+   end of the file, so the skeleton/collective/language layers stay
+   engine-agnostic. *)
+type eng = Sim of sctx | Native of Native.ctx
+type ctx = { id : int; g : Groups.t; eng : eng }
 
 type 'r result = {
   values : 'r array;
@@ -140,10 +134,8 @@ type 'r result = {
   trace : Trace.t;
 }
 
-(* Both engines raise the same constructors, so callers catch one
-   whatever the backend. *)
-exception Stalled = Native.Stalled
-exception Cancelled = Native.Cancelled
+exception Stalled = Groups.Stalled
+exception Cancelled = Groups.Cancelled
 
 let stall_diagnostic blocked =
   let b = Buffer.create 128 in
@@ -157,23 +149,27 @@ let stall_diagnostic blocked =
      program deadlock)";
   Buffer.contents b
 
-let self ctx = ctx.p.id
-let nprocs ctx = Array.length ctx.m.procs
-let topology ctx = ctx.m.topology
-let cost ctx = ctx.m.cost
-let profile ctx = ctx.m.cost.Cost_model.profile
-let clock ctx = ctx.p.tm.clock
-let checkpoint_default ctx = ctx.m.faults_on && ctx.m.fplan.Fault.checkpoint
-let coll_mode ctx = ctx.m.coll_mode
-let coll_legacy ctx = ctx.m.coll_legacy
+(* ------------------------------------------------------------------ *)
+(* Operations that do not depend on the engine                         *)
 
-let coll_net ctx =
-  match ctx.m.coll_net with
-  | Some n -> n
-  | None -> invalid_arg "Machine.coll_net: Legacy collectives mode"
+let self ctx = ctx.id
+let nprocs ctx = Groups.nranks ctx.g
+let topology ctx = Groups.topology ctx.g
+let coll_mode ctx = Groups.coll_mode ctx.g
+let coll_legacy ctx = Groups.coll_legacy ctx.g
+let coll_net ctx = Groups.coll_net ctx.g
+let rank_stats ctx = Stats.proc (Groups.stats ctx.g) ctx.id
 
 let record_collective ctx ~name ~bytes =
-  Stats.count_collective ctx.p.stats ~name ~bytes
+  Stats.count_collective (rank_stats ctx) ~name ~bytes
+
+let collective ctx f = Groups.collective ctx.g ~rank:ctx.id f
+let tags ctx n = Groups.tags ctx.g ~rank:ctx.id n
+
+(* ------------------------------------------------------------------ *)
+(* The simulator: operations on a simulated processor [sctx]           *)
+
+let profile (m : t) = (Groups.cost m.groups).Cost_model.profile
 
 (* An injected transient stall freezes the processor at its first
    clock-advancing action at or after the scheduled time.  Checked (behind
@@ -200,11 +196,9 @@ let rec apply_stalls ctx =
    communication path charges overheads), so polling here keeps any
    running Skil program cancellable without touching the skeleton layer.
    Receivers parked forever are already surfaced by [Stalled]. *)
-let check_cancel (m : t) = if m.cancel_on && m.cancel () then raise Cancelled
-
 let[@inline] compute ctx seconds =
   assert (seconds >= 0.0);
-  if ctx.m.cancel_on then check_cancel ctx.m;
+  if ctx.m.cancel_on then Groups.check_cancel ctx.m.groups;
   if ctx.m.faults_on then apply_stalls ctx;
   if ctx.m.trace_on then
     Trace.record ctx.m.trace ~proc:ctx.p.id ~start:ctx.p.tm.clock
@@ -218,7 +212,8 @@ let charge ctx cls ~ops ~base =
       (match ctx.p.span_stack with
        | s :: _ -> Trace.span_add_ops s cls ops
        | [] -> ());
-    compute ctx (float_of_int ops *. base *. Cost_model.factor (profile ctx) cls)
+    compute ctx
+      (float_of_int ops *. base *. Cost_model.factor (profile ctx.m) cls)
   end
 
 (* Fast path for the Skil engines' per-statement scalar flush: same math as
@@ -237,7 +232,7 @@ let charge_scalar_nodes ctx ~ops =
   end
 
 let overhead ctx seconds =
-  if ctx.m.cancel_on then check_cancel ctx.m;
+  if ctx.m.cancel_on then Groups.check_cancel ctx.m.groups;
   if ctx.m.faults_on then apply_stalls ctx;
   if ctx.m.trace_on then
     Trace.record ctx.m.trace ~proc:ctx.p.id ~start:ctx.p.tm.clock
@@ -245,10 +240,6 @@ let overhead ctx seconds =
   ctx.p.tm.clock <- ctx.p.tm.clock +. seconds;
   ctx.p.stats.Stats.overhead_time <-
     ctx.p.stats.Stats.overhead_time +. seconds
-
-let charge_skeleton_call ctx =
-  ctx.p.stats.Stats.skeleton_calls <- ctx.p.stats.Stats.skeleton_calls + 1;
-  overhead ctx (profile ctx).Cost_model.skeleton_call
 
 let charge_copy ctx ~bytes =
   compute ctx (float_of_int bytes *. Calibration.copy_per_byte)
@@ -288,27 +279,21 @@ let protect ctx ~bytes ~snapshot ~restore f =
   end
 
 (* Span brackets: zero simulated cost, recorded only when tracing. *)
-
-let span_begin ctx ~cat name =
-  if ctx.m.trace_on then
-    ctx.p.span_stack <-
-      Trace.span_begin ctx.m.trace ~proc:ctx.p.id ~cat ~name
-        ~start:ctx.p.tm.clock
-      :: ctx.p.span_stack
-
-let span_end ctx =
-  if ctx.m.trace_on then
-    match ctx.p.span_stack with
-    | s :: rest ->
-        Trace.span_end s ~stop:ctx.p.tm.clock;
-        ctx.p.span_stack <- rest
-    | [] -> ()
-
 let with_span ctx ~cat name f =
-  span_begin ctx ~cat name;
-  let r = f () in
-  span_end ctx;
-  r
+  if not ctx.m.trace_on then f ()
+  else begin
+    let p = ctx.p in
+    p.span_stack <-
+      Trace.span_begin ctx.m.trace ~proc:p.id ~cat ~name ~start:p.tm.clock
+      :: p.span_stack;
+    let r = f () in
+    (match p.span_stack with
+     | s :: rest ->
+         Trace.span_end s ~stop:p.tm.clock;
+         p.span_stack <- rest
+     | [] -> ());
+    r
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Channel buckets                                                     *)
@@ -423,7 +408,7 @@ let send_faulty ctx ~rendezvous ~dest ~tag ~bytes v =
   let plan = m.fplan in
   overhead ctx m.c_send_overhead;
   let src = ctx.p.id in
-  let hops = Topology.hops m.topology src dest in
+  let hops = Topology.hops (Groups.topology m.groups) src dest in
   let transit =
     m.c_latency
     +. (float_of_int hops *. m.c_per_hop)
@@ -541,7 +526,7 @@ let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
     send_faulty ctx ~rendezvous ~dest ~tag ~bytes v
   else begin
     overhead ctx m.c_send_overhead;
-    let hops = Topology.hops m.topology ctx.p.id dest in
+    let hops = Topology.hops (Groups.topology m.groups) ctx.p.id dest in
     let arrival =
       ctx.p.tm.clock +. m.c_latency
       +. (float_of_int hops *. m.c_per_hop)
@@ -638,12 +623,13 @@ let lookahead_row ctx =
   let p = ctx.p in
   if p.lookahead_row == [||] then begin
     let m = ctx.m in
+    let topology = Groups.topology m.groups in
     p.lookahead_row <-
       Array.init
         (Array.length m.procs)
         (fun src ->
           (m.c_latency
-          +. (float_of_int (Topology.hops m.topology src p.id) *. m.c_per_hop))
+          +. (float_of_int (Topology.hops topology src p.id) *. m.c_per_hop))
           *. m.min_delay_factor)
   end;
   p.lookahead_row
@@ -731,13 +717,6 @@ let recv_any ctx ~tag =
   finish_recv ctx msg;
   if m.reliable then charge_ack ctx;
   (src, Obj.obj msg.payload)
-
-let sendrecv ctx ~dest ~src ~tag ~bytes v =
-  send ctx ~dest ~tag ~bytes v;
-  recv ctx ~src ~tag
-
-let collective ctx f = Groups.collective ctx.m.groups ~rank:ctx.p.id f
-let tags ctx n = Groups.tags ctx.m.groups ~rank:ctx.p.id n
 
 let describe_blocked (p : proc) =
   match p.waiting with
@@ -833,13 +812,11 @@ let quiesce m () =
            |> List.filter_map (fun (p : proc) ->
                   if p.finished_p then None else Some (p.id, describe_blocked p))))
 
-let run ?(cost = Cost_model.default) ?(trace = false) ?faults
-    ?(reliable = false) ?(collectives = Coll_alg.Legacy) ?(sim_domains = 1)
-    ?cancel ~topology f =
-  if sim_domains < 1 then
-    invalid_arg "Machine.run: sim_domains must be >= 1";
-  let n = Topology.nprocs topology in
-  let groups = Groups.create ~nranks:n ~ngroups:(min sim_domains n) in
+(* Simulate [body] on every processor of the run [g]; the makespan (the
+   latest finishing clock) and the trace. *)
+let simulate ~trace ~faults ~reliable ~cancel_on g body =
+  let n = Groups.nranks g in
+  let topology = Groups.topology g and cost = Groups.cost g in
   let params = cost.Cost_model.params in
   let cf = cost.Cost_model.profile.Cost_model.comm_factor in
   let faults_on = faults <> None in
@@ -884,12 +861,12 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
           channels = Array.init n (fun _ -> chan_create ());
           waiting = None;
           span_stack = [];
-          stats = Stats.fresh_proc ();
+          stats = Stats.proc (Groups.stats g) id;
           next_seq = (if faulty then Array.make n 0 else [||]);
           seen = Hashtbl.create (if reliable then 64 else 1);
           pending_stalls = stalls_for id;
           pending_crashes = crashes_for id;
-          shard = Groups.group_of groups id;
+          shard = Groups.group_of g id;
           fid = 0;
           finished_p = false;
           any_grant = false;
@@ -897,8 +874,8 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
         })
   in
   let shards =
-    Array.init (Groups.count groups) (fun sid ->
-        let first, size = Groups.span groups sid in
+    Array.init (Groups.count g) (fun sid ->
+        let first, size = Groups.span g sid in
         {
           smembers = Array.sub procs first size;
           inbox_mutex = Mutex.create ();
@@ -909,10 +886,8 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
   in
   let m =
     {
-      topology;
-      cost;
       procs;
-      groups;
+      groups = g;
       shards;
       trace = Trace.create ~enabled:trace ~nprocs:n;
       trace_on = trace;
@@ -928,171 +903,148 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
       faults_on;
       reliable;
       rto_fixed;
-      coll_mode = collectives;
-      coll_legacy = (collectives = Coll_alg.Legacy);
-      coll_net =
-        (if collectives = Coll_alg.Legacy then None
-         else
-           Some
-             (Coll_alg.net_of topology ~latency:c_latency ~per_hop:c_per_hop
-                ~per_byte:(cf *. params.Cost_model.per_byte)
-                ~send_ovh:(cf *. params.Cost_model.send_overhead)
-                ~recv_ovh:(cf *. params.Cost_model.recv_overhead)));
-      cancel = (match cancel with Some f -> f | None -> fun () -> false);
-      cancel_on = cancel <> None;
+      cancel_on;
       min_delay_factor =
         (if faults_on && fplan.Fault.link.Fault.delay > 0.0 then
            Float.min 1.0 fplan.Fault.link.Fault.delay_factor
          else 1.0);
     }
   in
-  let stats =
-    { Stats.procs = Array.map (fun (p : proc) -> p.stats) m.procs;
-      makespan = 0.0 }
-  in
-  let values = Array.make n None in
   Array.iter
     (fun p ->
-      let ctx = Sim { m; p } in
+      let eng = Sim { m; p } in
       p.fid <-
         Scheduler.spawn (sched_of m p) (fun () ->
-            values.(p.id) <- Some (f ctx);
+            body p.id eng;
             p.finished_p <- true))
     m.procs;
   (* the topology's hop tables (and the Coll_alg predictor tables built
      from them) are published read-only to every domain; pin the
      no-mutation-after-publication contract *)
   let topo_digest = Topology.digest topology in
-  Groups.run groups ~step:(step m) ~quiesce:(quiesce m);
+  Groups.run g ~step:(step m) ~quiesce:(quiesce m);
   assert (Topology.digest topology = topo_digest);
   (* on clean completion every shard's last step happened before
      [Groups.run] returned, so all member state is visible here *)
   Array.iter
     (fun (p : proc) -> p.stats.Stats.compute_time <- p.tm.busy)
     m.procs;
-  let makespan =
-    Array.fold_left (fun acc p -> Float.max acc p.tm.clock) 0.0 m.procs
+  ( Array.fold_left (fun acc p -> Float.max acc p.tm.clock) 0.0 m.procs,
+    m.trace )
+
+(* ------------------------------------------------------------------ *)
+(* Engine dispatch: the operations the simulator and the native engine
+   implement differently.  Cost charging, crash protection and trace spans
+   are simulator concepts; the native arms of the charge family poll
+   cancellation instead, as they are the per-statement hooks of the
+   language engines, so a compute-bound native job stays reapable by the
+   service watchdog. *)
+
+let clock ctx =
+  match ctx.eng with Sim c -> c.p.tm.clock | Native c -> Native.clock c
+
+let checkpoint_default ctx =
+  match ctx.eng with
+  | Sim c -> c.m.faults_on && c.m.fplan.Fault.checkpoint
+  | Native _ -> false
+
+let compute ctx seconds =
+  match ctx.eng with
+  | Sim c -> compute c seconds
+  | Native _ -> Groups.check_cancel ctx.g
+
+let charge ctx cls ~ops ~base =
+  match ctx.eng with
+  | Sim c -> charge c cls ~ops ~base
+  | Native _ -> Groups.check_cancel ctx.g
+
+let charge_scalar_nodes ctx ~ops =
+  match ctx.eng with
+  | Sim c -> charge_scalar_nodes c ~ops
+  | Native _ -> Groups.check_cancel ctx.g
+
+let charge_skeleton_call ctx =
+  let st = rank_stats ctx in
+  st.Stats.skeleton_calls <- st.Stats.skeleton_calls + 1;
+  match ctx.eng with
+  | Sim c -> overhead c (profile c.m).Cost_model.skeleton_call
+  | Native _ -> Groups.check_cancel ctx.g
+
+let charge_copy ctx ~bytes =
+  match ctx.eng with Sim c -> charge_copy c ~bytes | Native _ -> ()
+
+let protect ctx ~bytes ~snapshot ~restore f =
+  match ctx.eng with
+  | Sim c -> protect c ~bytes ~snapshot ~restore f
+  | Native _ -> f ()
+
+let with_span ctx ~cat name f =
+  match ctx.eng with Sim c -> with_span c ~cat name f | Native _ -> f ()
+
+let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
+  match ctx.eng with
+  | Sim c -> send c ~rendezvous ~dest ~tag ~bytes v
+  | Native c -> Native.send c ~rendezvous ~dest ~tag ~bytes v
+
+let recv ctx ~src ~tag =
+  match ctx.eng with
+  | Sim c -> recv c ~src ~tag
+  | Native c -> Native.recv c ~src ~tag
+
+let recv_any ctx ~tag =
+  match ctx.eng with
+  | Sim c -> recv_any c ~tag
+  | Native c -> Native.recv_any c ~tag
+
+let sendrecv ctx ~dest ~src ~tag ~bytes v =
+  send ctx ~dest ~tag ~bytes v;
+  recv ctx ~src ~tag
+
+(* ------------------------------------------------------------------ *)
+(* Runs                                                                *)
+
+(* Build the run-wide state, run [f] as every rank's program on the
+   engine, and assemble the result both engines return. *)
+let execute ~cost ~collectives ~cancel ~topology ~ngroups engine f =
+  let g = Groups.create ~topology ~cost ~collectives ~cancel ~ngroups in
+  let values = Array.make (Groups.nranks g) None in
+  let time, trace =
+    engine g (fun id eng -> values.(id) <- Some (f { id; g; eng }))
   in
-  stats.Stats.makespan <- makespan;
+  let stats = Groups.stats g in
+  stats.Stats.makespan <- time;
   let values =
     Array.map
       (function Some v -> v | None -> failwith "Machine.run: missing result")
       values
   in
-  { values; time = makespan; stats; trace = m.trace }
+  { values; time; stats; trace }
 
-(* ------------------------------------------------------------------ *)
-(* Engine dispatch.
+let run ?(cost = Cost_model.default) ?(trace = false) ?faults
+    ?(reliable = false) ?(collectives = Coll_alg.Legacy) ?(sim_domains = 1)
+    ?cancel ~topology f =
+  if sim_domains < 1 then
+    invalid_arg "Machine.run: sim_domains must be >= 1";
+  execute ~cost ~collectives ~cancel ~topology
+    ~ngroups:(min sim_domains (Topology.nprocs topology))
+    (simulate ~trace ~faults ~reliable ~cancel_on:(cancel <> None))
+    f
 
-   Everything above this line operates on the simulator context [sctx];
-   the shadowing wrappers below accept the public [ctx] and route each
-   call to the simulator or to the {!Native} backend.  Cost charging,
-   crash protection and trace spans are simulator concepts: under the
-   native engine they are no-ops (native runs report wall-clock time and
-   message counts, nothing else), except [charge_skeleton_call], which
-   still counts the invocation in [Stats]. *)
-
-let self = function Sim c -> self c | Native c -> Native.self c
-let nprocs = function Sim c -> nprocs c | Native c -> Native.nprocs c
-let topology = function Sim c -> topology c | Native c -> Native.topology c
-let cost = function Sim c -> cost c | Native c -> Native.cost c
-let profile = function Sim c -> profile c | Native c -> Native.profile c
-let clock = function Sim c -> clock c | Native c -> Native.clock c
-
-let checkpoint_default = function
-  | Sim c -> checkpoint_default c
-  | Native _ -> false
-
-let coll_mode = function Sim c -> coll_mode c | Native c -> Native.coll_mode c
-
-let coll_legacy = function
-  | Sim c -> coll_legacy c
-  | Native c -> Native.coll_legacy c
-
-let coll_net = function Sim c -> coll_net c | Native c -> Native.coll_net c
-
-let record_collective ctx ~name ~bytes =
-  match ctx with
-  | Sim c -> record_collective c ~name ~bytes
-  | Native c -> Native.record_collective c ~name ~bytes
-
-(* The native arms of the charge family poll cancellation instead of
-   charging: they are the per-statement hooks of the language engines, so
-   this is what keeps a compute-bound native job reapable by the service
-   watchdog. *)
-let compute ctx seconds =
-  match ctx with Sim c -> compute c seconds | Native c -> Native.poll_cancel c
-
-let charge ctx cls ~ops ~base =
-  match ctx with
-  | Sim c -> charge c cls ~ops ~base
-  | Native c -> Native.poll_cancel c
-
-let charge_scalar_nodes ctx ~ops =
-  match ctx with
-  | Sim c -> charge_scalar_nodes c ~ops
-  | Native c -> Native.poll_cancel c
-
-let charge_skeleton_call = function
-  | Sim c -> charge_skeleton_call c
-  | Native c -> Native.charge_skeleton_call c
-
-let charge_copy ctx ~bytes =
-  match ctx with Sim c -> charge_copy c ~bytes | Native _ -> ()
-
-let protect ctx ~bytes ~snapshot ~restore f =
-  match ctx with
-  | Sim c -> protect c ~bytes ~snapshot ~restore f
-  | Native _ -> f ()
-
-let span_begin ctx ~cat name =
-  match ctx with Sim c -> span_begin c ~cat name | Native _ -> ()
-
-let span_end = function Sim c -> span_end c | Native _ -> ()
-
-let with_span ctx ~cat name f =
-  match ctx with
-  | Sim c -> with_span c ~cat name f
-  | Native _ -> f ()
-
-let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
-  match ctx with
-  | Sim c -> send c ~rendezvous ~dest ~tag ~bytes v
-  | Native c -> Native.send c ~rendezvous ~dest ~tag ~bytes v
-
-let recv ctx ~src ~tag =
-  match ctx with
-  | Sim c -> recv c ~src ~tag
-  | Native c -> Native.recv c ~src ~tag
-
-let recv_any ctx ~tag =
-  match ctx with
-  | Sim c -> recv_any c ~tag
-  | Native c -> Native.recv_any c ~tag
-
-let sendrecv ctx ~dest ~src ~tag ~bytes v =
-  match ctx with
-  | Sim c -> sendrecv c ~dest ~src ~tag ~bytes v
-  | Native c -> Native.sendrecv c ~dest ~src ~tag ~bytes v
-
-let collective ctx f =
-  match ctx with
-  | Sim c -> collective c f
-  | Native c -> Native.collective c f
-
-let tags ctx n =
-  match ctx with Sim c -> tags c n | Native c -> Native.tags c n
-
-(* Run the program on the native backend and convert its result to the
-   common shape: [time] is wall-clock seconds, the trace is empty. *)
-let run_native ?cost ?collectives ?chan_cap ?domains ?cancel ~topology f =
-  let r =
-    Native.run ?cost ?collectives ?chan_cap ?domains ?cancel ~topology
-      (fun c -> f (Native c))
+(* [time] is wall-clock seconds and the trace is empty.  The block count
+   is always honoured: blocks are short-lived work items, so more blocks
+   than {!Pool} workers just queue, exactly like the simulator's shards. *)
+let run_native ?(cost = Cost_model.default) ?(collectives = Coll_alg.Legacy)
+    ?(chan_cap = 256) ?domains ?cancel ~topology f =
+  let n = Topology.nprocs topology in
+  if chan_cap < 1 then invalid_arg "Machine.run_native: chan_cap must be >= 1";
+  let ngroups =
+    match domains with
+    | None -> n
+    | Some d when d >= 1 -> min d n
+    | Some _ -> invalid_arg "Machine.run_native: domains must be >= 1"
   in
-  {
-    values = r.Native.nvalues;
-    time = r.Native.wall;
-    stats = r.Native.nstats;
-    trace = Trace.create ~enabled:false ~nprocs:(Topology.nprocs topology);
-  }
+  execute ~cost ~collectives ~cancel ~topology ~ngroups
+    (fun g body ->
+      ( Native.run g ~chan_cap (fun id c -> body id (Native c)),
+        Trace.create ~enabled:false ~nprocs:n ))
+    f

@@ -25,8 +25,9 @@ exception Stalled of (int * string) list
     each blocked processor, a description of the receive it is parked on —
     source, tag and its clock at block time.  Raised both for genuine
     program deadlocks and for receivers starved by dropped messages under a
-    fault plan without [~reliable].  The same constructor is raised by both
-    engines (it is {!Native.Stalled} re-exported). *)
+    fault plan without [~reliable].  Both engines raise this one
+    constructor: it is {!Groups.Stalled}, defined with the run-wide state
+    they share. *)
 
 val stall_diagnostic : (int * string) list -> string
 (** Render a {!Stalled} payload as a multi-line human-readable report. *)
@@ -34,9 +35,9 @@ val stall_diagnostic : (int * string) list -> string
 exception Cancelled
 (** The run's [cancel] callback returned true at a cooperative poll point
     (every simulated-clock advance, every native block drive and
-    communication park).  The same constructor is raised by both engines
-    (it is {!Native.Cancelled} re-exported), so one handler covers any
-    backend — the service layer's deadline watchdog relies on this. *)
+    communication park).  Both engines raise this one constructor (it is
+    {!Groups.Cancelled}), so one handler covers any backend — the service
+    layer's deadline watchdog relies on this. *)
 
 val run :
   ?cost:Cost_model.t ->
@@ -134,19 +135,23 @@ val run_native :
     {!recv_any} picks the earliest wall-clock arrival and is therefore
     timing-dependent — the simulator remains the oracle for makespans and
     for deterministic [recv_any] winners.  [cost] only seeds the
-    collective-selection predictor (non-Legacy [collectives]) and
-    {!profile}.  [cancel] is polled cooperatively (block drives,
-    communication parks, per-statement charges) and raises {!Cancelled};
-    see {!Native.run}.  @raise Stalled on deadlock. *)
+    collective-selection predictor (non-Legacy [collectives]); it never
+    affects execution speed.  [cancel] is polled cooperatively (block
+    drives, communication parks, and every {!charge}-family call, which
+    charges nothing on this engine) and raises {!Cancelled}; it may be
+    called from any domain, so it must be thread-safe.
+    @raise Invalid_argument if [chan_cap] or [domains] is below 1.
+    @raise Stalled on deadlock. *)
 
 (** {1 Processor context} *)
 
 val self : ctx -> int
 val nprocs : ctx -> int
 val topology : ctx -> Topology.t
-val cost : ctx -> Cost_model.t
-val profile : ctx -> Cost_model.profile
+
 val clock : ctx -> float
+(** The processor's simulated clock; wall-clock seconds since the run
+    started under {!run_native}. *)
 
 val coll_mode : ctx -> Coll_alg.mode
 (** The run's collective-algorithm mode (see [run]'s [collectives]). *)
@@ -176,7 +181,8 @@ val charge_scalar_nodes : ctx -> ops:int -> unit
     order matches {!charge}, so clocks are bit-identical either way. *)
 
 val charge_skeleton_call : ctx -> unit
-(** Charge the profile's fixed per-skeleton-invocation overhead. *)
+(** Count one skeleton call in this processor's {!Stats.proc} and charge
+    the profile's fixed per-invocation overhead. *)
 
 val charge_copy : ctx -> bytes:int -> unit
 (** Charge a contiguous local memory copy of [bytes] bytes. *)
@@ -206,19 +212,15 @@ val protect :
     (true for the skeleton layer's partition loops, whose only effects are
     writes to the snapshotted partitions). *)
 
-(** {1 Trace spans}
-
-    Bracket a region of the program as a {!Trace.span} (which skeleton or
-    collective the processor is executing).  Zero simulated cost; no-ops
-    unless the run was started with [~trace:true].  Spans nest (a collective
-    inside a skeleton); element-ops charged through {!charge} are attributed
-    to the innermost open span. *)
-
-val span_begin : ctx -> cat:Trace.cat -> string -> unit
-val span_end : ctx -> unit
+(** {1 Trace spans} *)
 
 val with_span : ctx -> cat:Trace.cat -> string -> (unit -> 'a) -> 'a
-(** [with_span ctx ~cat name f] = [span_begin]; [f ()]; [span_end]. *)
+(** [with_span ctx ~cat name f] runs [f ()] bracketed as a {!Trace.span}
+    (which skeleton or collective the processor is executing).  Zero
+    simulated cost; just [f ()] unless the run was started with
+    [~trace:true].  Spans nest (a collective inside a skeleton);
+    element-ops charged through {!charge} are attributed to the innermost
+    open span. *)
 
 (** {1 Point-to-point communication}
 

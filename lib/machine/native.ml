@@ -30,7 +30,9 @@
    now satisfiable (asking the driver to step the block again).  When
    every block is idle at once, [quiesce] re-examines all parked waits and
    re-queues the blocks that can move; a wait no message can ever satisfy
-   raises {!Stalled}, like the simulator's quiescence check.
+   raises [Groups.Stalled], like the simulator's quiescence check.  The
+   run-wide state (topology, counters, cancel hook, collective deposits)
+   is the [Groups.t] both engines share.
 
    Full rings.  A sender finding its ring full parks (fiber-level, the
    domain keeps driving siblings) until the consumer pops; sends to a rank
@@ -96,7 +98,7 @@ type rank = {
   id : int;
   mailbox : (int * int, msg Queue.t) Hashtbl.t;
       (* (src, tag) buckets; touched only by the domain driving the block *)
-  nstats : Stats.proc;
+  nstats : Stats.proc; (* this rank's entry in [Groups.stats] *)
   mutable nwaiting : waitn option;
   mutable nfid : int;
   mutable nfinished : bool; (* program body returned (monotone) *)
@@ -104,63 +106,25 @@ type rank = {
 }
 
 type t = {
-  ntopo : Topology.t;
-  ncost : Cost_model.t;
-  nranks : int;
+  groups : Groups.t; (* the run-wide state and block scheduling *)
   ranks : rank array;
   rings : ring array array; (* rings.(dst).(src) *)
   seqs : int array array; (* seqs.(src).(dst), touched only by src *)
-  groups : Groups.t; (* block scheduling and the collective deposit table *)
   space_waiters : int Atomic.t; (* senders parked on a full ring *)
-  ncancel : unit -> bool;
-  ncancel_on : bool; (* a cancel callback was given; keeps the fault-free
-                        hot path at one dead branch per poll site *)
-  nmode : Coll_alg.mode;
-  nlegacy : bool;
-  nnet : Coll_alg.net option;
   t0 : float;
 }
 
 type ctx = { nt : t; r : rank }
 
-type 'r nresult = { nvalues : 'r array; wall : float; nstats : Stats.t }
-
-exception Stalled of (int * string) list
-exception Cancelled
-
 let now () = Unix.gettimeofday ()
-
-(* Cooperative cancellation: polled at every block step, at every park/
-   retry loop of the communication primitives, and (through
-   {!poll_cancel}) at the language engines' per-statement flush.  The
-   raise escapes the fiber (or the step) into {!Groups.run}'s failure
-   path, so the whole run winds down exactly like any program
-   exception. *)
-let check_cancel nt = if nt.ncancel_on && nt.ncancel () then raise Cancelled
-let poll_cancel ctx = check_cancel ctx.nt
-
-(* ------------------------------------------------------------------ *)
-(* Context accessors (the Machine dispatch layer's native arms)        *)
-
-let self ctx = ctx.r.id
-let nprocs ctx = ctx.nt.nranks
-let topology ctx = ctx.nt.ntopo
-let cost ctx = ctx.nt.ncost
-let profile ctx = ctx.nt.ncost.Cost_model.profile
 let clock ctx = now () -. ctx.nt.t0
-let coll_mode ctx = ctx.nt.nmode
-let coll_legacy ctx = ctx.nt.nlegacy
 
-let coll_net ctx =
-  match ctx.nt.nnet with
-  | Some n -> n
-  | None -> invalid_arg "Machine.coll_net: Legacy collectives mode"
-
-let record_collective ctx ~name ~bytes =
-  Stats.count_collective ctx.r.nstats ~name ~bytes
-
-let charge_skeleton_call ctx =
-  ctx.r.nstats.Stats.skeleton_calls <- ctx.r.nstats.Stats.skeleton_calls + 1
+(* Cooperative cancellation is polled at every block step and at every
+   park/retry loop of the communication primitives (and, by {!Machine},
+   at the language engines' per-statement flush).  The raise escapes the
+   fiber (or the step) into {!Groups.run}'s failure path, so the whole run
+   winds down exactly like any program exception. *)
+let check_cancel nt = Groups.check_cancel nt.groups
 
 (* ------------------------------------------------------------------ *)
 (* Delivery                                                            *)
@@ -183,7 +147,7 @@ let mailbox_push (r : rank) m =
    are freed. *)
 let drain nt (r : rank) =
   let row = nt.rings.(r.id) in
-  for src = 0 to nt.nranks - 1 do
+  for src = 0 to Array.length row - 1 do
     let rg = row.(src) in
     if not (ring_is_empty rg) then begin
       let popped = ref false in
@@ -214,7 +178,7 @@ let satisfiable nt (r : rank) = function
   | Nexact (src, tag) -> bucket_nonempty r (src, tag)
   | Nany tag ->
       let rec go src =
-        src < nt.nranks
+        src < Array.length nt.ranks
         && (bucket_nonempty r (src, tag) || go (src + 1))
       in
       go 0
@@ -243,13 +207,14 @@ let comm_wait_block ctx =
 let send ctx ?rendezvous:_ ~dest ~tag ~bytes v =
   let nt = ctx.nt in
   let r = ctx.r in
-  if dest < 0 || dest >= nt.nranks then
+  if dest < 0 || dest >= Array.length nt.ranks then
     invalid_arg "Machine.send: destination out of range";
   let st = r.nstats in
   st.Stats.msgs_sent <- st.Stats.msgs_sent + 1;
   st.Stats.bytes_sent <- st.Stats.bytes_sent + bytes;
   st.Stats.hop_bytes <-
-    st.Stats.hop_bytes + (bytes * Topology.hops nt.ntopo r.id dest);
+    st.Stats.hop_bytes
+    + (bytes * Topology.hops (Groups.topology nt.groups) r.id dest);
   let seq = nt.seqs.(r.id).(dest) in
   nt.seqs.(r.id).(dest) <- seq + 1;
   let m = { tag; src = r.id; seq; arrival = now (); payload = Obj.repr v } in
@@ -294,7 +259,7 @@ let mailbox_take (r : rank) key =
 let recv ctx ~src ~tag =
   let nt = ctx.nt in
   let r = ctx.r in
-  if src < 0 || src >= nt.nranks then
+  if src < 0 || src >= Array.length nt.ranks then
     invalid_arg "Machine.recv: source out of range";
   let key = (src, tag) in
   let rec obtain () =
@@ -318,7 +283,7 @@ let recv ctx ~src ~tag =
    bucket is per-link FIFO so its head already carries the smallest seq. *)
 let best_any nt (r : rank) ~tag =
   let best = ref None in
-  for src = 0 to nt.nranks - 1 do
+  for src = 0 to Array.length nt.ranks - 1 do
     match Hashtbl.find_opt r.mailbox (src, tag) with
     | Some q when not (Queue.is_empty q) ->
         let m = Queue.peek q in
@@ -345,16 +310,6 @@ let recv_any ctx ~tag =
   let m = obtain () in
   r.nwaiting <- None;
   (m.src, Obj.obj m.payload)
-
-let sendrecv ctx ~dest ~src ~tag ~bytes v =
-  send ctx ~dest ~tag ~bytes v;
-  recv ctx ~src ~tag
-
-(* ------------------------------------------------------------------ *)
-(* Collective call sites                                               *)
-
-let collective ctx f = Groups.collective ctx.nt.groups ~rank:ctx.r.id f
-let tags ctx n = Groups.tags ctx.nt.groups ~rank:ctx.r.id n
 
 (* ------------------------------------------------------------------ *)
 (* Block steps and quiescence, the callbacks to {!Groups.run}          *)
@@ -395,7 +350,7 @@ let quiesce nt () =
   let movable = List.filter (waits_satisfiably nt) (Array.to_list nt.ranks) in
   if movable = [] then
     raise
-      (Stalled
+      (Groups.Stalled
          (Array.to_list nt.ranks
          |> List.filter_map (fun (r : rank) ->
                 if r.nfinished then None else Some (r.id, describe_wait r))));
@@ -404,31 +359,14 @@ let quiesce nt () =
 (* ------------------------------------------------------------------ *)
 (* Run                                                                 *)
 
-let run ?(cost = Cost_model.default) ?(collectives = Coll_alg.Legacy)
-    ?(chan_cap = 256) ?domains ?cancel ~topology f =
-  let n = Topology.nprocs topology in
-  if chan_cap < 1 then invalid_arg "Native.run: chan_cap must be >= 1";
-  let ngroups =
-    match domains with
-    | None -> n
-    | Some d ->
-        if d < 1 then invalid_arg "Native.run: domains must be >= 1"
-        else min d n
-  in
-  (* Pool crew reuse (never spawn our own domains); the clamp inside
-     [Pool.ensure_workers] warns once when ranks oversubscribe the host.
-     The logical block count is always honoured — blocks are short-lived
-     work items, so more blocks than workers just queue, exactly like PDES
-     shards. *)
-  let groups = Groups.create ~nranks:n ~ngroups in
-  let params = cost.Cost_model.params in
-  let cf = cost.Cost_model.profile.Cost_model.comm_factor in
+let run groups ~chan_cap f =
+  let n = Groups.nranks groups in
   let ranks =
     Array.init n (fun id ->
         {
           id;
           mailbox = Hashtbl.create 16;
-          nstats = Stats.fresh_proc ();
+          nstats = Stats.proc (Groups.stats groups) id;
           nwaiting = None;
           nfid = 0;
           nfinished = false;
@@ -440,50 +378,20 @@ let run ?(cost = Cost_model.default) ?(collectives = Coll_alg.Legacy)
   in
   let nt =
     {
-      ntopo = topology;
-      ncost = cost;
-      nranks = n;
+      groups;
       ranks;
       rings;
       seqs = Array.init n (fun _ -> Array.make n 0);
-      groups;
       space_waiters = Atomic.make 0;
-      ncancel = (match cancel with Some f -> f | None -> fun () -> false);
-      ncancel_on = cancel <> None;
-      nmode = collectives;
-      nlegacy = (collectives = Coll_alg.Legacy);
-      nnet =
-        (if collectives = Coll_alg.Legacy then None
-         else
-           Some
-             (Coll_alg.net_of topology
-                ~latency:(cf *. params.Cost_model.msg_latency)
-                ~per_hop:(cf *. params.Cost_model.per_hop)
-                ~per_byte:(cf *. params.Cost_model.per_byte)
-                ~send_ovh:(cf *. params.Cost_model.send_overhead)
-                ~recv_ovh:(cf *. params.Cost_model.recv_overhead)));
       t0 = now ();
     }
   in
-  let values = Array.make n None in
   Array.iter
     (fun (r : rank) ->
       r.nfid <-
         Scheduler.spawn (Groups.sched groups r.gid) (fun () ->
-            values.(r.id) <- Some (f { nt; r });
+            f r.id { nt; r };
             r.nfinished <- true))
     ranks;
   Groups.run groups ~step:(step nt) ~quiesce:(quiesce nt);
-  let wall = now () -. nt.t0 in
-  let stats =
-    {
-      Stats.procs = Array.map (fun (r : rank) -> r.nstats) ranks;
-      makespan = wall;
-    }
-  in
-  let nvalues =
-    Array.map
-      (function Some v -> v | None -> failwith "Native.run: missing result")
-      values
-  in
-  { nvalues; wall; nstats = stats }
+  now () -. nt.t0

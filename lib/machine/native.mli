@@ -9,79 +9,28 @@
     arrival, source rank, link sequence) candidate and is therefore
     timing-dependent, as on a real machine.
 
-    Programs use this module only through {!Machine}'s dispatching context
-    ({!Machine.run_native}); the direct API here exists for the dispatch
-    layer and for tests. *)
+    This module holds only what differs from the simulator: the rings, the
+    per-rank mailboxes and the wall clock.  The run-wide state — topology,
+    collective mode, counters, cancel hook, collective deposits and the
+    [Stalled]/[Cancelled] exceptions — is the {!Groups.t} both engines
+    share.  Programs use this engine through {!Machine.run_native}. *)
 
-type t
 type ctx
 
-type 'r nresult = {
-  nvalues : 'r array;  (** per-rank return values *)
-  wall : float;  (** wall-clock seconds for the whole run *)
-  nstats : Stats.t;  (** message/skeleton counters; makespan = wall *)
-}
-
-exception Stalled of (int * string) list
-(** No rank can make progress: every live fiber is parked on a receive (or
-    on ring space) that no future action can satisfy.  Same payload shape
-    as {!Machine.Stalled}. *)
-
-exception Cancelled
-(** The run's [cancel] callback returned true at a poll point.  Polled
-    cooperatively: at every block drive, at every communication park/retry,
-    and at the language engines' per-statement flush (via {!poll_cancel}
-    from {!Machine}'s dispatch arms). *)
-
-val run :
-  ?cost:Cost_model.t ->
-  ?collectives:Coll_alg.mode ->
-  ?chan_cap:int ->
-  ?domains:int ->
-  ?cancel:(unit -> bool) ->
-  topology:Topology.t ->
-  (ctx -> 'r) ->
-  'r nresult
-(** Run the SPMD program with real parallelism.  [domains] (default: one
-    rank per group) is the number of contiguous-rank groups; the actual
-    worker-domain count is clamped by {!Pool.ensure_workers} (the logical
-    grouping is always honoured, extra groups queue).  [chan_cap]
-    (default 256, rounded up to a power of two) bounds each link's ring;
-    senders park fiber-style when a ring is full.  [cost] only seeds the
-    collective-selection predictor for non-Legacy [collectives] modes and
-    the {!profile} accessor — it never affects execution speed.
-
-    [cancel] (default: never) is polled cooperatively from every driving
-    domain and woken fiber; when it returns true the run winds down and
-    raises {!Cancelled}.  It may be called from any domain concurrently, so
-    it must be thread-safe (an [Atomic.t] read, typically).
-
-    @raise Stalled on deadlock.  @raise Cancelled when [cancel] fires.
-    Exceptions raised by the program propagate (first failure wins, as in
-    the simulator), once every block has stopped running. *)
-
-(** {1 Context accessors — the native arms of {!Machine}'s dispatch} *)
-
-val self : ctx -> int
-val nprocs : ctx -> int
-val topology : ctx -> Topology.t
-val cost : ctx -> Cost_model.t
-val profile : ctx -> Cost_model.profile
+val run : Groups.t -> chan_cap:int -> (int -> ctx -> unit) -> float
+(** [run groups ~chan_cap f] runs [f rank ctx] as every rank's program, one
+    block per group of [groups], and returns the wall-clock seconds the run
+    took.  [chan_cap] ([>= 1], rounded up to a power of two) bounds each
+    link's ring; senders park fiber-style when a ring is full.  The cancel
+    hook is polled at every block step and every communication park.
+    Message and wait counters go to [Groups.stats groups].
+    @raise Groups.Stalled on deadlock.
+    @raise Groups.Cancelled when the cancel hook fires.
+    Exceptions raised by [f] propagate (first failure wins, as in the
+    simulator), once every block has stopped running. *)
 
 val clock : ctx -> float
 (** Wall-clock seconds since the run started. *)
-
-val coll_mode : ctx -> Coll_alg.mode
-val coll_legacy : ctx -> bool
-val coll_net : ctx -> Coll_alg.net
-val record_collective : ctx -> name:string -> bytes:int -> unit
-val charge_skeleton_call : ctx -> unit
-
-val poll_cancel : ctx -> unit
-(** Raise {!Cancelled} if the run's [cancel] callback fires; a single dead
-    branch when no callback was installed.  {!Machine}'s per-statement
-    charge arms call this so compute-bound Skil programs stay cancellable
-    on the native engine. *)
 
 val send :
   ctx -> ?rendezvous:bool -> dest:int -> tag:int -> bytes:int -> 'a -> unit
@@ -91,6 +40,3 @@ val send :
 
 val recv : ctx -> src:int -> tag:int -> 'a
 val recv_any : ctx -> tag:int -> int * 'a
-val sendrecv : ctx -> dest:int -> src:int -> tag:int -> bytes:int -> 'a -> 'a
-val collective : ctx -> (unit -> 'a) -> 'a
-val tags : ctx -> int -> int

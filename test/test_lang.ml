@@ -979,6 +979,38 @@ let test_bad_indices_classified () =
         [ Coll_alg.Legacy; Coll_alg.Auto; Coll_alg.Force Coll_alg.Tree ])
     [ `Ast; `Compiled; `Native ]
 
+(* The native engine's options are rejected on the simulator engines, as
+   the simulator's are on the native one, instead of being ignored: class
+   invalid, skilc's exit code 2. *)
+let test_native_options_rejected () =
+  let topology = Topology.mesh ~width:2 ~height:1 in
+  let run engine ?native_domains ?chan_cap () =
+    Spmd.run_source ~engine ?native_domains ?chan_cap ~topology
+      "int main() { return 1; }\n" ~entry:"main" ~args:[]
+  in
+  List.iter
+    (fun (name, engine) ->
+      List.iter
+        (fun (opt, go) ->
+          let what = name ^ " " ^ opt in
+          match go () with
+          | _ -> Alcotest.failf "%s: accepted" what
+          | exception e -> (
+              match Errclass.of_exn e with
+              | None ->
+                  Alcotest.failf "%s: unclassified %s" what
+                    (Printexc.to_string e)
+              | Some (cls, _) ->
+                  Alcotest.(check string)
+                    (what ^ " class") "invalid" (Errclass.name cls);
+                  Alcotest.(check int) (what ^ " exit code") 2
+                    (Errclass.code cls)))
+        [
+          ("native_domains", fun () -> run engine ~native_domains:2 ());
+          ("chan_cap", fun () -> run engine ~chan_cap:4 ());
+        ])
+    [ ("ast", `Ast); ("compiled", `Compiled) ]
+
 let suite =
   [
     ( "lang lexer",
@@ -1054,6 +1086,8 @@ let suite =
         Alcotest.test_case "timing" `Quick test_spmd_timing_nonzero;
         Alcotest.test_case "bad indices classified on every engine" `Quick
           test_bad_indices_classified;
+        Alcotest.test_case "native options rejected on the simulator" `Quick
+          test_native_options_rejected;
       ] );
     ( "lang emit C",
       [

@@ -157,13 +157,15 @@ let test_tags_distinguish () =
 
 (* The engines a machine-level behaviour is pinned on: the simulator as one
    group and as two (one rank each), and the native engine likewise. *)
-let engines_2x1 =
+let engines_2x1 ?cancel () =
   let topology = Topology.mesh ~width:2 ~height:1 in
   [
-    ("sim_domains 1", fun f -> Machine.run ~sim_domains:1 ~topology f);
-    ("sim_domains 2", fun f -> Machine.run ~sim_domains:2 ~topology f);
-    ("native domains 1", fun f -> Machine.run_native ~domains:1 ~topology f);
-    ("native domains 2", fun f -> Machine.run_native ~domains:2 ~topology f);
+    ("sim_domains 1", fun f -> Machine.run ?cancel ~sim_domains:1 ~topology f);
+    ("sim_domains 2", fun f -> Machine.run ?cancel ~sim_domains:2 ~topology f);
+    ( "native domains 1",
+      fun f -> Machine.run_native ?cancel ~domains:1 ~topology f );
+    ( "native domains 2",
+      fun f -> Machine.run_native ?cancel ~domains:2 ~topology f );
   ]
 
 let test_deadlock_detection () =
@@ -191,7 +193,7 @@ let test_deadlock_detection () =
           let report = Machine.stall_diagnostic blocked in
           if not (contains report "p0") then
             Alcotest.failf "%s: report %S does not mention p0" name report)
-    engines_2x1
+    (engines_2x1 ())
 
 exception Boom
 
@@ -222,7 +224,41 @@ let test_failure_waits_for_groups () =
       Alcotest.(check int)
         (name ^ ": ticks after the exception reached the caller")
         at_raise (Atomic.get ticks))
-    engines_2x1
+    (engines_2x1 ())
+
+(* Cancellation reaches a compute-bound rank on every engine: rank 0 only
+   charges statements while rank 1 is parked in [recv].  The hook fires at
+   its 1001st poll; each charge polls once, and a native block step once
+   more.  The run must raise [Cancelled] with rank 0 stopped at about
+   1000 ticks, and rank 0 must not tick once the exception has reached
+   the caller. *)
+let test_cancel_every_engine () =
+  let polls = Atomic.make 0 in
+  let cancel () = Atomic.fetch_and_add polls 1 >= 1000 in
+  List.iter
+    (fun (name, run) ->
+      Atomic.set polls 0;
+      let ticks = Atomic.make 0 in
+      (match
+         run (fun ctx ->
+             if Machine.self ctx = 0 then
+               for _ = 1 to 100_000 do
+                 Atomic.incr ticks;
+                 Machine.charge_scalar_nodes ctx ~ops:1
+               done
+             else ignore (Machine.recv ctx ~src:0 ~tag:0 : int))
+       with
+      | _ -> Alcotest.failf "%s: expected Machine.Cancelled" name
+      | exception Machine.Cancelled -> ());
+      let at_raise = Atomic.get ticks in
+      if at_raise < 990 || at_raise > 1001 then
+        Alcotest.failf "%s: cancelled after %d ticks, not about 1000" name
+          at_raise;
+      Unix.sleepf 0.05;
+      Alcotest.(check int)
+        (name ^ ": ticks after the exception reached the caller")
+        at_raise (Atomic.get ticks))
+    (engines_2x1 ~cancel ())
 
 let test_clock_advance () =
   let r =
@@ -480,6 +516,8 @@ let suite =
         Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
         Alcotest.test_case "failure waits for every group" `Quick
           test_failure_waits_for_groups;
+        Alcotest.test_case "cancel on every engine" `Quick
+          test_cancel_every_engine;
         Alcotest.test_case "clock advance" `Quick test_clock_advance;
         Alcotest.test_case "profile factor" `Quick test_charge_profile_factor;
         Alcotest.test_case "message timing" `Quick test_message_timing;

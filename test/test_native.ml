@@ -6,9 +6,10 @@
 
 (* ---------------- corpus: native vs simulator ---------------- *)
 
-(* Printed output, per-rank return values and the deterministic message
-   counters must match the simulator exactly; times, traces and the
-   wait/compute stats are wall-clock under native and are NOT compared. *)
+(* Printed output, per-rank return values, the deterministic message
+   counters and the collective-algorithm counts must match the simulator
+   exactly; times, traces and the wait/compute stats are wall-clock under
+   native and are NOT compared. *)
 let check_values name rs rn =
   let nprocs = Array.length rs.Machine.values in
   Alcotest.(check int)
@@ -34,7 +35,11 @@ let check_values name rs rn =
       g "bytes" ps.Stats.bytes_sent pn.Stats.bytes_sent;
       g "hop_bytes" ps.Stats.hop_bytes pn.Stats.hop_bytes;
       g "skeleton_calls" ps.Stats.skeleton_calls pn.Stats.skeleton_calls)
-    rs.Machine.stats.Stats.procs
+    rs.Machine.stats.Stats.procs;
+  Alcotest.(check (list (pair string int)))
+    (name ^ " collective algorithms")
+    (Stats.coll_alg_totals rs.Machine.stats)
+    (Stats.coll_alg_totals rn.Machine.stats)
 
 let domain_counts = [ 1; 2; 4 ]
 
@@ -52,6 +57,36 @@ let test_corpus_native () =
           in
           check_values (Printf.sprintf "%s d=%d" file d) rs rn)
         domain_counts)
+    Test_engines.corpus
+
+(* The selecting collective modes run each algorithm's own message
+   pattern, chosen from the run's [Coll_alg.net]; native must choose and
+   send exactly what the simulator does under the same mode. *)
+let test_collective_modes_native () =
+  List.iter
+    (fun (file, entry, args, topo) ->
+      if List.mem file [ "gauss.skil"; "matmul.skil"; "jacobi.skil" ] then begin
+        let src = Test_engines.source file in
+        let topology = Test_engines.topology topo in
+        List.iter
+          (fun mode ->
+            let collectives = Result.get_ok (Coll_alg.mode_of_string mode) in
+            let rs =
+              Spmd.run_source ~engine:`Compiled ~collectives ~topology src
+                ~entry ~args
+            in
+            if Stats.coll_alg_totals rs.Machine.stats = [] then
+              Alcotest.failf "%s %s: no selected collective was run" file mode;
+            List.iter
+              (fun d ->
+                let rn =
+                  Spmd.run_source ~engine:`Native ~collectives
+                    ~native_domains:d ~topology src ~entry ~args
+                in
+                check_values (Printf.sprintf "%s %s d=%d" file mode d) rs rn)
+              domain_counts)
+          [ "auto"; "pipeline" ]
+      end)
     Test_engines.corpus
 
 (* ---------------- random programs: native vs simulator ---------------- *)
@@ -251,6 +286,8 @@ let suite =
       [
         Alcotest.test_case "corpus native vs simulator" `Quick
           test_corpus_native;
+        Alcotest.test_case "collective modes native vs simulator" `Quick
+          test_collective_modes_native;
         qcheck_native;
         Alcotest.test_case "finished blocks never read as stalled" `Quick
           test_finish_race;

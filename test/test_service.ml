@@ -225,6 +225,31 @@ let test_bad_indices_classified () =
         (Test_lang.bad_index_src "array_broadcast_part(a, {2, 0})");
       ignore (expect_err h Errclass.Invalid))
 
+(* skild's [native-domains=] and [chan-cap=] header fields are rejected on
+   the simulator engines, not ignored. *)
+let test_native_fields_rejected () =
+  let h = harness () in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown h.svc)
+    (fun () ->
+      List.iter
+        (fun spec ->
+          submit ~spec h par_src;
+          let line = recv h in
+          if not (Test_machine.contains line "class=invalid code=2") then
+            Alcotest.failf "%s: expected class=invalid code=2, got %s"
+              spec.Jobspec.id line)
+        [
+          { Jobspec.default with Jobspec.id = "nd"; native_domains = Some 2 };
+          { Jobspec.default with Jobspec.id = "cc"; chan_cap = Some 4 };
+          {
+            Jobspec.default with
+            Jobspec.id = "ast";
+            engine = `Ast;
+            chan_cap = Some 4;
+          };
+        ])
+
 let test_stall_classified () =
   let h = harness () in
   Fun.protect
@@ -444,6 +469,8 @@ let suite =
           test_error_classes_and_diagnostics;
         Alcotest.test_case "bad skeleton indices classified" `Quick
           test_bad_indices_classified;
+        Alcotest.test_case "native-only fields rejected on the simulator"
+          `Quick test_native_fields_rejected;
         Alcotest.test_case "total message loss classified as stall" `Quick
           test_stall_classified;
         Alcotest.test_case "deadline expiry, then the service lives on" `Quick
