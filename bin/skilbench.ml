@@ -318,17 +318,9 @@ let main path jobs clients window hostile engine_s doom_deadline_ms
   (* the reference output a daemon par job must reproduce byte-for-byte *)
   let expected_par_output =
     let d = Jobspec.default in
-    let r =
-      Spmd.run_source ~engine ~topology:(Jobspec.topology d) par_src
-        ~entry:"main" ~args:[]
-    in
-    let b = Buffer.create 256 in
-    Array.iteri
-      (fun i (o : Spmd.outcome) ->
-        if o.Spmd.printed <> "" then
-          Buffer.add_string b (Printf.sprintf "[proc %d] %s\n" i o.Spmd.printed))
-      r.Machine.values;
-    Buffer.contents b
+    Spmd.render
+      (Spmd.run_source ~engine ~topology:(Jobspec.topology d) par_src
+         ~entry:"main" ~args:[])
   in
   let t0 = Unix.gettimeofday () in
   let vanishers =

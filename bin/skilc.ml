@@ -32,6 +32,19 @@ let handle_errors ?file f =
         exit (Errclass.code cls)
     | None -> raise e)
 
+(* The EXIT STATUS of every command that runs [handle_errors]: the class
+   codes, and cmdliner's success, usage-error and uncaught-exception codes
+   (an exception no class covers). *)
+let exits =
+  List.map
+    (fun c ->
+      Cmd.Exit.info (Errclass.code c)
+        ~doc:("on a failure of class $(b," ^ Errclass.name c ^ ")."))
+    Errclass.[ Io; Invalid; Syntax; Type_err; Inst_err; Runtime; Stall ]
+  @ List.filter
+      (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.some_error)
+      Cmd.Exit.defaults
+
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.skil")
 
@@ -59,7 +72,7 @@ let check_cmd =
         Printf.printf "%s: OK (%d functions: %s)\n" file (List.length funcs)
           (String.concat ", " funcs))
   in
-  Cmd.v (Cmd.info "check" ~doc:"Parse and type-check a Skil program.")
+  Cmd.v (Cmd.info "check" ~exits ~doc:"Parse and type-check a Skil program.")
     Term.(const run $ file_arg)
 
 (* ---------------- instantiate ---------------- *)
@@ -85,7 +98,7 @@ let instantiate_cmd =
           fo)
   in
   Cmd.v
-    (Cmd.info "instantiate"
+    (Cmd.info "instantiate" ~exits
        ~doc:
          "Translate by instantiation and list the generated first-order \
           monomorphic functions.")
@@ -133,7 +146,7 @@ let emit_cmd =
                    compiler, no skil_runtime needed.")
   in
   Cmd.v
-    (Cmd.info "emit-c"
+    (Cmd.info "emit-c" ~exits
        ~doc:"Print the message-passing C the compiler back end would emit.")
     Term.(const run $ file_arg $ entry_arg $ optimize $ standalone $ args_arg)
 
@@ -163,7 +176,7 @@ let run_cmd =
         | v -> Printf.printf "=> %s\n" (Value.describe v))
   in
   Cmd.v
-    (Cmd.info "run"
+    (Cmd.info "run" ~exits
        ~doc:
          "Interpret a Skil program sequentially (skeleton calls are \
           rejected; use run-par).")
@@ -217,27 +230,16 @@ let run_par_cmd =
              Printf.printf "fault plan: %s%s\n" (Fault.describe plan)
                (if reliable then " (reliable transport)" else "")
          | None -> ());
+        let cost = Cost_model.make profile in
         let r =
           Spmd.run ~instantiate:(not no_instantiate) ~engine
             ~specialize:(not no_specialize) ~optimize ~trace ?faults ~reliable
-            ~collectives ~sim_domains ?chan_cap ?native_domains
-            ~cost:(Cost_model.make profile) ~topology program
+            ~collectives ~sim_domains ?chan_cap ?native_domains ~cost
+            ~topology program
             ~entry
             ~args:(List.map (fun n -> Value.VInt n) args)
         in
-        Array.iteri
-          (fun i o ->
-            if o.Spmd.printed <> "" then
-              Printf.printf "[proc %d] %s\n" i o.Spmd.printed)
-          r.Machine.values;
-        (match engine with
-         | `Native ->
-             Printf.printf "wall-clock time: %.4f s (native, %d processors)\n"
-               r.Machine.time nprocs
-         | `Ast | `Compiled ->
-             Printf.printf "simulated time: %.4f s (%s, %d processors)\n"
-               r.Machine.time profile.Cost_model.profile_name nprocs);
-        Format.printf "%a@." Stats.pp_summary r.Machine.stats;
+        print_string (Spmd.render ~summary:(engine, cost) r);
         (match trace_out with
          | Some file ->
              let oc = open_out file in
@@ -333,7 +335,7 @@ let run_par_cmd =
              ~doc:"Inject deterministic faults from $(docv): comma-separated \
                    key=value fields, e.g. \
                    $(b,drop=0.1,dup=0.05,corrupt=0.02,delay=0.1x8,\
-                   stall=2\\@0.01+0.005,crash=1\\@0.02,reboot=0.004,ckpt=on). \
+                   stall=2@0.01+0.005,crash=1@0.02,reboot=0.004,ckpt=on). \
                    Replayable: the same spec and seed reproduce the run \
                    bit-for-bit.")
   in
@@ -398,7 +400,7 @@ let run_par_cmd =
                    Senders block fiber-style when a ring is full.")
   in
   Cmd.v
-    (Cmd.info "run-par"
+    (Cmd.info "run-par" ~exits
        ~doc:"Execute a Skil program on the simulated Parsytec machine, or \
              with real parallelism under $(b,--engine native).")
     Term.(const run $ file_arg $ entry_arg $ args_arg $ width $ height

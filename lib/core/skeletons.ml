@@ -64,8 +64,10 @@ let create ctx ?(elem_bytes = Calibration.elem_bytes)
    | (Distribution.Cyclic | Distribution.Block_cyclic _), Darray.Torus2d ->
        invalid_arg "Skeletons.create: cyclic schemes use row distribution"
    | _ -> ());
+  (* rank 0 runs [init] over every partition, whichever rank arrives
+     first, so the rank charged for it never depends on host timing *)
   let a =
-    Machine.collective ctx (fun () ->
+    Machine.collective ~root:true ctx (fun () ->
         let pgrid = pgrid_for ctx ~gsize ~distr in
         let dist = Distribution.create ~gsize ~pgrid scheme in
         let a = Darray.make ~gsize ~dist ~distr ~elem_bytes init in

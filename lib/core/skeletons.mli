@@ -33,6 +33,9 @@ val create :
     values (0 block sizes, -1 lower bounds): [Torus2d] distributes blocks
     over the processor grid, [Default] and [Ring] distribute rows.
     [?scheme] selects the future-work cyclic layouts (Default/Ring only).
+    Processor 0 applies the initialisation function to every element, and
+    is charged for what it charges; every processor pays the [Mapped]
+    charge for its own partition.
 
     [?checkpoint] (default: {!Machine.checkpoint_default}, i.e. the fault
     plan's policy, [false] without one) makes the mutating skeletons

@@ -329,7 +329,7 @@ let scalar_builtin_2 = function
    points with the same op counts and byte sizes, and specialised
    argument-function closures run the very same compiled bodies via
    [c_run] (same pending_ops bumps, same flush points) — only the boxing
-   at the call boundary differs.  [test/test_engines.ml] pins makespans,
+   at the call boundary differs.  [test/test_paths.ml] pins makespans,
    Stats and traces bit-identical across engines × specialisation. *)
 
 (* Element representations a specialised invoker converts between: the

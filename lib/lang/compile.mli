@@ -13,7 +13,7 @@
     and flushes at the same points as the reference interpreter, so
     printed output, return values, simulated makespans, Stats and traces
     are bit-identical between the two engines (enforced by
-    [test/test_engines.ml]). *)
+    the path matrix, [test/test_paths.ml]). *)
 
 type t
 (** A compiled program: closure code for every function with a body. *)

@@ -113,3 +113,24 @@ let run_source ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
   run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains ?chan_cap
     ?native_domains ?cancel ?instantiate ?engine ?specialize ?optimize
     ~topology (Parser.parse source) ~entry ~args
+
+let render ?summary (r : outcome Machine.result) =
+  let b = Buffer.create 256 in
+  Array.iteri
+    (fun i o ->
+      if o.printed <> "" then Printf.bprintf b "[proc %d] %s\n" i o.printed)
+    r.Machine.values;
+  Option.iter
+    (fun (engine, (cost : Cost_model.t)) ->
+      let nprocs = Array.length r.Machine.values in
+      (match engine with
+      | `Native ->
+          Printf.bprintf b "wall-clock time: %.4f s (native, %d processors)\n"
+            r.Machine.time nprocs
+      | `Ast | `Compiled ->
+          Printf.bprintf b "simulated time: %.4f s (%s, %d processors)\n"
+            r.Machine.time cost.profile.profile_name nprocs);
+      Printf.bprintf b "%s\n"
+        (Format.asprintf "%a" Stats.pp_summary r.Machine.stats))
+    summary;
+  Buffer.contents b

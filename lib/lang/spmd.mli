@@ -170,3 +170,10 @@ val run_source :
     offending token — {!Errclass.of_exn} (lib/service) renders them as
     [file:line:col: kind: message], the exact diagnostics `skilc` prints,
     so service error replies carry positions verbatim. *)
+
+val render : ?summary:engine * Cost_model.t -> outcome Machine.result -> string
+(** What [skilc run-par] prints for a run: a [[proc i] <printed>] line for
+    each rank that printed anything, in rank order — on its own, the
+    payload of a skild OK reply — then, with [summary] (the run's engine
+    and cost model), the time line (simulated under the cost profile, or
+    native wall-clock) and the {!Stats} summary line. *)

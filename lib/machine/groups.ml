@@ -34,7 +34,12 @@ type t = {
   (* collective deposit table, guarded by [dmx] *)
   dmx : Mutex.t;
   deposits : (int, Obj.t * int ref) Hashtbl.t;
+  parked : (int, int) Hashtbl.t;
+      (* ranks blocked at a root call site rank 0 has not reached *)
   mutable next_tag : int;
+  resumed : int list Atomic.t array;
+      (* per group: its ranks whose root call site now has a value; their
+         fibers are woken before the group's next step *)
 }
 
 let create ~topology ~cost ~collectives ~cancel ~ngroups =
@@ -79,7 +84,9 @@ let create ~topology ~cost ~collectives ~cancel ~ngroups =
     sites = Array.make nranks 0;
     dmx = Mutex.create ();
     deposits = Hashtbl.create 16;
+    parked = Hashtbl.create 4;
     next_tag = 0;
+    resumed = Array.init ngroups (fun _ -> Atomic.make []);
   }
 
 let nranks t = Array.length t.group_of
@@ -152,10 +159,20 @@ let finish t g =
   Condition.broadcast t.cv;
   Mutex.unlock t.mx
 
+(* Wake the fibers of [g]'s ranks that {!collective} resumed.  Fibers
+   are spawned in rank order, so a rank's fiber id is its offset in the
+   group. *)
+let resume t g =
+  if Atomic.get t.resumed.(g) <> [] then
+    List.iter
+      (fun rank -> Scheduler.wake t.scheds.(g) (rank - t.first.(g)))
+      (Atomic.exchange t.resumed.(g) [])
+
 (* Step a claimed group until it finishes or releases.  After a failure
    anywhere, a group stops at the end of its current step instead of
    stepping again. *)
 let rec exec t ~step g =
+  resume t g;
   match step g with
   | true -> finish t g
   | false ->
@@ -232,22 +249,49 @@ let run t ~step ~quiesce =
 (* ------------------------------------------------------------------ *)
 (* Collective call sites                                               *)
 
-(* [sites.(rank)] is only touched by the domain running the rank's group. *)
-let collective t ~rank f =
+let rec push cell x =
+  let l = Atomic.get cell in
+  if not (Atomic.compare_and_set cell l (x :: l)) then push cell x
+
+(* [sites.(rank)] is only touched by the domain running the rank's group.
+   At a root site, a rank other than 0 that finds no deposit parks (one
+   [parked] binding per rank) until rank 0's evaluation resumes it. *)
+let collective ?(root = false) t ~rank f =
   let site = t.sites.(rank) in
   t.sites.(rank) <- site + 1;
-  Mutex.protect t.dmx (fun () ->
-      match Hashtbl.find_opt t.deposits site with
-      | Some (v, remaining) ->
-          decr remaining;
-          if !remaining = 0 then Hashtbl.remove t.deposits site;
-          Obj.obj v
-      | None ->
-          let v = f () in
-          let consumers = Array.length t.group_of - 1 in
-          if consumers > 0 then
-            Hashtbl.add t.deposits site (Obj.repr v, ref consumers);
-          v)
+  let rec arrive () =
+    match
+      Mutex.protect t.dmx (fun () ->
+          match Hashtbl.find_opt t.deposits site with
+          | Some (v, remaining) ->
+              decr remaining;
+              if !remaining = 0 then Hashtbl.remove t.deposits site;
+              `Took (Obj.obj v)
+          | None when root && rank <> 0 ->
+              Hashtbl.add t.parked site rank;
+              `Parked
+          | None ->
+              let v = f () in
+              let consumers = Array.length t.group_of - 1 in
+              if consumers > 0 then
+                Hashtbl.add t.deposits site (Obj.repr v, ref consumers);
+              let parked = Hashtbl.find_all t.parked site in
+              List.iter (fun _ -> Hashtbl.remove t.parked site) parked;
+              `Evaluated (v, parked))
+    with
+    | `Took v -> v
+    | `Parked ->
+        Scheduler.block t.scheds.(t.group_of.(rank));
+        arrive ()
+    | `Evaluated (v, parked) ->
+        List.iter
+          (fun r ->
+            push t.resumed.(t.group_of.(r)) r;
+            wake t t.group_of.(r))
+          parked;
+        v
+  in
+  arrive ()
 
 let tags t ~rank n =
   collective t ~rank (fun () ->

@@ -111,13 +111,19 @@ val run : t -> step:(int -> bool) -> quiesce:(unit -> unit) -> unit
 
 (** {1 Collective call sites} *)
 
-val collective : t -> rank:int -> (unit -> 'a) -> 'a
+val collective : ?root:bool -> t -> rank:int -> (unit -> 'a) -> 'a
 (** [collective t ~rank f], called by [rank]'s fiber at its next collective
     call site: the first rank to reach a call site evaluates [f] and
     deposits the result; the other ranks take it, and the last one removes
     the entry.  All ranks must reach call sites in the same order (the SPMD
     discipline).  [f] must be rank-independent and communication-free (the
-    collective contract): it runs under the table's lock. *)
+    collective contract): it runs under the table's lock.
+
+    With [~root:true] rank 0 evaluates [f], whichever rank arrives first:
+    a rank that reaches the site before rank 0 has evaluated it parks its
+    fiber until rank 0 has, so what [f] charges to the evaluating rank is
+    independent of host timing and of the number of groups.  Rank 0 must
+    not wait, before the site, on anything the other ranks do after it. *)
 
 val tags : t -> rank:int -> int -> int
 (** [tags t ~rank n] reserves [n] consecutive fresh tag values at [rank]'s

@@ -163,7 +163,7 @@ let rank_stats ctx = Stats.proc (Groups.stats ctx.g) ctx.id
 let record_collective ctx ~name ~bytes =
   Stats.count_collective (rank_stats ctx) ~name ~bytes
 
-let collective ctx f = Groups.collective ctx.g ~rank:ctx.id f
+let collective ?root ctx f = Groups.collective ?root ctx.g ~rank:ctx.id f
 let tags ctx n = Groups.tags ctx.g ~rank:ctx.id n
 
 (* ------------------------------------------------------------------ *)

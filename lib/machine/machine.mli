@@ -255,11 +255,15 @@ val sendrecv :
 
 (** {1 Collective helpers} *)
 
-val collective : ctx -> (unit -> 'a) -> 'a
+val collective : ?root:bool -> ctx -> (unit -> 'a) -> 'a
 (** Evaluate [f] once per {e collective call site} and hand the same value to
     every processor (used to share handles of freshly created distributed
     structures; costs nothing in simulated time).  All processors must reach
-    collective call sites in the same order — the usual SPMD discipline. *)
+    collective call sites in the same order — the usual SPMD discipline.
+    The first processor to arrive evaluates [f]; with [~root:true] processor
+    0 does, the others waiting for it, so an [f] that charges work charges
+    it to processor 0 on every engine and at every [sim_domains]
+    ({!Groups.collective}). *)
 
 val tags : ctx -> int -> int
 (** [tags ctx n] reserves [n] consecutive fresh tag values shared by all

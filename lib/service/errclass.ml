@@ -80,20 +80,21 @@ let of_name = function
    does not have (e.g. {!Machine.Cancelled}, which the service maps to
    [Deadline] or [Disconnect] from the watchdog's recorded reason). *)
 let of_exn ?file e =
-  let where line col =
-    match file with
-    | Some p -> Printf.sprintf "%s:%d:%d" p line col
-    | None -> Printf.sprintf "%d:%d" line col
+  (* [line] 0 is no position: such a diagnostic names only the file *)
+  let diag line col kind message =
+    let pos = if line > 0 then [ Printf.sprintf "%d:%d" line col ] else [] in
+    let where = String.concat ":" (Option.to_list file @ pos) in
+    (if where = "" then "" else where ^ ": ") ^ kind ^ ": " ^ message
   in
   match e with
   | Lexer.Error { line; col; message } ->
-      Some (Syntax, Printf.sprintf "%s: lexical error: %s" (where line col) message)
+      Some (Syntax, diag line col "lexical error" message)
   | Parser.Error { line; col; message } ->
-      Some (Syntax, Printf.sprintf "%s: syntax error: %s" (where line col) message)
+      Some (Syntax, diag line col "syntax error" message)
   | Typecheck.Type_error { line; col; message } ->
-      Some (Type_err, Printf.sprintf "%s: type error: %s" (where line col) message)
+      Some (Type_err, diag line col "type error" message)
   | Instantiate.Unsupported { line; message } ->
-      Some (Inst_err, Printf.sprintf "%s: not instantiable: %s" (where line 0) message)
+      Some (Inst_err, diag line 0 "not instantiable" message)
   | Value.Skil_runtime_error m -> Some (Runtime, "runtime error: " ^ m)
   | Darray.Local_access_violation { rank; index } ->
       Some

@@ -34,7 +34,8 @@ val of_name : string -> t option
 val of_exn : ?file:string -> exn -> (t * string) option
 (** Classify a pipeline exception and render skilc's exact diagnostic for
     it ([file:line:col: kind: message] when the exception carries a
-    position — the service hands positions back verbatim this way).
+    position, that is a line above 0, and [file: kind: message] when it
+    does not — the service hands positions back verbatim this way).
     [None] for exceptions whose class depends on context this module lacks
     ({!Machine.Cancelled} is [Deadline] or [Disconnect] depending on why
     the watchdog fired; anything unknown is the caller's [Internal]). *)

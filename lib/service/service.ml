@@ -159,17 +159,6 @@ let backoff_ms cfg attempt =
 let expired j t_now =
   match j.jdeadline with Some d -> t_now > d | None -> false
 
-(* Render the outcome exactly as `skilc run-par` prints it, so clients can
-   byte-compare daemon results against direct compiler runs. *)
-let render_output (r : Spmd.outcome Machine.result) =
-  let b = Buffer.create 256 in
-  Array.iteri
-    (fun i (o : Spmd.outcome) ->
-      if o.Spmd.printed <> "" then
-        Buffer.add_string b (Printf.sprintf "[proc %d] %s\n" i o.Spmd.printed))
-    r.Machine.values;
-  Buffer.contents b
-
 let finish_slot t j ~native_token =
   locked t (fun () ->
       t.running <- List.filter (fun j' -> j' != j) t.running;
@@ -277,7 +266,7 @@ let run_job t j =
                         ms;
                         value =
                           Value.describe r.Machine.values.(0).Spmd.value;
-                        output = render_output r;
+                        output = Spmd.render r;
                       })
            with
           | Machine.Cancelled -> (

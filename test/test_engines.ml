@@ -1,161 +1,30 @@
-(* Differential tests between the two execution engines: the compiled
-   engine (Compile, translation to closures) must be bit-identical to the
-   reference tree-walking interpreter — same printed output per processor,
-   same return values, same simulated makespan, same Stats counters, same
-   structured trace. *)
-
-let read path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let examples_dir () =
-  List.find_opt Sys.file_exists
-    [ "../examples/skil"; "examples/skil"; "../../../examples/skil" ]
-
-let source name =
-  match examples_dir () with
-  | Some d -> read (Filename.concat d name)
-  | None -> Alcotest.failf "cannot find examples/skil"
-
-(* entry point, arguments and topology for every shipped example *)
-let corpus =
-  [
-    ("quicksort.skil", "main", [], `Mesh (2, 2));
-    ("shpaths.skil", "shpaths", [ Value.VInt 8 ], `Torus (2, 2));
-    ("gauss.skil", "gauss", [ Value.VInt 8 ], `Mesh (2, 1));
-    ("matmul.skil", "matmul", [ Value.VInt 8 ], `Torus (2, 2));
-    ("threshold.skil", "main", [ Value.VInt 8 ], `Mesh (2, 1));
-    ("jacobi.skil", "jacobi", [ Value.VInt 16 ], `Mesh (2, 2));
-  ]
-
-let topology = function
-  | `Mesh (w, h) -> Topology.mesh ~width:w ~height:h
-  | `Torus (w, h) -> Topology.torus2d ~width:w ~height:h ()
-
-let exact = Alcotest.float 0.0
-
-let check_identical name ra rc =
-  let nprocs = Array.length ra.Machine.values in
-  Alcotest.(check int)
-    (name ^ " nprocs") nprocs
-    (Array.length rc.Machine.values);
-  for i = 0 to nprocs - 1 do
-    let oa = ra.Machine.values.(i) and oc = rc.Machine.values.(i) in
-    Alcotest.(check string)
-      (Printf.sprintf "%s printed[%d]" name i)
-      oa.Spmd.printed oc.Spmd.printed;
-    Alcotest.(check string)
-      (Printf.sprintf "%s value[%d]" name i)
-      (Value.describe oa.Spmd.value)
-      (Value.describe oc.Spmd.value)
-  done;
-  Alcotest.check exact (name ^ " makespan") ra.Machine.time rc.Machine.time;
-  let sa = ra.Machine.stats and sc = rc.Machine.stats in
-  Alcotest.check exact
-    (name ^ " stats makespan")
-    sa.Stats.makespan sc.Stats.makespan;
-  Array.iteri
-    (fun i pa ->
-      let pc = Stats.proc sc i in
-      let f fld a b =
-        Alcotest.check exact (Printf.sprintf "%s %s[%d]" name fld i) a b
-      in
-      let g fld a b =
-        Alcotest.(check int) (Printf.sprintf "%s %s[%d]" name fld i) a b
-      in
-      f "compute" pa.Stats.compute_time pc.Stats.compute_time;
-      f "wait" pa.Stats.comm_wait pc.Stats.comm_wait;
-      f "overhead" pa.Stats.overhead_time pc.Stats.overhead_time;
-      g "msgs" pa.Stats.msgs_sent pc.Stats.msgs_sent;
-      g "bytes" pa.Stats.bytes_sent pc.Stats.bytes_sent;
-      g "hop_bytes" pa.Stats.hop_bytes pc.Stats.hop_bytes;
-      g "skeleton_calls" pa.Stats.skeleton_calls pc.Stats.skeleton_calls)
-    sa.Stats.procs;
-  Alcotest.(check string)
-    (name ^ " trace")
-    (Profile.chrome_json ra.Machine.trace ~nprocs)
-    (Profile.chrome_json rc.Machine.trace ~nprocs)
-
-(* three-way: the reference interpreter, the compiled engine with payload
-   specialisation (the default), and the compiled engine with every array
-   element kept boxed (--no-specialize) must all agree bit-for-bit *)
-let run_both ?cost ?collectives ?(instantiate = true) ~topology src ~entry
-    ~args name =
-  let go ?(specialize = true) engine =
-    Spmd.run_source ?cost ?collectives ~instantiate ~engine ~specialize
-      ~trace:true ~topology src ~entry ~args
-  in
-  let ra = go `Ast in
-  check_identical name ra (go `Compiled);
-  check_identical (name ^ " (no-specialize)") ra
-    (go ~specialize:false `Compiled)
-
-let test_corpus_equivalence () =
-  List.iter
-    (fun (file, entry, args, topo) ->
-      let src = source file in
-      run_both ~topology:(topology topo) src ~entry ~args file;
-      (* the higher-order source, without translation by instantiation *)
-      run_both ~instantiate:false ~topology:(topology topo) src ~entry ~args
-        (file ^ " (no-instantiate)"))
-    corpus
-
-(* every shipped example must be covered by the differential harness *)
-let test_corpus_is_exhaustive () =
-  match examples_dir () with
-  | None -> Alcotest.fail "cannot find examples/skil"
-  | Some d ->
-      Array.iter
-        (fun f ->
-          if Filename.check_suffix f ".skil" then
-            Alcotest.(check bool)
-              (f ^ " has an engine-equivalence entry")
-              true
-              (List.exists (fun (n, _, _, _) -> n = f) corpus))
-        (Sys.readdir d)
-
-let test_cost_profiles_equivalence () =
-  let src = source "gauss.skil" in
-  List.iter
-    (fun profile ->
-      run_both
-        ~cost:(Cost_model.make profile)
-        ~topology:(Topology.mesh ~width:2 ~height:1)
-        src ~entry:"gauss" ~args:[ Value.VInt 8 ]
-        ("gauss " ^ profile.Cost_model.profile_name))
-    [ Cost_model.parix_c; Cost_model.dpfl ]
-
 (* ---------------- compiled fast paths ----------------
 
    Each program below drives one shortcut of the compiled engine: statement
    outcomes returned instead of raised, invoker frames reused per skeleton
    call, arguments lent to bodies that never assign through them, bounds
    read in place, and gen_mult's monomorphic kernels.  All three engine
-   configurations must agree on values, printed output, makespans, Stats
-   and traces, or fail with the same message. *)
+   configurations must agree as the path matrix's [Bytes] class defines
+   (test_paths.ml, which runs the example programs), or fail with the
+   same message. *)
 
 let mesh22 = Topology.mesh ~width:2 ~height:2
 let torus22 = Topology.torus2d ~width:2 ~height:2 ()
 
-(* Like [run_both] for a program that must fail: the same runtime error
-   text under every configuration. *)
-let fails_alike ~topology src name =
-  let go ?(specialize = true) engine =
-    match
-      Spmd.run_source ~engine ~specialize ~topology src ~entry:"main"
-        ~args:[]
-    with
-    | _ -> Alcotest.failf "%s: expected a runtime error" name
-    | exception Value.Skil_runtime_error m -> m
-  in
-  let m = go `Ast in
-  Alcotest.(check string) (name ^ " compiled") m (go `Compiled);
-  Alcotest.(check string)
-    (name ^ " no-specialize") m
-    (go ~specialize:false `Compiled);
-  m
+(* ast, compiled and --no-specialize agree byte for byte, or fail with one
+   diagnostic; the ast outcome *)
+let agree ?(collectives = "tree") ~topology src name =
+  Test_paths.agree_engines ~what:name
+    (fun s -> Test_paths.observe ~topology s src)
+    { Test_paths.default with collectives }
+
+let run_all ?collectives ~topology src name =
+  ignore (Test_paths.ok ~what:name (agree ?collectives ~topology src name))
+
+let fails_with ~topology src name =
+  match agree ~topology src name with
+  | Ok _ -> Alcotest.failf "%s: expected a runtime error" name
+  | Error m -> m
 
 let loop_control_src =
   {|
@@ -201,8 +70,7 @@ int main() {
 |}
 
 let test_loop_control () =
-  run_both ~topology:mesh22 loop_control_src ~entry:"main" ~args:[]
-    "loop control"
+  run_all ~topology:mesh22 loop_control_src "loop control"
 
 (* The fold call site inside [deep] runs again from the element calls of
    its own outer fold.  Frames belong to a skeleton call, not to a call
@@ -229,8 +97,7 @@ int main() {
 |}
 
 let test_nested_call_frames () =
-  run_both ~topology:mesh22 nested_src ~entry:"main" ~args:[]
-    "nested skeleton calls"
+  run_all ~topology:mesh22 nested_src "nested skeleton calls"
 
 let bounds_src body =
   Printf.sprintf
@@ -255,20 +122,20 @@ int main() {
     body
 
 let test_bounds_in_place () =
-  run_both ~topology:mesh22
+  run_all ~topology:mesh22
     (bounds_src
        "return v + itof(bds->lowerBd[0] * 100 + bds->upperBd[1] * 10 +         bds->upperBd[0] - bds->lowerBd[1]);")
-    ~entry:"main" ~args:[] "bounds in range";
+    "bounds in range";
   List.iter
     (fun (expr, want) ->
       Alcotest.(check string)
         expr want
-        (fails_alike ~topology:mesh22
+        (fails_with ~topology:mesh22
            (bounds_src (Printf.sprintf "return v + itof(%s);" expr))
            expr))
     [
-      ("bds->upperBd[2]", "Index access out of range (2)");
-      ("bds->lowerBd[0 - 1]", "Index access out of range (-1)");
+      ("bds->upperBd[2]", "runtime error: Index access out of range (2)");
+      ("bds->lowerBd[0 - 1]", "runtime error: Index access out of range (-1)");
     ]
 
 let gen_mult_src ~ty ~add ~mul =
@@ -302,8 +169,7 @@ int main() {
 let test_gen_mult_pairs () =
   List.iter
     (fun (ty, add, mul) ->
-      run_both ~topology:torus22 (gen_mult_src ~ty ~add ~mul) ~entry:"main"
-        ~args:[]
+      run_all ~topology:torus22 (gen_mult_src ~ty ~add ~mul)
         (Printf.sprintf "gen_mult %s %s %s" ty add mul))
     [
       ("int", "min", "(+)");
@@ -314,8 +180,8 @@ let test_gen_mult_pairs () =
       ("float", "min", "(+)");
     ];
   Alcotest.(check string)
-    "int / by zero" "division by zero"
-    (fails_alike ~topology:torus22
+    "int / by zero" "runtime error: division by zero"
+    (fails_with ~topology:torus22
        (gen_mult_src ~ty:"int" ~add:"(+)" ~mul:"(/)")
        "gen_mult int (+) (/)")
 
@@ -360,13 +226,10 @@ int main() {
 
 let test_struct_merge_copies () =
   List.iter
-    (fun (name, collectives) ->
-      run_both ~collectives ~topology:mesh22 struct_merge_src ~entry:"main"
-        ~args:[] ("struct merge " ^ name))
-    [
-      ("legacy", Coll_alg.Legacy);
-      ("recdouble", Coll_alg.Force Coll_alg.Recdouble);
-    ]
+    (fun collectives ->
+      run_all ~collectives ~topology:mesh22 struct_merge_src
+        ("struct merge " ^ collectives))
+    [ "tree"; "recdouble" ]
 
 (* An argument an invoker lends is still reachable by other code: a
    partition element through array_get_elem, a heap struct through its
@@ -408,8 +271,8 @@ int main() {
 let test_aliased_arguments () =
   List.iter
     (fun (name, helpers, body) ->
-      run_both ~topology:mesh22 (aliased_src ~helpers ~body) ~entry:"main"
-        ~args:[] ("aliased " ^ name))
+      run_all ~topology:mesh22 (aliased_src ~helpers ~body)
+        ("aliased " ^ name))
     [
       ( "struct element",
         {|int poke(array<P> a, Index ix) { array_get_elem(a, ix).x = 99; return 1; }
@@ -515,11 +378,9 @@ let suite =
     ( "engines",
       [
         Alcotest.test_case "corpus both engines" `Quick
-          test_corpus_equivalence;
-        Alcotest.test_case "corpus exhaustive" `Quick
-          test_corpus_is_exhaustive;
+          (Test_paths.test_settings [ Test_paths.no_instantiate ]);
         Alcotest.test_case "cost profiles both engines" `Quick
-          test_cost_profiles_equivalence;
+          (Test_paths.test_settings Test_paths.profiles);
         Alcotest.test_case "pointer comparison" `Quick
           test_pointer_comparison_semantics;
         Alcotest.test_case "over-application" `Quick test_over_application;

@@ -4,9 +4,9 @@
 
 let feq = Alcotest.(check (float 1e-9))
 
-let drop_plan ?(seed = 1) rate =
+let drop_plan rate =
   {
-    (Fault.none ~seed) with
+    (Fault.none ~seed:1) with
     Fault.link = { Fault.no_link_faults with Fault.drop = rate };
   }
 
@@ -258,38 +258,17 @@ let test_replay_bit_identical () =
 
 (* ---------------- corpus-level: .skil program under faults ---------- *)
 
-let read path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let source name =
-  let candidates =
-    [
-      "../examples/skil/" ^ name;
-      "examples/skil/" ^ name;
-      "../../../examples/skil/" ^ name;
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> read p
-  | None -> Alcotest.failf "cannot find %s" name
-
 let test_skil_program_under_faults () =
-  let src = source "gauss.skil" in
-  let topo = Topology.mesh ~width:2 ~height:2 in
-  let go ?faults ?reliable () =
-    let r =
-      Spmd.run_source ?faults ?reliable ~topology:topo src ~entry:"gauss"
-        ~args:[ Value.VInt 8 ]
-    in
-    Array.map (fun o -> o.Spmd.printed) r.Machine.values
-  in
-  let clean = go () in
-  let faulty = go ~faults:(drop_plan ~seed:3 0.2) ~reliable:true () in
-  Alcotest.(check (array string)) "gauss.skil output under 20% loss"
-    clean faulty
+  let gauss = Test_paths.row "gauss.skil" "gauss" ~args:[ 8 ] (2, 2) in
+  let go s = Test_paths.observe_row s gauss in
+  Test_paths.expect ~what:"gauss.skil output under 20% loss" Values
+    (go Test_paths.default)
+    (go
+       {
+         Test_paths.default with
+         faults = Some "drop=0.2,seed=3";
+         reliable = true;
+       })
 
 (* ---------------- qcheck: reliable delivery is value-transparent ----- *)
 

@@ -865,65 +865,6 @@ let test_standalone_rejects () =
       }
     |}
 
-(* The standalone emitter's contract, end to end: the C it prints for the
-   compilable examples builds with the host cc and its stdout byte-matches
-   the simulator at 1x1 (the run-par framing).  Skipped quietly when no C
-   compiler is on PATH. *)
-let standalone_targets =
-  [
-    ("shpaths.skil", "shpaths", 8);
-    ("jacobi.skil", "jacobi", 16);
-    ("matmul.skil", "matmul", 8);
-  ]
-
-let test_standalone_cc () =
-  if Sys.command "cc --version > /dev/null 2>&1" <> 0 then
-    Printf.eprintf "standalone cc test skipped: no cc on PATH\n"
-  else
-    List.iter
-      (fun (file, entry, n) ->
-        let src = Test_engines.source file in
-        let p = Parser.parse src in
-        let env = Typecheck.check p in
-        let fo = Instantiate.program env p ~entries:[ entry ] in
-        let c = Emit_c.standalone fo ~entry ~args:[ n ] in
-        let r =
-          Spmd.run_source
-            ~topology:(Topology.mesh ~width:1 ~height:1)
-            src ~entry
-            ~args:[ Value.VInt n ]
-        in
-        let want = Buffer.create 256 in
-        Array.iteri
-          (fun i (o : Spmd.outcome) ->
-            if o.Spmd.printed <> "" then
-              Buffer.add_string want
-                (Printf.sprintf "[proc %d] %s\n" i o.Spmd.printed))
-          r.Machine.values;
-        let cfile = Filename.temp_file "skil_standalone" ".c" in
-        let exe = Filename.temp_file "skil_standalone" ".exe" in
-        let out = Filename.temp_file "skil_standalone" ".out" in
-        Fun.protect
-          ~finally:(fun () -> List.iter Sys.remove [ cfile; exe; out ])
-          (fun () ->
-            let oc = open_out cfile in
-            output_string oc c;
-            close_out oc;
-            Alcotest.(check int)
-              (file ^ " compiles") 0
-              (Sys.command
-                 (Printf.sprintf "cc -o %s %s -lm > /dev/null 2>&1"
-                    (Filename.quote exe) (Filename.quote cfile)));
-            Alcotest.(check int)
-              (file ^ " runs") 0
-              (Sys.command
-                 (Printf.sprintf "%s > %s" (Filename.quote exe)
-                    (Filename.quote out)));
-            Alcotest.(check string) (file ^ " output")
-              (Buffer.contents want)
-              (Test_engines.read out)))
-      standalone_targets
-
 (* Bad indices in skeleton calls on a {2, 4} array over a 2x1 mesh: a
    non-local element access is a runtime error naming the processor and the
    index, and a broadcast root outside the array is rejected on every rank
@@ -1099,7 +1040,5 @@ let suite =
         Alcotest.test_case "type mangling" `Quick test_mangle_type;
         Alcotest.test_case "standalone rejects" `Quick
           test_standalone_rejects;
-        Alcotest.test_case "standalone cc round-trip" `Quick
-          test_standalone_cc;
       ] );
   ]

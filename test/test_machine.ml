@@ -365,6 +365,22 @@ let test_collective_shares_value () =
   in
   Alcotest.(check int) "last increment sees all" 4 r.Machine.values.(3)
 
+(* Rank 0 evaluates a root call site even when another rank reaches it
+   first: here rank 0 waits for rank 1's message before its own. *)
+let test_root_collective () =
+  List.iter
+    (fun (name, run) ->
+      let r =
+        run (fun ctx ->
+            let me = Machine.self ctx in
+            if me = 0 then ignore (Machine.recv ctx ~src:1 ~tag:0 : int)
+            else Machine.send ctx ~dest:0 ~tag:0 ~bytes:8 me;
+            Machine.collective ~root:true ctx (fun () -> me))
+      in
+      Alcotest.(check (array int))
+        (name ^ ": evaluated by") [| 0; 0 |] r.Machine.values)
+    (engines_2x1 ())
+
 let test_tags_unique () =
   let r =
     run ~procs:3 (fun ctx ->
@@ -525,6 +541,7 @@ let suite =
         Alcotest.test_case "late receiver" `Quick test_recv_waits_for_arrival;
         Alcotest.test_case "self send" `Quick test_self_send;
         Alcotest.test_case "collective" `Quick test_collective_shares_value;
+        Alcotest.test_case "root collective" `Quick test_root_collective;
         Alcotest.test_case "tags" `Quick test_tags_unique;
         Alcotest.test_case "stats" `Quick test_stats_counts;
         Alcotest.test_case "recv_any earliest" `Quick

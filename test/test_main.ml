@@ -6,6 +6,6 @@ let () =
    @ Test_skeletons.suite @ Test_extensions.suite @ Test_apps.suite
    @ Test_dc_apps.suite @ Test_baselines.suite @ Test_lang.suite
    @ Test_skil_programs.suite @ Test_engines.suite @ Test_specialize.suite
-   @ Test_optimize.suite @ Test_pdes.suite
+   @ Test_optimize.suite @ Test_pdes.suite @ Test_paths.suite
    @ Test_harness.suite @ Test_pool.suite
    @ Test_properties.suite @ Test_native.suite @ Test_service.suite)

@@ -1,127 +1,22 @@
 (* Tests for the native execution backend (Machine.run_native / --engine
-   native): the simulator is the oracle for values and printed output, the
-   raw Machine API is stressed directly for the parts the corpus cannot
-   pin — recv_any exactly-once consumption, capacity-1 rings at full
-   backpressure, and stall detection. *)
-
-(* ---------------- corpus: native vs simulator ---------------- *)
-
-(* Printed output, per-rank return values, the deterministic message
-   counters and the collective-algorithm counts must match the simulator
-   exactly; times, traces and the wait/compute stats are wall-clock under
-   native and are NOT compared. *)
-let check_values name rs rn =
-  let nprocs = Array.length rs.Machine.values in
-  Alcotest.(check int)
-    (name ^ " nprocs") nprocs
-    (Array.length rn.Machine.values);
-  for i = 0 to nprocs - 1 do
-    let os = rs.Machine.values.(i) and on = rn.Machine.values.(i) in
-    Alcotest.(check string)
-      (Printf.sprintf "%s printed[%d]" name i)
-      os.Spmd.printed on.Spmd.printed;
-    Alcotest.(check string)
-      (Printf.sprintf "%s value[%d]" name i)
-      (Value.describe os.Spmd.value)
-      (Value.describe on.Spmd.value)
-  done;
-  Array.iteri
-    (fun i ps ->
-      let pn = Stats.proc rn.Machine.stats i in
-      let g fld a b =
-        Alcotest.(check int) (Printf.sprintf "%s %s[%d]" name fld i) a b
-      in
-      g "msgs" ps.Stats.msgs_sent pn.Stats.msgs_sent;
-      g "bytes" ps.Stats.bytes_sent pn.Stats.bytes_sent;
-      g "hop_bytes" ps.Stats.hop_bytes pn.Stats.hop_bytes;
-      g "skeleton_calls" ps.Stats.skeleton_calls pn.Stats.skeleton_calls)
-    rs.Machine.stats.Stats.procs;
-  Alcotest.(check (list (pair string int)))
-    (name ^ " collective algorithms")
-    (Stats.coll_alg_totals rs.Machine.stats)
-    (Stats.coll_alg_totals rn.Machine.stats)
-
-let domain_counts = [ 1; 2; 4 ]
-
-let test_corpus_native () =
-  List.iter
-    (fun (file, entry, args, topo) ->
-      let src = Test_engines.source file in
-      let topology = Test_engines.topology topo in
-      let rs = Spmd.run_source ~engine:`Compiled ~topology src ~entry ~args in
-      List.iter
-        (fun d ->
-          let rn =
-            Spmd.run_source ~engine:`Native ~native_domains:d ~topology src
-              ~entry ~args
-          in
-          check_values (Printf.sprintf "%s d=%d" file d) rs rn)
-        domain_counts)
-    Test_engines.corpus
-
-(* The selecting collective modes run each algorithm's own message
-   pattern, chosen from the run's [Coll_alg.net]; native must choose and
-   send exactly what the simulator does under the same mode. *)
-let test_collective_modes_native () =
-  List.iter
-    (fun (file, entry, args, topo) ->
-      if List.mem file [ "gauss.skil"; "matmul.skil"; "jacobi.skil" ] then begin
-        let src = Test_engines.source file in
-        let topology = Test_engines.topology topo in
-        List.iter
-          (fun mode ->
-            let collectives = Result.get_ok (Coll_alg.mode_of_string mode) in
-            let rs =
-              Spmd.run_source ~engine:`Compiled ~collectives ~topology src
-                ~entry ~args
-            in
-            if Stats.coll_alg_totals rs.Machine.stats = [] then
-              Alcotest.failf "%s %s: no selected collective was run" file mode;
-            List.iter
-              (fun d ->
-                let rn =
-                  Spmd.run_source ~engine:`Native ~collectives
-                    ~native_domains:d ~topology src ~entry ~args
-                in
-                check_values (Printf.sprintf "%s %s d=%d" file mode d) rs rn)
-              domain_counts)
-          [ "auto"; "pipeline" ]
-      end)
-    Test_engines.corpus
+   native): random programs against the simulator through the path
+   matrix's agreement (test_paths.ml runs the corpus), and the raw Machine
+   API for what the corpus cannot pin — recv_any exactly-once consumption,
+   capacity-1 rings at full backpressure, and stall detection. *)
 
 (* ---------------- random programs: native vs simulator ---------------- *)
 
 let qcheck_native =
   Test_specialize.qt ~count:30 "native matches simulator (random programs)"
     Test_specialize.gen_program (fun src ->
-      let topology = Topology.mesh ~width:2 ~height:2 in
-      let rs =
-        Spmd.run_source ~engine:`Compiled ~topology src ~entry:"main"
-          ~args:[]
-      in
+      let reference = Test_paths.observe Test_paths.default src in
       List.for_all
         (fun d ->
-          let rn =
-            Spmd.run_source ~engine:`Native ~native_domains:d ~topology src
-              ~entry:"main" ~args:[]
-          in
-          Array.for_all2
-            (fun (os : Spmd.outcome) (on : Spmd.outcome) ->
-              let ok =
-                os.Spmd.printed = on.Spmd.printed
-                && Value.describe os.Spmd.value = Value.describe on.Spmd.value
-              in
-              if not ok then
-                QCheck2.Test.fail_reportf
-                  "native (domains=%d) diverged from simulator:@.sim \
-                   printed %S value %s@.native printed %S value %s"
-                  d os.Spmd.printed
-                  (Value.describe os.Spmd.value)
-                  on.Spmd.printed
-                  (Value.describe on.Spmd.value);
-              ok)
-            rs.Machine.values rn.Machine.values)
-        domain_counts)
+          Test_paths.agrees Counters reference
+            (Test_paths.observe
+               ((Test_paths.native d).set Test_paths.default)
+               src))
+        [ 1; 2; 4 ])
 
 (* ---------------- recv_any farm: exactly-once consumption -------------- *)
 
@@ -220,7 +115,7 @@ let test_capacity_one_backpressure () =
             ((k * left * 1000) + (k * (k - 1) / 2))
             sum)
         r.Machine.values)
-    domain_counts
+    [ 1; 2; 4 ]
 
 (* ---------------- stall detection ---------------- *)
 
@@ -285,9 +180,9 @@ let suite =
     ( "native",
       [
         Alcotest.test_case "corpus native vs simulator" `Quick
-          test_corpus_native;
+          (Test_paths.test_native [ Test_paths.default.collectives ]);
         Alcotest.test_case "collective modes native vs simulator" `Quick
-          test_collective_modes_native;
+          (Test_paths.test_native Test_paths.other_modes);
         qcheck_native;
         Alcotest.test_case "finished blocks never read as stalled" `Quick
           test_finish_race;

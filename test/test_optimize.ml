@@ -1,81 +1,15 @@
 (* The skeleton-fusion optimizer (Optimize, --optimize fuse) must be
    unobservable in values: for every program the fused run prints the
    same bytes and returns the same values as the unoptimized one, on
-   both engines, while charging no more (and on the apps with fusable
-   pipelines strictly fewer) simulated operations.  --optimize none must
-   remain byte-identical to a build without the pass: same output, same
-   makespan, same Stats, same chrome trace.
+   both engines.  The path matrix (test_paths.ml) checks the corpus,
+   including that fusion charges no more operations (strictly fewer on
+   the apps with fusable pipelines) and that skilc's --optimize none
+   prints the default's bytes; here random programs and the purity
+   analysis are checked through the matrix's agreement function.
 
    Also here: the frontend bugfix sweep regressions — purity analysis
    refusing to fuse an impure argument function, and line/column
    positions on lexer, parser and typechecker diagnostics. *)
-
-let qt ?(count = 40) name gen prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count ~name ~print:(fun s -> s) gen prop)
-
-let run ?(engine = `Compiled) ~optimize (file, entry, args, topo) =
-  Spmd.run_source ~engine ~optimize ~trace:true
-    ~topology:(Test_engines.topology topo)
-    (Test_engines.source file) ~entry ~args
-
-(* total charged operations across all profile spans *)
-let ops_total r =
-  let nprocs = Array.length r.Machine.values in
-  let p =
-    Profile.of_trace r.Machine.trace ~nprocs ~makespan:r.Machine.time
-  in
-  List.fold_left
-    (fun acc s ->
-      acc + s.Profile.ops_kernel + s.Profile.ops_mapped + s.Profile.ops_scalar)
-    0 p.Profile.spans
-
-let check_values name ra rb =
-  let nprocs = Array.length ra.Machine.values in
-  Alcotest.(check int)
-    (name ^ " nprocs") nprocs
-    (Array.length rb.Machine.values);
-  for i = 0 to nprocs - 1 do
-    let oa = ra.Machine.values.(i) and ob = rb.Machine.values.(i) in
-    Alcotest.(check string)
-      (Printf.sprintf "%s printed[%d]" name i)
-      oa.Spmd.printed ob.Spmd.printed;
-    Alcotest.(check string)
-      (Printf.sprintf "%s value[%d]" name i)
-      (Value.describe oa.Spmd.value)
-      (Value.describe ob.Spmd.value)
-  done
-
-(* apps where ISSUE requires the fused run to charge strictly fewer ops *)
-let must_improve = [ "gauss.skil"; "matmul.skil"; "jacobi.skil" ]
-
-(* Three ways over the whole corpus: reference interpreter, compiled
-   engine, compiled engine with fusion.  none = byte-identical
-   (including the chrome trace); fuse = value-identical on both engines
-   and never charged more. *)
-let test_corpus_three_way () =
-  List.iter
-    (fun ((file, _, _, _) as c) ->
-      let ast = run ~engine:`Ast ~optimize:`None c in
-      let comp = run ~optimize:`None c in
-      (* check_identical compares printed/value/makespan/Stats and does a
-         byte-diff of the chrome-trace JSON *)
-      Test_engines.check_identical (file ^ " none") ast comp;
-      let fuse = run ~optimize:`Fuse c in
-      check_values (file ^ " fuse vs none") ast fuse;
-      (* the fused program itself must still be engine-identical *)
-      Test_engines.check_identical
-        (file ^ " fuse engines")
-        (run ~engine:`Ast ~optimize:`Fuse c)
-        fuse;
-      let o_none = ops_total comp and o_fuse = ops_total fuse in
-      if o_fuse > o_none then
-        Alcotest.failf "%s: fuse charged %d ops, none charged %d" file o_fuse
-          o_none;
-      if List.mem file must_improve && o_fuse >= o_none then
-        Alcotest.failf "%s: fuse must charge strictly fewer ops (%d vs %d)"
-          file o_fuse o_none)
-    Test_engines.corpus
 
 (* ---------------- random programs: fusion is unobservable ------------- *)
 
@@ -146,26 +80,14 @@ void main() {
     conv_e tname tname tname merge_e tname tname tname n n n iters chain
     tname n tname tname
 
-let observe src ~engine ~optimize =
-  let r =
-    Spmd.run_source ~engine ~optimize ~trace:true
-      ~topology:(Topology.mesh ~width:2 ~height:2)
-      src ~entry:"main" ~args:[]
-  in
-  ( Array.map (fun o -> o.Spmd.printed) r.Machine.values,
-    Array.map (fun o -> Value.describe o.Spmd.value) r.Machine.values )
+let observe ?(engine = `Compiled) ~optimize src =
+  Test_paths.observe { Test_paths.default with engine; optimize } src
 
+(* for the fusable programs, and the specialize generator's flat ones *)
 let prop_fusion_unobservable src =
-  let a = observe src ~engine:`Ast ~optimize:`None in
-  let f = observe src ~engine:`Compiled ~optimize:`Fuse in
-  let fa = observe src ~engine:`Ast ~optimize:`Fuse in
-  a = f && a = fa
-
-(* the specialize generator's flat programs must also survive fusion *)
-let prop_specialize_corpus_unobservable src =
-  let a = observe src ~engine:`Ast ~optimize:`None in
-  let f = observe src ~engine:`Compiled ~optimize:`Fuse in
-  a = f
+  let a = observe ~engine:`Ast ~optimize:`None src in
+  Test_paths.agrees Values a (observe ~optimize:`Fuse src)
+  && Test_paths.agrees Values a (observe ~engine:`Ast ~optimize:`Fuse src)
 
 (* ---------------- purity: impure argument functions refuse ------------ *)
 
@@ -197,14 +119,11 @@ void main() {
 |}
 
 let test_impure_refuses () =
-  let run ~optimize =
-    Spmd.run_source ~optimize ~trace:true
-      ~topology:(Topology.mesh ~width:2 ~height:2)
-      impure_src ~entry:"main" ~args:[]
-  in
   (* byte-identical including makespan, stats and trace: nothing fired *)
-  Test_engines.check_identical "impure fuse = none" (run ~optimize:`None)
-    (run ~optimize:`Fuse);
+  let none = observe ~optimize:`None impure_src in
+  ignore (Test_paths.ok ~what:"impure" none);
+  Test_paths.expect ~what:"impure fuse = none" Bytes none
+    (observe ~optimize:`Fuse impure_src);
   (* and structurally: the optimizer returns the program unchanged *)
   let prog = Parser.parse impure_src in
   let env = Typecheck.check prog in
@@ -294,11 +213,13 @@ let suite =
     ( "optimize",
       [
         Alcotest.test_case "corpus three-way, ops never worse" `Quick
-          test_corpus_three_way;
-        qt "random fusable programs: fuse unobservable" gen_fusable
+          (Test_paths.test_settings [ Test_paths.fusion ]);
+        Test_specialize.qt ~count:40
+          "random fusable programs: fuse unobservable" gen_fusable
           prop_fusion_unobservable;
-        qt ~count:30 "specialize generator programs: fuse unobservable"
-          Test_specialize.gen_program prop_specialize_corpus_unobservable;
+        Test_specialize.qt ~count:30
+          "specialize generator programs: fuse unobservable"
+          Test_specialize.gen_program prop_fusion_unobservable;
         Alcotest.test_case "impure argument function refuses" `Quick
           test_impure_refuses;
         Alcotest.test_case "pure pipeline fuses" `Quick test_pure_fuses;

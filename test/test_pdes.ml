@@ -1,42 +1,9 @@
 (* Sharded simulation (--sim-domains) is unobservable: for any program,
    topology and fault plan, running the machine as N parallel logical
-   processes must be bit-identical to the sequential scheduler — same
-   printed output, same return values, same makespan, same Stats and the
-   same Chrome trace, for every N.  Random programs ride on
-   [Test_specialize.gen_program]; the bundled corpus and the recv_any-using
-   farm skeleton are pinned explicitly. *)
-
-let qt ?(count = 40) name ~print gen prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count ~name ~print gen prop)
-
-(* Everything observable about one run.  Traces are compared as rendered
-   Chrome JSON: any reordering or renumbering shows up as a byte diff. *)
-let observe ?faults ?(reliable = false) ~topology ~sim_domains src ~entry
-    ~args =
-  match
-    Spmd.run_source ?faults ~reliable ~sim_domains ~trace:true ~topology src
-      ~entry ~args
-  with
-  | r ->
-      let nprocs = Topology.nprocs topology in
-      Ok
-        ( Array.map (fun o -> o.Spmd.printed) r.Machine.values,
-          Array.map (fun o -> Value.describe o.Spmd.value) r.Machine.values,
-          r.Machine.time,
-          Format.asprintf "%a" Stats.pp_summary r.Machine.stats,
-          Profile.chrome_json r.Machine.trace ~nprocs )
-  | exception Machine.Stalled blocked -> Error (Machine.stall_diagnostic blocked)
-
-let shard_counts = [ 2; 3; 4 ]
-
-let agrees ?faults ?reliable ~topology src ~entry ~args =
-  let base = observe ?faults ?reliable ~topology ~sim_domains:1 src ~entry ~args in
-  List.for_all
-    (fun n ->
-      observe ?faults ?reliable ~topology ~sim_domains:n src ~entry ~args
-      = base)
-    shard_counts
+   processes must be bit-identical to one shard, as the path matrix's
+   [Bytes] agreement defines it (test_paths.ml), for every N.  Random
+   programs ride on [Test_specialize.gen_program]; the matrix runs the
+   corpus, and the recv_any-using farm skeleton is pinned here. *)
 
 (* ---------------- property: random programs x topologies x faults ----- *)
 
@@ -64,77 +31,25 @@ let topology_of = function
   | `Mesh41 -> Topology.mesh ~width:4 ~height:1
   | `Torus22 -> Topology.torus2d ~width:2 ~height:2 ()
 
-let plan_of ~seed spec =
-  match Fault.parse ~seed spec with
-  | Ok p -> p
-  | Error msg -> Alcotest.failf "fault spec: %s" msg
-
 let prop_sharding_unobservable (src, topo, faults) =
   let topology = topology_of topo in
-  match faults with
-  | `None -> agrees ~topology src ~entry:"main" ~args:[]
-  | `Reliable seed ->
-      (* drops force retransmission timing, dup/delay perturb arrivals *)
-      let faults = plan_of ~seed "drop=0.15,dup=0.05,delay=0.1x4" in
-      agrees ~faults ~reliable:true ~topology src ~entry:"main" ~args:[]
-  | `Raw seed ->
-      (* delay-only raw plan: nothing is lost, so no stalls — but arrival
-         times shift, stressing the lookahead bound's delay_factor term *)
-      let faults = plan_of ~seed "delay=0.2x6" in
-      agrees ~faults ~topology src ~entry:"main" ~args:[]
-
-(* ---------------- corpus: three-way byte diff at N in {1,2,4} --------- *)
-
-let corpus =
-  [
-    ("gauss.skil", "gauss", [ Value.VInt 16 ], `Mesh (2, 2));
-    ("shpaths.skil", "shpaths", [ Value.VInt 16 ], `Mesh (2, 2));
-    ("matmul.skil", "matmul", [ Value.VInt 8 ], `Torus (2, 2));
-    ("threshold.skil", "main", [ Value.VInt 8 ], `Mesh (2, 1));
-    ("quicksort.skil", "main", [], `Mesh (2, 2));
-    ("jacobi.skil", "jacobi", [ Value.VInt 16 ], `Mesh (2, 2));
-  ]
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let source name =
-  let candidates =
-    [
-      "../examples/skil/" ^ name;
-      "examples/skil/" ^ name;
-      "../../../examples/skil/" ^ name;
-    ]
+  let plan spec seed = Some (Printf.sprintf "%s,seed=%d" spec seed) in
+  let faults, reliable =
+    match faults with
+    | `None -> (None, false)
+    (* drops force retransmission timing, dup/delay perturb arrivals *)
+    | `Reliable seed -> (plan "drop=0.15,dup=0.05,delay=0.1x4" seed, true)
+    (* delay-only raw plan: nothing is lost, so no stalls — but arrival
+       times shift, stressing the lookahead bound's delay_factor term *)
+    | `Raw seed -> (plan "delay=0.2x6" seed, false)
   in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> read_file p
-  | None -> Alcotest.failf "cannot find %s" name
-
-let test_corpus_sharding () =
-  List.iter
-    (fun (file, entry, args, topo) ->
-      let topology =
-        match topo with
-        | `Mesh (w, h) -> Topology.mesh ~width:w ~height:h
-        | `Torus (w, h) -> Topology.torus2d ~width:w ~height:h ()
-      in
-      let src = source file in
-      let at n = observe ~topology ~sim_domains:n src ~entry ~args in
-      let base = at 1 in
-      (match base with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.failf "%s: sequential run stalled: %s" file msg);
-      List.iter
-        (fun n ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: sim-domains %d = sequential" file n)
-            true
-            (at n = base))
-        [ 2; 4 ])
-    corpus
+  let s = { Test_paths.default with faults; reliable } in
+  let base = Test_paths.observe ~topology s src in
+  List.for_all
+    (fun n ->
+      Test_paths.agrees Bytes base
+        (Test_paths.observe ~topology { s with sim_domains = n } src))
+    [ 2; 3; 4 ]
 
 (* ---------------- farm: the recv_any path ----------------------------- *)
 
@@ -172,10 +87,10 @@ let suite =
   [
     ( "pdes",
       [
-        qt ~count:40 "random programs: sharded = sequential" gen_case
-          ~print:print_case prop_sharding_unobservable;
-        Alcotest.test_case "corpus byte-identical at sim-domains {1,2,4}"
-          `Slow test_corpus_sharding;
+        QCheck_alcotest.to_alcotest
+          (QCheck2.Test.make ~count:40
+             ~name:"random programs: sharded = sequential" ~print:print_case
+             gen_case prop_sharding_unobservable);
         Alcotest.test_case "farm (recv_any) identical at sim-domains {1,2,4,5}"
           `Quick test_farm_sharding;
       ] );

@@ -116,13 +116,7 @@ let direct_run (spec : Jobspec.t) source =
       ~topology:(Jobspec.topology spec) source ~entry:spec.entry
       ~args:(List.map (fun n -> Value.VInt n) spec.args)
   in
-  let b = Buffer.create 256 in
-  Array.iteri
-    (fun i (o : Spmd.outcome) ->
-      if o.Spmd.printed <> "" then
-        Buffer.add_string b (Printf.sprintf "[proc %d] %s\n" i o.Spmd.printed))
-    r.Machine.values;
-  (Value.describe r.Machine.values.(0).Spmd.value, Buffer.contents b)
+  (Value.describe r.Machine.values.(0).Spmd.value, Spmd.render r)
 
 (* ------------------------------------------------------------------ *)
 (* Tests                                                               *)
@@ -197,6 +191,12 @@ let test_error_classes_and_diagnostics () =
       submit ~spec:{ Jobspec.default with Jobspec.id = "s" } h
         "int main( { return 0; }\n";
       ignore (expect_err h Errclass.Syntax);
+      (* a diagnostic with no source position names only the file *)
+      let spec = { Jobspec.default with Jobspec.id = "e"; entry = "nosuch" } in
+      submit ~spec:{ spec with file = "myjob.skil" } h par_src;
+      Alcotest.(check string) "unpositioned diagnostic"
+        "myjob.skil: not instantiable: entry function nosuch not found"
+        (snd (expect_err h Errclass.Inst_err));
       (* loop control outside a loop is a type error, not an internal one *)
       submit ~spec:{ Jobspec.default with Jobspec.id = "c" } h
         "void main() { continue; }\n";

@@ -31,6 +31,33 @@ let test_create_init () =
       Alcotest.(check int) "elem (2,1)" 21 flat.((2 * 3) + 1))
     shapes
 
+(* Rank 0 runs the initialisation over every element even when another
+   rank reaches array_create first (rank 0 waits for rank 1's message),
+   at one shard and at two. *)
+let test_create_init_on_rank0 () =
+  List.iter
+    (fun sim_domains ->
+      let r =
+        Machine.run ~sim_domains ~topology:(Topology.mesh ~width:2 ~height:1)
+          (fun ctx ->
+            if Machine.self ctx = 0 then
+              ignore (Machine.recv ctx ~src:1 ~tag:0 : int)
+            else Machine.send ctx ~dest:0 ~tag:0 ~bytes:8 0;
+            let t0 = Machine.clock ctx in
+            ignore
+              (Skeletons.create ctx ~gsize:[| 4 |] ~distr:Darray.Default
+                 (fun _ ->
+                   Machine.compute ctx 1.0;
+                   0));
+            Machine.clock ctx -. t0)
+      in
+      Alcotest.(check (pair bool bool))
+        (Printf.sprintf "sim-domains %d: rank 0 paid 4 s, rank 1 nothing"
+           sim_domains)
+        (true, true)
+        (r.Machine.values.(0) >= 4.0, r.Machine.values.(1) < 1.0))
+    [ 1; 2 ]
+
 let test_map_square () =
   List.iter
     (fun (w, h) ->
@@ -533,6 +560,8 @@ let suite =
     ( "skeletons",
       [
         Alcotest.test_case "create" `Quick test_create_init;
+        Alcotest.test_case "create initialises on rank 0" `Quick
+          test_create_init_on_rank0;
         Alcotest.test_case "map" `Quick test_map_square;
         Alcotest.test_case "map in situ" `Quick test_map_in_situ;
         Alcotest.test_case "map index" `Quick test_map_uses_index;

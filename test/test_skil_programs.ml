@@ -1,34 +1,20 @@
 (* The shipped .skil example programs: parse, type-check, instantiate, run
    on the simulated machine, and validate results against OCaml references. *)
 
-let read path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+let source = Test_paths.source
 
-let source name =
-  let candidates =
-    [
-      "../examples/skil/" ^ name;
-      "examples/skil/" ^ name;
-      "../../../examples/skil/" ^ name;
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> read p
-  | None -> Alcotest.failf "cannot find %s" name
-
-let all_programs = [ "quicksort.skil"; "shpaths.skil"; "gauss.skil";
-                     "matmul.skil"; "threshold.skil" ]
+(* each example program once, with its entry point *)
+let programs =
+  List.sort_uniq compare
+    (List.map (fun r -> (r.Test_paths.file, r.entry)) Test_paths.corpus)
 
 let test_all_typecheck () =
   List.iter
-    (fun name ->
+    (fun (name, _) ->
       let p = Parser.parse (source name) in
       ignore (Typecheck.check p);
       Alcotest.(check pass) name () ())
-    all_programs
+    programs
 
 let test_all_instantiate_first_order () =
   List.iter
@@ -40,11 +26,7 @@ let test_all_instantiate_first_order () =
         (Instantiate.is_first_order fo);
       Alcotest.(check bool) (name ^ " emits C") true
         (String.length (Emit_c.program fo) > 100))
-    [
-      ("quicksort.skil", "main"); ("shpaths.skil", "shpaths");
-      ("gauss.skil", "gauss"); ("matmul.skil", "matmul");
-      ("threshold.skil", "main");
-    ]
+    programs
 
 let test_quicksort_runs_sorted () =
   let p = Parser.parse (source "quicksort.skil") in

@@ -2,9 +2,8 @@
    Skil programs — an int or float array initialised, mapped with a
    partially-applied element function, folded and printed — must behave
    bit-identically under the reference interpreter, the compiled engine
-   with payload specialisation and the compiled engine with --no-specialize:
-   same printed output per processor, same return values, same simulated
-   makespan and same structured trace. *)
+   with payload specialisation and the compiled engine with --no-specialize,
+   as the path matrix's [Bytes] agreement defines it (test_paths.ml). *)
 
 let qt ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest
@@ -88,24 +87,12 @@ void main() {
     tname merge_e tname tname dim size zeros negs dim size zeros negs cval
     tname tname
 
-let nprocs = 4
-
-let observe src ~engine ~specialize =
-  let r =
-    Spmd.run_source ~engine ~specialize ~trace:true
-      ~topology:(Topology.mesh ~width:2 ~height:2)
-      src ~entry:"main" ~args:[]
-  in
-  ( Array.map (fun o -> o.Spmd.printed) r.Machine.values,
-    Array.map (fun o -> Value.describe o.Spmd.value) r.Machine.values,
-    r.Machine.time,
-    Profile.chrome_json r.Machine.trace ~nprocs )
-
 let prop_specialisation_unobservable src =
-  let a = observe src ~engine:`Ast ~specialize:true in
-  let s = observe src ~engine:`Compiled ~specialize:true in
-  let n = observe src ~engine:`Compiled ~specialize:false in
-  a = s && a = n
+  let run s = Test_paths.observe s src in
+  let a = run { Test_paths.default with engine = `Ast } in
+  Test_paths.agrees Bytes a (run Test_paths.default)
+  && Test_paths.agrees Bytes a
+       (run { Test_paths.default with specialize = false })
 
 (* Element functions with random loop control: a while loop nested in a
    for loop, each able to break, continue or return at a random point.
