@@ -1,28 +1,30 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (section 5) on the simulated Parsytec MC, prints them next to
-   the published values, and runs one Bechamel micro-benchmark per
-   table/figure measuring the wall-clock cost of a representative cell.
+   the published values, and times the simulator itself.
 
-   Usage: main.exe [--quick] [--csv DIR] [--jobs N] [--json FILE]
-                   [--check FILE] [--threshold X]
+   Usage: main.exe [--quick] [--csv DIR] [--jobs N]
                    [--trace-out FILE] [--profile]
+                   [--json FILE] [--check FILE] [--threshold X]
                    [table1|table2|figure1|claim51|claim52|ablations|
-                    scaling|degradation|collectives|optimize|pdes|
+                    scaling|degradation|collectives|optimize|pdes|native|
                     bechamel|all]...
 
-   [--check FILE] turns the bechamel run into a regression guard: every
-   cell present in the baseline JSON (a previous --json dump, e.g.
-   BENCH_4.json) must be no slower than baseline * (1 + threshold)
-   (--threshold, default 0.5), and — hardware-independently — the compiled
-   engine must beat the AST engine on both skil_frontend pairs.  Any
-   violation exits nonzero.  With --quick, bechamel uses a reduced
-   per-cell quota suitable for CI.
+   [all] covers every table, figure and claim, the collective crossovers
+   and skeleton fusion.  Everything it prints is simulated time, identical
+   whatever [--jobs N] is ([--jobs] farms the independent simulation cells
+   out to N domains, default all cores), and quick_all.expected pins the
+   [--quick all] output byte for byte.  The collectives and optimize
+   targets also assert the structural guarantees of what they print.
 
-   [all] covers every table/figure/claim; the Bechamel micro-benchmarks
-   spend a fixed time quota per cell regardless of simulator speed, so they
-   only run when requested explicitly.  [--jobs N] farms the independent
-   simulation cells out to N domains (default: all cores); the printed
-   tables are bit-identical whatever N is. *)
+   [pdes], [native] and [bechamel] measure wall-clock, so they run only
+   when named.  [bechamel] produces one list of cells, each of one kind
+   (see [kind] below); [--json FILE] dumps them, and [--check FILE]
+   compares every cell of a previous dump by the kind it records there,
+   with [--threshold] (default 0.5) bounding the wall-clock cells.  It
+   also asserts that the compiled engine beats the ast engine and, on
+   hosts with at least 4 cores, that sharding the simulator and running
+   natively pay off.  With [--quick], Bechamel uses a reduced per-cell
+   quota.  A violated check exits 1; a bad command line exits 2. *)
 
 (* ------------------------------------------------------------------ *)
 
@@ -145,8 +147,7 @@ let bechamel_tests () =
 (* ------------------------------------------------------------------ *)
 (* Skeleton-fusion cells: every corpus app simulated under
    --optimize none and --optimize fuse.  Simulated makespans and charged
-   operations, fully deterministic (identical under any quota), so a
-   baseline check pins them exactly. *)
+   operations, fully deterministic, so the golden pins them exactly. *)
 
 type opt_cell = {
   oc_app : string;
@@ -251,125 +252,105 @@ let check_optimize cells =
   List.rev !failures
 
 (* ------------------------------------------------------------------ *)
-(* Parallel-simulation (PDES) strong-scaling cells: wall-clock of one
-   p = 256 shortest-paths simulation at --sim-domains {1, 2, 4}.  The
-   simulated makespan must be bit-identical whatever the shard count —
-   only the wall clock may move.  Wall-clock numbers are hardware facts:
-   they are recorded in the JSON dump but exempt from the baseline
-   slowdown threshold (a 1-core container and a 4-core runner would
-   otherwise guard each other's clocks); the makespan is deterministic
-   and pinned exactly. *)
+(* Cells of the bechamel run.  A cell's kind decides its check against a
+   baseline dump. *)
 
-type pdes_cell = {
-  pc_domains : int;
-  pc_wall_ms : float;
-  pc_makespan : float;  (* simulated seconds — shard-count invariant *)
-}
+type kind =
+  | Sim  (* simulated time: deterministic, so equal to the baseline *)
+  | Wall  (* a Bechamel estimate: within the threshold of the baseline *)
+  | Host  (* a host fact, or a wall clock that follows the core count:
+              recorded only *)
+
+type cell = { name : string; kind : kind; value : float }
+
+let kind_names = [ (Sim, "sim"); (Wall, "wall"); (Host, "host") ]
+
+let lookup cells name =
+  List.find_map (fun c -> if c.name = name then Some c.value else None) cells
+
+let cores = Domain.recommended_domain_count ()
+
+(* [f ()] and the wall-clock milliseconds it took *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, (Unix.gettimeofday () -. t0) *. 1e3)
+
+(* ------------------------------------------------------------------ *)
+(* Parallel-simulation (PDES) strong scaling: one p = 256 shortest-paths
+   simulation at --sim-domains 1, 2 and 4.  The makespan at each shard
+   count is a [Sim] cell, so each must equal the one-shard makespan the
+   baseline records; the wall clock is a [Host] cell. *)
 
 (* 16x16 torus = 256 simulated processors; n = 256 keeps one sequential
    run around a few wall-clock seconds, enough work for the shards to
    amortize their synchronisation. *)
-let pdes_sizes = (16, 256)
-
-let pdes_name =
-  let q, n = pdes_sizes in
-  Printf.sprintf "pdes/shpaths-%dx%d-n%d" q q n
+let pdes_q, pdes_n = (16, 256)
+let pdes_name = Printf.sprintf "pdes/shpaths-%dx%d-n%d" pdes_q pdes_q pdes_n
+let pdes_domains = [ 1; 2; 4 ]
+let pdes_cell d field = Printf.sprintf "%s/sd%d/%s" pdes_name d field
 
 let pdes_cells () =
-  let q, n = pdes_sizes in
-  let topology = Topology.torus2d ~width:q ~height:q () in
-  let weight = Workload.graph_weight ~seed:1996 ~n ~max_weight:100 in
-  List.map
+  let topology = Topology.torus2d ~width:pdes_q ~height:pdes_q () in
+  let weight = Workload.graph_weight ~seed:1996 ~n:pdes_n ~max_weight:100 in
+  List.concat_map
     (fun sim_domains ->
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Machine.run ~sim_domains
-          ~cost:(Cost_model.make Cost_model.skil)
-          ~topology
-          (fun ctx ->
-            Skeletons.destroy ctx (Shortest_paths.run ctx ~n ~weight))
+      let r, wall =
+        timed (fun () ->
+            Machine.run ~sim_domains
+              ~cost:(Cost_model.make Cost_model.skil)
+              ~topology
+              (fun ctx ->
+                Skeletons.destroy ctx
+                  (Shortest_paths.run ctx ~n:pdes_n ~weight)))
       in
-      {
-        pc_domains = sim_domains;
-        pc_wall_ms = (Unix.gettimeofday () -. t0) *. 1e3;
-        pc_makespan = r.Machine.time;
-      })
-    [ 1; 2; 4 ]
+      [
+        { name = pdes_cell sim_domains "makespan-ms"; kind = Sim;
+          value = r.Machine.time *. 1e3 };
+        { name = pdes_cell sim_domains "wall-ms"; kind = Host; value = wall };
+      ])
+    pdes_domains
 
 let print_pdes cells =
-  let q, n = pdes_sizes in
-  let cores = Domain.recommended_domain_count () in
   Printf.printf
     "== Parallel simulation: shpaths n=%d on %dx%d torus (p=%d), host \
      cores %d ==\n"
-    n q q (q * q) cores;
+    pdes_n pdes_q pdes_q (pdes_q * pdes_q) cores;
   Printf.printf "%-12s %12s %14s %9s\n" "sim-domains" "wall (ms)"
     "makespan (s)" "speedup";
-  let base = (List.hd cells).pc_wall_ms in
+  let at d field = Option.get (lookup cells (pdes_cell d field)) in
   List.iter
-    (fun c ->
-      Printf.printf "%-12d %12.1f %14.6f %8.2fx\n" c.pc_domains c.pc_wall_ms
-        c.pc_makespan (base /. c.pc_wall_ms))
-    cells;
+    (fun d ->
+      Printf.printf "%-12d %12.1f %14.6f %8.2fx\n" d (at d "wall-ms")
+        (at d "makespan-ms" /. 1e3)
+        (at 1 "wall-ms" /. at d "wall-ms"))
+    pdes_domains;
   print_newline ()
 
-(* Guarantees of the sharded simulator, checked on this run's cells:
-   bit-identical makespan at every shard count (and against the baseline
-   dump when it pins the cell), and — on hosts with enough cores for the
-   shards to actually run in parallel — sim-domains 4 must beat the
-   one-shard run in wall-clock.  The speedup leg is skipped on
-   narrower hosts, where every shard shares one core and only overhead
-   would be measured. *)
-let check_pdes ?baseline cells =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  (match cells with
-  | [] -> fail "pdes: no cells ran"
-  | base :: rest ->
-      List.iter
-        (fun c ->
-          if c.pc_makespan <> base.pc_makespan then
-            fail
-              "pdes: makespan at sim-domains %d (%.6f s) differs from \
-               sequential (%.6f s)"
-              c.pc_domains c.pc_makespan base.pc_makespan)
-        rest;
-      (match baseline with
-      | None -> ()
-      | Some cells' -> (
-          match List.assoc_opt (pdes_name ^ "/makespan-ms") cells' with
-          | None -> ()
-          | Some ms ->
-              if Float.abs ((base.pc_makespan *. 1e3) -. ms) > 1e-3 then
-                fail "pdes: makespan %.4f ms differs from baseline %.4f ms"
-                  (base.pc_makespan *. 1e3)
-                  ms));
-      let cores = Domain.recommended_domain_count () in
-      if cores >= 4 then
-        match List.find_opt (fun c -> c.pc_domains = 4) cells with
-        | Some c4 when c4.pc_wall_ms >= base.pc_wall_ms ->
-            fail
-              "pdes: sim-domains 4 (%.1f ms) not faster than sequential \
-               (%.1f ms) on a %d-core host"
-              c4.pc_wall_ms base.pc_wall_ms cores
-        | _ -> ());
-  List.rev !failures
+(* With enough cores for the shards to run in parallel, sim-domains 4 must
+   beat the one-shard run in wall-clock.  Narrower hosts skip the check:
+   there every shard shares one core and only overhead would be
+   measured. *)
+let check_pdes cells =
+  let wall d = lookup cells (pdes_cell d "wall-ms") in
+  match (wall 1, wall 4) with
+  | Some w1, Some w4 when cores >= 4 && w4 >= w1 ->
+      [
+        Printf.sprintf
+          "pdes: sim-domains 4 (%.1f ms) not faster than sequential (%.1f \
+           ms) on a %d-core host"
+          w4 w1 cores;
+      ]
+  | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Native execution: the same compiled closures on real OCaml domains
    (shared-memory channels, no simulated clock) against the compiled
    simulator that is their oracle.  Values and printed output are pinned
-   bit-identical by the test suite; here only the wall clock is measured.
-   One heavy cell per app (2x2 = 4 ranks, the largest grid shpaths' final
-   print loop stays local on), native at 1/2/4 domains plus the simulator
-   reference. *)
-
-type native_cell = {
-  xc_app : string;
-  xc_n : int;
-  xc_domains : int; (* 0 = compiled-simulator reference *)
-  xc_wall_ms : float;
-}
+   bit-identical by the test suite; here only the wall clock is measured,
+   as [Host] cells.  One heavy cell per app (2x2 = 4 ranks, the largest
+   grid shpaths' final print loop stays local on), native at 1/2/4 domains
+   plus the simulator reference. *)
 
 (* (app, file, entry, n, torus?, asserted): [asserted] marks the cell heavy
    enough for the cores-gated speedup guarantee — jacobi at n=256 is a few
@@ -380,8 +361,12 @@ let native_specs =
     ("jacobi", "jacobi.skil", "jacobi", 256, false, false);
   ]
 
-let native_name app n = Printf.sprintf "native/%s-n%d" app n
-let native_domain_counts = [ 1; 2; 4 ]
+(* domain count 0 is the compiled-simulator reference *)
+let native_domains = [ 0; 1; 2; 4 ]
+
+let native_cell app n d =
+  Printf.sprintf "native/%s-n%d/%s/wall-ms" app n
+    (if d = 0 then "sim" else Printf.sprintf "d%d" d)
 
 let native_cells () =
   List.concat_map
@@ -391,24 +376,21 @@ let native_cells () =
         if torus then Topology.torus2d ~width:2 ~height:2 ()
         else Topology.mesh ~width:2 ~height:2
       in
-      let wall engine ?native_domains () =
-        let t0 = Unix.gettimeofday () in
-        ignore
-          (Spmd.run_source ~engine ?native_domains ~topology src ~entry
-             ~args:[ Value.VInt n ]);
-        (Unix.gettimeofday () -. t0) *. 1e3
-      in
-      { xc_app = app; xc_n = n; xc_domains = 0;
-        xc_wall_ms = wall `Compiled () }
-      :: List.map
-           (fun d ->
-             { xc_app = app; xc_n = n; xc_domains = d;
-               xc_wall_ms = wall `Native ~native_domains:d () })
-           native_domain_counts)
+      List.map
+        (fun d ->
+          let engine, native_domains =
+            if d = 0 then (`Compiled, None) else (`Native, Some d)
+          in
+          let _, wall =
+            timed (fun () ->
+                Spmd.run_source ~engine ?native_domains ~topology src ~entry
+                  ~args:[ Value.VInt n ])
+          in
+          { name = native_cell app n d; kind = Host; value = wall })
+        native_domains)
     native_specs
 
 let print_native cells =
-  let cores = Domain.recommended_domain_count () in
   Printf.printf
     "== Native execution: .skil programs on real domains (2x2 = 4 ranks), \
      host cores %d ==\n"
@@ -417,304 +399,145 @@ let print_native cells =
     "speedup";
   List.iter
     (fun (app, _, _, n, _, _) ->
-      let mine = List.filter (fun c -> c.xc_app = app) cells in
-      let sim =
-        List.find (fun c -> c.xc_domains = 0) mine
-      in
+      let wall d = Option.get (lookup cells (native_cell app n d)) in
       List.iter
-        (fun c ->
+        (fun d ->
           Printf.printf "%-16s %-12s %12.1f %8.2fx\n"
             (Printf.sprintf "%s n=%d" app n)
-            (if c.xc_domains = 0 then "sim"
-             else Printf.sprintf "native d=%d" c.xc_domains)
-            c.xc_wall_ms
-            (sim.xc_wall_ms /. c.xc_wall_ms))
-        mine)
+            (if d = 0 then "sim" else Printf.sprintf "native d=%d" d)
+            (wall d) (wall 0 /. wall d))
+        native_domains)
     native_specs;
   print_newline ()
 
 (* The backend's raison d'etre, checked on hosts wide enough to show it:
    with 4 real cores, native at 4 domains must beat the compiled simulator
    (which runs all ranks on one core) on every asserted cell.  Narrower
-   hosts skip the leg — there native only adds channel overhead. *)
+   hosts skip the check — there native only adds channel overhead. *)
 let check_native cells =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  if cells = [] then fail "native: no cells ran";
-  let cores = Domain.recommended_domain_count () in
-  if cores >= 4 then
-    List.iter
-      (fun (app, _, _, _, _, asserted) ->
-        if asserted then
-          let find d =
-            List.find_opt
-              (fun c -> c.xc_app = app && c.xc_domains = d)
-              cells
-          in
-          match (find 0, find 4) with
-          | Some sim, Some n4 ->
-              if n4.xc_wall_ms >= sim.xc_wall_ms then
-                fail
-                  "native: %s at 4 domains (%.1f ms) not faster than the \
-                   compiled simulator (%.1f ms) on a %d-core host"
-                  app n4.xc_wall_ms sim.xc_wall_ms cores
-          | _ -> fail "native: %s cells missing from this run" app)
-      native_specs;
-  List.rev !failures
+  List.filter_map
+    (fun (app, _, _, n, _, asserted) ->
+      let wall d = lookup cells (native_cell app n d) in
+      match (wall 0, wall 4) with
+      | Some sim, Some n4 when asserted && cores >= 4 && n4 >= sim ->
+          Some
+            (Printf.sprintf
+               "native: %s at 4 domains (%.1f ms) not faster than the \
+                compiled simulator (%.1f ms) on a %d-core host"
+               app n4 sim cores)
+      | _ -> None)
+    native_specs
+
+(* The compiled engine must beat the AST engine on both skil_frontend
+   pairs, whatever the hardware (an earlier shpaths inversion, where
+   compiled was *slower* than ast, can never silently return). *)
+let check_engines cells =
+  List.filter_map
+    (fun prog ->
+      let ast = Printf.sprintf "cells/skil_frontend(%s-ast)" prog in
+      let compiled = Printf.sprintf "cells/skil_frontend(%s-compiled)" prog in
+      match (lookup cells ast, lookup cells compiled) with
+      | Some a, Some c when c >= a ->
+          Some
+            (Printf.sprintf
+               "engine inversion: %s (%.3f ms) is not faster than %s (%.3f \
+                ms)"
+               compiled c ast a)
+      | Some _, Some _ -> None
+      | _ ->
+          Some (Printf.sprintf "pair %s/%s missing from this run" ast compiled))
+    [ "gauss-n16"; "shpaths-n16" ]
 
 (* ------------------------------------------------------------------ *)
-(* skild service cells: an in-process {!Service} driven through a
-   loopback client — the daemon minus the socket.  Throughput (jobs/sec
-   over a pipelined batch of identical jobs, all but the first cache
-   hits), client-side p50/p99 latency, and the service-side cost of a
-   cold compile+run vs a cache-hit run (the [ms=] field of OK replies).
-   All wall-clock: recorded in the JSON dump, exempt from the cross-host
-   slowdown threshold; the hit-beats-cold assertion is checked on this
-   run's own numbers. *)
+(* Baseline dumps: one object per kind, holding one ["name": value] line
+   per cell at %.4f.  Hand-rolled on purpose — no JSON dependency, and the
+   format is ours. *)
 
-type skild_cell = {
-  sk_expected : int;
-  sk_answered : int;
-  sk_ok : int;
-  sk_jobs_per_sec : float;
-  sk_p50_ms : float;
-  sk_p99_ms : float;
-  sk_cold_p50_ms : float; (* service ms of cache-miss replies *)
-  sk_hit_p50_ms : float; (* service ms of cache-hit replies *)
-}
-
-let skild_src =
-  "int conv(int v, Index ix) { return v; }\n\
-   int sq(int v, Index ix) { return v * v; }\n\
-   int addi(int a, int b) { return a + b; }\n\
-   int init(Index ix) { return ix[0] + 1; }\n\
-   int main() {\n\
-  \  array<int> a;\n\
-  \  a = array_create(1, {64}, {0}, {-1}, init, DISTR_DEFAULT);\n\
-  \  array_map(sq, a, a);\n\
-  \  print_int(array_fold(conv, addi, a));\n\
-  \  array_destroy(a);\n\
-  \  return 0;\n\
-   }\n"
-
-let skild_batch = 200
-let skild_cold = 30
-
-let median a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  match Array.length a with 0 -> nan | n -> a.(n / 2)
-
-let skild_cells () =
-  let config =
-    { Service.default_config with Service.workers = 2; queue_cap = 512 }
-  in
-  let t = Service.create ~config () in
-  let mx = Mutex.create () and cv = Condition.create () in
-  let replies = Queue.create () in
-  let write line =
-    (* stamp arrival here, not after the drain: latency must not include
-       time the reply sat in this harness's queue *)
-    let now = Unix.gettimeofday () in
-    Mutex.lock mx;
-    Queue.add (line, now) replies;
-    Condition.signal cv;
-    Mutex.unlock mx
-  in
-  let client = Service.attach t ~write in
-  let await n =
-    let got = ref [] in
-    Mutex.lock mx;
-    for _ = 1 to n do
-      while Queue.is_empty replies do
-        Condition.wait cv mx
-      done;
-      got := Queue.pop replies :: !got
-    done;
-    Mutex.unlock mx;
-    List.rev_map (fun (line, at) -> (Proto.parse_reply line, at)) !got
-  in
-  let submit i source =
-    let spec = { Jobspec.default with Jobspec.id = string_of_int i } in
-    Service.submit t client ~spec ~source
-  in
-  (* cold compiles: each source distinct by a comment, so every job pays
-     parse + typecheck + instantiate + compile *)
-  for i = 1 to skild_cold do
-    submit i (Printf.sprintf "/* cold %d */\n%s" i skild_src)
-  done;
-  let cold = await skild_cold in
-  (* throughput batch: identical jobs, all but the first are cache hits *)
-  let t0 = Unix.gettimeofday () in
-  let lat = Array.make skild_batch nan in
-  let sent = Array.make skild_batch 0. in
-  for i = 0 to skild_batch - 1 do
-    sent.(i) <- Unix.gettimeofday ();
-    submit (skild_cold + 1 + i) skild_src
-  done;
-  let batch = await skild_batch in
-  let elapsed = Unix.gettimeofday () -. t0 in
+let write_cells file cells =
+  let oc = open_out file in
+  output_string oc "{";
   List.iteri
-    (fun j (r, at) ->
-      match r with
-      | Ok (Proto.Ok_reply { id; _ }) ->
-          (* replies arrive in completion order; latency from the matching
-             submit timestamp to the reply's arrival stamp *)
-          let i = int_of_string id - skild_cold - 1 in
-          lat.(j) <- (at -. sent.(i)) *. 1000.
-      | _ -> ())
-    batch;
-  let s = Service.stats t in
-  Service.shutdown t;
-  let service_ms ~hit rs =
-    List.filter_map
-      (function
-        | Ok (Proto.Ok_reply { cache_hit; ms; _ }), _ when cache_hit = hit ->
-            Some ms
-        | _ -> None)
-      rs
-    |> Array.of_list
-  in
-  let ok_count =
-    List.length
-      (List.filter
-         (function Ok (Proto.Ok_reply _), _ -> true | _ -> false)
-         (cold @ batch))
-  in
-  let sorted = Array.copy lat in
-  Array.sort compare sorted;
-  let pct p =
-    match Array.length sorted with
-    | 0 -> nan
-    | n -> sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
-  in
-  {
-    sk_expected = skild_cold + skild_batch;
-    sk_answered = s.Service.ok + s.Service.err;
-    sk_ok = ok_count;
-    sk_jobs_per_sec = float_of_int skild_batch /. elapsed;
-    sk_p50_ms = pct 0.50;
-    sk_p99_ms = pct 0.99;
-    sk_cold_p50_ms = median (service_ms ~hit:false (cold @ batch));
-    sk_hit_p50_ms = median (service_ms ~hit:true batch);
-  }
+    (fun i (kind, label) ->
+      let mine = List.filter (fun c -> c.kind = kind) cells in
+      Printf.fprintf oc "%s\n  %S: {\n" (if i = 0 then "" else ",") label;
+      List.iteri
+        (fun j c ->
+          Printf.fprintf oc "    %S: %.4f%s\n" c.name c.value
+            (if j = List.length mine - 1 then "" else ","))
+        mine;
+      output_string oc "  }")
+    kind_names;
+  output_string oc "\n}\n";
+  close_out oc
 
-let print_skild c =
-  print_endline
-    "== skild service: in-process daemon, loopback client, cache on ==";
-  Printf.printf "%-26s %12s\n" "metric" "value";
-  Printf.printf "%-26s %12d / %d\n" "jobs answered" c.sk_answered c.sk_expected;
-  Printf.printf "%-26s %12.1f\n" "jobs/sec (hit batch)" c.sk_jobs_per_sec;
-  Printf.printf "%-26s %12.3f\n" "p50 latency (ms)" c.sk_p50_ms;
-  Printf.printf "%-26s %12.3f\n" "p99 latency (ms)" c.sk_p99_ms;
-  Printf.printf "%-26s %12.3f\n" "cold compile+run (ms)" c.sk_cold_p50_ms;
-  Printf.printf "%-26s %12.3f\n" "cache-hit run (ms)" c.sk_hit_p50_ms;
-  print_newline ()
-
-(* Contract of the service, checked on this run's own numbers (no
-   baseline needed, hardware-independent): every job answered exactly
-   once and OK, and the compiled-program cache must make a hit strictly
-   cheaper than a cold compile — the cache's whole reason to exist. *)
-let check_skild c =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  if c.sk_answered <> c.sk_expected then
-    fail "skild: %d jobs submitted but %d answered" c.sk_expected c.sk_answered;
-  if c.sk_ok <> c.sk_expected then
-    fail "skild: %d of %d jobs did not answer OK" (c.sk_expected - c.sk_ok)
-      c.sk_expected;
-  if not (c.sk_hit_p50_ms < c.sk_cold_p50_ms) then
-    fail
-      "skild: cache-hit run (%.3f ms) not cheaper than cold compile+run \
-       (%.3f ms)"
-      c.sk_hit_p50_ms c.sk_cold_p50_ms;
-  List.rev !failures
-
-(* Parse the flat JSON dump this harness writes with [--json]: one
-   [  "name": 1.2345,] line per cell.  Hand-rolled on purpose — no JSON
-   dependency, and the format is ours. *)
 let read_baseline file =
   match open_in file with
   | exception Sys_error msg -> Error msg
   | ic ->
-  let cells = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       match String.index_opt line ':' with
-       | Some colon
-         when String.length line > 2 && line.[0] = '"' && line.[colon - 1] = '"'
-         ->
-           let name = String.sub line 1 (colon - 2) in
-           let rest =
-             String.trim (String.sub line (colon + 1)
-                            (String.length line - colon - 1))
-           in
-           let rest =
-             if String.length rest > 0
-                && rest.[String.length rest - 1] = ','
-             then String.sub rest 0 (String.length rest - 1)
-             else rest
-           in
-           (match float_of_string_opt rest with
-            | Some ms -> cells := (name, ms) :: !cells
-            | None -> ())
-       | _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Ok (List.rev !cells)
+      let rec go kind acc =
+        match String.trim (input_line ic) with
+        | exception End_of_file -> Ok (List.rev acc)
+        | line -> (
+            match String.index_opt line ':' with
+            | Some i when i >= 2 && line.[0] = '"' && line.[i - 1] = '"' -> (
+                let name = String.sub line 1 (i - 2) in
+                let rest =
+                  String.trim
+                    (String.sub line (i + 1) (String.length line - i - 1))
+                in
+                let rest =
+                  if String.ends_with ~suffix:"," rest then
+                    String.sub rest 0 (String.length rest - 1)
+                  else rest
+                in
+                match (rest, kind, float_of_string_opt rest) with
+                | "{", _, _ -> (
+                    match List.find_opt (fun (_, l) -> l = name) kind_names with
+                    | Some (k, _) -> go (Some k) acc
+                    | None -> Error ("unknown kind " ^ name))
+                | _, Some kind, Some value ->
+                    go (Some kind) ({ name; kind; value } :: acc)
+                | _, None, _ -> Error ("cell " ^ name ^ " is outside a kind")
+                | _, _, None -> Error ("cell " ^ name ^ " has no number"))
+            | _ -> go kind acc)
+      in
+      let cells =
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go None [])
+      in
+      if cells = Ok [] then Error "no cells" else cells
 
-(* Regression guard over the estimates of one bechamel run.
+(* Every baseline cell, by its recorded kind, against this run. *)
+let check_baseline ~threshold baseline cells =
+  List.filter_map
+    (fun b ->
+      match (lookup cells b.name, b.kind) with
+      | None, _ ->
+          Some (Printf.sprintf "baseline cell %s missing from this run" b.name)
+      | Some now, Sim ->
+          let at = Printf.sprintf "%.4f" in
+          if at now = at b.value then None
+          else
+            Some
+              (Printf.sprintf "simulated cell %s is %s, baseline %s" b.name
+                 (at now) (at b.value))
+      | Some now, Wall ->
+          let limit = b.value *. (1. +. threshold) in
+          if now <= limit then None
+          else
+            Some
+              (Printf.sprintf
+                 "regression: %s is %.3f ms, baseline %.3f ms (limit %.3f)"
+                 b.name now b.value limit)
+      | Some _, Host -> None)
+    baseline
 
-   Two layers: (1) hardware-independent invariants — the compiled engine
-   must beat the AST engine on both skil_frontend pairs (the PR-3 shpaths
-   inversion, where compiled was *slower* than ast, can never silently
-   return); (2) if a baseline file is given, every cell present in it must
-   not be slower than baseline * (1 + threshold).  Returns the failure
-   messages. *)
-let check_estimates ?baseline ~threshold estimates =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let find name = List.assoc_opt name estimates in
-  List.iter
-    (fun prog ->
-      let ast = Printf.sprintf "cells/skil_frontend(%s-ast)" prog in
-      let compiled = Printf.sprintf "cells/skil_frontend(%s-compiled)" prog in
-      match (find ast, find compiled) with
-      | Some a, Some c ->
-          if c >= a then
-            fail "engine inversion: %s (%.3f ms) is not faster than %s (%.3f ms)"
-              compiled c ast a
-      | _ -> fail "pair %s/%s missing from this run" ast compiled)
-    [ "gauss-n16"; "shpaths-n16" ];
-  (match baseline with
-   | None -> ()
-   | Some cells ->
-       List.iter
-         (fun (name, base) ->
-           if
-             String.starts_with ~prefix:"pdes/" name
-             || String.starts_with ~prefix:"native/" name
-             || String.starts_with ~prefix:"skild/" name
-           then
-             (* wall-clock scaling cells and host facts: checked by
-                check_pdes / check_native / check_skild, not by the
-                slowdown threshold *)
-             ()
-           else
-           match find name with
-           | None ->
-               (* a baseline cell that silently vanishes from the run is a
-                  coverage regression, not an informational footnote *)
-               fail "baseline cell %s missing from this run" name
-           | Some now ->
-               let limit = base *. (1. +. threshold) in
-               if now > limit then
-                 fail "regression: %s is %.3f ms, baseline %.3f ms (limit %.3f)"
-                   name now base limit)
-         cells);
-  List.rev !failures
+(* Print every violated check and exit 1. *)
+let die failures =
+  List.iter (Printf.eprintf "check FAILED: %s\n") failures;
+  Pool.shutdown ();
+  exit 1
+
+let require failures = if failures <> [] then die failures
 
 (* Structural guarantees of the collective-selection layer, checked on the
    deterministic simulated cells of this run (no baseline needed): auto must
@@ -733,7 +556,7 @@ let check_collectives cells apps =
       in
       if c.Experiments.cc_auto > best *. 1.05 then
         fail
-          "collectives: auto %.3f ms not within 5%%%% of best fixed %.3f ms \
+          "collectives: auto %.3f ms not within 5%% of best fixed %.3f ms \
            on %s-%s-b%d"
           (c.Experiments.cc_auto *. 1e3)
           (best *. 1e3) c.Experiments.cc_kind c.Experiments.cc_topo
@@ -772,7 +595,7 @@ let check_collectives cells apps =
     apps;
   List.rev !failures
 
-let run_bechamel ~quick ~jobs ~json ~check ~threshold () =
+let run_bechamel ~quick ~json ~check ~threshold () =
   print_endline "== Bechamel: wall-clock cost of one simulation per cell ==";
   let open Bechamel in
   let open Toolkit in
@@ -788,7 +611,7 @@ let run_bechamel ~quick ~jobs ~json ~check ~threshold () =
     else
       Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~stabilize:false ()
   in
-  let estimates = ref [] in
+  let wall = ref [] in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg [ instance ] test in
@@ -796,161 +619,56 @@ let run_bechamel ~quick ~jobs ~json ~check ~threshold () =
         (fun name raw ->
           match Analyze.OLS.estimates (Analyze.one ols instance raw) with
           | Some [ est ] ->
-              estimates := (name, est /. 1e6) :: !estimates;
+              wall := { name; kind = Wall; value = est /. 1e6 } :: !wall;
               Printf.printf "%-40s %10.3f ms/run\n%!" name (est /. 1e6)
           | Some _ | None -> Printf.printf "%-40s (no estimate)\n%!" name
           | exception _ -> Printf.printf "%-40s (analysis failed)\n%!" name)
         results)
     (List.map (fun t -> Test.make_grouped ~name:"cells" [ t ]) (bechamel_tests ()));
-  (* deterministic collective-algorithm cells ride along in the same dump:
-     simulated makespans, identical under any quota, so a baseline check
-     pins them exactly *)
-  let coll_cells, coll_apps = Experiments.collectives_crossover ~jobs () in
-  let coll_estimates =
-    List.concat_map
-      (fun c ->
-        let base =
-          Printf.sprintf "coll/%s-%s-p%d-b%d" c.Experiments.cc_kind
-            c.Experiments.cc_topo c.Experiments.cc_p c.Experiments.cc_bytes
-        in
-        List.map
-          (fun (n, t) -> (base ^ "/" ^ n, t *. 1e3))
-          c.Experiments.cc_algs
-        @ [ (base ^ "/auto", c.Experiments.cc_auto *. 1e3) ])
-      coll_cells
-    @ List.concat_map
-        (fun a ->
-          [
-            ("coll/app/" ^ a.Experiments.ca_app ^ "/legacy",
-             a.Experiments.ca_legacy *. 1e3);
-            ("coll/app/" ^ a.Experiments.ca_app ^ "/auto",
-             a.Experiments.ca_auto *. 1e3);
-          ])
-        coll_apps
+  (* the sharded simulator and the native engine, with the core count
+     their wall clocks follow *)
+  let rest =
+    pdes_cells () @ native_cells ()
+    @ [ { name = "host-cores"; kind = Host; value = float_of_int cores } ]
   in
-  List.iter
-    (fun (n, ms) -> Printf.printf "%-52s %10.3f ms (simulated)\n%!" n ms)
-    coll_estimates;
-  estimates := List.rev_append coll_estimates !estimates;
-  (* skeleton-fusion cells ride along too: deterministic simulated
-     makespans and charged ops under --optimize none vs fuse *)
-  let opt_cells = optimize_cells () in
-  let opt_estimates =
-    List.concat_map
-      (fun c ->
-        [
-          ("opt/" ^ c.oc_app ^ "/none-ms", c.oc_none_ms);
-          ("opt/" ^ c.oc_app ^ "/fuse-ms", c.oc_fuse_ms);
-          ("opt/" ^ c.oc_app ^ "/none-ops", float_of_int c.oc_none_ops);
-          ("opt/" ^ c.oc_app ^ "/fuse-ops", float_of_int c.oc_fuse_ops);
-        ])
-      opt_cells
-  in
-  List.iter
-    (fun (n, ms) -> Printf.printf "%-52s %10.3f (simulated)\n%!" n ms)
-    opt_estimates;
-  estimates := List.rev_append opt_estimates !estimates;
-  (* parallel-simulation strong-scaling cells ride along last: wall-clock
-     at each shard count plus the (deterministic) makespan they must all
-     reproduce, and the core count that contextualises the speedup *)
-  let pdes = pdes_cells () in
-  let pdes_estimates =
-    ("pdes/host-cores", float_of_int (Domain.recommended_domain_count ()))
-    :: (pdes_name ^ "/makespan-ms", (List.hd pdes).pc_makespan *. 1e3)
-    :: List.map
-         (fun c ->
-           (Printf.sprintf "%s/sd%d/wall-ms" pdes_name c.pc_domains,
-            c.pc_wall_ms))
-         pdes
-  in
-  List.iter
-    (fun (n, ms) -> Printf.printf "%-52s %10.3f\n%!" n ms)
-    pdes_estimates;
-  estimates := List.rev_append pdes_estimates !estimates;
-  (* native-backend strong-scaling cells: wall-clock per domain count next
-     to the compiled-simulator reference (values pinned equal by the tests) *)
-  let native = native_cells () in
-  let native_estimates =
-    List.map
-      (fun c ->
-        ( (if c.xc_domains = 0 then
-             native_name c.xc_app c.xc_n ^ "/sim/wall-ms"
-           else
-             Printf.sprintf "%s/d%d/wall-ms"
-               (native_name c.xc_app c.xc_n)
-               c.xc_domains),
-          c.xc_wall_ms ))
-      native
-  in
-  List.iter
-    (fun (n, ms) -> Printf.printf "%-52s %10.3f\n%!" n ms)
-    native_estimates;
-  estimates := List.rev_append native_estimates !estimates;
-  (* skild service cells: throughput and latency of the in-process daemon
-     plus the cold-compile-vs-cache-hit split that check_skild pins *)
-  let skild = skild_cells () in
-  let skild_estimates =
-    [
-      ("skild/jobs-per-sec", skild.sk_jobs_per_sec);
-      ("skild/p50-ms", skild.sk_p50_ms);
-      ("skild/p99-ms", skild.sk_p99_ms);
-      ("skild/cold-p50-ms", skild.sk_cold_p50_ms);
-      ("skild/hit-p50-ms", skild.sk_hit_p50_ms);
-    ]
-  in
-  List.iter
-    (fun (n, ms) -> Printf.printf "%-52s %10.3f\n%!" n ms)
-    skild_estimates;
-  estimates := List.rev_append skild_estimates !estimates;
+  List.iter (fun c -> Printf.printf "%-52s %10.3f\n%!" c.name c.value) rest;
   print_newline ();
-  (match json with
-   | None -> ()
-   | Some file ->
-       (* flat machine-readable dump, used to refresh BENCH_*.json baselines *)
-       let oc = open_out file in
-       output_string oc "{\n";
-       List.iteri
-         (fun i (name, ms) ->
-           Printf.fprintf oc "  %S: %.4f%s\n" name ms
-             (if i = List.length !estimates - 1 then "" else ","))
-         (List.rev !estimates);
-       output_string oc "}\n";
-       close_out oc;
-       Printf.printf "bechamel estimates written to %s\n\n" file);
-  match check with
-  | None -> ()
-  | Some baseline_file ->
+  let cells = List.rev_append !wall rest in
+  Option.iter
+    (fun file ->
+      write_cells file cells;
+      Printf.printf "bechamel cells written to %s\n\n" file)
+    json;
+  Option.iter
+    (fun file ->
       let baseline =
-        match read_baseline baseline_file with
-        | Ok cells -> cells
+        match read_baseline file with
+        | Ok baseline -> baseline
         | Error msg ->
-            (* a missing baseline is a check failure, not a crash: say
-               which file and why, then exit nonzero like any other
-               violation *)
-            Printf.printf "check FAILED: cannot read baseline %s: %s\n\n"
-              baseline_file msg;
-            Pool.shutdown ();
-            exit 1
+            die [ Printf.sprintf "cannot read baseline %s: %s" file msg ]
       in
-      (match
-         check_estimates ~baseline ~threshold (List.rev !estimates)
-         @ check_collectives coll_cells coll_apps
-         @ check_optimize opt_cells
-         @ check_pdes ~baseline pdes
-         @ check_native native
-         @ check_skild skild
-       with
-       | [] ->
-           Printf.printf
-             "check: all cells within %.0f%% of %s, compiled beats ast\n\n"
-             (threshold *. 100.) baseline_file
-       | failures ->
-           List.iter (fun m -> Printf.printf "check FAILED: %s\n" m) failures;
-           print_newline ();
-           Pool.shutdown ();
-           exit 1)
+      require
+        (check_baseline ~threshold baseline cells
+        @ check_engines cells @ check_pdes cells @ check_native cells);
+      Printf.printf
+        "check: %d cells of %s hold (simulated equal, wall-clock within \
+         %.0f%%), compiled beats ast\n\n"
+        (List.length baseline) file (threshold *. 100.))
+    check
 
 (* ------------------------------------------------------------------ *)
+
+let targets =
+  [ "table1"; "table2"; "figure1"; "claim51"; "claim52"; "ablations";
+    "scaling"; "degradation"; "collectives"; "optimize"; "pdes"; "native";
+    "bechamel"; "all" ]
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("main.exe: " ^ m);
+      exit 2)
+    fmt
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -990,9 +708,21 @@ let () =
         | Some n when n >= 1 -> n
         | Some _ | None -> failwith "--jobs expects a positive integer")
   in
-  let targets = List.filter (fun a -> a <> "--quick") args in
-  let targets = if targets = [] then [ "all" ] else targets in
-  let wants t = List.mem t targets || List.mem "all" targets in
+  let chosen = List.filter (fun a -> a <> "--quick") args in
+  List.iter
+    (fun t ->
+      if not (List.mem t targets) then
+        usage_error "unknown target %s (valid: %s)" t
+          (String.concat " " targets))
+    chosen;
+  if not (List.mem "bechamel" chosen) then
+    List.iter
+      (fun (flag, v) ->
+        if v <> None then usage_error "%s needs the bechamel target" flag)
+      [ ("--json", json_file); ("--check", check_file);
+        ("--threshold", threshold_arg) ];
+  let chosen = if chosen = [] then [ "all" ] else chosen in
+  let wants t = List.mem t chosen || List.mem "all" chosen in
   Printf.printf
     "Skil reproduction benchmarks (simulated Parsytec MC, T800 mesh)%s [jobs %d]\n\n"
     (if quick then " [quick]" else "")
@@ -1026,16 +756,22 @@ let () =
   (match csv_dir with
    | Some dir -> Report.write_csvs ~dir (table1 ()) (table2 ())
    | None -> ());
-  (* explicit-only: Bechamel spends a fixed time quota per cell, which would
-     drown the tables' wall-clock in any speedup measurement of [all] *)
-  if wants "collectives" then Report.print_collectives ~jobs ();
-  if wants "optimize" then print_optimize (optimize_cells ());
-  (* explicit-only for the same reason as bechamel below, plus the table
-     is wall-clock and would break the jobs-N determinism diff of [all] *)
-  if List.mem "pdes" targets then print_pdes (pdes_cells ());
-  if List.mem "native" targets then print_native (native_cells ());
-  if List.mem "skild" targets then print_skild (skild_cells ());
-  if List.mem "bechamel" targets then
-    run_bechamel ~quick ~jobs ~json:json_file ~check:check_file ~threshold ();
+  if wants "collectives" then begin
+    let cells, apps = Experiments.collectives_crossover ~jobs () in
+    Report.print_collectives cells apps;
+    require (check_collectives cells apps)
+  end;
+  if wants "optimize" then begin
+    let cells = optimize_cells () in
+    print_optimize cells;
+    require (check_optimize cells)
+  end;
+  (* explicit-only: these measure wall-clock, which would break the
+     byte-identity of [all]'s output, and Bechamel spends a fixed time
+     quota per cell *)
+  if List.mem "pdes" chosen then print_pdes (pdes_cells ());
+  if List.mem "native" chosen then print_native (native_cells ());
+  if List.mem "bechamel" chosen then
+    run_bechamel ~quick ~json:json_file ~check:check_file ~threshold ();
   Report.print_traced_cell ?trace_out ~profile:want_profile ~quick ();
   Pool.shutdown ()

@@ -1,14 +1,7 @@
 let seed = 1996
 
-(* Shard count for the simulated machine inside every cell (repro's
-   --sim-domains).  Results are bit-identical for any value (see
-   [Machine.run]); shards borrow workers from the same [Pool] crew the
-   cell batches use, so cells x shards can never oversubscribe the host. *)
-let sim_domains = ref 1
-
 let time_of ?collectives profile topology f =
-  (Machine.run ?collectives ~sim_domains:!sim_domains
-     ~cost:(Cost_model.make profile) ~topology f)
+  (Machine.run ?collectives ~cost:(Cost_model.make profile) ~topology f)
     .Machine.time
 
 (* Every table/figure/claim below is regenerated from a batch of
@@ -151,7 +144,7 @@ let gauss_run ctx ~n =
   Skeletons.destroy ctx b
 
 (* One representative Table-2 cell re-run with structured tracing on: the
-   unit behind --trace-out/--profile in bench/main.exe and repro.exe.
+   unit behind --trace-out/--profile in bench/main.exe.
    Tracing never alters simulated clocks, so the returned makespan equals
    the table's corresponding (untraced) cell. *)
 let traced_gauss_cell ?(quick = false) () =
@@ -159,8 +152,7 @@ let traced_gauss_cell ?(quick = false) () =
   let w, h = (2, 2) in
   ( n,
     (w, h),
-    Machine.run ~trace:true ~sim_domains:!sim_domains
-      ~cost:(Cost_model.make Cost_model.skil)
+    Machine.run ~trace:true ~cost:(Cost_model.make Cost_model.skil)
       ~topology:(Topology.mesh ~width:w ~height:h)
       (fun ctx -> gauss_run ctx ~n) )
 
@@ -406,7 +398,7 @@ let degradation ?(quick = false) ?(jobs = 1) () =
           }
     in
     let r =
-      Machine.run ?faults ~reliable:(rate > 0.0) ~sim_domains:!sim_domains
+      Machine.run ?faults ~reliable:(rate > 0.0)
         ~cost:(Cost_model.make Cost_model.skil)
         ~topology:topo f
     in
@@ -610,16 +602,14 @@ let collectives_crossover ?(jobs = 1) () =
               List.map
                 (fun (_, a) () ->
                   ( (Machine.run ~collectives:(Coll_alg.Force a) ~cost
-                       ~sim_domains:!sim_domains ~topology
-                       (coll_body kind ~bytes))
+                       ~topology (coll_body kind ~bytes))
                       .Machine.time,
                     "" ))
                 algs
               @ [
                   (fun () ->
                     let r =
-                      Machine.run ~collectives:Coll_alg.Auto ~cost
-                        ~sim_domains:!sim_domains ~topology
+                      Machine.run ~collectives:Coll_alg.Auto ~cost ~topology
                         (coll_body kind ~bytes)
                     in
                     (r.Machine.time, chosen_of r.Machine.stats));

@@ -7,11 +7,6 @@
     number of domains used.  Whatever [jobs] is, results are bit-identical —
     only wall-clock time changes. *)
 
-val sim_domains : int ref
-(** Shard count handed to every cell's [Machine.run] (repro's
-    [--sim-domains]; default 1).  Bit-identical results for any value;
-    shards borrow the same {!Pool} crew the cell batches use. *)
-
 (** {1 Table 1 — shortest paths} *)
 
 type sp_row = {
@@ -44,7 +39,7 @@ val traced_gauss_cell :
   ?quick:bool -> unit -> int * (int * int) * unit Machine.result
 (** [(n, grid, result)] of one representative Table-2 Gauss cell re-run with
     structured tracing enabled — the cell behind the [--trace-out] /
-    [--profile] flags of [bench/main.exe] and [repro.exe].  Tracing never
+    [--profile] flags of [bench/main.exe].  Tracing never
     changes simulated clocks, so [result.time] matches the untraced table
     cell exactly. *)
 

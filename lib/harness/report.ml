@@ -1,5 +1,4 @@
-(* Rendering of the reproduced tables and figures (shared by bench/main
-   and bin/repro). *)
+(* Rendering of the reproduced tables and figures for bench/main. *)
 
 let fmt = Table.fmt_time
 let ratio = Table.fmt_ratio
@@ -245,12 +244,11 @@ let print_scaling ?(jobs = 1) ~quick () =
   print_newline ()
 
 (* machine-readable exports of the reproduced evaluation *)
-let print_collectives ?(jobs = 1) () =
+let print_collectives cells apps =
   print_endline "== Collective algorithm crossovers (ours) ==";
   print_endline
     "   (deterministic simulated makespans of one collective per run;\n\
     \    auto picks per call from the topology/size cost model)";
-  let cells, apps = Experiments.collectives_crossover ~jobs () in
   let ms t = Printf.sprintf "%.3f" (t *. 1e3) in
   let body =
     List.map
