@@ -89,6 +89,35 @@ let set a ~rank ix v =
   if off < 0 then raise (Local_access_violation { rank; index = Array.copy ix });
   p.data.(off) <- v
 
+(* [get] on the literal indices {i} and {i, j}: the same checks and the
+   same violation, without building the index first.  A 2-D rectangle is
+   located inline; cyclic rows go through [region_locate]. *)
+let violation rank index = raise (Local_access_violation { rank; index })
+
+let get1 a ~rank i =
+  check_alive a;
+  let p = a.parts.(rank) in
+  match p.region with
+  | Distribution.Rect { lower = [| l |]; upper = [| u |] } when i >= l && i < u
+    ->
+      p.data.(i - l)
+  | _ -> violation rank [| i |]
+
+let get2 a ~rank i j =
+  check_alive a;
+  let p = a.parts.(rank) in
+  let off =
+    match p.region with
+    | Distribution.Rect { lower = [| l0; l1 |]; upper = [| u0; u1 |] } ->
+        if i >= l0 && i < u0 && j >= l1 && j < u1 then
+          ((i - l0) * (u1 - l1)) + (j - l1)
+        else -1
+    | Distribution.Rect _ -> -1
+    | Distribution.Rows _ as r -> Distribution.region_locate r [| i; j |]
+  in
+  if off < 0 then violation rank [| i; j |];
+  p.data.(off)
+
 let peek a ix =
   check_alive a;
   let rank = owner a ix in

@@ -72,6 +72,12 @@ val get : 'a t -> rank:int -> Index.t -> 'a
 (** Local read ([array_get_elem]).
     @raise Local_access_violation if [rank] does not own the index. *)
 
+val get1 : 'a t -> rank:int -> int -> 'a
+(** [get1 a ~rank i] is [get a ~rank [|i|]], without the index array. *)
+
+val get2 : 'a t -> rank:int -> int -> int -> 'a
+(** [get2 a ~rank i j] is [get a ~rank [|i; j|]], without the index array. *)
+
 val set : 'a t -> rank:int -> Index.t -> 'a -> unit
 (** Local write ([array_put_elem]).
     @raise Local_access_violation if [rank] does not own the index. *)

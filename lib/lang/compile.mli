@@ -4,8 +4,9 @@
     {!program} runs once after typechecking (and normally after
     {!Instantiate.program}) and translates every function body into OCaml
     closures: lexical frame slots instead of assoc-list environments,
-    positional struct fields, compile-time-specialized operators, and
-    pre-resolved call targets/arities.  The result is shared by all
+    positional struct fields, compile-time-specialized operators,
+    pre-resolved call targets/arities, and unboxed runners for expressions
+    of static type int or float.  The result is shared by all
     simulated processors; per-processor mutable context lives in the
     {!Interp.state} passed at call time.
 
@@ -35,7 +36,10 @@ val program : tyenv:Typecheck.env -> ?specialize:bool -> Ast.program -> t
 val call : t -> Interp.state -> string -> Value.t list -> Value.t
 (** Call a compiled function or builtin by name.  [st] must be built over
     the same program ({!Interp.make}); it carries the processor context,
-    output buffer and pending-operation counter. *)
+    output buffer and pending-operation counter.  A call whose arguments do
+    not match its int and float parameters runs on {!Interp}, with the
+    same result. *)
 
 val apply : t -> Interp.state -> Value.t -> Value.t list -> Value.t
-(** Apply a (possibly curried) function value under the compiled engine. *)
+(** Apply a (possibly curried) function value under the compiled engine,
+    with {!call}'s check of the arguments. *)

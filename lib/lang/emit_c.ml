@@ -474,44 +474,56 @@ let find_func prog name =
 
 let take k xs = List.filteri (fun i _ -> i < k) xs
 
-(* every name the program references (function heads and plain variables);
-   [new] is recorded as its runtime hook skil_new *)
-let rec expr_names acc (e : Ast.expr) =
+(* [f] over every expression node of the program's bodies, parents first *)
+let rec expr_fold f acc (e : Ast.expr) =
+  let acc = f acc e in
   match e.Ast.desc with
-  | Ast.Var x -> if List.mem x acc then acc else x :: acc
-  | Ast.Int _ | Ast.Float _ | Ast.Str _ | Ast.Chr _ | Ast.OpSection _ -> acc
-  | Ast.Call (f, args) -> List.fold_left expr_names (expr_names acc f) args
+  | Ast.Var _ | Ast.Int _ | Ast.Float _ | Ast.Str _ | Ast.Chr _
+  | Ast.OpSection _ ->
+      acc
+  | Ast.Call (g, args) -> List.fold_left (expr_fold f) (expr_fold f acc g) args
   | Ast.Binop (_, a, b) | Ast.Assign (a, b) | Ast.Idx (a, b) ->
-      expr_names (expr_names acc a) b
-  | Ast.Unop (_, a) | Ast.Field (a, _) | Ast.Arrow (a, _) | Ast.Deref a ->
-      expr_names acc a
+      expr_fold f (expr_fold f acc a) b
+  | Ast.Unop (_, a) | Ast.Field (a, _) | Ast.Arrow (a, _) | Ast.Deref a
   | Ast.New a ->
-      expr_names (if List.mem "skil_new" acc then acc else "skil_new" :: acc) a
-  | Ast.ArrayLit es -> List.fold_left expr_names acc es
-  | Ast.Cond (a, b, c) -> expr_names (expr_names (expr_names acc a) b) c
+      expr_fold f acc a
+  | Ast.ArrayLit es -> List.fold_left (expr_fold f) acc es
+  | Ast.Cond (a, b, c) -> expr_fold f (expr_fold f (expr_fold f acc a) b) c
 
-let rec stmt_names acc = function
+let rec stmt_fold f acc = function
   | Ast.SExpr e | Ast.SReturn (Some e) | Ast.SDecl (_, _, Some e) ->
-      expr_names acc e
+      expr_fold f acc e
   | Ast.SDecl (_, _, None) | Ast.SReturn None | Ast.SBreak | Ast.SContinue ->
       acc
   | Ast.SIf (c, a, b) ->
-      List.fold_left stmt_names
-        (List.fold_left stmt_names (expr_names acc c) a)
+      List.fold_left (stmt_fold f)
+        (List.fold_left (stmt_fold f) (expr_fold f acc c) a)
         b
-  | Ast.SWhile (c, b) -> List.fold_left stmt_names (expr_names acc c) b
+  | Ast.SWhile (c, b) -> List.fold_left (stmt_fold f) (expr_fold f acc c) b
   | Ast.SFor (i, c, s, b) ->
-      let acc = match i with Some s -> stmt_names acc s | None -> acc in
-      let acc = match c with Some e -> expr_names acc e | None -> acc in
-      let acc = match s with Some e -> expr_names acc e | None -> acc in
-      List.fold_left stmt_names acc b
-  | Ast.SBlock b -> List.fold_left stmt_names acc b
+      let acc = match i with Some s -> stmt_fold f acc s | None -> acc in
+      let acc = match c with Some e -> expr_fold f acc e | None -> acc in
+      let acc = match s with Some e -> expr_fold f acc e | None -> acc in
+      List.fold_left (stmt_fold f) acc b
+  | Ast.SBlock b -> List.fold_left (stmt_fold f) acc b
 
-let program_names prog =
+let program_fold f acc prog =
   List.fold_left
     (fun acc -> function
       | Ast.TFunc { Ast.f_body = Some body; _ } ->
-          List.fold_left stmt_names acc body
+          List.fold_left (stmt_fold f) acc body
+      | _ -> acc)
+    acc prog
+
+(* every name the program references (function heads and plain variables);
+   [new] is recorded as its runtime hook skil_new *)
+let program_names prog =
+  let add acc x = if List.mem x acc then acc else x :: acc in
+  program_fold
+    (fun acc (e : Ast.expr) ->
+      match e.Ast.desc with
+      | Ast.Var x -> add acc x
+      | Ast.New _ -> add acc "skil_new"
       | _ -> acc)
     [] prog
 
@@ -721,6 +733,24 @@ let standalone (prog : Ast.program) ~entry ~args =
   let used n = List.mem n names in
   if used "skil_new" then
     invalid_arg "Emit_c.standalone: new() is not supported in standalone mode";
+  (* the embedded runtime declares generic struct and typedef instances
+     only: a plain one would be used undeclared *)
+  List.iter
+    (function
+      | Ast.TNamed (n, []) when Option.is_some (find_struct prog n) ->
+          invalid_arg
+            (Printf.sprintf
+               "Emit_c.standalone: %s is not supported in standalone mode \
+                (only structs with type parameters are emitted)"
+               n)
+      | Ast.TNamed (n, []) when Option.is_some (find_typedef prog n) ->
+          invalid_arg
+            (Printf.sprintf
+               "Emit_c.standalone: typedef %s is not supported in standalone \
+                mode (only typedefs with type parameters are emitted)"
+               n)
+      | _ -> ())
+    (used_named_types prog);
   let elems =
     List.sort_uniq compare
       (List.filter_map
@@ -741,6 +771,28 @@ let standalone (prog : Ast.program) ~entry ~args =
   | _ ->
       invalid_arg
         "Emit_c.standalone: only int and float array elements are supported");
+  (* the embedded fold keeps the element type for its accumulator *)
+  let conv_func (c : Ast.expr) =
+    match c.Ast.desc with
+    | Ast.Var g | Ast.Call ({ Ast.desc = Ast.Var g; _ }, _) -> find_func prog g
+    | _ -> None
+  in
+  program_fold
+    (fun () (e : Ast.expr) ->
+      match e.Ast.desc with
+      | Ast.Call ({ Ast.desc = Ast.Var "array_fold"; _ }, conv :: _) -> (
+          match conv_func conv with
+          | Some f when f.Ast.f_ret <> elem ->
+              invalid_arg
+                (Printf.sprintf
+                   "Emit_c.standalone: array_fold with %s accumulating %s \
+                    into %s is not supported (the embedded fold keeps the \
+                    element type)"
+                   f.Ast.f_name (Ast.type_to_string elem)
+                   (Ast.type_to_string f.Ast.f_ret))
+          | _ -> ())
+      | _ -> ())
+    () prog;
   let celt = stype elem in
   let carr = flat elem ^ "array" in
   (* walk the bodies first: instances and generic-skeleton usage drive what

@@ -23,9 +23,11 @@ val standalone : Ast.program -> entry:string -> args:int list -> string
     to [double], array literals become compound literals, and the driver
     frames output as ["[proc 0] ..."] — so the compiled binary's stdout
     byte-matches [skilc run-par --width 1 --height 1] for every
-    deterministic program the mode accepts.  Raises [Invalid_argument] for
-    programs it cannot close: a function named [main], [new ()], arrays of
-    more than one element type, or non-scalar array elements. *)
+    deterministic program the mode accepts.  Raises [Invalid_argument],
+    naming the construct, for programs it cannot close: a function named
+    [main], [new ()], arrays of more than one element type, non-scalar
+    array elements, a struct or typedef without type parameters, or an
+    [array_fold] whose accumulator type is not the element type. *)
 
 val mangle_type : Ast.typ -> string
 (** C rendering of a monomorphic type. *)

@@ -138,14 +138,16 @@ let test_bounds_in_place () =
       ("bds->lowerBd[0 - 1]", "runtime error: Index access out of range (-1)");
     ]
 
-let gen_mult_src ~ty ~add ~mul =
+let gen_mult_src ?(ea = "(ix[0] * 3 + ix[1]) % 5")
+    ?(eb = "(ix[0] + ix[1] * 7) % 4") ?(ec = "ix[0] - ix[1]") ~ty ~add ~mul
+    () =
   Printf.sprintf
     {|
 int addi(int a, int b) { return a + b; }
 int maxi(int a, int b) { if (a > b) return a; return b; }
-%s ia(Index ix) { return %s((ix[0] * 3 + ix[1]) %% 5); }
-%s ib(Index ix) { return %s((ix[0] + ix[1] * 7) %% 4); }
-%s ic(Index ix) { return %s(ix[0] - ix[1]); }
+%s ia(Index ix) { return %s(%s); }
+%s ib(Index ix) { return %s(%s); }
+%s ic(Index ix) { return %s(%s); }
 int main() {
   array<%s> a = array_create(2, {4, 4}, {0, 0}, {-1, -1}, ia, DISTR_TORUS2D);
   array<%s> b = array_create(2, {4, 4}, {0, 0}, {-1, -1}, ib, DISTR_TORUS2D);
@@ -161,15 +163,15 @@ int main() {
   return 0;
 }
 |}
-    ty (if ty = "float" then "itof" else "")
-    ty (if ty = "float" then "itof" else "")
-    ty (if ty = "float" then "itof" else "")
+    ty (if ty = "float" then "itof" else "") ea
+    ty (if ty = "float" then "itof" else "") eb
+    ty (if ty = "float" then "itof" else "") ec
     ty ty ty add mul ty
 
 let test_gen_mult_pairs () =
   List.iter
     (fun (ty, add, mul) ->
-      run_all ~topology:torus22 (gen_mult_src ~ty ~add ~mul)
+      run_all ~topology:torus22 (gen_mult_src ~ty ~add ~mul ())
         (Printf.sprintf "gen_mult %s %s %s" ty add mul))
     [
       ("int", "min", "(+)");
@@ -182,8 +184,21 @@ let test_gen_mult_pairs () =
   Alcotest.(check string)
     "int / by zero" "runtime error: division by zero"
     (fails_with ~topology:torus22
-       (gen_mult_src ~ty:"int" ~add:"(+)" ~mul:"(/)")
+       (gen_mult_src ~ty:"int" ~add:"(+)" ~mul:"(/)" ())
        "gen_mult int (+) (/)")
+
+(* The monomorphic kernels read and write their blocks unchecked: against
+   the closure loop (ast and --no-specialize run it) on elements near
+   int_max, whose sums would overflow a branchless min, and below zero. *)
+let test_gen_mult_kernel_edges () =
+  List.iter
+    (fun (ty, add, mul) ->
+      run_all ~topology:torus22
+        (gen_mult_src ~ty ~add ~mul ~ea:"(ix[0] - ix[1]) * (int_max / 3)"
+           ~eb:"int_max - (ix[0] + ix[1] * 7) % 4"
+           ~ec:"int_max - ix[0] * 5 + ix[1]" ())
+        (Printf.sprintf "gen_mult %s %s %s near int_max" ty add mul))
+    [ ("int", "min", "(+)"); ("float", "(+)", "(*)") ]
 
 (* Merges and element functions that assign through a struct parameter
    must get private copies: the accumulators a recursive-doubling
@@ -302,6 +317,240 @@ int g(P s, P *q, int v, Index ix) { int z = poke(q); return s.y * 10 + z + v; }|
   array_map(g(*p, p), b, b);|} );
     ]
 
+(* ---------------- typed runners ----------------
+
+   Expressions of static type int or float run unboxed, and returns of a
+   variable the activation owns skip the copy.  Each program below sits on
+   an edge of those paths; ast, compiled and --no-specialize must agree
+   byte for byte and the native engine in values, or all fail with one
+   diagnostic. *)
+
+let agree_all ?(instantiate = true) ?(entry = "main") ?(args = []) src name =
+  let run s = Test_paths.observe ~topology:mesh22 ~entry ~args s src in
+  let s = { Test_paths.default with instantiate } in
+  let reference = Test_paths.agree_engines ~what:name run s in
+  Test_paths.against ~what:name Test_paths.Values reference run s
+    [ Test_paths.native 1 ];
+  reference
+
+(* == != < <= and the reverse < on nan and signed zeros: slots, literals,
+   a float element function and boxed results; Float.compare's order,
+   where nan equals nan *)
+let float_compare_src =
+  {|
+int cmp(float a, float b) {
+  int r = 0;
+  if (a == b) r = r + 1;
+  if (a != b) r = r + 2;
+  if (a < b) r = r + 4;
+  if (a <= b) r = r + 8;
+  if (b < a) r = r + 16;
+  return r * 100 + (a == b) * 10 + (a <= b);
+}
+float vals(Index ix) {
+  if (ix[0] == 0) return 0.0 / 0.0;
+  if (ix[0] == 1) return 0.0 - 0.0;
+  if (ix[0] == 2) return -0.0;
+  return 1.0;
+}
+int against(float x, float v, Index ix) { return cmp(v, x) * 10 + (v < x); }
+int zero(Index ix) { return 0; }
+int main() {
+  float nan = sqrt(0.0 - 1.0);
+  float pz = 0.0;
+  float nz = -pz;
+  print_int(cmp(nan, nan)); print_string(" ");
+  print_int(cmp(nan, 1.0)); print_string(" ");
+  print_int(cmp(1.0, nan)); print_string(" ");
+  print_int(cmp(nz, pz)); print_string(" ");
+  print_int(cmp(pz, nz)); print_string(" ");
+  print_int(0.0 / 0.0 == 0.0 / 0.0); print_string(" ");
+  print_float(nz); print_string(" ");
+  array<float> a = array_create(1, {8}, {0}, {-1}, vals, DISTR_DEFAULT);
+  array<int> b = array_create(1, {8}, {0}, {-1}, zero, DISTR_DEFAULT);
+  array_map(against(nan), a, b);
+  Bounds bds = array_part_bounds(b);
+  for (int i = bds->lowerBd[0]; i <= bds->upperBd[0]; i++) {
+    print_int(array_get_elem(b, {i})); print_string(" ");
+  }
+  array_map(against(nz), a, b);
+  print_int(array_get_elem(b, {bds->lowerBd[0]}));
+  array_destroy(a);
+  array_destroy(b);
+  return cmp(nan, nan);
+}
+|}
+
+let test_typed_float_compare () =
+  ignore
+    (Test_paths.ok ~what:"float comparisons"
+       (agree_all float_compare_src "float comparisons"))
+
+(* integer / and % by zero inside a typed expression, in main and in an
+   element function *)
+let div_src ~op ~where =
+  Printf.sprintf
+    {|
+int f(int d, int v, Index ix) { return (v + ix[0] * 2) %s (d - ix[0] + ix[0]); }
+int ident(Index ix) { return ix[0]; }
+int main() {
+  int z = procId - procId;
+  array<int> a = array_create(1, {8}, {0}, {-1}, ident, DISTR_DEFAULT);
+  %s
+  array_destroy(a);
+  return 0;
+}
+|}
+    op
+    (if where = "main" then
+       Printf.sprintf "print_int((procId + 7) %s (z * 3));" op
+     else "array_map(f(z), a, a);")
+
+let test_typed_division_by_zero () =
+  List.iter
+    (fun (op, msg) ->
+      List.iter
+        (fun where ->
+          let name = Printf.sprintf "int %s by zero in %s" op where in
+          match agree_all (div_src ~op ~where) name with
+          | Ok _ -> Alcotest.failf "%s: expected a runtime error" name
+          | Error m -> Alcotest.(check string) name ("runtime error: " ^ msg) m)
+        [ "main"; "an element function" ])
+    [ ("/", "division by zero"); ("%", "modulo by zero") ]
+
+(* array_get_elem on one- and two-int literals: in range on int and float
+   arrays, then outside the partition *)
+let get_lit_src body =
+  Printf.sprintf
+    {|
+int i1(Index ix) { return ix[0] * 3; }
+float f2(Index ix) { return itof(ix[0] * 10 + ix[1]) / 4.0; }
+int main() {
+  array<int> a = array_create(1, {8}, {0}, {-1}, i1, DISTR_DEFAULT);
+  array<float> m = array_create(2, {4, 6}, {0, 0}, {-1, -1}, f2, DISTR_DEFAULT);
+  Bounds ba = array_part_bounds(a);
+  Bounds bm = array_part_bounds(m);
+  int lo = ba->lowerBd[0];
+  %s
+  array_destroy(a);
+  array_destroy(m);
+  return 0;
+}
+|}
+    body
+
+let test_typed_get_elem () =
+  ignore
+    (Test_paths.ok ~what:"literal reads"
+       (agree_all
+          (get_lit_src
+             {|print_int(array_get_elem(a, {lo})
+            + array_get_elem(a, {ba->upperBd[0]}));
+  print_float(array_get_elem(m, {bm->lowerBd[0], bm->upperBd[1]})
+              - array_get_elem(m, {bm->upperBd[0], bm->lowerBd[1]}));|})
+          "literal reads"));
+  List.iter
+    (fun (read, index) ->
+      let name = "outside the partition: " ^ read in
+      let src = get_lit_src (Printf.sprintf "print_float(itof(0) + %s);" read) in
+      match agree_all src name with
+      | Ok _ -> Alcotest.failf "%s: expected a runtime error" name
+      | Error m ->
+          if not (Test_machine.contains m index) then
+            Alcotest.failf "%s: %S does not name %s" name m index)
+    [
+      ("itof(array_get_elem(a, {(lo + 2) % 8}))", "element {2}");
+      ("itof(array_get_elem(a, {0 - 1}))", "element {-1}");
+      ("array_get_elem(m, {(bm->lowerBd[0] + 2) % 4, 0})", "element {2,0}");
+      ("array_get_elem(m, {0, 6})", "element {0,6}");
+      ("array_get_elem(m, {0})", "element {0}");
+    ]
+
+(* A return skips the copy of a variable its activation owns: a struct
+   local that array_fold keeps and array_map stores while the next
+   element reuses the frame.  A parameter an invoker may lend is copied:
+   the lent struct of a partial application, which the caller then
+   mutates, and the scratch Index of a body that writes only struct
+   fields. *)
+let owned_return_src =
+  {|
+struct _r { int a; int b; };
+typedef struct _r R;
+R mk(int v, Index ix) {
+  R r;
+  r.a = v * 7 % 5 + ix[0];
+  r.b = ix[0] * 10;
+  return r;
+}
+R pick(R x, R y) { if (y.a > x.a) return y; return x; }
+R keep(R s, int v, Index ix) { return s; }
+Index at(int v, Index ix) { R r; r.a = v; return ix; }
+R zr(Index ix) { R r; return r; }
+int ident(Index ix) { return ix[0]; }
+Index ixz(Index ix) { return {0, 0}; }
+int main() {
+  array<int> a = array_create(1, {8}, {0}, {-1}, ident, DISTR_DEFAULT);
+  array<R> b = array_create(1, {8}, {0}, {-1}, zr, DISTR_DEFAULT);
+  array<Index> c = array_create(1, {8}, {0}, {-1}, ixz, DISTR_DEFAULT);
+  Bounds bds = array_part_bounds(b);
+  array_map(mk, a, b);
+  R m = array_fold(mk, pick, a);
+  for (int i = bds->lowerBd[0]; i <= bds->upperBd[0]; i++) {
+    R e = array_get_elem(b, {i});
+    print_int(e.a); print_string(","); print_int(e.b); print_string(" ");
+  }
+  print_int(m.a); print_string(" ");
+  R s;
+  s.a = 1;
+  s.b = 2;
+  array_map(keep(s), a, b);
+  s.a = 42;
+  array_map(at, a, c);
+  for (int i = bds->lowerBd[0]; i <= bds->upperBd[0]; i++) {
+    print_int(array_get_elem(b, {i}).a);
+    print_int(array_get_elem(c, {i})[0]);
+  }
+  array_destroy(a);
+  array_destroy(b);
+  array_destroy(c);
+  return m.b;
+}
+|}
+
+let test_owned_returns () =
+  ignore
+    (Test_paths.ok ~what:"owned returns"
+       (agree_all owned_return_src "owned returns"))
+
+(* Typed runners trust a slot's declared type.  A void can still reach
+   one: from a function that falls off its end, from a generic zero value
+   under --no-instantiate, or from an entry argument of another type.
+   Such programs fail as the interpreter fails. *)
+let test_typed_trust () =
+  let fails ?instantiate ?entry ?args src name want =
+    match agree_all ?instantiate ?entry ?args src name with
+    | Ok _ -> Alcotest.failf "%s: expected a runtime error" name
+    | Error m -> Alcotest.(check string) name want m
+  in
+  fails
+    {|
+int f(int x) { if (x > 0) return 1; }
+int main() { int y = f(0); return y + 1; }
+|}
+    "fall through" "runtime error: invalid operands for +: void, 1";
+  fails ~instantiate:false
+    {|
+$t first($t x) { $t y; return y; }
+int main() { int a = first(3); return a * 2; }
+|}
+    "generic zero value" "runtime error: invalid operands for *: void, 2";
+  fails ~entry:"g" ~args:[ Value.VInt 3 ]
+    {|
+float g(float x) { return x + 1.5; }
+int main() { return 0; }
+|}
+    "entry argument" "runtime error: invalid operands for +: 3, 1.5"
+
 (* ---------------- satellite regressions ---------------- *)
 
 let test_pointer_comparison_semantics () =
@@ -392,6 +641,18 @@ let suite =
         Alcotest.test_case "bounds read in place" `Quick test_bounds_in_place;
         Alcotest.test_case "gen_mult operator pairs" `Quick
           test_gen_mult_pairs;
+        Alcotest.test_case "gen_mult kernels near int_max" `Quick
+          test_gen_mult_kernel_edges;
+        Alcotest.test_case "typed float comparisons" `Quick
+          test_typed_float_compare;
+        Alcotest.test_case "typed division by zero" `Quick
+          test_typed_division_by_zero;
+        Alcotest.test_case "typed literal element reads" `Quick
+          test_typed_get_elem;
+        Alcotest.test_case "owned returns skip the copy" `Quick
+          test_owned_returns;
+        Alcotest.test_case "typed runners trust no void" `Quick
+          test_typed_trust;
         Alcotest.test_case "struct merges still copy" `Quick
           test_struct_merge_copies;
         Alcotest.test_case "aliased arguments are not lent" `Quick

@@ -844,14 +844,36 @@ let test_mangle_type () =
 (* Programs the standalone emitter cannot close into a self-contained
    sequential binary are rejected up front, not miscompiled. *)
 let test_standalone_rejects () =
-  let reject name ~entry src =
+  let reject ?(names = "") name ~entry src =
     let p = Parser.parse src in
     let env = Typecheck.check p in
     let fo = Instantiate.program env p ~entries:[ entry ] in
     match Emit_c.standalone fo ~entry ~args:[ 4 ] with
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
-    | exception Invalid_argument _ -> ()
+    | exception Invalid_argument m ->
+        if not (Test_machine.contains m names) then
+          Alcotest.failf "%s: %S does not name %S" name m names
   in
+  reject "struct without type parameters" ~entry:"go" ~names:"struct _pt"
+    {|
+      struct _pt { int x; int y; };
+      void go(int n) { struct _pt p; p.x = n; print_int(p.x); }
+    |};
+  reject "typedef without type parameters" ~entry:"go" ~names:"typedef real"
+    {|
+      typedef float real;
+      void go(int n) { real x = itof(n); print_float(x); }
+    |};
+  reject "fold into another type" ~entry:"go" ~names:"array_fold"
+    {|
+      float init_a(Index ix) { return itof(ix[0]); }
+      int conv(float v, Index ix) { return ix[0]; }
+      int addi(int a, int b) { return a + b; }
+      void go(int n) {
+        array<float> a = array_create(1, {n}, {0}, {-1}, init_a, DISTR_DEFAULT);
+        print_int(array_fold(conv, addi, a));
+      }
+    |};
   reject "entry named main" ~entry:"main"
     {| void main(int n) { print_int(n); } |};
   reject "mixed array element types" ~entry:"go"

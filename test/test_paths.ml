@@ -470,8 +470,30 @@ let proc_lines s =
          else None)
   |> String.concat ""
 
-(* emit-c --standalone, built with cc, prints the 1x1 run's lines *)
+(* the exit code and output, both streams, of a command *)
+let status prog args =
+  let out = Filename.temp_file "skil_status" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code =
+        Sys.command (Filename.quote_command prog args ~stdout:out ~stderr:out)
+      in
+      (code, read out))
+
+(* emit-c --standalone, built with cc, prints the 1x1 run's lines; a
+   program it cannot close (gauss.skil's plain typedef and its elemrec
+   fold) fails with class invalid, exit code 2, naming the construct *)
 let test_standalone_c () =
+  let args =
+    [ "emit-c"; example "gauss.skil"; "--standalone"; "--entry"; "gauss";
+      "--arg"; "8" ]
+  in
+  let code, out = status (skilc ()) args in
+  Alcotest.(check (pair int bool))
+    "skilc emit-c --standalone gauss.skil: exit 2, names typedef elemrec"
+    (2, true)
+    (code, Test_machine.contains out "typedef elemrec");
   if Sys.command "cc --version > /dev/null 2>&1" <> 0 then
     prerr_endline "standalone C skipped: no cc on PATH"
   else
