@@ -912,41 +912,54 @@ let specialize_skeleton prog (h : Ast.expr) name :
 
 (* ---------------- struct field resolution ---------------- *)
 
-(* Position of [fname] in the struct type the typechecker recorded on this
-   Field/Arrow node (the "<struct>" annotation), if any. *)
-let field_slot fc (e : Ast.expr) fname =
+(* The struct type the typechecker recorded on this Field/Arrow node (the
+   "<struct>" annotation), if any. *)
+let struct_of fc (e : Ast.expr) =
   match List.assoc_opt "<struct>" e.Ast.inst with
-  | Some (Ast.TNamed (n, _)) -> (
-      match Typecheck.struct_def fc.prog.tyenv n with
-      | Some sd ->
-          let rec pos i = function
-            | [] -> None
-            | (_, fn) :: _ when String.equal fn fname -> Some i
-            | _ :: rest -> pos (i + 1) rest
-          in
-          pos 0 sd.Ast.s_fields
-      | None -> None)
+  | Some (Ast.TNamed (n, _)) -> Typecheck.struct_def fc.prog.tyenv n
   | _ -> None
 
-(* The name check guards against an annotation that went stale (e.g. an AST
-   shared across programs); the fallback searches like the interpreter. *)
-let field_ref idx fname s =
-  match idx with
-  | Some i
-    when i < Array.length s.s_names && String.equal s.s_names.(i) fname ->
-      s.s_vals.(i)
-  | _ -> Value.struct_field s fname
+(* A field access resolved at compile time: the field's position in the
+   annotated struct type and that definition's own name string ([pos] is
+   -1 and [name] the accessed one when there is no annotation). *)
+type field = { pos : int; name : string }
 
-let field_get idx fname v =
+let field_slot fc e fname =
+  let rec go i = function
+    | [] -> { pos = -1; name = fname }
+    | (_, n) :: _ when String.equal n fname -> { pos = i; name = n }
+    | _ :: rest -> go (i + 1) rest
+  in
+  go 0 (match struct_of fc e with Some sd -> sd.Ast.s_fields | None -> [])
+
+(* A struct's [s_names] holds its definition's strings, so one physical
+   comparison confirms the position.  An annotation that went stale (e.g.
+   an AST shared across programs) falls back to the interpreter's
+   search. *)
+let position fd s =
+  let i = fd.pos in
+  if
+    i >= 0
+    && i < Array.length s.s_names
+    && Array.unsafe_get s.s_names i == fd.name
+  then i
+  else Value.field_pos s fd.name
+
+let field_get fd v =
   match v with
-  | VStruct s -> !(field_ref idx fname s)
-  | VBounds b -> Interp.bounds_field b fname
+  | VStruct s -> s.s_vals.(position fd s)
+  | VBounds b -> Interp.bounds_field b fd.name
   | v -> rte "field access on %s" (describe v)
 
-let arrow_get idx fname v =
+let field_int fd v = match field_get fd v with VInt n -> n | v -> as_int v
+
+let field_float fd v =
+  match field_get fd v with VFloat x -> x | v -> as_float v
+
+let arrow_get fd v =
   match v with
-  | VPtr r -> field_get idx fname !r
-  | VBounds b -> Interp.bounds_field b fname
+  | VPtr r -> field_get fd !r
+  | VBounds b -> Interp.bounds_field b fd.name
   | VNull -> rte "dereference of NULL"
   | v -> rte "-> applied to %s" (describe v)
 
@@ -976,6 +989,22 @@ let kind_of fc t =
     | Ast.TInt -> Kint
     | Ast.TFloat -> Kfloat
     | _ -> Kbox
+
+(* A field of a struct type without type parameters reads at its declared
+   kind; a generic struct's fields stay boxed. *)
+let field_kind fc e fname =
+  match struct_of fc e with
+  | Some { Ast.s_params = []; s_fields; _ } -> (
+      match List.find_opt (fun (_, n) -> String.equal n fname) s_fields with
+      | Some (t, _) -> kind_of fc t
+      | None -> Kbox)
+  | _ -> Kbox
+
+(* the frame slot of [e] when it is a variable in scope *)
+let var_slot scope (e : Ast.expr) =
+  match e.Ast.desc with
+  | Ast.Var x -> Option.map (fun v -> v.slot) (List.assoc_opt x scope)
+  | _ -> None
 
 let constant v =
   let run _ _ = v in
@@ -1067,7 +1096,7 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
       (* bds->lowerBd[j] / bds->upperBd[j]: read the bound in place instead
          of building the whole Index first.  Any other value takes the
          generic Arrow path, with its errors, before [i] is evaluated. *)
-      let arrow = arrow_get (field_slot fc a fname) fname in
+      let arrow = arrow_get (field_slot fc a fname) in
       let upper = fname = "upperBd" in
       let cp = compile_expr fc scope p in
       let ci = compile_expr fc scope i in
@@ -1103,12 +1132,9 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
       int_code ops (fun st f ->
           let arr = as_index (ra st f) in
           index_get arr (ri st f))
-  | Ast.Field (s, fname) ->
-      let idx = field_slot fc e fname in
-      combine1 (compile_expr fc scope s) (field_get idx fname)
+  | Ast.Field (s, fname) -> compile_field fc scope e s fname
   | Ast.Arrow (p, fname) ->
-      let idx = field_slot fc e fname in
-      combine1 (compile_expr fc scope p) (arrow_get idx fname)
+      combine1 (compile_expr fc scope p) (arrow_get (field_slot fc e fname))
   | Ast.Deref p ->
       combine1 (compile_expr fc scope p) (fun v ->
           match v with
@@ -1159,6 +1185,33 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
   | Ast.New e ->
       combine1 (compile_expr fc scope e) (fun v ->
           VPtr (ref (Value.copy v)))
+
+(* s.f: the Field node bumps, then s.  A struct variable's field is read
+   in one closure, and an int or float field also reads unboxed. *)
+and compile_field fc scope e s fname =
+  let fd = field_slot fc e fname in
+  let ops, src =
+    match var_slot scope s with
+    | Some slot -> (Some 2, `Slot slot)
+    | None ->
+        let cs = compile_expr fc scope s in
+        let ops, r = node 1 cs cs.run in
+        (ops, `Run r)
+  in
+  let run =
+    match src with
+    | `Slot slot -> fun _ f -> field_get fd f.(slot)
+    | `Run r -> fun st f -> field_get fd (r st f)
+  in
+  let typed =
+    match (field_kind fc e fname, src) with
+    | Kint, `Slot slot -> Int (fun _ f -> field_int fd f.(slot))
+    | Kint, `Run r -> Int (fun st f -> field_int fd (r st f))
+    | Kfloat, `Slot slot -> Flt (fun _ f -> field_float fd f.(slot))
+    | Kfloat, `Run r -> Flt (fun st f -> field_float fd (r st f))
+    | Kbox, _ -> Boxed
+  in
+  { ops; run; typed }
 
 (* array_get_elem(a, {i}) and array_get_elem(a, {i, j}) on an int or float
    array: the generic call's bumps (Call and head, a, the literal and its
@@ -1456,22 +1509,42 @@ and compile_assign fc scope (l : Ast.expr) cr =
               let v = rr st f in
               let arr = as_index (ra st f) in
               set v arr (ri st f)))
-  | Ast.Field (s, fname) ->
-      let idx = field_slot fc l fname in
-      with_target (compile_expr fc scope s) (fun v sv ->
-          match sv with
-          | VStruct str ->
-              field_ref idx fname str := v;
-              v
-          | w -> rte "field assignment on %s" (describe w))
+  | Ast.Field (s, fname) -> (
+      let fd = field_slot fc l fname in
+      let set v sv =
+        match sv with
+        | VStruct str ->
+            str.s_vals.(position fd str) <- v;
+            v
+        | w -> rte "field assignment on %s" (describe w)
+      in
+      match var_slot scope s with
+      | Some slot -> (
+          (* x.f = e: the Assign node, e and its copy, then x, in one
+             closure *)
+          let r = cr.run in
+          let boxed = match cr.typed with Boxed -> true | _ -> false in
+          match cr.ops with
+          | Some n ->
+              known (2 + n) (fun st f ->
+                  let v = r st f in
+                  set (if boxed then Value.copy v else v) f.(slot))
+          | None ->
+              dyn (fun st f ->
+                  bump st 1;
+                  let v = r st f in
+                  let v = if boxed then Value.copy v else v in
+                  bump st 1;
+                  set v f.(slot)))
+      | None -> with_target (compile_expr fc scope s) set)
   | Ast.Arrow (p, fname) ->
-      let idx = field_slot fc l fname in
+      let fd = field_slot fc l fname in
       with_target (compile_expr fc scope p) (fun v pv ->
           match pv with
           | VPtr r -> (
               match !r with
               | VStruct str ->
-                  field_ref idx fname str := v;
+                  str.s_vals.(position fd str) <- v;
                   v
               | w -> rte "-> assignment on %s" (describe w))
           | VNull -> rte "assignment through NULL"
@@ -1696,7 +1769,7 @@ let rec falls_through = function
 
 let rec holds_void = function
   | VUnit -> true
-  | VStruct s -> Array.exists (fun r -> holds_void !r) s.s_vals
+  | VStruct s -> Array.exists holds_void s.s_vals
   | _ -> false
 
 let rec stmt_exists p s =

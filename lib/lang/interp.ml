@@ -4,6 +4,7 @@ type state = {
   funcs : (string, Ast.func) Hashtbl.t;
   tyenv : Typecheck.env;
   backend : [ `Seq | `Par of Machine.ctx ];
+  meter : Machine.meter;
   buf : Buffer.t;
   mutable pending_ops : int;
       (* expression nodes evaluated since the last flush; charged as Scalar
@@ -24,7 +25,10 @@ let make ?(backend = `Seq) ~tyenv program =
           Hashtbl.replace funcs f.Ast.f_name f
       | _ -> ())
     program;
-  { funcs; tyenv; backend; buf = Buffer.create 256; pending_ops = 0 }
+  let meter =
+    match backend with `Par ctx -> Machine.meter ctx | `Seq -> Machine.Idle
+  in
+  { funcs; tyenv; backend; meter; buf = Buffer.create 256; pending_ops = 0 }
 
 let output st = Buffer.contents st.buf
 
@@ -59,7 +63,7 @@ let rec default_value st (t : Ast.typ) =
                           if t = Ast.TVar v' then a else t)
                         ft subst
                     in
-                    ref (default_value st ft))
+                    default_value st ft)
                   fields;
             }
       | None -> VUnit)
@@ -127,12 +131,28 @@ let ctx_of st =
   | `Par ctx -> ctx
   | `Seq -> rte "skeletons require parallel execution (use Spmd.run)"
 
+(* Every statement of both engines runs this, so the common case, a
+   simulated run's [Clock] meter, charges here with no call: the same
+   operands in the same order as [Machine.charge_scalar_nodes].  It is
+   written out rather than called from Machine because a call across
+   modules is not inlined in every build (dune's dev profile compiles with
+   -opaque). *)
 let flush_scalar st =
-  match st.backend with
-  | `Par ctx when st.pending_ops > 0 ->
-      Machine.charge_scalar_nodes ctx ~ops:st.pending_ops;
-      st.pending_ops <- 0
-  | `Par _ | `Seq -> st.pending_ops <- 0
+  let ops = st.pending_ops in
+  if ops > 0 then begin
+    (match st.meter with
+     | Machine.Clock m ->
+         if m.cancel_on then Groups.check_cancel m.groups;
+         let seconds =
+           float_of_int ops *. Calibration.scalar_node_op *. m.factor
+         in
+         m.tm.clock <- m.tm.clock +. seconds;
+         m.tm.busy <- m.tm.busy +. seconds
+     | Machine.Poll g -> Groups.check_cancel g
+     | Machine.Charge ctx -> Machine.charge_scalar_nodes ctx ~ops
+     | Machine.Idle -> ());
+    st.pending_ops <- 0
+  end
 
 let distr_of = function
   | 0 -> Darray.Default
@@ -496,7 +516,7 @@ and eval st env (e : Ast.expr) : Value.t =
 and field st v f =
   ignore st;
   match v with
-  | VStruct s -> !(Value.struct_field s f)
+  | VStruct s -> s.s_vals.(Value.field_pos s f)
   | VBounds b -> bounds_field b f
   | v -> rte "field access on %s" (describe v)
 
@@ -521,13 +541,13 @@ and assign st env (l : Ast.expr) v =
       else rte "Index assignment out of range (%d)" i)
   | Ast.Field (s, f) -> (
       match eval st env s with
-      | VStruct str -> Value.struct_field str f := v
+      | VStruct str -> str.s_vals.(Value.field_pos str f) <- v
       | w -> rte "field assignment on %s" (describe w))
   | Ast.Arrow (p, f) -> (
       match eval st env p with
       | VPtr r -> (
           match !r with
-          | VStruct str -> Value.struct_field str f := v
+          | VStruct str -> str.s_vals.(Value.field_pos str f) <- v
           | w -> rte "-> assignment on %s" (describe w))
       | VNull -> rte "assignment through NULL"
       | w -> rte "-> assignment on %s" (describe w))

@@ -24,6 +24,7 @@ type state = {
   funcs : (string, Ast.func) Hashtbl.t;  (** user functions with bodies *)
   tyenv : Typecheck.env;
   backend : [ `Seq | `Par of Machine.ctx ];
+  meter : Machine.meter;  (** how {!flush_scalar} charges this rank *)
   buf : Buffer.t;  (** accumulated print_* output of this processor *)
   mutable pending_ops : int;
       (** expression nodes since the last {!flush_scalar} *)
@@ -61,8 +62,10 @@ val default_value : state -> Ast.typ -> Value.t
     Stats bit-identical. *)
 
 val flush_scalar : state -> unit
-(** Charge [pending_ops] expression nodes as Scalar work on the simulated
-    machine (no-op cost-wise under [`Seq]) and reset the counter. *)
+(** Charge [pending_ops] expression nodes as Scalar work through the
+    state's {!Machine.meter} (no-op cost-wise under [`Seq]) and reset the
+    counter.  A simulated run without tracing or a fault plan adds to the
+    clock inline; see {!Machine.type-meter} for the other cases. *)
 
 val ctx_of : state -> Machine.ctx
 (** The simulated machine context of a [`Par] state.

@@ -61,8 +61,15 @@ let rec skip_ws st =
       skip_ws st
   | _ -> ()
 
+(* A literal OCaml cannot convert (an int past [max_int], an exponent with
+   no digits) is a lexical error at the literal's start. *)
 let lex_number st =
-  let start = st.pos in
+  let start = st.pos and line = st.line and col = st.col in
+  let convert conv what text =
+    match conv text with
+    | Some v -> v
+    | None -> raise (Error { line; col; message = what ^ ": " ^ text })
+  in
   while (match peek st with Some c -> is_digit c | None -> false) do
     advance st
   done;
@@ -85,9 +92,14 @@ let lex_number st =
            advance st
          done
      | _ -> ());
-    Token.FLOAT (float_of_string (String.sub st.src start (st.pos - start)))
+    Token.FLOAT
+      (convert float_of_string_opt "malformed float literal"
+         (String.sub st.src start (st.pos - start)))
   end
-  else Token.INT (int_of_string (String.sub st.src start (st.pos - start)))
+  else
+    Token.INT
+      (convert int_of_string_opt "integer literal out of range"
+         (String.sub st.src start (st.pos - start)))
 
 let lex_ident st =
   let start = st.pos in

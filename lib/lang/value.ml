@@ -29,12 +29,15 @@ and darray =
   | DInt of int Darray.t
   | DFloat of float Darray.t
 
-(* Fields live at fixed positions (declaration order of the struct_def);
-   [s_names] is shared between all values of the same struct type, so the
-   per-value payload is just the tag and the field cells.  The compiled
-   engine resolves field names to positions at compile time; the reference
-   interpreter searches [s_names]. *)
-and vstruct = { s_tag : string; s_names : string array; s_vals : t ref array }
+(* Fields live at fixed positions (declaration order of the struct_def),
+   flat in [s_vals]: a copy allocates one array and a field write is an
+   array store.  [s_names] holds the struct_def's own field-name strings
+   and is shared between copies, so the per-value payload is just the tag
+   and the field values.  The compiled engine resolves field names to
+   positions at compile time and checks them by physical equality with
+   the definition's string; the reference interpreter searches
+   [s_names]. *)
+and vstruct = { s_tag : string; s_names : string array; s_vals : t array }
 
 and vfun = {
   fv_target : [ `User of string | `Builtin of string | `Op of string ];
@@ -45,8 +48,8 @@ exception Skil_runtime_error of string
 
 let rte fmt = Printf.ksprintf (fun m -> raise (Skil_runtime_error m)) fmt
 
-(* Copies of Index vectors and struct field cells.  Up to four elements
-   are allocated inline: [Array.copy] and [Array.map] are C calls, and the
+(* Copies of Index vectors and struct fields.  Up to four elements are
+   allocated inline: [Array.copy] and [Array.map] are C calls, and the
    short vectors of Index values and small structs are what element
    functions pass around. *)
 let copy_ints (a : int array) =
@@ -59,30 +62,28 @@ let copy_ints (a : int array) =
 
 (* C value semantics: copy structs (recursively) and Index arrays. *)
 let rec copy = function
-  | VStruct s -> VStruct { s with s_vals = copy_cells s.s_vals }
+  | VStruct s -> VStruct { s with s_vals = copy_fields s.s_vals }
   | VIndex a -> VIndex (copy_ints a)
   | ( VUnit | VInt _ | VFloat _ | VStr _ | VChar _ | VBounds _ | VNull
     | VPtr _ | VFun _ | VDarray _ ) as v ->
       v
 
-and copy_cells c =
+and copy_fields c =
   match Array.length c with
-  | 1 -> [| copy_cell c 0 |]
+  | 1 -> [| copy c.(0) |]
   | 2 ->
-      let c0 = copy_cell c 0 in
-      [| c0; copy_cell c 1 |]
+      let c0 = copy c.(0) in
+      [| c0; copy c.(1) |]
   | 3 ->
-      let c0 = copy_cell c 0 in
-      let c1 = copy_cell c 1 in
-      [| c0; c1; copy_cell c 2 |]
+      let c0 = copy c.(0) in
+      let c1 = copy c.(1) in
+      [| c0; c1; copy c.(2) |]
   | 4 ->
-      let c0 = copy_cell c 0 in
-      let c1 = copy_cell c 1 in
-      let c2 = copy_cell c 2 in
-      [| c0; c1; c2; copy_cell c 3 |]
-  | _ -> Array.map (fun r -> ref (copy !r)) c
-
-and copy_cell c i = ref (copy !(c.(i)))
+      let c0 = copy c.(0) in
+      let c1 = copy c.(1) in
+      let c2 = copy c.(2) in
+      [| c0; c1; c2; copy c.(3) |]
+  | _ -> Array.map copy c
 
 (* Wire size of a value in the paper's 1996 C representation: 4-byte ints
    and floats, 1-byte chars, structs as the sum of their fields (matching
@@ -97,7 +98,7 @@ let rec wire_bytes = function
   | VBounds b -> 8 * Array.length b.Index.lower
   | VPtr r -> wire_bytes !r
   | VStruct s ->
-      Array.fold_left (fun acc r -> acc + wire_bytes !r) 0 s.s_vals
+      Array.fold_left (fun acc v -> acc + wire_bytes v) 0 s.s_vals
   | VFun _ | VDarray _ -> 4 (* handles; never meaningfully serialized *)
 
 let describe = function
@@ -161,7 +162,8 @@ let field_index s name =
   in
   go 0
 
-let struct_field s name =
+(* Position of [name] in a struct's field vector.
+   @raise Skil_runtime_error when it has no such field. *)
+let field_pos s name =
   let i = field_index s name in
-  if i < 0 then rte "structure %s has no field %s" s.s_tag name
-  else s.s_vals.(i)
+  if i < 0 then rte "structure %s has no field %s" s.s_tag name else i

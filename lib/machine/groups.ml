@@ -103,6 +103,7 @@ let coll_net t =
 let stats t = t.stats
 let check_cancel t =
   match t.cancel with Some f when f () -> raise Cancelled | _ -> ()
+let cancellable t = t.cancel <> None
 let count t = Array.length t.scheds
 let group_of t rank = t.group_of.(rank)
 let span t g = (t.first.(g), t.first.(g + 1) - t.first.(g))

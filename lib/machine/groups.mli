@@ -70,6 +70,9 @@ val check_cancel : t -> unit
     branch when none was given.  Callable from any domain, so the callback
     must be thread-safe (an [Atomic.t] read, typically). *)
 
+val cancellable : t -> bool
+(** Whether the run was given a cancel callback. *)
+
 (** {1 Scheduling} *)
 
 val count : t -> int

@@ -192,9 +192,10 @@ let rec apply_stalls ctx =
   | _ -> ()
 
 (* Cooperative cancellation: every simulated-clock advance funnels through
-   [compute] or [overhead] (the language engines flush per statement, the
-   communication path charges overheads), so polling here keeps any
-   running Skil program cancellable without touching the skeleton layer.
+   [compute] or [overhead] (the communication path charges overheads) or
+   the language engines' scalar meter, which polls as [compute] does, so
+   any running Skil program stays cancellable without touching the
+   skeleton layer.
    Receivers parked forever are already surfaced by [Stalled]. *)
 let[@inline] compute ctx seconds =
   assert (seconds >= 0.0);
@@ -216,10 +217,11 @@ let charge ctx cls ~ops ~base =
       (float_of_int ops *. base *. Cost_model.factor (profile ctx.m) cls)
   end
 
-(* Fast path for the Skil engines' per-statement scalar flush: same math as
-   [charge ctx Scalar ~ops ~base:Calibration.scalar_node_op] (same operand
-   order, so simulated clocks stay bit-identical), with the factor lookup
-   hoisted to machine construction. *)
+(* The Skil engines' per-statement scalar charge on a traced run or one
+   with a fault plan (the [meter] below charges the others inline): same
+   math as [charge ctx Scalar ~ops ~base:Calibration.scalar_node_op] (same
+   operand order, so simulated clocks stay bit-identical), with the factor
+   lookup hoisted to machine construction. *)
 let charge_scalar_nodes ctx ~ops =
   if ops > 0 then begin
     if ctx.m.trace_on then
@@ -814,7 +816,7 @@ let quiesce m () =
 
 (* Simulate [body] on every processor of the run [g]; the makespan (the
    latest finishing clock) and the trace. *)
-let simulate ~trace ~faults ~reliable ~cancel_on g body =
+let simulate ~trace ~faults ~reliable g body =
   let n = Groups.nranks g in
   let topology = Groups.topology g and cost = Groups.cost g in
   let params = cost.Cost_model.params in
@@ -903,7 +905,7 @@ let simulate ~trace ~faults ~reliable ~cancel_on g body =
       faults_on;
       reliable;
       rto_fixed;
-      cancel_on;
+      cancel_on = Groups.cancellable g;
       min_delay_factor =
         (if faults_on && fplan.Fault.link.Fault.delay > 0.0 then
            Float.min 1.0 fplan.Fault.link.Fault.delay_factor
@@ -936,9 +938,9 @@ let simulate ~trace ~faults ~reliable ~cancel_on g body =
 (* Engine dispatch: the operations the simulator and the native engine
    implement differently.  Cost charging, crash protection and trace spans
    are simulator concepts; the native arms of the charge family poll
-   cancellation instead, as they are the per-statement hooks of the
-   language engines, so a compute-bound native job stays reapable by the
-   service watchdog. *)
+   cancellation instead, as the native [meter] does at every statement of
+   the language engines, so a compute-bound native job stays reapable by
+   the service watchdog. *)
 
 let clock ctx =
   match ctx.eng with Sim c -> c.p.tm.clock | Native c -> Native.clock c
@@ -962,6 +964,34 @@ let charge_scalar_nodes ctx ~ops =
   match ctx.eng with
   | Sim c -> charge_scalar_nodes c ~ops
   | Native _ -> Groups.check_cancel ctx.g
+
+(* Plain data, not closures: [Interp.flush_scalar] matches on it at every
+   statement, where an indirect call costs measurably.  Tracing records
+   span op counts and trace records, and a fault plan applies stalls, so
+   those runs keep [charge_scalar_nodes]. *)
+type meter =
+  | Clock of {
+      tm : times;
+      factor : float;
+      cancel_on : bool;
+      groups : Groups.t;
+    }
+  | Poll of Groups.t
+  | Charge of ctx
+  | Idle
+
+let meter ctx =
+  match ctx.eng with
+  | Sim c when not (c.m.trace_on || c.m.faults_on) ->
+      Clock
+        {
+          tm = c.p.tm;
+          factor = c.m.c_scalar_factor;
+          cancel_on = c.m.cancel_on;
+          groups = ctx.g;
+        }
+  | Sim _ -> Charge ctx
+  | Native _ -> if Groups.cancellable ctx.g then Poll ctx.g else Idle
 
 let charge_skeleton_call ctx =
   let st = rank_stats ctx in
@@ -1027,7 +1057,7 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
     invalid_arg "Machine.run: sim_domains must be >= 1";
   execute ~cost ~collectives ~cancel ~topology
     ~ngroups:(min sim_domains (Topology.nprocs topology))
-    (simulate ~trace ~faults ~reliable ~cancel_on:(cancel <> None))
+    (simulate ~trace ~faults ~reliable)
     f
 
 (* [time] is wall-clock seconds and the trace is empty.  The block count

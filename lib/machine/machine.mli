@@ -99,12 +99,13 @@ val run :
     reorder arrivals.)
 
     [cancel] (default: never) installs a cooperative cancellation
-    callback, polled at every clock advance ({!compute}/{!charge} and the
-    communication overheads all funnel through the poll).  When it returns
-    true the run raises {!Cancelled}.  It may be invoked from any domain
-    under [sim_domains > 1], so it must be thread-safe — an [Atomic.t]
-    read, typically.  With [cancel] absent, behaviour (values, clocks,
-    stats, traces) is byte-identical to builds without the hook.
+    callback, polled at every clock advance ({!compute}/{!charge}, the
+    communication overheads and the Skil engines' {!type-meter} all
+    poll).  When it returns true the run raises {!Cancelled}.  It may be
+    invoked from any domain under [sim_domains > 1], so it must be
+    thread-safe — an [Atomic.t] read, typically.  With [cancel] absent,
+    behaviour (values, clocks, stats, traces) is byte-identical to builds
+    without the hook.
 
     @raise Stalled if the program deadlocks or starves (see above).
     @raise Cancelled when [cancel] fires.
@@ -177,8 +178,44 @@ val charge : ctx -> Cost_model.op_class -> ops:int -> base:float -> unit
 val charge_scalar_nodes : ctx -> ops:int -> unit
 (** Exactly [charge ctx Scalar ~ops ~base:Calibration.scalar_node_op], with
     the profile factor hoisted to machine construction — the per-statement
-    flush hook of the Skil execution engines.  The floating-point operand
-    order matches {!charge}, so clocks are bit-identical either way. *)
+    charge of the Skil execution engines on a traced run or one with a
+    fault plan (see {!type-meter}).  The floating-point operand order
+    matches {!charge}, so clocks are bit-identical either way. *)
+
+(** {1 The scalar meter} *)
+
+type times = { mutable clock : float; mutable busy : float }
+(** A simulated processor's clock and its charged compute time, which
+    {!run} publishes as [Stats.compute_time]. *)
+
+(** How a Skil engine charges [ops] expression nodes at each statement:
+    plain data, read on every flush, with no call on the common path.
+
+    - [Clock]: a simulated run without tracing or a fault plan.  Poll the
+      cancel hook when [cancel_on], then add
+      [float_of_int ops *. Calibration.scalar_node_op *. factor] to
+      [tm.clock], then to [tm.busy]: the operands, order and effects of
+      {!charge_scalar_nodes}.
+    - [Poll]: the native engine with a cancel hook; {!Groups.check_cancel},
+      nothing else.
+    - [Charge]: a traced run or one with a fault plan, which records span
+      op counts and trace records and applies stalls; call
+      {!charge_scalar_nodes}.
+    - [Idle]: the native engine without a cancel hook, or no machine
+      (sequential evaluation); charge nothing. *)
+type meter =
+  | Clock of {
+      tm : times;
+      factor : float;
+      cancel_on : bool;
+      groups : Groups.t;
+    }
+  | Poll of Groups.t
+  | Charge of ctx
+  | Idle
+
+val meter : ctx -> meter
+(** The rank's scalar meter. *)
 
 val charge_skeleton_call : ctx -> unit
 (** Count one skeleton call in this processor's {!Stats.proc} and charge

@@ -551,6 +551,234 @@ int main() { return 0; }
 |}
     "entry argument" "runtime error: invalid operands for +: 3, 1.5"
 
+(* ---------------- struct layout ----------------
+
+   Struct fields sit flat in one array per value: a copy allocates a new
+   array, a field write stores into it, and the compiled engine reads a
+   field at its compile-time position (an int or float field of a struct
+   without type parameters unboxed) and stores [x.f = e] in one closure.
+   Each program must agree over ast, compiled, --no-specialize and native,
+   and print what C value semantics give: the engines share [Value.copy],
+   so agreement alone would not catch a copy that shares fields. *)
+
+let layout name ?instantiate ~printed src =
+  let o = Test_paths.ok ~what:name (agree_all ?instantiate src name) in
+  Alcotest.(check string) (name ^ ": printed") printed o.Test_paths.printed
+
+(* every rank prints [line] *)
+let on_each_rank line = Test_paths.ranks Fun.id (Array.make 4 line)
+
+(* o.a.x = v and friends: writes through nested fields, of a local, of a
+   copy made by new() and through the pointer *)
+let nested_src =
+  {|
+struct _in { int x; float y; };
+typedef struct _in In;
+struct _out { In a; int b; In c; };
+typedef struct _out Out;
+Out mk(int v) {
+  Out o;
+  o.a.x = v;
+  o.a.y = itof(v) / 4.0;
+  o.b = v * 2;
+  o.c = o.a;
+  o.c.x = v + 100;
+  return o;
+}
+void show(Out o) {
+  print_int(o.a.x); print_string(",");
+  print_float(o.a.y); print_string(",");
+  print_int(o.b); print_string(",");
+  print_int(o.c.x); print_string(",");
+  print_float(o.c.y); print_string(" ");
+}
+int main() {
+  Out o = mk(3);
+  show(o);
+  o.a.x = 7;
+  o.c.y = o.a.y * 2.0;
+  Out *p = new(o);
+  p->a.x = 11;
+  (*p).c.x = 12;
+  In i = p->c;
+  i.y = 9.5;
+  p->c.y = i.y + 1.0;
+  show(o);
+  show(*p);
+  return o.a.x * 100 + p->a.x;
+}
+|}
+
+(* a copy through a declaration, an assignment, an owned return, new(),
+   *p, a map's stored results, a fold's result and an element read, each
+   then mutated; only the copy changes *)
+let copies_src =
+  {|
+struct _r { int a; float b; Index ix; };
+typedef struct _r R;
+R mk(int v, int e, Index ix) {
+  R r;
+  r.a = v + e * 3 + ix[0];
+  r.b = itof(ix[0]) * 0.5;
+  r.ix = {ix[0], v};
+  return r;
+}
+R pick(R x, R y) { if (y.a > x.a) return y; return x; }
+int ident(Index ix) { return ix[0]; }
+R zr(Index ix) { R r; return r; }
+void show(R r) {
+  print_int(r.a); print_string(",");
+  print_float(r.b); print_string(",");
+  print_int(r.ix[0]); print_string(",");
+  print_int(r.ix[1]); print_string(" ");
+}
+int main() {
+  R s = mk(1, 0, {2});
+  R d = s;
+  d.a = 50;
+  d.ix[1] = 51;
+  R e;
+  e = s;
+  e.b = 2.5;
+  e.ix[0] = 9;
+  R *p = new(s);
+  p->a = 60;
+  R f = *p;
+  f.a = 61;
+  f.ix[1] = 62;
+  array<int> a = array_create(1, {8}, {0}, {-1}, ident, DISTR_DEFAULT);
+  array<R> b = array_create(1, {8}, {0}, {-1}, zr, DISTR_DEFAULT);
+  array_map(mk(s.a), a, b);
+  R m = array_fold(mk(3), pick, a);
+  m.a = m.a + 1000;
+  m.ix[0] = 77;
+  Bounds bds = array_part_bounds(b);
+  R g = array_get_elem(b, bds->lowerBd);
+  g.a = 70;
+  g.ix[1] = 71;
+  show(s); show(d); show(e); show(*p); show(f); show(m); show(g);
+  show(array_get_elem(b, bds->lowerBd));
+  show(array_fold(mk(3), pick, a));
+  array_destroy(a);
+  array_destroy(b);
+  return s.a + d.a;
+}
+|}
+
+(* typed field reads: == < <= on nan and signed zeros, by Float.compare,
+   and int fields in arithmetic *)
+let typed_fields_src =
+  {|
+struct _f { float x; int n; float y; };
+typedef struct _f F;
+int cmp(F a) {
+  int r = 0;
+  if (a.x == a.y) r = r + 1;
+  if (a.x < a.y) r = r + 2;
+  if (a.y < a.x) r = r + 4;
+  if (a.x == a.x) r = r + 8;
+  if (a.x <= a.y) r = r + 16;
+  return r * 10 + a.n;
+}
+F mkf(float x, float y, int n) {
+  F f;
+  f.x = x;
+  f.y = y;
+  f.n = n;
+  return f;
+}
+int main() {
+  float nan = sqrt(0.0 - 1.0);
+  float pz = 0.0;
+  float nz = -pz;
+  print_int(cmp(mkf(nan, nan, 1))); print_string(" ");
+  print_int(cmp(mkf(nan, 1.0, 2))); print_string(" ");
+  print_int(cmp(mkf(1.0, nan, 3))); print_string(" ");
+  print_int(cmp(mkf(nz, pz, 4))); print_string(" ");
+  print_int(cmp(mkf(pz, nz, 5))); print_string(" ");
+  F g = mkf(nz, nan, 6);
+  print_float(g.x); print_string(" ");
+  print_float(g.x * 2.0); print_string(" ");
+  print_int(g.n * 7 - g.n); print_string(" ");
+  print_int(g.x == pz); print_int(g.y == g.y); print_int(g.y < g.x);
+  print_string(" ");
+  return g.n;
+}
+|}
+
+(* a generic struct's fields read boxed: under --no-instantiate, first()
+   and second() read an int from one instance and a float from the
+   other, and its int field is read through a parameterised type *)
+let generic_src =
+  {|
+struct _pair { $a fst; $b snd; int n; };
+$a first(struct _pair<$a, $b> p) { return p.fst; }
+$b second(struct _pair<$a, $b> p) { return p.snd; }
+int count(struct _pair<$a, $b> p) { return p.n + 1; }
+int main() {
+  struct _pair<int, float> p;
+  p.fst = 3;
+  p.snd = 1.5;
+  p.n = 10;
+  struct _pair<float, int> q;
+  q.fst = p.snd * 2.0;
+  q.snd = p.fst + 1;
+  q.n = p.n * 2;
+  int a = first(p) + second(q) + count(q);
+  float b = second(p) + first(q);
+  print_int(a); print_string(" ");
+  print_float(b); print_string(" ");
+  print_int(p.fst * 10 + q.snd + q.n); print_string(" ");
+  print_float(q.fst - p.snd);
+  return a;
+}
+|}
+
+let test_struct_layout () =
+  layout "nested field writes" nested_src
+    ~printed:
+      (on_each_rank
+         "3,0.75,6,103,0.75 7,0.75,6,103,1.5 11,0.75,6,12,10.5 ");
+  layout "struct copies" copies_src
+    ~printed:
+      (Test_paths.ranks
+         (fun r ->
+           Printf.sprintf
+             "3,1,2,1 50,1,2,51 3,2.5,9,1 60,1,2,1 61,1,2,62 1031,3.5,77,3 \
+              70,%d,%d,71 %d,%d,%d,3 31,3.5,7,3 "
+             r (2 * r) (3 + (8 * r)) r (2 * r))
+         [| 0; 1; 2; 3 |]);
+  layout "typed field reads" typed_fields_src
+    ~printed:(on_each_rank "251 262 123 254 255 -0 -0 36 111 ");
+  List.iter
+    (fun instantiate ->
+      let name = if instantiate then "" else ", no-instantiate" in
+      layout ("generic struct" ^ name) ~instantiate generic_src
+        ~printed:(on_each_rank "28 4.5 54 1.5"))
+    [ true; false ]
+
+(* The scalar meter polls the cancel hook at each statement's charge, so
+   a hook that fires stops a compute-bound program on every engine: the
+   simulator's meter adds to the clock after polling, the native one only
+   polls.  Without the poll the loop would run to its end. *)
+let test_meter_cancels () =
+  let src =
+    "int main() { int x = 0; for (int i = 0; i < 1000000; i++) x = x + i % \
+     7; return x; }\n"
+  in
+  List.iter
+    (fun (name, engine) ->
+      let polls = Atomic.make 0 in
+      let cancel () = Atomic.fetch_and_add polls 1 >= 1000 in
+      match
+        Spmd.run_source ~engine ~cancel
+          ~topology:(Topology.mesh ~width:2 ~height:1)
+          src ~entry:"main" ~args:[]
+      with
+      | _ -> Alcotest.failf "%s: ran to its end, not cancelled" name
+      | exception Machine.Cancelled -> ())
+    [ ("ast", `Ast); ("compiled", `Compiled); ("native", `Native) ]
+
 (* ---------------- satellite regressions ---------------- *)
 
 let test_pointer_comparison_semantics () =
@@ -653,6 +881,9 @@ let suite =
           test_owned_returns;
         Alcotest.test_case "typed runners trust no void" `Quick
           test_typed_trust;
+        Alcotest.test_case "struct layout" `Quick test_struct_layout;
+        Alcotest.test_case "the meter polls a cancel hook" `Quick
+          test_meter_cancels;
         Alcotest.test_case "struct merges still copy" `Quick
           test_struct_merge_copies;
         Alcotest.test_case "aliased arguments are not lent" `Quick

@@ -57,6 +57,44 @@ let test_lexer_errors () =
   Alcotest.(check bool) "preprocessor lines skipped" true
     (toks "#include <x.h>\n1" = [ Token.INT 1; Token.EOF ])
 
+(* Literals OCaml cannot convert (an int past max_int, an exponent with no
+   digits) are lexical errors at the literal: class syntax, skilc's exit
+   code 3.  The largest int and signed exponents still lex. *)
+let unconvertible_literals =
+  [
+    ("4611686018427387904", "integer literal out of range");
+    ("1.e", "malformed float literal");
+    ("1.5e+", "malformed float literal");
+    ("1.5E-", "malformed float literal");
+  ]
+
+let literal_src lit =
+  Printf.sprintf "int main() {\n  int x = %s;\n  return 0;\n}\n" lit
+
+let test_lexer_literals () =
+  Alcotest.(check bool) "max_int, 1.5e+3, 2.5E-1" true
+    (toks "4611686018427387903 1.5e+3 2.5E-1"
+     = [ Token.INT max_int; Token.FLOAT 1500.0; Token.FLOAT 0.25; Token.EOF ]);
+  let file = Filename.temp_file "skil_literal" ".skil" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun (lit, what) ->
+          Out_channel.with_open_bin file (fun oc ->
+              output_string oc (literal_src lit));
+          let want =
+            Printf.sprintf "%s:2:11: lexical error: %s: %s\n" file what lit
+          in
+          List.iter
+            (fun args ->
+              Alcotest.(check (pair int string))
+                (String.concat " " ("skilc" :: args))
+                (3, want)
+                (Test_paths.status (Test_paths.skilc ()) args))
+            [ [ "check"; file ]; [ "run-par"; file; "--entry"; "main" ] ])
+        unconvertible_literals)
+
 (* ---------------- parser ---------------- *)
 
 let test_parser_precedence () =
@@ -974,6 +1012,94 @@ let test_native_options_rejected () =
         ])
     [ ("ast", `Ast); ("compiled", `Compiled) ]
 
+(* ---------------- frontend mutations ---------------- *)
+
+(* Token drops, duplications, swaps, truncations and unconvertible
+   literals applied to each example program, one to three at a time, then
+   the frontend alone (Spmd.prepare_source: nothing runs, so nothing can
+   hang).  Whatever it raises must be a classified failure, never an
+   internal error. *)
+type mutation = Drop | Dup | Swap | Cut | Lit of string
+
+let mutations =
+  [ Drop; Dup; Swap; Cut ]
+  @ List.map (fun (lit, _) -> Lit lit) unconvertible_literals
+
+let show_mutation (m, i) =
+  match m with
+  | Drop -> Printf.sprintf "drop %d" i
+  | Dup -> Printf.sprintf "dup %d" i
+  | Swap -> Printf.sprintf "swap %d" i
+  | Cut -> Printf.sprintf "cut %d" i
+  | Lit l -> Printf.sprintf "%s at %d" l i
+
+(* each example program's (file, entry) and its tokens' text *)
+let mutation_corpus =
+  lazy
+    (List.sort_uniq compare
+       (List.map (fun r -> (r.Test_paths.file, r.entry)) Test_paths.corpus)
+    |> List.map (fun (file, entry) ->
+           let words =
+             Lexer.tokenize (Test_paths.source file)
+             |> List.filter_map (fun t ->
+                    match t.Token.tok with
+                    | Token.EOF -> None
+                    | tok -> Some (Token.describe tok))
+           in
+           (file, entry, Array.of_list words)))
+
+let mutate words (m, i) =
+  let n = Array.length words in
+  if n = 0 then words
+  else
+    let i = i mod n in
+    let before = Array.sub words 0 i
+    and after = Array.sub words (i + 1) (n - i - 1) in
+    match m with
+    | Drop -> Array.append before after
+    | Dup -> Array.concat [ before; [| words.(i); words.(i) |]; after ]
+    | Swap when i + 1 < n ->
+        let w = Array.copy words in
+        w.(i) <- words.(i + 1);
+        w.(i + 1) <- words.(i);
+        w
+    | Swap -> words
+    | Cut -> before
+    | Lit l -> Array.concat [ before; [| l |]; after ]
+
+let gen_mutant =
+  let open QCheck2.Gen in
+  let* p = int_bound (List.length (Lazy.force mutation_corpus) - 1) in
+  let+ ms = list_size (int_range 1 3) (pair (oneofl mutations) nat) in
+  (p, ms)
+
+let mutant_source (p, ms) =
+  let file, entry, words = List.nth (Lazy.force mutation_corpus) p in
+  let words = List.fold_left mutate words ms in
+  (file, entry, String.concat " " (Array.to_list words))
+
+let print_mutant (p, ms) =
+  let file, _, src = mutant_source (p, ms) in
+  Printf.sprintf "%s, %s:\n%s" file
+    (String.concat ", " (List.map show_mutation ms))
+    src
+
+let prop_mutants_classified mutant =
+  let _, entry, src = mutant_source mutant in
+  match Spmd.prepare_source src ~entry with
+  | _ -> true
+  | exception e -> (
+      match Errclass.of_exn e with
+      | Some (cls, _) when cls <> Errclass.Internal -> true
+      | _ ->
+          QCheck2.Test.fail_reportf "unclassified: %s" (Printexc.to_string e))
+
+let test_mutants_classified =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 19 |])
+    (QCheck2.Test.make ~count:500 ~name:"mutated programs fail classified"
+       ~print:print_mutant gen_mutant prop_mutants_classified)
+
 let suite =
   [
     ( "lang lexer",
@@ -983,6 +1109,8 @@ let suite =
         Alcotest.test_case "comments" `Quick test_lexer_comments;
         Alcotest.test_case "strings/chars" `Quick test_lexer_strings_chars;
         Alcotest.test_case "errors" `Quick test_lexer_errors;
+        Alcotest.test_case "unconvertible literals" `Quick
+          test_lexer_literals;
       ] );
     ( "lang parser",
       [
@@ -1063,4 +1191,5 @@ let suite =
         Alcotest.test_case "standalone rejects" `Quick
           test_standalone_rejects;
       ] );
+    ("lang frontend", [ test_mutants_classified ]);
   ]

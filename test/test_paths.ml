@@ -129,8 +129,10 @@ let counts l =
 let ok ~what = function Ok o -> o | Error m -> Alcotest.failf "%s: %s" what m
 let fault_plan spec = ok ~what:"--faults" (Fault.parse spec)
 
+(* [trace] (default true) records the simulated paths' trace; [cancel] is
+   the run's cancel hook *)
 let observe ?(topology = Topology.mesh ~width:2 ~height:2) ?(entry = "main")
-    ?(args = []) (s : setup) src : outcome =
+    ?(args = []) ?(trace = true) ?cancel (s : setup) src : outcome =
   let profile = Jobspec.profile_of_string s.profile in
   let cost = Cost_model.make (ok ~what:"--cost-profile" profile) in
   let faults = Option.map fault_plan s.faults in
@@ -138,7 +140,7 @@ let observe ?(topology = Topology.mesh ~width:2 ~height:2) ?(entry = "main")
     ok ~what:"--collectives" (Coll_alg.mode_of_string s.collectives)
   in
   match
-    Spmd.run_source ~cost ~trace:(s.engine <> `Native) ?faults
+    Spmd.run_source ~cost ~trace:(trace && s.engine <> `Native) ?cancel ?faults
       ~reliable:s.reliable ~collectives ~sim_domains:s.sim_domains
       ?native_domains:s.native_domains ~instantiate:s.instantiate
       ~engine:s.engine ~specialize:s.specialize ~optimize:s.optimize
@@ -186,30 +188,33 @@ let observe ?(topology = Topology.mesh ~width:2 ~height:2) ?(entry = "main")
           rendering = Spmd.render ~summary:(s.engine, cost) r;
         }
 
-let observe_row s r =
-  observe ~topology:(topology r) ~entry:r.entry
+let observe_row ?trace ?cancel s r =
+  observe ~topology:(topology r) ~entry:r.entry ?trace ?cancel
     ~args:(List.map (fun n -> Value.VInt n) r.args)
     s (source r.file)
 
 (* ---------------- agreement ---------------- *)
 
-type cls = Bytes | Values | Counters
+(* [Untraced]: all of [Bytes] but the trace and the ops it counts *)
+type cls = Bytes | Untraced | Values | Counters
 
 (* each field: the classes that compare it, its equality, its rendering *)
 let fields =
-  let all = [ Bytes; Values; Counters ] and counted = [ Bytes; Counters ] in
+  let all = [ Bytes; Untraced; Values; Counters ]
+  and counted = [ Bytes; Untraced; Counters ]
+  and exact = [ Bytes; Untraced ] in
   let text name classes f = (name, classes, (fun a b -> f a = f b), f) in
   [
     text "printed output" all (fun o -> o.printed);
     text "values" all (fun o -> o.values);
     text "message counters" counted (fun o -> o.counters);
     text "collective algorithms" counted (fun o -> o.algs);
-    text "makespan" [ Bytes ] (fun o -> o.makespan);
-    text "stats" [ Bytes ] (fun o -> o.clocks);
+    text "makespan" exact (fun o -> o.makespan);
+    text "stats" exact (fun o -> o.clocks);
     text "charged ops" [ Bytes ] (fun o -> string_of_int o.ops);
     ( "trace", [ Bytes ], (fun a b -> a.records = b.records),
       fun o -> Lazy.force o.chrome );
-    text "rendering" [ Bytes ] (fun o -> o.rendering);
+    text "rendering" exact (fun o -> o.rendering);
   ]
 
 (* where two renderings part, with some context *)
@@ -413,6 +418,39 @@ let test_settings sts () =
         sts)
     corpus
 
+(* A charge of 9 nodes rounds differently under any other order of the
+   meter's operands, and with the clock still at zero the difference
+   reaches the makespan; on a running clock it is lost to rounding. *)
+let meter_probe = "int main() { int x = 1 + 2 * 3 - 4 + 5; return x; }\n"
+
+(* A simulated run without a trace charges each statement through the
+   scalar meter (Machine.meter), and a cancel hook makes the meter poll
+   it; a traced run charges through Machine.charge_scalar_nodes.  Each
+   row's default setting, untraced and with a hook that never fires, must
+   equal its traced run on every simulated path in all but the trace, and
+   so must [meter_probe]. *)
+let test_meter () =
+  let check what traced run =
+    List.iter
+      (fun p ->
+        let s = p.set default in
+        List.iter
+          (fun (how, cancel) ->
+            expect
+              ~what:(String.concat ", " [ what; pname p; how ])
+              Untraced (traced s)
+              (run ~trace:false ?cancel s))
+          [ ("untraced", None); ("cancel hook", Some (fun () -> false)) ])
+      (ast :: simulated)
+  in
+  List.iter
+    (fun r ->
+      check (name r) (fun _ -> baseline r) (fun ~trace ?cancel s ->
+          observe_row ~trace ?cancel s r))
+    corpus;
+  let probe ~trace ?cancel s = observe ~trace ?cancel s meter_probe in
+  check "the meter probe" (probe ~trace:true) probe
+
 (* --sim-domains 2 and 4 against one shard, byte for byte *)
 let test_sharded () =
   List.iter
@@ -578,6 +616,7 @@ let suite =
         Alcotest.test_case "simulated paths" `Quick
           (test_settings (fault_plans @ modes));
         Alcotest.test_case "sharded paths" `Quick test_sharded;
+        Alcotest.test_case "untraced and cancellable paths" `Quick test_meter;
         Alcotest.test_case "standalone C" `Quick test_standalone_c;
         Alcotest.test_case "skilc run-par spellings" `Quick test_cli;
       ] );

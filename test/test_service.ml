@@ -192,6 +192,16 @@ let test_error_classes_and_diagnostics () =
       submit ~spec:{ Jobspec.default with Jobspec.id = "s" } h
         "int main( { return 0; }\n";
       ignore (expect_err h Errclass.Syntax);
+      (* a literal OCaml cannot convert is a syntax error at the literal *)
+      List.iter
+        (fun (lit, what) ->
+          submit
+            ~spec:{ Jobspec.default with Jobspec.id = "l"; file = "lit.skil" }
+            h (Test_lang.literal_src lit);
+          Alcotest.(check string) ("literal " ^ lit)
+            (Printf.sprintf "lit.skil:2:11: lexical error: %s: %s" what lit)
+            (snd (expect_err h Errclass.Syntax)))
+        Test_lang.unconvertible_literals;
       (* a diagnostic with no source position names only the file *)
       let spec = { Jobspec.default with Jobspec.id = "e"; entry = "nosuch" } in
       submit ~spec:{ spec with file = "myjob.skil" } h par_src;
