@@ -6,7 +6,8 @@
    tree of OCaml closures:
 
      - variables become integer slots into a [Value.t array] frame instead
-       of assoc-list lookups;
+       of assoc-list lookups, and every closure takes the activation's
+       [frame] as its one argument;
      - struct fields resolve to positional indices recorded by the
        typechecker (with a cheap name check and a search fallback);
      - binary operators are specialized at compile time (no string
@@ -19,7 +20,8 @@
        bds->lowerBd[i], fabs/sqrt/itof/ftoi/abs, array_get_elem on an
        int or float array) also gets an unboxed runner, which typed
        consumers, conditions and literal element reads use;
-     - each statement flushes pending work inside its own closure;
+     - each statement flushes pending work inside its own closure, and a
+       block runs as a chain of its statements' closures;
      - return, break and continue are values a statement returns, not
        exceptions, and a return of a variable the activation owns skips
        the copy.
@@ -36,13 +38,17 @@
 
 open Value
 
-type frame = Value.t array
+(* An activation: the rank's state and the slots of its variables.  Every
+   closure the engine builds takes this one argument, so each call is an
+   indirect call at its own site; a two-argument call to an unknown
+   closure would go through OCaml's shared [caml_apply2]. *)
+type frame = { st : Interp.state; v : Value.t array }
 
 (* Static scalar kinds: a slot's declared type after [Typecheck.expand],
    when the program lets typed runners trust it (see [typed_slots]). *)
 type kind = Kint | Kfloat | Kbox
 
-type 'a runner = Interp.state -> frame -> 'a
+type 'a runner = frame -> 'a
 
 type typed =
   | Boxed
@@ -63,7 +69,7 @@ type ecode = {
 }
 
 (* A compiled statement flushes pending scalar work first, as Interp.exec
-   does, and returns its outcome: see [fall]. *)
+   does, and returns its outcome: see [fall] and [chain]. *)
 type scode = Value.t runner
 
 type cfn = {
@@ -80,7 +86,10 @@ type cfn = {
       (* body never assigns through a struct field either, and no code in
          the program writes through a value it did not copy, so a direct
          invoker may lend it struct and Index arguments (see [direct]) *)
-  mutable c_run : Interp.state -> frame -> Value.t;
+  mutable c_assigns : bool array;
+      (* per parameter: whether the body assigns it, as a variable or
+         through a field or subscript rooted in it (see [direct]) *)
+  mutable c_run : frame -> Value.t;
       (* run the body on a caller-built frame (specialised call sites fill
          slots directly, skipping the argument list) *)
   mutable c_invoke : Interp.state -> Value.t list -> Value.t;
@@ -110,21 +119,23 @@ type fctx = {
 
 let known n run = { ops = Some n; run; typed = Boxed }
 let dyn run = { ops = None; run; typed = Boxed }
-let bump st n = st.Interp.pending_ops <- st.Interp.pending_ops + n
+let bump f n =
+  let st = f.st in
+  st.Interp.pending_ops <- st.Interp.pending_ops + n
 
 (* [r] preceded by [k] bumps plus its own pre-summed count: how a parent
    that bumps before evaluating a child runs it *)
 let pre k ops r =
   match ops with
   | Some n ->
-      fun st f ->
-        bump st (k + n);
-        r st f
+      fun f ->
+        bump f (k + n);
+        r f
   | None ->
       if k = 0 then r
-      else fun st f ->
-        bump st k;
-        r st f
+      else fun f ->
+        bump f k;
+        r f
 
 let seal c = pre 0 c.ops c.run
 
@@ -134,13 +145,13 @@ let vtrue = VInt 1
 let vfalse = VInt 0
 let vbool b = if b then vtrue else vfalse
 
-let int_code ops r = { ops; run = (fun st f -> VInt (r st f)); typed = Int r }
+let int_code ops r = { ops; run = (fun f -> VInt (r f)); typed = Int r }
 
 let float_code ops r =
-  { ops; run = (fun st f -> VFloat (r st f)); typed = Flt r }
+  { ops; run = (fun f -> VFloat (r f)); typed = Flt r }
 
 let bool_code ops r =
-  { ops; run = (fun st f -> vbool (r st f)); typed = Bool r }
+  { ops; run = (fun f -> vbool (r f)); typed = Bool r }
 
 let code ops = function
   | Int r -> int_code ops r
@@ -153,16 +164,16 @@ let code ops = function
 let int_runner c : int runner =
   match c.typed with
   | Int r -> r
-  | Bool r -> fun st f -> if r st f then 1 else 0
-  | Flt _ | Boxed -> fun st f -> as_int (c.run st f)
+  | Bool r -> fun f -> if r f then 1 else 0
+  | Flt _ | Boxed -> fun f -> as_int (c.run f)
 
 (* the condition [truthy] tests *)
 let cond_runner c : bool runner =
   match c.typed with
   | Bool r -> r
-  | Int r -> fun st f -> r st f <> 0
-  | Flt r -> fun st f -> r st f <> 0.0
-  | Boxed -> fun st f -> truthy (c.run st f)
+  | Int r -> fun f -> r f <> 0
+  | Flt r -> fun f -> r f <> 0.0
+  | Boxed -> fun f -> truthy (c.run f)
 
 (* The bumps a parent adds itself before running a child's runner, in
    place of a sealing closure: a dynamic child bumps its own *)
@@ -184,7 +195,7 @@ let binary ?(k = 1) ca cb ra rb =
    pending counter). *)
 let combine1 ce g =
   let ops, r = node 1 ce ce.run in
-  { ops; run = (fun st f -> g (r st f)); typed = Boxed }
+  { ops; run = (fun f -> g (r f)); typed = Boxed }
 
 (* Whether a body contains an assignment whose target satisfies [lhs].
    Assigning through an Index subscript (ix[i] = ...) is the only
@@ -237,6 +248,14 @@ let rec shared_target = function
   | Ast.Var _ -> false
   | Ast.Field (b, _) | Ast.Idx (b, _) -> shared_target b.Ast.desc
   | _ -> true
+
+(* A target rooted in variable [x] (x, x.f, x[i], x.f[i]) assigns x or a
+   part of it.  A local that shadows a parameter counts as the parameter,
+   which errs on the side of storing its argument again. *)
+let rec rooted_in x = function
+  | Ast.Var y -> String.equal x y
+  | Ast.Field (b, _) | Ast.Idx (b, _) -> rooted_in x b.Ast.desc
+  | _ -> false
 
 (* ---------------- runtime application (currying fallback) -------------- *)
 
@@ -355,47 +374,47 @@ let op_fn op : Value.t -> Value.t -> Value.t =
    closure would cost a call, and box a float result. *)
 let int_op op (ra : int runner) (rb : int runner) : typed =
   match op with
-  | "+" -> Int (fun st f -> let a = ra st f in a + rb st f)
-  | "-" -> Int (fun st f -> let a = ra st f in a - rb st f)
-  | "*" -> Int (fun st f -> let a = ra st f in a * rb st f)
+  | "+" -> Int (fun f -> let a = ra f in a + rb f)
+  | "-" -> Int (fun f -> let a = ra f in a - rb f)
+  | "*" -> Int (fun f -> let a = ra f in a * rb f)
   | "/" ->
       Int
-        (fun st f ->
-          let a = ra st f in
-          let b = rb st f in
+        (fun f ->
+          let a = ra f in
+          let b = rb f in
           if b = 0 then rte "division by zero" else a / b)
   | "%" ->
       Int
-        (fun st f ->
-          let a = ra st f in
-          let b = rb st f in
+        (fun f ->
+          let a = ra f in
+          let b = rb f in
           if b = 0 then rte "modulo by zero" else a mod b)
-  | "==" -> Bool (fun st f -> let a = ra st f in a = rb st f)
-  | "!=" -> Bool (fun st f -> let a = ra st f in a <> rb st f)
-  | "<" -> Bool (fun st f -> let a = ra st f in a < rb st f)
-  | ">" -> Bool (fun st f -> let a = ra st f in a > rb st f)
-  | "<=" -> Bool (fun st f -> let a = ra st f in a <= rb st f)
-  | ">=" -> Bool (fun st f -> let a = ra st f in a >= rb st f)
+  | "==" -> Bool (fun f -> let a = ra f in a = rb f)
+  | "!=" -> Bool (fun f -> let a = ra f in a <> rb f)
+  | "<" -> Bool (fun f -> let a = ra f in a < rb f)
+  | ">" -> Bool (fun f -> let a = ra f in a > rb f)
+  | "<=" -> Bool (fun f -> let a = ra f in a <= rb f)
+  | ">=" -> Bool (fun f -> let a = ra f in a >= rb f)
   | _ -> Boxed
 
 let float_op op (ra : float runner) (rb : float runner) : typed =
   match op with
-  | "+" -> Flt (fun st f -> let a = ra st f in a +. rb st f)
-  | "-" -> Flt (fun st f -> let a = ra st f in a -. rb st f)
-  | "*" -> Flt (fun st f -> let a = ra st f in a *. rb st f)
-  | "/" -> Flt (fun st f -> let a = ra st f in a /. rb st f)
+  | "+" -> Flt (fun f -> let a = ra f in a +. rb f)
+  | "-" -> Flt (fun f -> let a = ra f in a -. rb f)
+  | "*" -> Flt (fun f -> let a = ra f in a *. rb f)
+  | "/" -> Flt (fun f -> let a = ra f in a /. rb f)
   | "==" ->
-      Bool (fun st f -> let a = ra st f in Float.compare a (rb st f) = 0)
+      Bool (fun f -> let a = ra f in Float.compare a (rb f) = 0)
   | "!=" ->
-      Bool (fun st f -> let a = ra st f in Float.compare a (rb st f) <> 0)
+      Bool (fun f -> let a = ra f in Float.compare a (rb f) <> 0)
   | "<" ->
-      Bool (fun st f -> let a = ra st f in Float.compare a (rb st f) < 0)
+      Bool (fun f -> let a = ra f in Float.compare a (rb f) < 0)
   | ">" ->
-      Bool (fun st f -> let a = ra st f in Float.compare a (rb st f) > 0)
+      Bool (fun f -> let a = ra f in Float.compare a (rb f) > 0)
   | "<=" ->
-      Bool (fun st f -> let a = ra st f in Float.compare a (rb st f) <= 0)
+      Bool (fun f -> let a = ra f in Float.compare a (rb f) <= 0)
   | ">=" ->
-      Bool (fun st f -> let a = ra st f in Float.compare a (rb st f) >= 0)
+      Bool (fun f -> let a = ra f in Float.compare a (rb f) >= 0)
   | _ -> Boxed
 
 (* [g] over two boxed operands, after [k] bumps of its own *)
@@ -405,9 +424,9 @@ let boxed2 ~k g ca cb =
     ops;
     typed = Boxed;
     run =
-      (fun st f ->
-        let va = ra st f in
-        g va (rb st f));
+      (fun f ->
+        let va = ra f in
+        g va (rb f));
   }
 
 (* [op] over two operands, after [k] bumps of its own (the Binop node, or
@@ -445,7 +464,7 @@ let scalar_builtin_1 name c =
       match c.typed with
       | Int _ | Bool _ -> int_runner c
       | Flt _ | Boxed -> (
-          fun st f -> match c.run st f with VInt n -> n | v -> bad_args name v)
+          fun f -> match c.run f with VInt n -> n | v -> bad_args name v)
     in
     let ops, r = node 2 c arg in
     Some (code ops (g r))
@@ -455,25 +474,25 @@ let scalar_builtin_1 name c =
       match c.typed with
       | Flt r -> r
       | Int _ | Bool _ | Boxed -> (
-          fun st f ->
-            match c.run st f with VFloat x -> x | v -> bad_args name v)
+          fun f ->
+            match c.run f with VFloat x -> x | v -> bad_args name v)
     in
     let ops, r = node 2 c arg in
     Some (code ops (g r))
   in
   match name with
-  | "abs" -> on_int (fun r -> Int (fun st f -> abs (r st f)))
+  | "abs" -> on_int (fun r -> Int (fun f -> abs (r f)))
   | "log2" ->
       on_int (fun r ->
           Int
-            (fun st f ->
-              let n = r st f in
+            (fun f ->
+              let n = r f in
               let rec go k pow = if pow >= n then k else go (k + 1) (2 * pow) in
               go 0 1))
-  | "itof" -> on_int (fun r -> Flt (fun st f -> float_of_int (r st f)))
-  | "fabs" -> on_float (fun r -> Flt (fun st f -> Float.abs (r st f)))
-  | "sqrt" -> on_float (fun r -> Flt (fun st f -> sqrt (r st f)))
-  | "ftoi" -> on_float (fun r -> Int (fun st f -> int_of_float (r st f)))
+  | "itof" -> on_int (fun r -> Flt (fun f -> float_of_int (r f)))
+  | "fabs" -> on_float (fun r -> Flt (fun f -> Float.abs (r f)))
+  | "sqrt" -> on_float (fun r -> Flt (fun f -> sqrt (r f)))
+  | "ftoi" -> on_float (fun r -> Int (fun f -> int_of_float (r f)))
   | _ -> None
 
 let scalar_builtin_2 = function
@@ -540,37 +559,51 @@ let unbox_of (type e) (k : e payload) : Value.t -> e =
    the body never assigns through a struct field or an Index subscript, so
    it can neither mutate nor keep them, since declarations, assignments,
    returns and calls all copy; and no code writes through a value it did
-   not copy, so nothing else changes them during the call. *)
-type direct = { fn : cfn; appl : Value.t array; frame : frame }
+   not copy, so nothing else changes them during the call.
+
+   An applied argument is stored once, when the invoker is built, if each
+   element would store that very value again and find it as it was left:
+   the body never assigns its parameter ([c_assigns]), and the invoker
+   lends it or [Value.copy] returns it unchanged (it is neither a struct
+   nor an Index).  The rest ([again]) are stored before every element. *)
+type direct = { fn : cfn; frame : frame; again : (int * Value.t) array }
 
 (* The invoker of a user function saturated by exactly [extra] more
-   arguments; None sends the caller to the generic path. *)
-let direct prog fv ~extra =
+   arguments, on rank state [st]; None sends the caller to the generic
+   path. *)
+let direct prog st fv ~extra =
   match fv with
   | VFun { fv_target = `User name; fv_applied } -> (
       match Hashtbl.find_opt prog.cfuncs name with
       | Some fn when List.length fv_applied + extra = fn.c_arity ->
+          let v = Array.make fn.c_size VUnit in
+          let once i a =
+            (not fn.c_assigns.(i))
+            &&
+            match a with VStruct _ | VIndex _ -> fn.c_lend | _ -> true
+          in
+          let again = ref [] in
+          List.iteri
+            (fun i a ->
+              if once i a then v.(i) <- a else again := (i, a) :: !again)
+            fv_applied;
           Some
-            {
-              fn;
-              appl = Array.of_list fv_applied;
-              frame = Array.make fn.c_size VUnit;
-            }
+            { fn; frame = { st; v }; again = Array.of_list (List.rev !again) }
       | _ -> None)
   | _ -> None
 
-(* A frame holding the applied arguments; the caller fills the rest. *)
+(* The frame with every applied argument in place; the caller fills the
+   rest.  Most invokers store nothing again, and test for that inline. *)
+let store_again d =
+  let v = d.frame.v and again = d.again in
+  for k = 0 to Array.length again - 1 do
+    let i, a = again.(k) in
+    v.(i) <- (if d.fn.c_lend then a else Value.copy a)
+  done
+
 let enter d =
-  let frame = d.frame and appl = d.appl in
-  if d.fn.c_lend then
-    for i = 0 to Array.length appl - 1 do
-      frame.(i) <- appl.(i)
-    done
-  else
-    for i = 0 to Array.length appl - 1 do
-      frame.(i) <- Value.copy appl.(i)
-    done;
-  frame
+  if Array.length d.again > 0 then store_again d;
+  d.frame
 
 (* Element function of map/fold-conv: last two parameters are (element,
    Index).  The Index argument: the generic path hands the callee a
@@ -578,44 +611,44 @@ let enter d =
    never writes through an Index ([c_ix_safe]) the scratch is lent. *)
 let elem_fn2 prog st fv (arg : 'a payload) (res : 'b payload) :
     ('a -> Index.t -> 'b) option =
-  match direct prog fv ~extra:2 with
+  match direct prog st fv ~extra:2 with
   | None -> None
   | Some d ->
-      let na = Array.length d.appl and ix_safe = d.fn.c_ix_safe in
+      let na = d.fn.c_arity - 2 and ix_safe = d.fn.c_ix_safe in
       let box = box_of ~lend:d.fn.c_lend arg and unbox = unbox_of res in
       Some
-        (fun v ix ->
-          let frame = enter d in
-          frame.(na) <- box v;
-          frame.(na + 1) <- VIndex (if ix_safe then ix else copy_ints ix);
-          unbox (d.fn.c_run st frame))
+        (fun x ix ->
+          let f = enter d in
+          f.v.(na) <- box x;
+          f.v.(na + 1) <- VIndex (if ix_safe then ix else copy_ints ix);
+          unbox (d.fn.c_run f))
 
 (* Init function of array_create: Index -> element. *)
 let elem_fn1 prog st fv (res : 'b payload) : (Index.t -> 'b) option =
-  match direct prog fv ~extra:1 with
+  match direct prog st fv ~extra:1 with
   | None -> None
   | Some d ->
-      let na = Array.length d.appl and ix_safe = d.fn.c_ix_safe in
+      let na = d.fn.c_arity - 1 and ix_safe = d.fn.c_ix_safe in
       let unbox = unbox_of res in
       Some
         (fun ix ->
-          let frame = enter d in
-          frame.(na) <- VIndex (if ix_safe then ix else copy_ints ix);
-          unbox (d.fn.c_run st frame))
+          let f = enter d in
+          f.v.(na) <- VIndex (if ix_safe then ix else copy_ints ix);
+          unbox (d.fn.c_run f))
 
 (* Binary user function (fold merge, gen_mult add/mul) on direct frames. *)
 let user_fn2 prog st fv (k : 'a payload) : ('a -> 'a -> 'a) option =
-  match direct prog fv ~extra:2 with
+  match direct prog st fv ~extra:2 with
   | None -> None
   | Some d ->
-      let na = Array.length d.appl in
+      let na = d.fn.c_arity - 2 in
       let box = box_of ~lend:d.fn.c_lend k and unbox = unbox_of k in
       Some
         (fun a b ->
-          let frame = enter d in
-          frame.(na) <- box a;
-          frame.(na + 1) <- box b;
-          unbox (d.fn.c_run st frame))
+          let f = enter d in
+          f.v.(na) <- box a;
+          f.v.(na + 1) <- box b;
+          unbox (d.fn.c_run f))
 
 (* Binary combining functions at unboxed int/float.  Operator sections and
    min/max keep the generic semantics exactly (same division-by-zero
@@ -971,7 +1004,7 @@ let index_get arr j =
    which a typed (scalar) value already is. *)
 let copied c =
   match c.typed with
-  | Boxed -> fun st f -> Value.copy (c.run st f)
+  | Boxed -> fun f -> Value.copy (c.run f)
   | Int _ | Flt _ | Bool _ -> c.run
 
 (* ---------------- expressions ---------------- *)
@@ -1007,10 +1040,10 @@ let var_slot scope (e : Ast.expr) =
   | _ -> None
 
 let constant v =
-  let run _ _ = v in
+  let run _ = v in
   match v with
-  | VInt n -> { ops = Some 1; run; typed = Int (fun _ _ -> n) }
-  | VFloat x -> { ops = Some 1; run; typed = Flt (fun _ _ -> x) }
+  | VInt n -> { ops = Some 1; run; typed = Int (fun _ -> n) }
+  | VFloat x -> { ops = Some 1; run; typed = Flt (fun _ -> x) }
   | _ -> known 1 run
 
 let rec compile_expr fc scope (e : Ast.expr) : ecode =
@@ -1023,14 +1056,14 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
   | Ast.Var x -> (
       match List.assoc_opt x scope with
       | Some { slot; kind; _ } -> (
-          let run _ f = f.(slot) in
+          let run f = f.v.(slot) in
           match kind with
           | Kint ->
-              let r _ f = match f.(slot) with VInt n -> n | v -> as_int v in
+              let r f = match f.v.(slot) with VInt n -> n | v -> as_int v in
               { ops = Some 1; run; typed = Int r }
           | Kfloat ->
-              let r _ f =
-                match f.(slot) with VFloat x -> x | v -> as_float v
+              let r f =
+                match f.v.(slot) with VFloat x -> x | v -> as_float v
               in
               { ops = Some 1; run; typed = Flt r }
           | Kbox -> known 1 run)
@@ -1038,13 +1071,13 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
           if Interp.is_constant x then
             match x with
             | "procId" ->
-                int_code (Some 1) (fun st _ ->
-                    match st.Interp.backend with
+                int_code (Some 1) (fun f ->
+                    match f.st.Interp.backend with
                     | `Par ctx -> Machine.self ctx
                     | `Seq -> 0)
             | "nProcs" ->
-                int_code (Some 1) (fun st _ ->
-                    match st.Interp.backend with
+                int_code (Some 1) (fun f ->
+                    match f.st.Interp.backend with
                     | `Par ctx -> Machine.nprocs ctx
                     | `Seq -> 1)
             | _ -> constant (Option.get (Interp.constant fc.scratch x))
@@ -1052,7 +1085,7 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
             constant (VFun { fv_target = `User x; fv_applied = [] })
           else if Typecheck.is_builtin x then
             constant (VFun { fv_target = `Builtin x; fv_applied = [] })
-          else known 1 (fun _ _ -> rte "unbound identifier %s" x))
+          else known 1 (fun _ -> rte "unbound identifier %s" x))
   | Ast.Call (h, args) -> compile_call fc scope h args
   | Ast.Binop ((("&&" | "||") as op), a, b) ->
       let ca = compile_expr fc scope a in
@@ -1060,24 +1093,24 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
       let ra = pre 1 ca.ops (cond_runner ca)
       and rb = pre 0 cb.ops (cond_runner cb) in
       bool_code None
-        (if op = "&&" then fun st f -> ra st f && rb st f
-         else fun st f -> ra st f || rb st f)
+        (if op = "&&" then fun f -> ra f && rb f
+         else fun f -> ra f || rb f)
   | Ast.Binop (op, a, b) ->
       let ca = compile_expr fc scope a in
       binop_code ~k:1 op ca (compile_expr fc scope b)
   | Ast.Unop ("!", a) ->
       let ca = compile_expr fc scope a in
       let ops, r = node 1 ca (cond_runner ca) in
-      bool_code ops (fun st f -> not (r st f))
+      bool_code ops (fun f -> not (r f))
   | Ast.Unop ("-", a) -> (
       let ca = compile_expr fc scope a in
       match ca.typed with
       | Int _ | Bool _ ->
           let ops, r = node 1 ca (int_runner ca) in
-          int_code ops (fun st f -> -r st f)
+          int_code ops (fun f -> -r f)
       | Flt r ->
           let ops, r = node 1 ca r in
-          float_code ops (fun st f -> -.r st f)
+          float_code ops (fun f -> -.r f)
       | Boxed ->
           combine1 ca (fun v ->
               match v with
@@ -1085,7 +1118,7 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
               | VFloat x -> VFloat (-.x)
               | v -> rte "cannot negate %s" (describe v)))
   | Ast.Unop (op, _) ->
-      known 1 (fun _ _ -> rte "unknown unary operator %s" op)
+      known 1 (fun _ -> rte "unknown unary operator %s" op)
   | Ast.Assign (l, r) ->
       let cr = compile_expr fc scope r in
       compile_assign fc scope l cr
@@ -1100,15 +1133,15 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
       let upper = fname = "upperBd" in
       let cp = compile_expr fc scope p in
       let ci = compile_expr fc scope i in
-      let get pv (ri : int runner) st f =
+      let get pv (ri : int runner) f =
         match pv with
         | VBounds b ->
             let arr = if upper then b.Index.upper else b.Index.lower in
-            let j = ri st f in
+            let j = ri f in
             if j >= 0 && j < Array.length arr then
               if upper then arr.(j) - 1 else arr.(j)
             else rte "Index access out of range (%d)" j
-        | pv -> index_get (as_index (arrow pv)) (ri st f)
+        | pv -> index_get (as_index (arrow pv)) (ri f)
       in
       (* the Idx and Arrow nodes bump, then p, then i *)
       let ops, rp, ri =
@@ -1116,22 +1149,22 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
         | Some np, Some ni -> (Some (2 + np + ni), cp.run, int_runner ci)
         | _ -> (None, pre 2 cp.ops cp.run, pre 0 ci.ops (int_runner ci))
       in
-      int_code ops (fun st f -> get (rp st f) ri st f)
+      int_code ops (fun f -> get (rp f) ri f)
   | Ast.Idx ({ Ast.desc = Ast.Var x; _ }, { Ast.desc = Ast.Int j; _ })
     when List.mem_assoc x scope ->
       (* ix[j]: one closure reads the slot and the component *)
       let slot = (List.assoc x scope).slot in
-      int_code (Some 3) (fun _ f ->
-          match f.(slot) with
+      int_code (Some 3) (fun f ->
+          match f.v.(slot) with
           | VIndex arr when j >= 0 && j < Array.length arr -> arr.(j)
           | v -> index_get (as_index v) j)
   | Ast.Idx (a, i) ->
       let ca = compile_expr fc scope a in
       let ci = compile_expr fc scope i in
       let ops, ra, ri = binary ca ci ca.run (int_runner ci) in
-      int_code ops (fun st f ->
-          let arr = as_index (ra st f) in
-          index_get arr (ri st f))
+      int_code ops (fun f ->
+          let arr = as_index (ra f) in
+          index_get arr (ri f))
   | Ast.Field (s, fname) -> compile_field fc scope e s fname
   | Ast.Arrow (p, fname) ->
       combine1 (compile_expr fc scope p) (arrow_get (field_slot fc e fname))
@@ -1147,17 +1180,17 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
          evaluated left to right into an inline allocation instead of an
          [Array.make] C call *)
       let fill = function
-        | [| r0 |] -> fun st f -> VIndex [| r0 st f |]
+        | [| r0 |] -> fun f -> VIndex [| r0 f |]
         | [| r0; r1 |] ->
-            fun st f ->
-              let x0 = r0 st f in
-              VIndex [| x0; r1 st f |]
+            fun f ->
+              let x0 = r0 f in
+              VIndex [| x0; r1 f |]
         | runs ->
-            fun st f ->
+            fun f ->
               let n = Array.length runs in
               let out = Array.make n 0 in
               for i = 0 to n - 1 do
-                out.(i) <- runs.(i) st f
+                out.(i) <- runs.(i) f
               done;
               VIndex out
       in
@@ -1173,15 +1206,15 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
       | None ->
           let sealed c = pre 0 c.ops (int_runner c) in
           let run = fill (Array.of_list (List.map sealed cs)) in
-          dyn (fun st f ->
-              bump st 1;
-              run st f))
+          dyn (fun f ->
+              bump f 1;
+              run f))
   | Ast.Cond (c, a, b) ->
       let cc = compile_expr fc scope c in
       let rc = pre 1 cc.ops (cond_runner cc) in
       let ca = seal (compile_expr fc scope a) in
       let cb = seal (compile_expr fc scope b) in
-      dyn (fun st f -> if rc st f then ca st f else cb st f)
+      dyn (fun f -> if rc f then ca f else cb f)
   | Ast.New e ->
       combine1 (compile_expr fc scope e) (fun v ->
           VPtr (ref (Value.copy v)))
@@ -1200,15 +1233,15 @@ and compile_field fc scope e s fname =
   in
   let run =
     match src with
-    | `Slot slot -> fun _ f -> field_get fd f.(slot)
-    | `Run r -> fun st f -> field_get fd (r st f)
+    | `Slot slot -> fun f -> field_get fd f.v.(slot)
+    | `Run r -> fun f -> field_get fd (r f)
   in
   let typed =
     match (field_kind fc e fname, src) with
-    | Kint, `Slot slot -> Int (fun _ f -> field_int fd f.(slot))
-    | Kint, `Run r -> Int (fun st f -> field_int fd (r st f))
-    | Kfloat, `Slot slot -> Flt (fun _ f -> field_float fd f.(slot))
-    | Kfloat, `Run r -> Flt (fun st f -> field_float fd (r st f))
+    | Kint, `Slot slot -> Int (fun f -> field_int fd f.v.(slot))
+    | Kint, `Run r -> Int (fun f -> field_int fd (r f))
+    | Kfloat, `Slot slot -> Flt (fun f -> field_float fd f.v.(slot))
+    | Kfloat, `Run r -> Flt (fun f -> field_float fd (r f))
     | Kbox, _ -> Boxed
   in
   { ops; run; typed }
@@ -1231,33 +1264,33 @@ and get_elem_lit fc scope kind a es =
   let lit1 : type e. e payload -> ecode -> e runner =
    fun k c0 ->
     let n0 = 1 + bumps c0 and r0 = int_runner c0 in
-    fun st f ->
-      bump st na;
-      let va = ra st f in
-      bump st n0;
-      let i = r0 st f in
-      Interp.flush_scalar st;
+    fun f ->
+      bump f na;
+      let va = ra f in
+      bump f n0;
+      let i = r0 f in
+      Interp.flush_scalar f.st;
       match (k, va) with
-      | Pint, VDarray (DInt d) -> Darray.get1 d ~rank:(rank st) i
-      | Pfloat, VDarray (DFloat d) -> Darray.get1 d ~rank:(rank st) i
-      | _ -> unbox_of k (slow st va [| i |])
+      | Pint, VDarray (DInt d) -> Darray.get1 d ~rank:(rank f.st) i
+      | Pfloat, VDarray (DFloat d) -> Darray.get1 d ~rank:(rank f.st) i
+      | _ -> unbox_of k (slow f.st va [| i |])
   in
   let lit2 : type e. e payload -> ecode -> ecode -> e runner =
    fun k c0 c1 ->
     let n0 = 1 + bumps c0 and r0 = int_runner c0 in
     let n1 = bumps c1 and r1 = int_runner c1 in
-    fun st f ->
-      bump st na;
-      let va = ra st f in
-      bump st n0;
-      let i = r0 st f in
-      bump st n1;
-      let j = r1 st f in
-      Interp.flush_scalar st;
+    fun f ->
+      bump f na;
+      let va = ra f in
+      bump f n0;
+      let i = r0 f in
+      bump f n1;
+      let j = r1 f in
+      Interp.flush_scalar f.st;
       match (k, va) with
-      | Pint, VDarray (DInt d) -> Darray.get2 d ~rank:(rank st) i j
-      | Pfloat, VDarray (DFloat d) -> Darray.get2 d ~rank:(rank st) i j
-      | _ -> unbox_of k (slow st va [| i; j |])
+      | Pint, VDarray (DInt d) -> Darray.get2 d ~rank:(rank f.st) i j
+      | Pfloat, VDarray (DFloat d) -> Darray.get2 d ~rank:(rank f.st) i j
+      | _ -> unbox_of k (slow f.st va [| i; j |])
   in
   match (List.map (compile_expr fc scope) es, kind) with
   | [ c0 ], Kint -> int_code None (lit1 Pint c0)
@@ -1295,23 +1328,23 @@ and compile_apply fc scope h args =
     else 0
   in
   let sealed = Array.of_list (List.map seal acs) in
-  let eval_sealed st f =
+  let eval_sealed f =
     let n = Array.length sealed in
     let rec go i =
       if i = n then []
       else
-        let v = sealed.(i) st f in
+        let v = sealed.(i) f in
         v :: go (i + 1)
     in
     go 0
   in
   let raws = Array.of_list (List.map (fun c -> c.run) acs) in
-  let eval_raw st f =
+  let eval_raw f =
     let n = Array.length raws in
     let rec go i =
       if i = n then []
       else
-        let v = raws.(i) st f in
+        let v = raws.(i) f in
         v :: go (i + 1)
     in
     go 0
@@ -1319,19 +1352,19 @@ and compile_apply fc scope h args =
   (* a partial application allocates a closure value but cannot flush *)
   let partial target =
     if all_known then
-      known (2 + args_ops) (fun st f ->
-          VFun { fv_target = target; fv_applied = eval_raw st f })
+      known (2 + args_ops) (fun f ->
+          VFun { fv_target = target; fv_applied = eval_raw f })
     else
-      dyn (fun st f ->
-          bump st 2;
-          VFun { fv_target = target; fv_applied = eval_sealed st f })
+      dyn (fun f ->
+          bump f 2;
+          VFun { fv_target = target; fv_applied = eval_sealed f })
   in
   let over target arity =
-    dyn (fun st f ->
-        bump st 2;
-        let argv = eval_sealed st f in
+    dyn (fun f ->
+        bump f 2;
+        let argv = eval_sealed f in
         let now, later = Interp.split_at arity argv in
-        rt_apply fc.prog st (rt_invoke fc.prog st target now) later)
+        rt_apply fc.prog f.st (rt_invoke fc.prog f.st target now) later)
   in
   let direct =
     match h.Ast.desc with
@@ -1351,14 +1384,14 @@ and compile_apply fc scope h args =
   | `Unbound x ->
       (* the interpreter bumps Call then the head Var, then raises before
          touching the arguments *)
-      dyn (fun st _ ->
-          bump st 2;
+      dyn (fun f ->
+          bump f 2;
           rte "unbound identifier %s" x)
   | `User (x, fn) ->
       if nargs = fn.c_arity then
-        dyn (fun st f ->
-            bump st 2;
-            fn.c_invoke st (eval_sealed st f))
+        dyn (fun f ->
+            bump f 2;
+            fn.c_invoke f.st (eval_sealed f))
       else if nargs < fn.c_arity then partial (`User x)
       else over (`User x) fn.c_arity
   | `Builtin (x, arity) -> (
@@ -1374,41 +1407,41 @@ and compile_apply fc scope h args =
            no-op at pending = 0). *)
         match (x, sealed) with
         | "array_get_elem", [| sa; si |] when fc.prog.specialize ->
-            dyn (fun st f ->
-                bump st 2;
-                let va = sa st f in
-                let vi = si st f in
-                Interp.flush_scalar st;
+            dyn (fun f ->
+                bump f 2;
+                let va = sa f in
+                let vi = si f in
+                Interp.flush_scalar f.st;
                 match (va, vi) with
                 | VDarray a, VIndex ix ->
-                    Interp.get_elem_array (Interp.ctx_of st) a ix
+                    Interp.get_elem_array (Interp.ctx_of f.st) a ix
                 | _ ->
-                    Interp.builtin st ~apply:(rt_apply fc.prog st) x
+                    Interp.builtin f.st ~apply:(rt_apply fc.prog f.st) x
                       [ va; vi ])
         | "array_put_elem", [| sa; si; sv |] when fc.prog.specialize ->
-            dyn (fun st f ->
-                bump st 2;
-                let va = sa st f in
-                let vi = si st f in
-                let v = sv st f in
-                Interp.flush_scalar st;
+            dyn (fun f ->
+                bump f 2;
+                let va = sa f in
+                let vi = si f in
+                let v = sv f in
+                Interp.flush_scalar f.st;
                 match (va, vi) with
                 | VDarray a, VIndex ix ->
-                    Interp.put_elem_array (Interp.ctx_of st) a ix v;
+                    Interp.put_elem_array (Interp.ctx_of f.st) a ix v;
                     VUnit
                 | _ ->
-                    Interp.builtin st ~apply:(rt_apply fc.prog st) x
+                    Interp.builtin f.st ~apply:(rt_apply fc.prog f.st) x
                       [ va; vi; v ])
         | "array_part_bounds", [| sa |] when fc.prog.specialize ->
-            dyn (fun st f ->
-                bump st 2;
-                let va = sa st f in
-                Interp.flush_scalar st;
+            dyn (fun f ->
+                bump f 2;
+                let va = sa f in
+                Interp.flush_scalar f.st;
                 match va with
                 | VDarray a ->
-                    VBounds (Interp.part_bounds_array (Interp.ctx_of st) a)
+                    VBounds (Interp.part_bounds_array (Interp.ctx_of f.st) a)
                 | _ ->
-                    Interp.builtin st ~apply:(rt_apply fc.prog st) x [ va ])
+                    Interp.builtin f.st ~apply:(rt_apply fc.prog f.st) x [ va ])
         | _ -> (
             let dispatch () =
               match
@@ -1419,16 +1452,16 @@ and compile_apply fc scope h args =
                   (* same flush point as the generic dispatcher's array_*
                      entry; the handler's own fallback re-flushing is a
                      no-op *)
-                  dyn (fun st f ->
-                      bump st 2;
-                      let argv = eval_sealed st f in
-                      Interp.flush_scalar st;
-                      handle st argv)
+                  dyn (fun f ->
+                      bump f 2;
+                      let argv = eval_sealed f in
+                      Interp.flush_scalar f.st;
+                      handle f.st argv)
               | None ->
-                  dyn (fun st f ->
-                      bump st 2;
-                      Interp.builtin st ~apply:(rt_apply fc.prog st) x
-                        (eval_sealed st f))
+                  dyn (fun f ->
+                      bump f 2;
+                      Interp.builtin f.st ~apply:(rt_apply fc.prog f.st) x
+                        (eval_sealed f))
             in
             match (acs, scalar_builtin_2 x) with
             | [ ca ], _ -> (
@@ -1443,11 +1476,11 @@ and compile_apply fc scope h args =
       | _ -> if nargs < 2 then partial (`Op op) else over (`Op op) 2)
   | `General ->
       let hc = seal (compile_expr fc scope h) in
-      dyn (fun st f ->
-          bump st 1;
-          let hv = hc st f in
-          let argv = eval_sealed st f in
-          rt_apply fc.prog st hv argv)
+      dyn (fun f ->
+          bump f 1;
+          let hv = hc f in
+          let argv = eval_sealed f in
+          rt_apply fc.prog f.st hv argv)
 
 (* Assignment mirrors Interp.assign: the right-hand side is evaluated and
    copied first, then the lvalue components. *)
@@ -1460,9 +1493,9 @@ and compile_assign fc scope (l : Ast.expr) cr =
       ops;
       typed = Boxed;
       run =
-        (fun st f ->
-          let v = rr st f in
-          set v (rc st f));
+        (fun f ->
+          let v = rr f in
+          set v (rc f));
     }
   in
   match l.Ast.desc with
@@ -1474,15 +1507,15 @@ and compile_assign fc scope (l : Ast.expr) cr =
             ops;
             typed = Boxed;
             run =
-              (fun st f ->
-                let v = r st f in
-                f.(slot) <- v;
+              (fun f ->
+                let v = r f in
+                f.v.(slot) <- v;
                 v);
           }
       | None ->
           let r = pre 1 cr.ops vr in
-          dyn (fun st f ->
-              ignore (r st f);
+          dyn (fun f ->
+              ignore (r f);
               rte "cannot assign to %s" x))
   | Ast.Idx (a, i) -> (
       let ca = compile_expr fc scope a in
@@ -1498,17 +1531,17 @@ and compile_assign fc scope (l : Ast.expr) cr =
           let ri = int_runner ci in
           known
             (1 + nr + na + ni)
-            (fun st f ->
-              let v = vr st f in
-              let arr = as_index (ca.run st f) in
-              set v arr (ri st f))
+            (fun f ->
+              let v = vr f in
+              let arr = as_index (ca.run f) in
+              set v arr (ri f))
       | _ ->
           let rr = pre 1 cr.ops vr and ra = seal ca in
           let ri = pre 0 ci.ops (int_runner ci) in
-          dyn (fun st f ->
-              let v = rr st f in
-              let arr = as_index (ra st f) in
-              set v arr (ri st f)))
+          dyn (fun f ->
+              let v = rr f in
+              let arr = as_index (ra f) in
+              set v arr (ri f)))
   | Ast.Field (s, fname) -> (
       let fd = field_slot fc l fname in
       let set v sv =
@@ -1526,16 +1559,16 @@ and compile_assign fc scope (l : Ast.expr) cr =
           let boxed = match cr.typed with Boxed -> true | _ -> false in
           match cr.ops with
           | Some n ->
-              known (2 + n) (fun st f ->
-                  let v = r st f in
-                  set (if boxed then Value.copy v else v) f.(slot))
+              known (2 + n) (fun f ->
+                  let v = r f in
+                  set (if boxed then Value.copy v else v) f.v.(slot))
           | None ->
-              dyn (fun st f ->
-                  bump st 1;
-                  let v = r st f in
+              dyn (fun f ->
+                  bump f 1;
+                  let v = r f in
                   let v = if boxed then Value.copy v else v in
-                  bump st 1;
-                  set v f.(slot)))
+                  bump f 1;
+                  set v f.v.(slot)))
       | None -> with_target (compile_expr fc scope s) set)
   | Ast.Arrow (p, fname) ->
       let fd = field_slot fc l fname in
@@ -1559,8 +1592,8 @@ and compile_assign fc scope (l : Ast.expr) cr =
           | w -> rte "assignment through %s" (describe w))
   | _ ->
       let r = pre 1 cr.ops cr.run in
-      dyn (fun st f ->
-          ignore (r st f);
+      dyn (fun f ->
+          ignore (r f);
           rte "invalid assignment target")
 
 (* ---------------- statements ---------------- *)
@@ -1577,6 +1610,35 @@ let brk = VStr "<break>"
 let cont = VStr "<continue>"
 let flush = Interp.flush_scalar
 
+(* A block runs as a chain of its statements: each link runs up to three,
+   returns the first outcome that is not [fall], and otherwise calls the
+   rest of the chain. *)
+let rec chain = function
+  | [] -> fun _ -> fall
+  | [ a ] -> a
+  | [ a; b ] ->
+      fun f ->
+        let o = a f in
+        if o != fall then o else b f
+  | [ a; b; c ] ->
+      fun f ->
+        let o = a f in
+        if o != fall then o
+        else
+          let o = b f in
+          if o != fall then o else c f
+  | a :: b :: c :: rest ->
+      let k = chain rest in
+      fun f ->
+        let o = a f in
+        if o != fall then o
+        else
+          let o = b f in
+          if o != fall then o
+          else
+            let o = c f in
+            if o != fall then o else k f
+
 (* Every statement flushes pending scalar work first, exactly like
    Interp.exec, inside its own closure; compile_stmt returns the (possibly
    extended) scope. *)
@@ -1586,10 +1648,10 @@ let rec compile_stmt fc scope s : (string * var) list * scode =
       let c = compile_expr fc scope e in
       let n = bumps c and r = c.run in
       ( scope,
-        fun st f ->
-          flush st;
-          bump st n;
-          ignore (r st f);
+        fun f ->
+          flush f.st;
+          bump f n;
+          ignore (r f);
           fall )
   | Ast.SDecl (t, name, init) ->
       let slot = fresh_slot fc in
@@ -1598,18 +1660,18 @@ let rec compile_stmt fc scope s : (string * var) list * scode =
         | Some e ->
             let c = compile_expr fc scope e in
             let n = bumps c and v = copied c in
-            fun st f ->
-              flush st;
-              bump st n;
-              f.(slot) <- v st f;
+            fun f ->
+              flush f.st;
+              bump f n;
+              f.v.(slot) <- v f;
               fall
         | None ->
             (* the zero value of the type, evaluated once at compile time;
                copy gives each execution fresh struct field cells *)
             let template = Interp.default_value fc.scratch t in
-            fun st f ->
-              flush st;
-              f.(slot) <- Value.copy template;
+            fun f ->
+              flush f.st;
+              f.v.(slot) <- Value.copy template;
               fall
       in
       ((name, { slot; kind = kind_of fc t; owned = true }) :: scope, code)
@@ -1619,25 +1681,25 @@ let rec compile_stmt fc scope s : (string * var) list * scode =
       let ca = compile_block fc scope a in
       let cb = compile_block fc scope b in
       ( scope,
-        fun st f ->
-          flush st;
-          bump st n;
-          if cc st f then ca st f else cb st f )
+        fun f ->
+          flush f.st;
+          bump f n;
+          if cc f then ca f else cb f )
   | Ast.SWhile (c, body) ->
       let c = compile_expr fc scope c in
       let n = bumps c and cc = cond_runner c in
       let cb = compile_block fc scope body in
       ( scope,
-        fun st f ->
-          flush st;
+        fun f ->
+          flush f.st;
           let out = ref fall in
           while
             !out == fall
             &&
-            (bump st n;
-             cc st f)
+            (bump f n;
+             cc f)
           do
-            let o = cb st f in
+            let o = cb f in
             if o != cont then out := o
           done;
           if !out == brk then fall else !out )
@@ -1655,38 +1717,38 @@ let rec compile_stmt fc scope s : (string * var) list * scode =
         | Some c ->
             let c = compile_expr fc scope' c in
             (bumps c, cond_runner c)
-        | None -> (0, fun _ _ -> true)
+        | None -> (0, fun _ -> true)
       in
       let ns, stepc =
         match step with
         | Some e ->
             let c = compile_expr fc scope' e in
             (bumps c, c.run)
-        | None -> (0, fun _ _ -> fall)
+        | None -> (0, fun _ -> fall)
       in
       let bodyc = compile_block fc scope' body in
       ( scope,
-        fun st f ->
-          flush st;
-          (match initc with Some c -> ignore (c st f) | None -> ());
+        fun f ->
+          flush f.st;
+          (match initc with Some c -> ignore (c f) | None -> ());
           let out = ref fall in
           while
             !out == fall
             &&
-            (bump st nc;
-             cc st f)
+            (bump f nc;
+             cc f)
           do
-            let o = bodyc st f in
+            let o = bodyc f in
             if o == fall || o == cont then (
-              bump st ns;
-              ignore (stepc st f))
+              bump f ns;
+              ignore (stepc f))
             else out := o
           done;
           if !out == brk then fall else !out )
   | Ast.SReturn None ->
       ( scope,
-        fun st _ ->
-          flush st;
+        fun f ->
+          flush f.st;
           VUnit )
   | Ast.SReturn (Some e) ->
       (* A return copies its value, unless the activation owns the variable
@@ -1703,26 +1765,26 @@ let rec compile_stmt fc scope s : (string * var) list * scode =
       in
       let n = bumps c and r = if owned then c.run else copied c in
       ( scope,
-        fun st f ->
-          flush st;
-          bump st n;
-          r st f )
+        fun f ->
+          flush f.st;
+          bump f n;
+          r f )
   | Ast.SBreak ->
       ( scope,
-        fun st _ ->
-          flush st;
+        fun f ->
+          flush f.st;
           brk )
   | Ast.SContinue ->
       ( scope,
-        fun st _ ->
-          flush st;
+        fun f ->
+          flush f.st;
           cont )
   | Ast.SBlock b ->
       let cb = compile_block fc scope b in
       ( scope,
-        fun st f ->
-          flush st;
-          cb st f )
+        fun f ->
+          flush f.st;
+          cb f )
 
 and compile_block fc scope stmts : scode =
   let _, rev =
@@ -1732,19 +1794,7 @@ and compile_block fc scope stmts : scode =
         (scope', c :: acc))
       (scope, []) stmts
   in
-  match rev with
-  | [] -> fun _ _ -> fall
-  | [ c ] -> c
-  | rev ->
-      let codes = Array.of_list (List.rev rev) in
-      let n = Array.length codes in
-      fun st f ->
-        let out = ref fall and i = ref 0 in
-        while !out == fall && !i < n do
-          out := codes.(!i) st f;
-          incr i
-        done;
-        !out
+  chain (List.rev rev)
 
 (* ---------------- trusting declared types ----------------
 
@@ -1814,6 +1864,12 @@ let compile_func t scratch ~lendable (f : Ast.func) =
     lendable && not (List.exists (stmt_writes field_target) fbody);
   cfn.c_kinds <-
     Array.of_list (List.map (fun p -> kind_of fc p.Ast.p_type) f.Ast.f_params);
+  cfn.c_assigns <-
+    Array.of_list
+      (List.map
+         (fun p ->
+           List.exists (stmt_writes (rooted_in p.Ast.p_name)) fbody)
+         f.Ast.f_params);
   (* a parameter holds the activation's own copy unless an invoker may lend
      it: any of them under [c_lend], the last (an element function's
      Index) under [c_ix_safe] *)
@@ -1829,22 +1885,22 @@ let compile_func t scratch ~lendable (f : Ast.func) =
   let body = compile_block fc scope fbody in
   let size = fc.nslots in
   cfn.c_size <- size;
-  let run st frame =
-    let r = body st frame in
+  let run f =
+    let r = body f in
     if r == fall then VUnit else r
   in
   cfn.c_run <- run;
   cfn.c_invoke <-
     (fun st args ->
-      let frame = Array.make size VUnit in
+      let v = Array.make size VUnit in
       let rec fill i = function
         | [] -> ()
-        | v :: rest ->
-            frame.(i) <- Value.copy v;
+        | a :: rest ->
+            v.(i) <- Value.copy a;
             fill (i + 1) rest
       in
       fill 0 args;
-      run st frame)
+      run { st; v })
 
 let program ~tyenv ?(specialize = true) (prog_ast : Ast.program) : t =
   let scratch = Interp.make ~tyenv prog_ast in
@@ -1866,7 +1922,7 @@ let program ~tyenv ?(specialize = true) (prog_ast : Ast.program) : t =
   (* placeholders first so recursive and forward calls resolve *)
   List.iter
     (fun f ->
-      let missing _ _ = rte "function %s not yet compiled" f.Ast.f_name in
+      let missing () = rte "function %s not yet compiled" f.Ast.f_name in
       Hashtbl.replace t.cfuncs f.Ast.f_name
         {
           c_arity = List.length f.Ast.f_params;
@@ -1874,8 +1930,9 @@ let program ~tyenv ?(specialize = true) (prog_ast : Ast.program) : t =
           c_kinds = [||];
           c_ix_safe = false;
           c_lend = false;
-          c_run = missing;
-          c_invoke = missing;
+          c_assigns = [||];
+          c_run = (fun _ -> missing ());
+          c_invoke = (fun _ _ -> missing ());
         })
     funcs;
   let lendable =

@@ -48,28 +48,27 @@ type msg = {
 }
 
 (* SPSC bounded ring; [cap] is a power of two.  [head] is advanced only by
-   the consumer, [tail] only by the producer. *)
+   the consumer, [tail] only by the producer.  Most of the n * n rings of a
+   run never carry a message, so [slots] is allocated by the first push,
+   before the [Atomic.set] of [tail] that publishes the message: a
+   consumer reads [slots] only after it has read a [tail] beyond [head],
+   so the same release/acquire edge publishes the array. *)
 type ring = {
   rcap : int;
-  slots : msg option array;
+  mutable slots : msg option array;
   head : int Atomic.t;
   tail : int Atomic.t;
 }
 
 let ring_create cap =
   let rec pow2 k = if k >= cap then k else pow2 (2 * k) in
-  let rcap = pow2 1 in
-  {
-    rcap;
-    slots = Array.make rcap None;
-    head = Atomic.make 0;
-    tail = Atomic.make 0;
-  }
+  { rcap = pow2 1; slots = [||]; head = Atomic.make 0; tail = Atomic.make 0 }
 
 let ring_try_push r m =
   let t = Atomic.get r.tail in
   if t - Atomic.get r.head >= r.rcap then false
   else begin
+    if Array.length r.slots = 0 then r.slots <- Array.make r.rcap None;
     r.slots.(t land (r.rcap - 1)) <- Some m;
     Atomic.set r.tail (t + 1);
     true

@@ -779,6 +779,254 @@ let test_meter_cancels () =
       | exception Machine.Cancelled -> ())
     [ ("ast", `Ast); ("compiled", `Compiled); ("native", `Native) ]
 
+(* ---------------- stored-once arguments ----------------
+
+   A direct invoker stores an applied argument into its reused frame once
+   when the body never assigns that parameter and every element would
+   store that very value anyway: the invoker lends it, or it is neither a
+   struct nor an Index.  Each program sits on one side of that rule; ast,
+   compiled and --no-specialize must agree byte for byte and native in
+   values, and the printed output is pinned, since the engines would
+   agree on a wrong answer they share. *)
+
+(* bodies that assign an applied parameter: every element must see the
+   applied value, through map, fold's conversion and merge, array_create's
+   init, gen_mult's operators and a plain call.  No body writes through a
+   field or subscript, so [swapin]'s struct and Index are lent, and
+   assigned as variables. *)
+let assigned_src =
+  {|
+struct _p { int x; int y; };
+typedef struct _p P;
+int swapin(P s, Index j, int v, Index ix) {
+  int r = s.x * 1000 + s.y * 100 + j[0] * 10 + v;
+  P t;
+  s = t;
+  j = ix;
+  return r;
+}
+int addi(int a, int b) { return a + b; }
+int init(Index ix) { return ix[0] + 1; }
+int ik(int k, Index ix) { k = k + 1; return k * 100 + ix[0]; }
+int bumpk(int k, int v, Index ix) { k = k + 1; return k * 100 + v; }
+int stepk(int k, int v, Index ix) { if (v > 2) k++; return k * 10 + v; }
+int addk(int k, int a, int b) { k += 2; return a + b + k; }
+int mulk(int k, int a, int b) { for (int i = 0; i < 2; i++) k = k * 2; return a * b + k; }
+float fk(float k, float v, Index ix) { k = k * 2.0; return k + v; }
+float fi(Index ix) { return itof(ix[0]); }
+void dump(array<int> b) {
+  Bounds bds = array_part_bounds(b);
+  for (int i = bds->lowerBd[0]; i <= bds->upperBd[0]; i++) {
+    print_int(array_get_elem(b, {i}));
+    print_char(' ');
+  }
+  print_char('|');
+}
+int main() {
+  array<int> a = array_create(1, {8}, {0}, {-1}, init, DISTR_DEFAULT);
+  array<int> b = array_create(1, {8}, {0}, {-1}, ik(5), DISTR_DEFAULT);
+  array<float> c = array_create(1, {8}, {0}, {-1}, fi, DISTR_DEFAULT);
+  dump(b);
+  array_map(bumpk(7), a, b);
+  dump(b);
+  array_map(stepk(1), a, b);
+  dump(b);
+  print_int(array_fold(bumpk(3), addk(1), a));
+  print_char('|');
+  array_map(fk(0.5), c, c);
+  print_float(array_fold(fk(1.5), max, c));
+  print_char('|');
+  array<int> m = array_create(2, {4, 4}, {0, 0}, {-1, -1}, ik(2), DISTR_TORUS2D);
+  array<int> n = array_create(2, {4, 4}, {0, 0}, {-1, -1}, ik(3), DISTR_TORUS2D);
+  array<int> r = array_create(2, {4, 4}, {0, 0}, {-1, -1}, ik(0), DISTR_TORUS2D);
+  array_gen_mult(m, n, addk(1), mulk(1), r);
+  print_int(array_fold(bumpk(0), addi, r));
+  print_char('|');
+  print_int(bumpk(9, 1, {0}) + bumpk(9, 2, {0}));
+  print_char('|');
+  P s0;
+  s0.x = 3;
+  s0.y = 4;
+  array_map(swapin(s0, {5}), a, b);
+  dump(b);
+  array_destroy(a);
+  array_destroy(b);
+  array_destroy(c);
+  array_destroy(m);
+  array_destroy(n);
+  array_destroy(r);
+  return 0;
+}
+|}
+
+(* applied struct and Index arguments to bodies that write a field of a
+   local struct, so nothing is lent and each element gets its own copy:
+   [keep] writes through both parameters and returns the struct one
+   without a copy (the activation owns it), so elements sharing one copy
+   would show in each other's fields *)
+let copied_src =
+  {|
+struct _p { int x; int y; };
+typedef struct _p P;
+P mk(Index ix) { P p; p.x = ix[0]; p.y = ix[0] * 2; return p; }
+P keep(P s, Index j, P e, Index ix) {
+  P t = e;
+  t.x = j[0] + ix[0];
+  s.y = s.y + t.x;
+  j[1] = j[1] + 1;
+  s.x = j[1] * 100 + t.x;
+  return s;
+}
+P grow(P base, Index j, Index ix) {
+  P t;
+  t.x = 1;
+  base.x = base.x + ix[0] * t.x;
+  j[0] = j[0] + base.x;
+  base.y = j[0];
+  return base;
+}
+int sumxy(P s, P e, Index ix) { P t = e; t.y = s.x; return t.x + t.y + s.y; }
+int addi(int a, int b) { return a + b; }
+void dump(array<P> b) {
+  Bounds bds = array_part_bounds(b);
+  for (int i = bds->lowerBd[0]; i <= bds->upperBd[0]; i++) {
+    P e = array_get_elem(b, {i});
+    print_int(e.x);
+    print_char(',');
+    print_int(e.y);
+    print_char(' ');
+  }
+  print_char('|');
+}
+int main() {
+  P s0;
+  s0.x = 3;
+  s0.y = 4;
+  Index j0 = {10, 20};
+  array<P> a = array_create(1, {8}, {0}, {-1}, mk, DISTR_DEFAULT);
+  array<P> b = array_create(1, {8}, {0}, {-1}, grow(s0, j0), DISTR_DEFAULT);
+  dump(b);
+  array_map(keep(s0, j0), a, b);
+  dump(b);
+  Bounds bds = array_part_bounds(b);
+  array_get_elem(b, bds->lowerBd).y = -1;
+  dump(b);
+  print_int(array_fold(sumxy(s0), addi, b));
+  print_char('|');
+  print_int(s0.x * 1000 + s0.y * 100 + j0[0] + j0[1]);
+  array_destroy(a);
+  array_destroy(b);
+  return 0;
+}
+|}
+
+let test_stored_once () =
+  layout "assigned parameters" assigned_src
+    ~printed:
+      (Test_paths.ranks Fun.id
+         [|
+           "600 601 |801 802 |11 12 |3257|11|7751016|2003|3451 3452 |";
+           "602 603 |803 804 |23 24 |3257|11|7751016|2003|3453 3454 |";
+           "604 605 |805 806 |25 26 |3257|11|7751016|2003|3455 3456 |";
+           "606 607 |807 808 |27 28 |3257|11|7751016|2003|3457 3458 |";
+         |]);
+  layout "copied struct and Index arguments" copied_src
+    ~printed:
+      (Test_paths.ranks Fun.id
+         [|
+           "3,13 4,14 |2110,14 2111,15 |2110,-1 2111,15 |16964|3430";
+           "5,15 6,16 |2112,16 2113,17 |2112,-1 2113,17 |16964|3430";
+           "7,17 8,18 |2114,18 2115,19 |2114,-1 2115,19 |16964|3430";
+           "9,19 10,20 |2116,20 2117,21 |2116,-1 2117,21 |16964|3430";
+         |])
+
+(* ---------------- chained blocks ----------------
+
+   A block runs as a chain of links of up to three statements.  Blocks of
+   one to seven statements with a return, break or continue at each
+   position, bare (the statements after it dead) or under a condition
+   that holds for some elements, as a function body and inside a for loop
+   nested in a while loop; each function runs as an element function of
+   map and fold and as a plain call. *)
+let control_src kind =
+  let fn variant n p =
+    let name = Printf.sprintf "%s_%s_%d_%d" kind variant n p in
+    let var = if kind = "top" then "v" else "acc" in
+    let ctl =
+      match kind with
+      | "brk" -> "break;"
+      | "cnt" -> "continue;"
+      | _ -> Printf.sprintf "return %s * 10 + %d;" var p
+    in
+    let stmt q =
+      if q <> p then Printf.sprintf "%s = (%s * 3 + %d) %% 1000003;" var var (q + 1)
+      else if variant = "bare" then ctl
+      else Printf.sprintf "if ((%s + ix[0]) %% 3 != 1) %s" var ctl
+    in
+    let block = String.concat "\n    " (List.init n stmt) in
+    if kind = "top" then
+      Printf.sprintf "int %s(int v, Index ix) {\n    %s\n    return v;\n}" name
+        block
+    else
+      Printf.sprintf
+        "int %s(int v, Index ix) {\n\
+        \  int acc = v;\n\
+        \  int i = 0;\n\
+        \  while (i < 2) {\n\
+        \    i = i + 1;\n\
+        \    for (int j = 0; j < 3; j = j + 1) {\n\
+        \    %s\n\
+        \    }\n\
+        \    acc = acc * 7 + i;\n\
+        \  }\n\
+        \  return acc;\n\
+         }"
+        name block
+  in
+  let names = ref [] and fns = ref [] in
+  List.iter
+    (fun variant ->
+      for n = 1 to 7 do
+        for p = 0 to n - 1 do
+          names := Printf.sprintf "%s_%s_%d_%d" kind variant n p :: !names;
+          fns := fn variant n p :: !fns
+        done
+      done)
+    [ "bare"; "cond" ];
+  let calls =
+    List.rev_map
+      (fun f ->
+        Printf.sprintf
+          "  array_map(%s, a, b);\n\
+          \  print_int(array_fold(%s, addi, b));\n\
+          \  print_char(' ');\n\
+          \  print_int(%s(procId + 2, {procId}));\n\
+          \  print_char(' ');"
+          f f f)
+      !names
+  in
+  Printf.sprintf
+    "int addi(int a, int b) { return a + b; }\n\
+     int init(Index ix) { return ix[0] * 5 + 1; }\n\
+     %s\n\
+     int main() {\n\
+    \  array<int> a = array_create(1, {8}, {0}, {-1}, init, DISTR_DEFAULT);\n\
+    \  array<int> b = array_create(1, {8}, {0}, {-1}, init, DISTR_DEFAULT);\n\
+     %s\n\
+    \  array_destroy(a);\n\
+    \  array_destroy(b);\n\
+    \  return 0;\n\
+     }\n"
+    (String.concat "\n" (List.rev !fns))
+    (String.concat "\n" calls)
+
+let test_chained_blocks () =
+  List.iter
+    (fun kind ->
+      let name = "control flow " ^ kind in
+      ignore (Test_paths.ok ~what:name (agree_all (control_src kind) name)))
+    [ "top"; "ret"; "brk"; "cnt" ]
+
 (* ---------------- satellite regressions ---------------- *)
 
 let test_pointer_comparison_semantics () =
@@ -888,5 +1136,9 @@ let suite =
           test_struct_merge_copies;
         Alcotest.test_case "aliased arguments are not lent" `Quick
           test_aliased_arguments;
+        Alcotest.test_case "applied arguments stored once" `Quick
+          test_stored_once;
+        Alcotest.test_case "chained blocks stop at control flow" `Quick
+          test_chained_blocks;
       ] );
   ]

@@ -2,7 +2,8 @@
    native): random programs against the simulator through the path
    matrix's agreement (test_paths.ml runs the corpus), and the raw Machine
    API for what the corpus cannot pin — recv_any exactly-once consumption,
-   capacity-1 rings at full backpressure, and stall detection. *)
+   capacity-1 rings at full backpressure, stall detection, and ring slots
+   allocated only when used. *)
 
 (* ---------------- random programs: native vs simulator ---------------- *)
 
@@ -175,6 +176,36 @@ let test_finish_race () =
       done)
     [ 2; 4 ]
 
+(* ---------------- ring slots on first push ---------------- *)
+
+(* Each (src, dst) pair has a ring of 256 slots by default, but a run
+   that sends nothing should not pay for 64 * 64 of them: a ring's slot
+   array is allocated by its first push.  A trivial 8x8 run at one block
+   must allocate fewer words than the slot arrays alone would take. *)
+let test_lazy_ring_slots () =
+  let topology = Topology.mesh ~width:8 ~height:8 in
+  let p =
+    Spmd.prepare_source ~engine:`Native "int main() { return procId; }\n"
+      ~entry:"main"
+  in
+  let words () =
+    Gc.full_major ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let r = Spmd.run_prepared ~native_domains:1 ~topology p ~args:[] in
+  let allocated = words () -. before in
+  Alcotest.(check (list string))
+    "each rank returns its id"
+    (List.init 64 string_of_int)
+    (Array.to_list
+       (Array.map (fun o -> Value.describe o.Spmd.value) r.Machine.values));
+  let bound = 64. *. 64. *. 256. in
+  if allocated >= bound then
+    Alcotest.failf "an 8x8 run allocated %.0f words (bound %.0f)" allocated
+      bound
+
 let suite =
   [
     ( "native",
@@ -191,5 +222,7 @@ let suite =
         Alcotest.test_case "capacity-1 backpressure" `Quick
           test_capacity_one_backpressure;
         Alcotest.test_case "stall detected" `Quick test_stall_detected;
+        Alcotest.test_case "ring slots allocated on first push" `Quick
+          test_lazy_ring_slots;
       ] );
   ]
