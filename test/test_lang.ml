@@ -1100,6 +1100,45 @@ let test_mutants_classified =
     (QCheck2.Test.make ~count:500 ~name:"mutated programs fail classified"
        ~print:print_mutant gen_mutant prop_mutants_classified)
 
+(* Deep nesting: the frontend and both engines recurse on the tree, so
+   pin depths well past any hand-written program.  Nested parentheses
+   must pass the frontend, and nested ifs, each incrementing a local,
+   must run on ast and compiled and return their depth.  Each of the
+   three checks takes about a second on a shared 2-vCPU host. *)
+let paren_depth = 150_000
+let if_depth = 40_000
+
+let test_deep_nesting () =
+  let parens =
+    String.concat ""
+      [
+        "int main() { return ";
+        String.make paren_depth '(';
+        "1";
+        String.make paren_depth ')';
+        "; }\n";
+      ]
+  in
+  ignore (Spmd.prepare_source parens ~entry:"main");
+  let b = Buffer.create (if_depth * 32) in
+  Buffer.add_string b "int main() {\n  int x = 0;\n";
+  for k = 0 to if_depth - 1 do
+    Printf.bprintf b "if (x == %d) { x = x + 1;\n" k
+  done;
+  Buffer.add_string b (String.make if_depth '}');
+  Buffer.add_string b "\n  return x;\n}\n";
+  let ifs = Buffer.contents b in
+  List.iter
+    (fun (name, engine) ->
+      let r =
+        Spmd.run_source ~engine ~topology:(Topology.mesh ~width:1 ~height:1)
+          ifs ~entry:"main" ~args:[]
+      in
+      Alcotest.(check string)
+        (name ^ ": nested ifs") (string_of_int if_depth)
+        (Value.describe (r.Machine.values.(0)).Spmd.value))
+    [ ("ast", `Ast); ("compiled", `Compiled) ]
+
 let suite =
   [
     ( "lang lexer",
@@ -1191,5 +1230,9 @@ let suite =
         Alcotest.test_case "standalone rejects" `Quick
           test_standalone_rejects;
       ] );
-    ("lang frontend", [ test_mutants_classified ]);
+    ( "lang frontend",
+      [
+        test_mutants_classified;
+        Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
+      ] );
   ]
