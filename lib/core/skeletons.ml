@@ -143,6 +143,8 @@ let fold ctx ?(cost = default_elem_cost) ?acc_bytes ?acc_bytes_of ~conv f
   skeleton ctx;
   let me = rank ctx in
   let p = Darray.part a ~rank:me in
+  (* the partial result, in a cell made at the first element rather than
+     an option per element *)
   let acc = ref None in
   (* local reduction phase: pure reads, so crash protection needs no
      snapshot — a crashed rank just recomputes its partial result *)
@@ -152,15 +154,18 @@ let fold ctx ?(cost = default_elem_cost) ?acc_bytes ?acc_bytes_of ~conv f
       Distribution.region_iter p.Darray.region (fun ix ->
           let v = conv p.Darray.data.(!pos) ix in
           incr pos;
-          acc := Some (match !acc with None -> v | Some w -> f w v));
+          match !acc with
+          | Some w -> w := f !w v
+          | None -> acc := Some (ref v));
       Machine.charge ctx Cost_model.Mapped ~ops:!pos ~base:cost);
+  let acc = Option.map ( ! ) !acc in
   (* Wire size of the partial result sent up the reduction tree.  When
      [conv] changes the accumulator type (Gauss's pivot search folds floats
      into elemrec structs), the element size of [a] is wrong — pass
      [acc_bytes], or [acc_bytes_of] when the size is only known at run time
      (the interpreter's dynamically typed values). *)
   let bytes =
-    match (acc_bytes_of, !acc) with
+    match (acc_bytes_of, acc) with
     | Some measure, Some v -> measure v
     | Some _, None | None, _ -> (
         match acc_bytes with Some b -> b | None -> Darray.elem_bytes a)
@@ -172,7 +177,7 @@ let fold ctx ?(cost = default_elem_cost) ?acc_bytes ?acc_bytes_of ~conv f
     | (Some _ as s), None | None, (Some _ as s) -> s
     | None, None -> None
   in
-  match Collectives.allreduce ctx ~tag ~bytes merge !acc with
+  match Collectives.allreduce ctx ~tag ~bytes merge acc with
   | Some v -> v
   | None -> invalid_arg "array_fold: empty array"
 
@@ -209,7 +214,7 @@ let copy_with ctx conv (src : 'a Darray.t) (dst : 'b Darray.t) =
 (* ------------------------------------------------------------------ *)
 (* broadcast_part                                                      *)
 
-let broadcast_part ctx (a : 'a Darray.t) ix =
+let broadcast_part ctx ?copy (a : 'a Darray.t) ix =
   Darray.check_alive a;
   (* an index outside the array would pick a wrong or nonexistent root, so
      every rank rejects it before any communication *)
@@ -234,10 +239,21 @@ let broadcast_part ctx (a : 'a Darray.t) ix =
   (* The root broadcasts a snapshot: messages travel by reference in the
      simulator, and the root may overwrite its partition before a slow
      receiver has consumed the message. *)
-  let outgoing = if me = root then Array.copy p.Darray.data else [||] in
+  let outgoing =
+    if me <> root then [||]
+    else
+      match copy with
+      | None -> Array.copy p.Darray.data
+      | Some c -> Array.map c p.Darray.data
+  in
   let received = Collectives.bcast ctx ~tag ~root ~bytes outgoing in
   if me <> root then begin
-    Array.blit received 0 p.Darray.data 0 count;
+    (match copy with
+     | None -> Array.blit received 0 p.Darray.data 0 count
+     | Some c ->
+         for i = 0 to count - 1 do
+           p.Darray.data.(i) <- c received.(i)
+         done);
     Machine.charge_copy ctx ~bytes
   end
 
@@ -266,7 +282,7 @@ let partition_rows (p : 'a Darray.part) =
         b.Index.upper.(1) - b.Index.lower.(1) )
   | Distribution.Rows { rows; ncols } -> (rows, 0, ncols)
 
-let permute_rows ctx (src : 'a Darray.t) perm (dst : 'a Darray.t) =
+let permute_rows ctx ?copy (src : 'a Darray.t) perm (dst : 'a Darray.t) =
   check_same_layout "array_permute_rows" src dst;
   if Darray.dim src <> 2 then
     invalid_arg "array_permute_rows: 2-D arrays only";
@@ -288,7 +304,12 @@ let permute_rows ctx (src : 'a Darray.t) perm (dst : 'a Darray.t) =
     (fun lpos r ->
       let d = perm r in
       let owner = Darray.owner dst [| d; col_lo |] in
-      let segment = Array.sub ps.Darray.data (lpos * width) width in
+      let segment =
+        match copy with
+        | None -> Array.sub ps.Darray.data (lpos * width) width
+        | Some c ->
+            Array.init width (fun k -> c ps.Darray.data.((lpos * width) + k))
+      in
       if owner = me then pending_local := (d, segment) :: !pending_local
       else Machine.send ctx ~dest:owner ~tag ~bytes:row_bytes segment)
     my_rows;

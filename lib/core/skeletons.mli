@@ -122,16 +122,19 @@ val copy_with : ctx -> ('a -> 'b) -> 'a Darray.t -> 'b Darray.t -> unit
     exactly what {!copy} charges — the representation is invisible to the
     simulated machine. *)
 
-val broadcast_part : ctx -> 'a Darray.t -> Index.t -> unit
+val broadcast_part : ctx -> ?copy:('a -> 'a) -> 'a Darray.t -> Index.t -> unit
 (** [array_broadcast_part a ix]: the partition containing [ix] overwrites
     every other partition (tree broadcast).  All partitions must have the
-    same shape. *)
+    same shape.  Elements travel by reference; [copy] (default: none)
+    copies each one into the root's snapshot and again where it lands, so
+    no two partitions share a mutable element. *)
 
 val permute_rows :
-  ctx -> 'a Darray.t -> (int -> int) -> 'a Darray.t -> unit
+  ctx -> ?copy:('a -> 'a) -> 'a Darray.t -> (int -> int) -> 'a Darray.t -> unit
 (** [array_permute_rows from perm_f to] for 2-D arrays: row [r] of [from]
     becomes row [perm_f r] of [to].  [from] and [to] must be distinct with
-    identical layouts.
+    identical layouts.  [copy] (default: none) copies each element into
+    the row segment it travels in, which only its target reads.
     @raise Invalid_argument (the paper's run-time error) if [perm_f] is not
     a bijection on the row numbers. *)
 

@@ -11,8 +11,10 @@
      - a variable, parameter or result whose declared type is int or float
        lives unboxed in the frame's [int array] or [float array]; every
        other one in its [Value.t array];
-     - struct fields resolve to positional indices recorded by the
-       typechecker (with a cheap name check and a search fallback);
+     - a struct field resolves to its kind and slot in the layout of the
+       struct type the typechecker recorded, an int or float one in the
+       value's unboxed arrays (with one physical check of the value's
+       layout and a by-name fallback);
      - binary operators are specialized at compile time (no string
        dispatch on the hot path);
      - call targets and arities are resolved at compile time: a saturated
@@ -56,18 +58,75 @@ type frame = {
   fl : float array;
 }
 
-(* Static scalar kinds: a variable's, parameter's or result's declared type
-   after [Typecheck.expand], when the program lets typed runners trust it
-   (see [typed_slots]).  A [Kint] cell lives in the frame's [iv], a
-   [Kfloat] one in [fl], a [Kbox] one in [v]. *)
-type kind = Kint | Kfloat | Kbox
+(* Static scalar kinds ([Value.kind]): a variable's, parameter's or
+   result's declared type after [Typecheck.expand], when the program lets
+   typed runners trust it (see [typed_slots]).  A [Kint] cell lives in the
+   frame's [iv], a [Kfloat] one in [fl], a [Kbox] one in [v]. *)
 
 type 'a runner = frame -> 'a
+
+(* A field access resolved at compile time: the layout of the annotated
+   struct type in the templates' state, and the field's kind and slot in
+   it.  A value of that layout (one physical comparison) is read and
+   written at the slot, an int or float field unboxed; any other value
+   takes the interpreter's by-name path, as does every value when the
+   node has no annotation ([def] is then [unresolved], which no value
+   has).  An annotation that went stale, e.g. an AST shared across
+   programs, meets values of another layout. *)
+type field = { def : sdef; fkind : kind; fslot : int; name : string }
+
+let unresolved = Value.make_def "" [||] [||]
+
+(* the by-name path of a read *)
+let field_slow fd v =
+  match v with
+  | VStruct s -> Value.get_field s (Value.field_pos s fd.name)
+  | VBounds b -> Interp.bounds_field b fd.name
+  | v -> rte "field access on %s" (describe v)
+
+let field_get fd v =
+  match v with
+  | VStruct s when s.s_def == fd.def -> (
+      match fd.fkind with
+      | Kbox -> s.s_vals.(fd.fslot)
+      | Kint -> VInt s.s_ints.(fd.fslot)
+      | Kfloat -> VFloat s.s_flts.(fd.fslot))
+  | v -> field_slow fd v
+
+(* typed reads of an int or float field *)
+let field_int fd v =
+  match v with
+  | VStruct s when s.s_def == fd.def -> s.s_ints.(fd.fslot)
+  | v -> as_int (field_slow fd v)
+
+let[@inline] field_float fd v =
+  match v with
+  | VStruct s when s.s_def == fd.def -> s.s_flts.(fd.fslot)
+  | v -> as_float (field_slow fd v)
+
+(* An unboxed float: a runner, or a read its consumer makes inline.  A
+   closure returns a float boxed, so a float cell or a flat float field of
+   a struct variable, or the fabs of one (gauss's pivot search compares
+   two), is read by the closure that uses it, with no call and no box. *)
+type fsrc =
+  | Frun of float runner
+  | Fcell of int  (* the frame's float cell *)
+  | Ffield of int * field  (* a field of the struct in a boxed cell *)
+  | Fabs_cell of int
+  | Fabs_field of int * field
+
+let[@inline] fread s f =
+  match s with
+  | Frun r -> r f
+  | Fcell i -> f.fl.(i)
+  | Ffield (c, fd) -> field_float fd f.v.(c)
+  | Fabs_cell i -> Float.abs f.fl.(i)
+  | Fabs_field (c, fd) -> Float.abs (field_float fd f.v.(c))
 
 type typed =
   | Boxed
   | Int of int runner
-  | Flt of float runner
+  | Flt of fsrc
   | Bool of bool runner  (* an int that is 0 or 1: comparisons, !, &&, || *)
 
 type ecode = {
@@ -138,16 +197,8 @@ type fctx = {
       (* sequential state over the same program: compile-time evaluation
          of default values and backend-independent constants *)
   fn : cfn;  (* the function being compiled *)
-  cells : int array;  (* cells taken so far, per kind (see [new_cell]) *)
+  cells : int array;  (* cells taken so far, per kind (see [new_slot]) *)
 }
-
-(* Cells of each kind are numbered from 0 in their own array: the next
-   [kind] cell, counting in [n] indexed Kbox, Kint, Kfloat *)
-let new_cell n kind =
-  let i = match kind with Kbox -> 0 | Kint -> 1 | Kfloat -> 2 in
-  let c = n.(i) in
-  n.(i) <- c + 1;
-  c
 
 (* Statement outcomes.  A compiled statement returns [fall] when control
    falls through, [brk] or [cont] for break and continue, [ret] for a
@@ -243,15 +294,17 @@ let vbool b = if b then vtrue else vfalse
 
 let int_code ops r = { ops; run = (fun f -> VInt (r f)); typed = Int r }
 
-let float_code ops r =
-  { ops; run = (fun f -> VFloat (r f)); typed = Flt r }
+let float_src ops s =
+  { ops; run = (fun f -> VFloat (fread s f)); typed = Flt s }
+
+let float_code ops r = float_src ops (Frun r)
 
 let bool_code ops r =
   { ops; run = (fun f -> vbool (r f)); typed = Bool r }
 
 let code ops = function
   | Int r -> int_code ops r
-  | Flt r -> float_code ops r
+  | Flt s -> float_src ops s
   | Bool r -> bool_code ops r
   | Boxed -> invalid_arg "Compile.code: no typed runner"
 
@@ -265,15 +318,20 @@ let int_runner c : int runner =
 
 let float_runner c : float runner =
   match c.typed with
-  | Flt r -> r
+  | Flt (Frun r) -> r
+  | Flt s -> fun f -> fread s f
   | Int _ | Bool _ | Boxed -> fun f -> as_float (c.run f)
+
+(* the same as a source its consumer reads inline *)
+let float_source c =
+  match c.typed with Flt s -> s | _ -> Frun (float_runner c)
 
 (* the condition [truthy] tests *)
 let cond_runner c : bool runner =
   match c.typed with
   | Bool r -> r
   | Int r -> fun f -> r f <> 0
-  | Flt r -> fun f -> r f <> 0.0
+  | Flt s -> fun f -> fread s f <> 0.0
   | Boxed -> fun f -> truthy (c.run f)
 
 (* The bumps a parent adds itself before running a child's runner, in
@@ -498,24 +556,25 @@ let int_op op (ra : int runner) (rb : int runner) : typed =
   | ">=" -> Bool (fun f -> let a = ra f in a >= rb f)
   | _ -> Boxed
 
-let float_op op (ra : float runner) (rb : float runner) : typed =
+let float_op op (sa : fsrc) (sb : fsrc) : typed =
+  let flt g = Flt (Frun g) in
   match op with
-  | "+" -> Flt (fun f -> let a = ra f in a +. rb f)
-  | "-" -> Flt (fun f -> let a = ra f in a -. rb f)
-  | "*" -> Flt (fun f -> let a = ra f in a *. rb f)
-  | "/" -> Flt (fun f -> let a = ra f in a /. rb f)
+  | "+" -> flt (fun f -> let a = fread sa f in a +. fread sb f)
+  | "-" -> flt (fun f -> let a = fread sa f in a -. fread sb f)
+  | "*" -> flt (fun f -> let a = fread sa f in a *. fread sb f)
+  | "/" -> flt (fun f -> let a = fread sa f in a /. fread sb f)
   | "==" ->
-      Bool (fun f -> let a = ra f in Float.compare a (rb f) = 0)
+      Bool (fun f -> let a = fread sa f in Float.compare a (fread sb f) = 0)
   | "!=" ->
-      Bool (fun f -> let a = ra f in Float.compare a (rb f) <> 0)
+      Bool (fun f -> let a = fread sa f in Float.compare a (fread sb f) <> 0)
   | "<" ->
-      Bool (fun f -> let a = ra f in Float.compare a (rb f) < 0)
+      Bool (fun f -> let a = fread sa f in Float.compare a (fread sb f) < 0)
   | ">" ->
-      Bool (fun f -> let a = ra f in Float.compare a (rb f) > 0)
+      Bool (fun f -> let a = fread sa f in Float.compare a (fread sb f) > 0)
   | "<=" ->
-      Bool (fun f -> let a = ra f in Float.compare a (rb f) <= 0)
+      Bool (fun f -> let a = fread sa f in Float.compare a (fread sb f) <= 0)
   | ">=" ->
-      Bool (fun f -> let a = ra f in Float.compare a (rb f) >= 0)
+      Bool (fun f -> let a = fread sa f in Float.compare a (fread sb f) >= 0)
   | _ -> Boxed
 
 (* [g] over two boxed operands, after [k] bumps of its own *)
@@ -539,9 +598,14 @@ let binop_code ~k op ca cb =
     | (Int _ | Bool _), (Int _ | Bool _) ->
         let ops, ra, rb = binary ~k ca cb (int_runner ca) (int_runner cb) in
         (ops, int_op op ra rb)
-    | Flt ra, Flt rb ->
-        let ops, ra, rb = binary ~k ca cb ra rb in
-        (ops, float_op op ra rb)
+    | Flt sa, Flt sb -> (
+        match (ca.ops, cb.ops) with
+        | Some na, Some nb -> (Some (k + na + nb), float_op op sa sb)
+        | _ ->
+            let ops, ra, rb =
+              binary ~k ca cb (float_runner ca) (float_runner cb)
+            in
+            (ops, float_op op (Frun ra) (Frun rb)))
     | _ -> (None, Boxed)
   in
   match typed with
@@ -571,15 +635,18 @@ let scalar_builtin_1 name c =
     Some (code ops (g r))
   in
   let on_float g =
-    let arg =
-      match c.typed with
-      | Flt r -> r
-      | Int _ | Bool _ | Boxed -> (
-          fun f ->
-            match c.run f with VFloat x -> x | v -> bad_args name v)
-    in
-    let ops, r = node 2 c arg in
-    Some (code ops (g r))
+    match (c.typed, c.ops) with
+    | Flt s, Some n -> Some (code (Some (2 + n)) (g s))
+    | _ ->
+        let arg =
+          match c.typed with
+          | Flt _ -> float_runner c
+          | Int _ | Bool _ | Boxed -> (
+              fun f ->
+                match c.run f with VFloat x -> x | v -> bad_args name v)
+        in
+        let ops, r = node 2 c arg in
+        Some (code ops (g (Frun r)))
   in
   match name with
   | "abs" -> on_int (fun r -> Int (fun f -> abs (r f)))
@@ -590,10 +657,14 @@ let scalar_builtin_1 name c =
               let n = r f in
               let rec go k pow = if pow >= n then k else go (k + 1) (2 * pow) in
               go 0 1))
-  | "itof" -> on_int (fun r -> Flt (fun f -> float_of_int (r f)))
-  | "fabs" -> on_float (fun r -> Flt (fun f -> Float.abs (r f)))
-  | "sqrt" -> on_float (fun r -> Flt (fun f -> sqrt (r f)))
-  | "ftoi" -> on_float (fun r -> Int (fun f -> int_of_float (r f)))
+  | "itof" -> on_int (fun r -> Flt (Frun (fun f -> float_of_int (r f))))
+  | "fabs" ->
+      on_float (function
+        | Fcell i -> Flt (Fabs_cell i)
+        | Ffield (c, fd) -> Flt (Fabs_field (c, fd))
+        | s -> Flt (Frun (fun f -> Float.abs (fread s f))))
+  | "sqrt" -> on_float (fun s -> Flt (Frun (fun f -> sqrt (fread s f))))
+  | "ftoi" -> on_float (fun s -> Int (fun f -> int_of_float (fread s f)))
   | _ -> None
 
 let scalar_builtin_2 = function
@@ -781,6 +852,19 @@ let elem_fn1 prog st fv (res : 'b payload) : (Index.t -> 'b) option =
           put_ix ix;
           get f)
 
+(* Row permutation of array_permute_rows: int -> int. *)
+let int_fn1 prog st fv : (int -> int) option =
+  match direct prog st fv ~extra:1 with
+  | None -> None
+  | Some d ->
+      let put_r = put d Pint (d.fn.c_arity - 1) in
+      let get = result d.fn Pint in
+      Some
+        (fun r ->
+          let f = enter d in
+          put_r r;
+          get f)
+
 (* Binary user function (fold merge, gen_mult add/mul) on direct frames. *)
 let user_fn2 prog st fv (k : 'a payload) : ('a -> 'a -> 'a) option =
   match direct prog st fv ~extra:2 with
@@ -846,47 +930,123 @@ let value_binop prog st fv : (Value.t -> Value.t -> Value.t) option =
   | _ -> user_fn2 prog st fv Pgen
 
 (* Monomorphic block kernels for the operator pairs shpaths and matmul
-   pass to array_gen_mult (int min/+ and float +/* pairs): the closure
-   loop of [Skeletons.gen_mult] with the operators inlined, in the same
-   i-k-j order and with the same operand order, so every result is
+   pass to array_gen_mult (int min/+ and float +/* pairs).  Each step
+   updates two rows by two columns of c in registers, so each load of a
+   and b serves two updates; an odd block size leaves a last column and a
+   last row, which go one element at a time.  Every element of c still
+   takes its k terms in ascending order with the closure loop's operand
+   order ([Skeletons.gen_mult]'s i-k-j loop), so every result is
    bit-identical.  The block lengths are checked once, so the loops read
-   and write unchecked, and the row offsets are hoisted out of the inner
-   loop.  The min stays a compare and branch, and stores only when the sum
-   is smaller: min(c, a + b) by arithmetic would overflow on large user
-   ints.  Other pairs, including / and % with their division-by-zero
-   errors, keep the closure loop. *)
+   and write unchecked.  The min stays a compare and branch: min(c, a + b)
+   by arithmetic would overflow on large user ints.  Other pairs,
+   including / and % with their division-by-zero errors, keep the closure
+   loop. *)
 let check_blocks ad bd cd bs =
   let n = bs * bs in
   if Array.length ad < n || Array.length bd < n || Array.length cd < n then
     invalid_arg "index out of bounds"
 
+(* one element of c: row offset [ib], column [j] *)
+let min_plus_1 (ad : int array) (bd : int array) (cd : int array) bs ib j =
+  let c = ref (Array.unsafe_get cd (ib + j)) in
+  for k = 0 to bs - 1 do
+    let s = Array.unsafe_get ad (ib + k) + Array.unsafe_get bd ((k * bs) + j) in
+    if s < !c then c := s
+  done;
+  Array.unsafe_set cd (ib + j) !c
+
 let min_plus_kernel (ad : int array) (bd : int array) (cd : int array) bs =
   check_blocks ad bd cd bs;
-  for i = 0 to bs - 1 do
-    let ib = i * bs in
-    for k = 0 to bs - 1 do
-      let aik = Array.unsafe_get ad (ib + k) and kb = k * bs in
-      for j = 0 to bs - 1 do
-        let s = aik + Array.unsafe_get bd (kb + j) in
-        if s < Array.unsafe_get cd (ib + j) then Array.unsafe_set cd (ib + j) s
-      done
+  let odd = bs land 1 = 1 in
+  for i2 = 0 to (bs / 2) - 1 do
+    let i0 = 2 * i2 * bs in
+    let i1 = i0 + bs in
+    for j2 = 0 to (bs / 2) - 1 do
+      let j = 2 * j2 in
+      let c00 = ref (Array.unsafe_get cd (i0 + j)) in
+      let c01 = ref (Array.unsafe_get cd (i0 + j + 1)) in
+      let c10 = ref (Array.unsafe_get cd (i1 + j)) in
+      let c11 = ref (Array.unsafe_get cd (i1 + j + 1)) in
+      (* row k of b starts at kb; a's two rows are ia and ia + bs *)
+      let kb = ref j in
+      for ia = i0 to i1 - 1 do
+        let a0 = Array.unsafe_get ad ia in
+        let a1 = Array.unsafe_get ad (ia + bs) in
+        let b0 = Array.unsafe_get bd !kb in
+        let b1 = Array.unsafe_get bd (!kb + 1) in
+        kb := !kb + bs;
+        let s = a0 + b0 in
+        if s < !c00 then c00 := s;
+        let s = a0 + b1 in
+        if s < !c01 then c01 := s;
+        let s = a1 + b0 in
+        if s < !c10 then c10 := s;
+        let s = a1 + b1 in
+        if s < !c11 then c11 := s
+      done;
+      Array.unsafe_set cd (i0 + j) !c00;
+      Array.unsafe_set cd (i0 + j + 1) !c01;
+      Array.unsafe_set cd (i1 + j) !c10;
+      Array.unsafe_set cd (i1 + j + 1) !c11
+    done;
+    if odd then begin
+      min_plus_1 ad bd cd bs i0 (bs - 1);
+      min_plus_1 ad bd cd bs i1 (bs - 1)
+    end
+  done;
+  if odd then
+    for j = 0 to bs - 1 do
+      min_plus_1 ad bd cd bs ((bs - 1) * bs) j
     done
-  done
+
+let plus_times_1 (ad : float array) (bd : float array) (cd : float array) bs
+    ib j =
+  let c = ref (Array.unsafe_get cd (ib + j)) in
+  for k = 0 to bs - 1 do
+    let a = Array.unsafe_get ad (ib + k) in
+    c := !c +. (a *. Array.unsafe_get bd ((k * bs) + j))
+  done;
+  Array.unsafe_set cd (ib + j) !c
 
 let float_plus_times_kernel (ad : float array) (bd : float array)
     (cd : float array) bs =
   check_blocks ad bd cd bs;
-  for i = 0 to bs - 1 do
-    let ib = i * bs in
-    for k = 0 to bs - 1 do
-      let aik = Array.unsafe_get ad (ib + k) and kb = k * bs in
-      for j = 0 to bs - 1 do
-        Array.unsafe_set cd (ib + j)
-          (Array.unsafe_get cd (ib + j)
-          +. (aik *. Array.unsafe_get bd (kb + j)))
-      done
+  let odd = bs land 1 = 1 in
+  for i2 = 0 to (bs / 2) - 1 do
+    let i0 = 2 * i2 * bs in
+    let i1 = i0 + bs in
+    for j2 = 0 to (bs / 2) - 1 do
+      let j = 2 * j2 in
+      let c00 = ref (Array.unsafe_get cd (i0 + j)) in
+      let c01 = ref (Array.unsafe_get cd (i0 + j + 1)) in
+      let c10 = ref (Array.unsafe_get cd (i1 + j)) in
+      let c11 = ref (Array.unsafe_get cd (i1 + j + 1)) in
+      let kb = ref j in
+      for ia = i0 to i1 - 1 do
+        let a0 = Array.unsafe_get ad ia in
+        let a1 = Array.unsafe_get ad (ia + bs) in
+        let b0 = Array.unsafe_get bd !kb in
+        let b1 = Array.unsafe_get bd (!kb + 1) in
+        kb := !kb + bs;
+        c00 := !c00 +. (a0 *. b0);
+        c01 := !c01 +. (a0 *. b1);
+        c10 := !c10 +. (a1 *. b0);
+        c11 := !c11 +. (a1 *. b1)
+      done;
+      Array.unsafe_set cd (i0 + j) !c00;
+      Array.unsafe_set cd (i0 + j + 1) !c01;
+      Array.unsafe_set cd (i1 + j) !c10;
+      Array.unsafe_set cd (i1 + j + 1) !c11
+    done;
+    if odd then begin
+      plus_times_1 ad bd cd bs i0 (bs - 1);
+      plus_times_1 ad bd cd bs i1 (bs - 1)
+    end
+  done;
+  if odd then
+    for j = 0 to bs - 1 do
+      plus_times_1 ad bd cd bs ((bs - 1) * bs) j
     done
-  done
 
 let prim fv =
   match fv with
@@ -1059,6 +1219,17 @@ let specialize_skeleton prog (h : Ast.expr) name :
               | DFloat a -> go Pfloat a
               | DGen a -> go Pgen a)
           | argv -> generic st argv)
+  | "array_permute_rows" ->
+      Some
+        (fun st argv ->
+          match argv with
+          | [ VDarray src; perm; VDarray dst ] -> (
+              match int_fn1 prog st perm with
+              | Some p ->
+                  Interp.permute_arrays (Interp.ctx_of st) src p dst;
+                  VUnit
+              | None -> generic st argv)
+          | argv -> generic st argv)
   | "array_gen_mult" ->
       Some
         (fun st argv ->
@@ -1092,55 +1263,58 @@ let specialize_skeleton prog (h : Ast.expr) name :
 (* ---------------- struct field resolution ---------------- *)
 
 (* The struct type the typechecker recorded on this Field/Arrow node (the
-   "<struct>" annotation), if any. *)
+   "<struct>" annotation), by name, if any. *)
 let struct_of fc (e : Ast.expr) =
   match List.assoc_opt "<struct>" e.Ast.inst with
-  | Some (Ast.TNamed (n, _)) -> Typecheck.struct_def fc.prog.tyenv n
+  | Some (Ast.TNamed (n, _)) ->
+      Option.map (fun sd -> (n, sd)) (Typecheck.struct_def fc.prog.tyenv n)
   | _ -> None
 
-(* A field access resolved at compile time: the field's position in the
-   annotated struct type and that definition's own name string ([pos] is
-   -1 and [name] the accessed one when there is no annotation). *)
-type field = { pos : int; name : string }
-
 let field_slot fc e fname =
-  let rec go i = function
-    | [] -> { pos = -1; name = fname }
-    | (_, n) :: _ when String.equal n fname -> { pos = i; name = n }
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 (match struct_of fc e with Some sd -> sd.Ast.s_fields | None -> [])
+  let none = { def = unresolved; fkind = Kbox; fslot = -1; name = fname } in
+  match struct_of fc e with
+  | None -> none
+  | Some (n, sd) ->
+      let def = Interp.layout fc.scratch n sd in
+      let i = Value.field_index def fname in
+      if i < 0 then none
+      else
+        { def; fkind = def.d_kinds.(i); fslot = def.d_slots.(i); name = fname }
 
-(* A struct's [s_names] holds its definition's strings, so one physical
-   comparison confirms the position.  An annotation that went stale (e.g.
-   an AST shared across programs) falls back to the interpreter's
-   search. *)
-let position fd s =
-  let i = fd.pos in
-  if
-    i >= 0
-    && i < Array.length s.s_names
-    && Array.unsafe_get s.s_names i == fd.name
-  then i
-  else Value.field_pos s fd.name
+(* The store of a [k] into field [fd] of struct [s]: at the slot when [s]
+   has the layout compiled against, by name otherwise *)
+let by_name fd s v = Value.set_field s (Value.field_pos s fd.name) v
 
-let field_get fd v =
-  match v with
-  | VStruct s -> s.s_vals.(position fd s)
-  | VBounds b -> Interp.bounds_field b fd.name
-  | v -> rte "field access on %s" (describe v)
+let[@inline] store_field (type e) (k : e payload) fd s (x : e) =
+  if s.s_def == fd.def then
+    match k with
+    | Pint -> s.s_ints.(fd.fslot) <- x
+    | Pfloat -> s.s_flts.(fd.fslot) <- x
+    | Pgen -> s.s_vals.(fd.fslot) <- x
+  else by_name fd s (box_of k x)
 
-let field_int fd v = match field_get fd v with VInt n -> n | v -> as_int v
+(* The struct behind p in p->f, with the interpreter's errors *)
+let deref_struct = function
+  | VPtr r -> (
+      match !r with
+      | VStruct s -> s
+      | w -> rte "-> assignment on %s" (describe w))
+  | VNull -> rte "assignment through NULL"
+  | w -> rte "-> assignment on %s" (describe w)
 
-let field_float fd v =
-  match field_get fd v with VFloat x -> x | v -> as_float v
+let[@inline] target_struct = function
+  | VStruct s -> s
+  | w -> rte "field assignment on %s" (describe w)
+
+let arrow_ptr = function
+  | VPtr r -> !r
+  | VNull -> rte "dereference of NULL"
+  | v -> rte "-> applied to %s" (describe v)
 
 let arrow_get fd v =
   match v with
-  | VPtr r -> field_get fd !r
   | VBounds b -> Interp.bounds_field b fd.name
-  | VNull -> rte "dereference of NULL"
-  | v -> rte "-> applied to %s" (describe v)
+  | v -> field_get fd (arrow_ptr v)
 
 let index_get arr j =
   if j >= 0 && j < Array.length arr then arr.(j)
@@ -1227,16 +1401,6 @@ let kind_of prog t =
     | Ast.TFloat -> Kfloat
     | _ -> Kbox
 
-(* A field of a struct type without type parameters reads at its declared
-   kind; a generic struct's fields stay boxed. *)
-let field_kind fc e fname =
-  match struct_of fc e with
-  | Some { Ast.s_params = []; s_fields; _ } -> (
-      match List.find_opt (fun (_, n) -> String.equal n fname) s_fields with
-      | Some (t, _) -> kind_of fc.prog t
-      | None -> Kbox)
-  | _ -> Kbox
-
 (* the [v] cell of [e] when it is a boxed variable in scope *)
 let var_slot scope (e : Ast.expr) =
   match e.Ast.desc with
@@ -1250,7 +1414,7 @@ let constant v =
   let run _ = v in
   match v with
   | VInt n -> { ops = Some 1; run; typed = Int (fun _ -> n) }
-  | VFloat x -> { ops = Some 1; run; typed = Flt (fun _ -> x) }
+  | VFloat x -> { ops = Some 1; run; typed = Flt (Frun (fun _ -> x)) }
   | _ -> known 1 run
 
 let rec compile_expr fc scope (e : Ast.expr) : ecode =
@@ -1265,7 +1429,7 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
       | Some { slot; kind; _ } -> (
           match kind with
           | Kint -> int_code (Some 1) (fun f -> f.iv.(slot))
-          | Kfloat -> float_code (Some 1) (fun f -> f.fl.(slot))
+          | Kfloat -> float_src (Some 1) (Fcell slot)
           | Kbox -> known 1 (fun f -> f.v.(slot)))
       | None ->
           if Interp.is_constant x then
@@ -1308,8 +1472,8 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
       | Int _ | Bool _ ->
           let ops, r = node 1 ca (int_runner ca) in
           int_code ops (fun f -> -r f)
-      | Flt r ->
-          let ops, r = node 1 ca r in
+      | Flt _ ->
+          let ops, r = node 1 ca (float_runner ca) in
           float_code ops (fun f -> -.r f)
       | Boxed ->
           combine1 ca (fun v ->
@@ -1366,8 +1530,21 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
           let arr = as_index (ra f) in
           index_get arr (ri f))
   | Ast.Field (s, fname) -> compile_field fc scope e s fname
-  | Ast.Arrow (p, fname) ->
-      combine1 (compile_expr fc scope p) (arrow_get (field_slot fc e fname))
+  | Ast.Arrow (p, fname) -> (
+      let fd = field_slot fc e fname in
+      let cp = compile_expr fc scope p in
+      let ops, r = node 1 cp cp.run in
+      let run f = arrow_get fd (r f) in
+      match fd.fkind with
+      | Kint ->
+          { ops; run; typed = Int (fun f -> field_int fd (arrow_ptr (r f))) }
+      | Kfloat ->
+          {
+            ops;
+            run;
+            typed = Flt (Frun (fun f -> field_float fd (arrow_ptr (r f))));
+          }
+      | Kbox -> { ops; run; typed = Boxed })
   | Ast.Deref p ->
       combine1 (compile_expr fc scope p) (fun v ->
           match v with
@@ -1420,7 +1597,7 @@ let rec compile_expr fc scope (e : Ast.expr) : ecode =
           VPtr (ref (Value.copy v)))
 
 (* s.f: the Field node bumps, then s.  A struct variable's field is read
-   in one closure, and an int or float field also reads unboxed. *)
+   in one closure, and a flat int or float field also reads unboxed. *)
 and compile_field fc scope e s fname =
   let fd = field_slot fc e fname in
   let ops, src =
@@ -1437,11 +1614,11 @@ and compile_field fc scope e s fname =
     | `Run r -> fun f -> field_get fd (r f)
   in
   let typed =
-    match (field_kind fc e fname, src) with
+    match (fd.fkind, src) with
     | Kint, `Slot slot -> Int (fun f -> field_int fd f.v.(slot))
     | Kint, `Run r -> Int (fun f -> field_int fd (r f))
-    | Kfloat, `Slot slot -> Flt (fun f -> field_float fd f.v.(slot))
-    | Kfloat, `Run r -> Flt (fun f -> field_float fd (r f))
+    | Kfloat, `Slot slot -> Flt (Ffield (slot, fd))
+    | Kfloat, `Run r -> Flt (Frun (fun f -> field_float fd (r f)))
     | Kbox, _ -> Boxed
   in
   { ops; run; typed }
@@ -1751,46 +1928,16 @@ and compile_assign fc scope (l : Ast.expr) cr =
               let v = rr f in
               let arr = as_index (ra f) in
               set v arr (ri f)))
-  | Ast.Field (s, fname) -> (
-      let fd = field_slot fc l fname in
-      let set v sv =
-        match sv with
-        | VStruct str ->
-            str.s_vals.(position fd str) <- v;
-            v
-        | w -> rte "field assignment on %s" (describe w)
+  | Ast.Field (s, fname) ->
+      let target =
+        match var_slot scope s with
+        | Some slot -> `Slot slot
+        | None -> `Code (compile_expr fc scope s)
       in
-      match var_slot scope s with
-      | Some slot -> (
-          (* x.f = e: the Assign node, e and its copy, then x, in one
-             closure *)
-          let r = cr.run in
-          let boxed = match cr.typed with Boxed -> true | _ -> false in
-          match cr.ops with
-          | Some n ->
-              known (2 + n) (fun f ->
-                  let v = r f in
-                  set (if boxed then Value.copy v else v) f.v.(slot))
-          | None ->
-              dyn (fun f ->
-                  bump f 1;
-                  let v = r f in
-                  let v = if boxed then Value.copy v else v in
-                  bump f 1;
-                  set v f.v.(slot)))
-      | None -> with_target (compile_expr fc scope s) set)
+      field_store cr (field_slot fc l fname) ~arrow:false target
   | Ast.Arrow (p, fname) ->
-      let fd = field_slot fc l fname in
-      with_target (compile_expr fc scope p) (fun v pv ->
-          match pv with
-          | VPtr r -> (
-              match !r with
-              | VStruct str ->
-                  str.s_vals.(position fd str) <- v;
-                  v
-              | w -> rte "-> assignment on %s" (describe w))
-          | VNull -> rte "assignment through NULL"
-          | w -> rte "-> assignment on %s" (describe w))
+      field_store cr (field_slot fc l fname) ~arrow:true
+        (`Code (compile_expr fc scope p))
   | Ast.Deref p ->
       with_target (compile_expr fc scope p) (fun v pv ->
           match pv with
@@ -1804,6 +1951,46 @@ and compile_assign fc scope (l : Ast.expr) cr =
       dyn (fun f ->
           ignore (r f);
           rte "invalid assignment target")
+
+(* x.f = e, g().f = e and p->f = e, after the right-hand side [cr]: the
+   Assign node, e and its copy, then the target, whose value is the
+   struct or, under [arrow], a pointer to it.  A struct variable's field
+   is stored in one closure, and a flat int or float field unboxed. *)
+and field_store cr fd ~arrow target =
+  let build : type e. e payload -> (int option -> e runner -> ecode) ->
+      e runner -> ecode =
+   fun k code r ->
+    match target with
+    | `Slot slot -> (
+        match cr.ops with
+        | Some n ->
+            code
+              (Some (2 + n))
+              (fun f ->
+                let x = r f in
+                store_field k fd (target_struct f.v.(slot)) x;
+                x)
+        | None ->
+            code None (fun f ->
+                bump f 1;
+                let x = r f in
+                bump f 1;
+                store_field k fd (target_struct f.v.(slot)) x;
+                x))
+    | `Code c ->
+        let ops, rr, rc = binary cr c r c.run in
+        code ops (fun f ->
+            let x = rr f in
+            let sv = rc f in
+            store_field k fd
+              (if arrow then deref_struct sv else target_struct sv)
+              x;
+            x)
+  in
+  match fd.fkind with
+  | Kint -> build Pint int_code (int_runner cr)
+  | Kfloat -> build Pfloat float_code (float_runner cr)
+  | Kbox -> build Pgen (fun ops run -> { ops; run; typed = Boxed }) (copied cr)
 
 (* ---------------- statements ---------------- *)
 
@@ -1851,14 +2038,21 @@ let store_stmt ~k c kind slot o : scode =
         bump f n;
         f.iv.(slot) <- r f;
         o
-  | Kfloat ->
-      let ops, r = node k c (float_runner c) in
-      let n = Option.value ops ~default:0 in
-      fun f ->
-        flush f.st;
-        bump f n;
-        f.fl.(slot) <- r f;
-        o
+  | Kfloat -> (
+      match c.ops with
+      | Some n ->
+          let s = float_source c and n = k + n in
+          fun f ->
+            flush f.st;
+            bump f n;
+            f.fl.(slot) <- fread s f;
+            o
+      | None ->
+          let r = pre k None (float_runner c) in
+          fun f ->
+            flush f.st;
+            f.fl.(slot) <- r f;
+            o)
   | Kbox -> invalid_arg "Compile.store_stmt"
 
 (* An expression run for its effect: its own bumps and a runner, unboxed
@@ -1869,7 +2063,7 @@ let effect c =
   let n = bumps c in
   match c.typed with
   | Int r -> Eff (n, r)
-  | Flt r -> Eff (n, r)
+  | Flt _ -> Eff (n, float_runner c)
   | Bool r -> Eff (n, r)
   | Boxed -> Eff (n, c.run)
 
@@ -1902,7 +2096,7 @@ let rec compile_stmt fc scope s : (string * var) list * scode =
                   fall )))
   | Ast.SDecl (t, name, init) ->
       let kind = kind_of fc.prog t in
-      let slot = new_cell fc.cells kind in
+      let slot = new_slot fc.cells kind in
       let code =
         match (init, kind) with
         | Some e, (Kint | Kfloat) ->
@@ -1932,11 +2126,18 @@ let rec compile_stmt fc scope s : (string * var) list * scode =
                   flush f.st;
                   f.fl.(slot) <- z;
                   fall
-            | Kbox ->
-                fun f ->
-                  flush f.st;
-                  f.v.(slot) <- Value.copy template;
-                  fall)
+            | Kbox -> (
+                match template with
+                | VStruct s ->
+                    fun f ->
+                      flush f.st;
+                      f.v.(slot) <- VStruct (Value.copy_struct s);
+                      fall
+                | _ ->
+                    fun f ->
+                      flush f.st;
+                      f.v.(slot) <- Value.copy template;
+                      fall))
       in
       ((name, { slot; kind; owned = true }) :: scope, code)
   | Ast.SIf (c, a, b) ->
@@ -2085,6 +2286,7 @@ let rec falls_through = function
   | Ast.SBlock b :: rest -> falls_through b && falls_through rest
   | _ :: rest -> falls_through rest
 
+(* an int or float field is never void *)
 let rec holds_void = function
   | VUnit -> true
   | VStruct s -> Array.exists holds_void s.s_vals
@@ -2194,9 +2396,9 @@ let signature t (f : Ast.func) =
   let kinds =
     Array.of_list (List.map (fun p -> kind_of t p.Ast.p_type) f.Ast.f_params)
   in
-  let cells = Array.map (new_cell n) kinds in
+  let cells = Array.map (new_slot n) kinds in
   let res = kind_of t f.Ast.f_ret in
-  let rcell = match res with Kbox -> -1 | k -> new_cell n k in
+  let rcell = match res with Kbox -> -1 | k -> new_slot n k in
   let missing () = rte "function %s not yet compiled" f.Ast.f_name in
   {
     c_arity = Array.length kinds;
@@ -2231,6 +2433,11 @@ let program ~tyenv ?(specialize = true) (prog_ast : Ast.program) : t =
       specialize;
       typed_slots = typed_slots tyenv scratch funcs;
     }
+  in
+  (* the templates of a program whose typed runners are trusted, and so
+     every struct value it makes, have the flat layout *)
+  let scratch =
+    if t.typed_slots then Interp.make ~flat:true ~tyenv prog_ast else scratch
   in
   (* signatures first so recursive and forward calls resolve *)
   List.iter

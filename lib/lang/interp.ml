@@ -9,6 +9,10 @@ type state = {
   mutable pending_ops : int;
       (* expression nodes evaluated since the last flush; charged as Scalar
          work on the simulated machine at statement granularity *)
+  flat : bool;
+      (* struct values keep their int and float fields unboxed (see
+         [layout]) *)
+  layouts : (string, Value.sdef) Hashtbl.t;  (* per struct name *)
 }
 
 exception Return_exc of Value.t
@@ -17,7 +21,7 @@ exception Continue_exc
 
 (* environments are association lists of mutable variable cells *)
 
-let make ?(backend = `Seq) ~tyenv program =
+let make ?(backend = `Seq) ?(flat = false) ~tyenv program =
   let funcs = Hashtbl.create 32 in
   List.iter
     (function
@@ -28,9 +32,39 @@ let make ?(backend = `Seq) ~tyenv program =
   let meter =
     match backend with `Par ctx -> Machine.meter ctx | `Seq -> Machine.Idle
   in
-  { funcs; tyenv; backend; meter; buf = Buffer.create 256; pending_ops = 0 }
+  {
+    funcs;
+    tyenv;
+    backend;
+    meter;
+    buf = Buffer.create 256;
+    pending_ops = 0;
+    flat;
+    layouts = Hashtbl.create 8;
+  }
 
 let output st = Buffer.contents st.buf
+
+(* The layout of struct [n], made on first use and shared by every value
+   this state makes.  A flat state keeps the int and float fields of a
+   struct without type parameters unboxed; every other field, and every
+   field in any other state, is boxed. *)
+let layout st n (sd : Ast.struct_def) =
+  match Hashtbl.find_opt st.layouts n with
+  | Some d -> d
+  | None ->
+      let kind (t, _) =
+        if not (st.flat && sd.Ast.s_params = []) then Kbox
+        else
+          match Typecheck.expand st.tyenv t with
+          | Ast.TInt -> Kint
+          | Ast.TFloat -> Kfloat
+          | _ -> Kbox
+      in
+      let fields = Array.of_list sd.Ast.s_fields in
+      let d = Value.make_def n (Array.map snd fields) (Array.map kind fields) in
+      Hashtbl.replace st.layouts n d;
+      d
 
 let rec default_value st (t : Ast.typ) =
   match Typecheck.expand st.tyenv t with
@@ -49,23 +83,17 @@ let rec default_value st (t : Ast.typ) =
             try List.combine sd.Ast.s_params args with Invalid_argument _ ->
               []
           in
-          let fields = Array.of_list sd.Ast.s_fields in
-          VStruct
-            {
-              s_tag = n;
-              s_names = Array.map snd fields;
-              s_vals =
-                Array.map
-                  (fun (ft, _) ->
-                    let ft =
-                      List.fold_left
-                        (fun t (v', a) ->
-                          if t = Ast.TVar v' then a else t)
-                        ft subst
-                    in
-                    default_value st ft)
-                  fields;
-            }
+          let s = Value.zero_struct (layout st n sd) in
+          List.iteri
+            (fun i (ft, _) ->
+              let ft =
+                List.fold_left
+                  (fun t (v', a) -> if t = Ast.TVar v' then a else t)
+                  ft subst
+              in
+              Value.set_field s i (default_value st ft))
+            sd.Ast.s_fields;
+          VStruct s
       | None -> VUnit)
   | Ast.TVar _ | Ast.TMeta _ | Ast.TFun _ -> VUnit
 
@@ -208,9 +236,12 @@ let fold_array ctx ~apply conv f a =
   | DFloat a ->
       Skeletons.fold ctx ~acc_bytes_of:Value.wire_bytes ~conv:(wrap box_f) g a
 
+(* Generic elements are copied wherever a skeleton moves them, as C copies
+   a struct: a field write through array_get_elem must show in one array
+   on one processor only. *)
 let copy_arrays ctx src dst =
   match (src, dst) with
-  | DGen s, DGen d -> Skeletons.copy ctx s d
+  | DGen s, DGen d -> Skeletons.copy_with ctx Value.copy s d
   | DInt s, DInt d -> Skeletons.copy ctx s d
   | DFloat s, DFloat d -> Skeletons.copy ctx s d
   | DGen s, DInt d -> Skeletons.copy_with ctx as_int s d
@@ -227,13 +258,13 @@ let destroy_array ctx = function
 
 let broadcast_array ctx a ix =
   match a with
-  | DGen a -> Skeletons.broadcast_part ctx a ix
+  | DGen a -> Skeletons.broadcast_part ctx ~copy:Value.copy a ix
   | DInt a -> Skeletons.broadcast_part ctx a ix
   | DFloat a -> Skeletons.broadcast_part ctx a ix
 
 let permute_arrays ctx src p dst =
   match (src, dst) with
-  | DGen s, DGen d -> Skeletons.permute_rows ctx s p d
+  | DGen s, DGen d -> Skeletons.permute_rows ctx ~copy:Value.copy s p d
   | DInt s, DInt d -> Skeletons.permute_rows ctx s p d
   | DFloat s, DFloat d -> Skeletons.permute_rows ctx s p d
   | _ -> rte "array_permute_rows: arrays use different payload \
@@ -516,7 +547,7 @@ and eval st env (e : Ast.expr) : Value.t =
 and field st v f =
   ignore st;
   match v with
-  | VStruct s -> s.s_vals.(Value.field_pos s f)
+  | VStruct s -> Value.get_field s (Value.field_pos s f)
   | VBounds b -> bounds_field b f
   | v -> rte "field access on %s" (describe v)
 
@@ -541,13 +572,13 @@ and assign st env (l : Ast.expr) v =
       else rte "Index assignment out of range (%d)" i)
   | Ast.Field (s, f) -> (
       match eval st env s with
-      | VStruct str -> str.s_vals.(Value.field_pos str f) <- v
+      | VStruct str -> Value.set_field str (Value.field_pos str f) v
       | w -> rte "field assignment on %s" (describe w))
   | Ast.Arrow (p, f) -> (
       match eval st env p with
       | VPtr r -> (
           match !r with
-          | VStruct str -> str.s_vals.(Value.field_pos str f) <- v
+          | VStruct str -> Value.set_field str (Value.field_pos str f) v
           | w -> rte "-> assignment on %s" (describe w))
       | VNull -> rte "assignment through NULL"
       | w -> rte "-> assignment on %s" (describe w))

@@ -28,6 +28,10 @@ type state = {
   buf : Buffer.t;  (** accumulated print_* output of this processor *)
   mutable pending_ops : int;
       (** expression nodes since the last {!flush_scalar} *)
+  flat : bool;
+      (** whether struct values keep their int and float fields unboxed *)
+  layouts : (string, Value.sdef) Hashtbl.t;
+      (** each struct type's layout, by struct name (see {!layout}) *)
 }
 
 exception Return_exc of Value.t
@@ -36,9 +40,13 @@ exception Continue_exc
 
 val make :
   ?backend:[ `Seq | `Par of Machine.ctx ] ->
+  ?flat:bool ->
   tyenv:Typecheck.env ->
   Ast.program ->
   state
+(** [flat] (default [false]) gives the structs this state makes the flat
+    layout of {!layout}; the reference interpreter keeps every field
+    boxed. *)
 
 val call : state -> string -> Value.t list -> Value.t
 (** Invoke a program function (or builtin) by name.  Partial application
@@ -53,7 +61,14 @@ val output : state -> string
 (** Everything printed through the print_* builtins so far. *)
 
 val default_value : state -> Ast.typ -> Value.t
-(** The C zero value of a type (what uninitialized locals start as). *)
+(** The C zero value of a type (what uninitialized locals start as).  The
+    one constructor of struct values: each gets its type's {!layout}. *)
+
+val layout : state -> string -> Ast.struct_def -> Value.sdef
+(** The layout of the named struct in this state, made once and shared by
+    every value of the type: in a [flat] state the int and float fields of
+    a struct without type parameters are unboxed, and every other field is
+    boxed. *)
 
 (** {1 Shared engine glue}
 
@@ -83,6 +98,11 @@ val distr_of : int -> Darray.distr
 val get_elem_array : Machine.ctx -> Value.darray -> Index.t -> Value.t
 val put_elem_array : Machine.ctx -> Value.darray -> Index.t -> Value.t -> unit
 val part_bounds_array : Machine.ctx -> Value.darray -> Index.bounds
+
+val permute_arrays :
+  Machine.ctx -> Value.darray -> (int -> int) -> Value.darray -> unit
+(** [array_permute_rows] over a row permutation: generic elements are
+    copied as they move. *)
 
 val builtin :
   state ->

@@ -222,13 +222,14 @@ let test_gen_mult_pairs () =
 (* The monomorphic kernels read and write their blocks unchecked: against
    the closure loop (ast and --no-specialize run it) on elements near
    int_max, whose sums would overflow a branchless min, and below zero,
-   and on seeded 8×8 matrices holding int_max, sums that wrap around,
-   negatives and ties.  The native engine runs the kernels too, and must
-   agree in values. *)
+   and on seeded matrices holding int_max, sums that wrap around,
+   negatives and ties, at block sizes 1 to 5 on the 2×2 torus (an odd
+   one leaves a last row and column outside the two-by-two steps).  The
+   native engine runs the kernels too, and must agree in values. *)
 let test_gen_mult_kernel_edges () =
-  let seeded s =
+  let seeded ?(n = 8) s =
     let mix k = Printf.sprintf "mix(%d, ix)" (s + k) in
-    (8, mix 0, mix 1, mix 2)
+    (n, mix 0, mix 1, mix 2)
   in
   List.iter
     (fun (ty, add, mul) ->
@@ -249,6 +250,9 @@ let test_gen_mult_kernel_edges () =
             "int_max - ix[0] * 5 + ix[1]" );
           seeded 1;
           seeded 20;
+          seeded ~n:2 3;
+          seeded ~n:6 4;
+          seeded ~n:10 5;
         ])
     [ ("int", "min", "(+)"); ("float", "(+)", "(*)") ]
 
@@ -377,8 +381,9 @@ int g(P s, P *q, int v, Index ix) { int z = poke(q); return s.y * 10 + z + v; }|
    byte for byte and the native engine in values, or all fail with one
    diagnostic. *)
 
-let agree_all ?(instantiate = true) ?(entry = "main") ?(args = []) src name =
-  let run s = Test_paths.observe ~topology:mesh22 ~entry ~args s src in
+let agree_all ?(topology = mesh22) ?(instantiate = true) ?(entry = "main")
+    ?(args = []) src name =
+  let run s = Test_paths.observe ~topology ~entry ~args s src in
   let s = { Test_paths.default with instantiate } in
   let reference = Test_paths.agree_engines ~what:name run s in
   Test_paths.against ~what:name Test_paths.Values reference run s
@@ -613,9 +618,16 @@ int main() { return 0; }
    and print what C value semantics give: the engines share [Value.copy],
    so agreement alone would not catch a copy that shares fields. *)
 
-let layout name ?instantiate ~printed src =
-  let o = Test_paths.ok ~what:name (agree_all ?instantiate src name) in
-  Alcotest.(check string) (name ^ ": printed") printed o.Test_paths.printed
+(* the observation, once its printed output is checked *)
+let layout_obs name ?topology ?instantiate ~printed src =
+  let o =
+    Test_paths.ok ~what:name (agree_all ?topology ?instantiate src name)
+  in
+  Alcotest.(check string) (name ^ ": printed") printed o.Test_paths.printed;
+  o
+
+let layout name ?topology ?instantiate ~printed src =
+  ignore (layout_obs name ?topology ?instantiate ~printed src)
 
 (* every rank prints [line] *)
 let on_each_rank line = Test_paths.ranks Fun.id (Array.make 4 line)
@@ -786,6 +798,109 @@ int main() {
 }
 |}
 
+(* Int and float fields of a struct without type parameters live in the
+   flat arrays, the rest boxed: one struct with fields of every kind,
+   copies of it that must stay independent, writes through p->f, through
+   a dereferenced pointer, through a pointer field and through
+   array_get_elem(a, ix).f, and a generic struct whose $t field stays
+   boxed *)
+let mixed_src =
+  {|
+struct _in { int x; float y; };
+typedef struct _in In;
+struct _m { int i; float f; char c; Index ix; In in; struct _m *next; float g; int j; };
+typedef struct _m M;
+struct _box { $t item; int tag; };
+M mk(int v) {
+  M m;
+  m.i = v;
+  m.f = itof(v) * 0.5;
+  m.c = 'a';
+  m.ix = {v, v + 1};
+  m.in.x = v * 2;
+  m.in.y = 1.25;
+  m.g = 2.5;
+  m.j = v + 7;
+  return m;
+}
+void show(M m) {
+  print_int(m.i); print_string(",");
+  print_float(m.f); print_string(",");
+  print_char(m.c); print_string(",");
+  print_int(m.ix[0] * 10 + m.ix[1]); print_string(",");
+  print_int(m.in.x); print_string(",");
+  print_float(m.in.y); print_string(",");
+  print_float(m.g); print_string(",");
+  print_int(m.j); print_string(" ");
+}
+M mkix(Index ix) { return mk(ix[0]); }
+int main() {
+  M a = mk(3);
+  M b = a;
+  b.i = 10; b.f = 9.5; b.c = 'z'; b.ix[0] = 4; b.in.x = 50; b.in.y = 0.5; b.g = 0.25; b.j = 60;
+  M *p = new(a);
+  p->i = 11;
+  p->g = 3.75;
+  p->in.y = 6.5;
+  (*p).j = 12;
+  (*p).f = 1.5;
+  (*p).c = 'p';
+  a.next = p;
+  a.next->j = a.next->j + 1;
+  a.next->f = a.next->f * 2.0;
+  show(a); show(b); show(*p); show(*a.next);
+  print_int(p->i + (*p).j); print_string(" ");
+  print_float(p->g - (*p).f); print_string(" ");
+  struct _box<int> bi;
+  bi.item = 5;
+  bi.tag = 6;
+  struct _box<float> bf;
+  bf.item = 0.5;
+  bf.tag = bi.item + bi.tag;
+  print_int(bi.item * 100 + bf.tag); print_string(" ");
+  print_float(bf.item * 2.0); print_string(" ");
+  array<M> arr = array_create(1, {8}, {0}, {-1}, mkix, DISTR_DEFAULT);
+  Bounds bds = array_part_bounds(arr);
+  array_get_elem(arr, bds->lowerBd).f = 7.5;
+  array_get_elem(arr, bds->lowerBd).j = 70 + procId;
+  array_get_elem(arr, bds->lowerBd).in.x = procId;
+  array_get_elem(arr, bds->lowerBd).c = 'q';
+  show(array_get_elem(arr, bds->lowerBd));
+  show(array_get_elem(arr, bds->upperBd));
+  array_destroy(arr);
+  return a.i + b.j;
+}
+|}
+
+(* A fold over struct accumulators: the wire size of the partial result,
+   4 bytes per int and float field, 1 per char and 4 per Index component,
+   sets the bytes each allreduce step sends, so the makespan is pinned. *)
+let struct_fold_src =
+  {|
+struct _acc { int n; float s; char c; Index at; int hi; };
+typedef struct _acc Acc;
+Acc conv(float v, Index ix) { Acc a; a.n = 1; a.s = v; a.c = 'x'; a.at = ix; a.hi = ix[0]; return a; }
+Acc merge(Acc x, Acc y) {
+  Acc r = x;
+  r.n = x.n + y.n;
+  r.s = x.s + y.s;
+  if (y.hi > x.hi) { r.hi = y.hi; r.at = y.at; }
+  return r;
+}
+float fi(Index ix) { return itof(ix[0]) * 0.25; }
+int main() {
+  array<float> a = array_create(1, {16}, {0}, {-1}, fi, DISTR_DEFAULT);
+  Acc r = array_fold(conv, merge, a);
+  print_int(r.n); print_string(",");
+  print_float(r.s); print_string(",");
+  print_char(r.c); print_string(",");
+  print_int(r.at[0]); print_string(",");
+  print_int(r.hi);
+  array_destroy(a);
+  return r.n;
+}
+|}
+
 let test_struct_layout () =
   layout "nested field writes" nested_src
     ~printed:
@@ -807,7 +922,113 @@ let test_struct_layout () =
       let name = if instantiate then "" else ", no-instantiate" in
       layout ("generic struct" ^ name) ~instantiate generic_src
         ~printed:(on_each_rank "28 4.5 54 1.5"))
-    [ true; false ]
+    [ true; false ];
+  layout "fields of every kind" mixed_src
+    ~printed:
+      (Test_paths.ranks
+         (fun r ->
+           "3,1.5,a,34,6,1.25,2.5,10 10,9.5,z,44,50,0.5,0.25,60 \
+            11,3,p,34,6,6.5,3.75,13 11,3,p,34,6,6.5,3.75,13 24 0.75 511 1 "
+           ^ Printf.sprintf
+               "%d,7.5,q,%d,%d,1.25,2.5,%d %d,%g,a,%d,%d,1.25,2.5,%d "
+               (2 * r) ((22 * r) + 1) r (70 + r) ((2 * r) + 1)
+               (float_of_int ((2 * r) + 1) *. 0.5)
+               ((22 * r) + 12) ((4 * r) + 2) ((2 * r) + 8))
+         [| 0; 1; 2; 3 |]);
+  let o =
+    layout_obs "struct accumulators" struct_fold_src
+      ~printed:(on_each_rank "16,30,x,15,15")
+  in
+  Alcotest.(check string) "struct accumulators: makespan"
+    "0x1.a3d6337ddbce1p-8 (stats 0x1.a3d6337ddbce1p-8)"
+    o.Test_paths.makespan;
+  (* a program whose int function can fall off its end keeps every field
+     boxed, so the void it returns reaches print_int as the interpreter's
+     error *)
+  match
+    agree_all
+      {|
+struct _p { int x; float y; };
+typedef struct _p P;
+int f(int v) { if (v > 0) return v; }
+int main() { P p; p.y = 1.5; p.x = f(0); print_int(p.x); return 0; }
+|}
+      "void into an int field"
+  with
+  | Ok _ -> Alcotest.fail "void into an int field: expected a runtime error"
+  | Error m ->
+      Alcotest.(check string)
+        "void into an int field"
+        "runtime error: builtin print_int: bad arguments (void)" m
+
+(* Values of either layout work on either engine: a struct the reference
+   interpreter made (every field boxed) passed to compiled code, whose
+   field paths check the layout and fall back to the fields' names, and
+   a flat one passed to the interpreter.  Copies of both stay
+   independent, and both measure the same wire size. *)
+let test_layouts_meet () =
+  let program =
+    Parser.parse
+      {|
+struct _p { int x; float y; char c; };
+typedef struct _p P;
+int getx(P p) { return p.x; }
+float gety(P p) { return p.y; }
+P bump(P p) { p.x = p.x + 1; p.y = p.y * 2.0; return p; }
+P bump_ptr(P p) { P *q = new(p); q->x = q->x + 1; q->y = q->y * 2.0; return *q; }
+int main() { return 0; }
+|}
+  in
+  let tyenv = Typecheck.check program in
+  let compiled = Compile.program ~tyenv program in
+  let boxed = Interp.make ~tyenv program in
+  let flat = Interp.make ~flat:true ~tyenv program in
+  let field v name =
+    match v with
+    | Value.VStruct s -> Value.get_field s (Value.field_pos s name)
+    | v -> Alcotest.failf "not a struct: %s" (Value.describe v)
+  in
+  let describe v =
+    Printf.sprintf "%s,%s,%s" (Value.describe (field v "x"))
+      (Value.describe (field v "y")) (Value.describe (field v "c"))
+  in
+  List.iter
+    (fun (layout, st) ->
+      let p = Interp.default_value st (Ast.TNamed ("P", [])) in
+      (match p with
+       | Value.VStruct s ->
+           Value.set_field s (Value.field_pos s "x") (Value.VInt 7);
+           Value.set_field s (Value.field_pos s "y") (Value.VFloat 1.5);
+           Value.set_field s (Value.field_pos s "c") (Value.VChar 'k')
+       | _ -> Alcotest.fail "default_value: not a struct");
+      Alcotest.(check int) (layout ^ ": wire bytes") 9 (Value.wire_bytes p);
+      List.iter
+        (fun (engine, call) ->
+          let what = layout ^ " on " ^ engine in
+          Alcotest.(check string)
+            (what ^ ": getx") "7" (Value.describe (call "getx" [ p ]));
+          Alcotest.(check string)
+            (what ^ ": gety") "1.5" (Value.describe (call "gety" [ p ]));
+          List.iter
+            (fun f ->
+              Alcotest.(check string)
+                (what ^ ": " ^ f) "8,3,'k'" (describe (call f [ p ])))
+            [ "bump"; "bump_ptr" ];
+          Alcotest.(check string) (what ^ ": argument unchanged") "7,1.5,'k'"
+            (describe p))
+        [
+          ("ast", Interp.call boxed);
+          ("compiled", Compile.call compiled boxed);
+        ];
+      let q = Value.copy p in
+      (match q with
+       | Value.VStruct s ->
+           Value.set_field s (Value.field_pos s "x") (Value.VInt 9);
+           Value.set_field s (Value.field_pos s "y") (Value.VFloat 0.5)
+       | _ -> ());
+      Alcotest.(check string) (layout ^ ": copy") "9,0.5,'k' 7,1.5,'k'"
+        (describe q ^ " " ^ describe p))
+    [ ("boxed", boxed); ("flat", flat) ]
 
 (* The scalar meter polls the cancel hook at each statement's charge, so
    a hook that fires stops a compute-bound program on every engine: the
@@ -1238,11 +1459,15 @@ let test_chained_blocks () =
 
    Int and float variables, parameters and results live in unboxed
    cells, so an int element of a map and a plain recursive call build no
-   [Value.t].  Each bound is on the words allocated per element or per
-   call on the compiled engine, measured as the difference between two
-   runs of one rank that differ only in how many elements or calls they
-   make, so what a run costs once cancels.  A float result still comes
-   back boxed from an OCaml closure, so floats get no bound. *)
+   [Value.t]; the int and float fields of a struct live in its flat
+   arrays, so gauss's pivot fold (make_elemrec's conversion and
+   max_abs_in_col's merge, which copies the struct it returns) allocates
+   two structs and no field boxes per element.  Each bound is on the
+   words allocated per element or per call on the compiled engine,
+   measured as the difference between two runs of one rank that differ
+   only in how many elements or calls they make, so what a run costs once
+   cancels.  A float result still comes back boxed from an OCaml closure,
+   so float maps get no bound. *)
 
 let alloc_src =
   {|
@@ -1257,6 +1482,29 @@ int maps(int n, int reps) {
   for (int r = 0; r < reps; r++) array_map(step(3), a, a);
   array_destroy(a);
   return reps;
+}
+struct _elemrec { float val; int row; int col; };
+typedef struct _elemrec elemrec;
+float finit(Index ix) { return itof((ix[0] * 13 + ix[1] * 29) % 7 - 3) / 8.0; }
+elemrec make_elemrec(int k, float v, Index ix) {
+  elemrec e;
+  if (ix[1] == k && ix[0] >= k) {
+    e.val = v; e.row = ix[0]; e.col = k;
+  } else {
+    e.val = 0.0; e.row = 0 - 1; e.col = k;
+  }
+  return e;
+}
+elemrec max_abs_in_col(elemrec e1, elemrec e2) {
+  if (fabs(e2.val) > fabs(e1.val)) return e2;
+  return e1;
+}
+int pivots(int n, int reps) {
+  array<float> a = array_create(2, {n, n + 1}, {0, 0}, {-1, -1}, finit, DISTR_DEFAULT);
+  elemrec e;
+  for (int r = 0; r < reps; r++) e = array_fold(make_elemrec(r % n), max_abs_in_col, a);
+  array_destroy(a);
+  return e.row;
 }
 |}
 
@@ -1287,6 +1535,12 @@ let test_alloc_per_call () =
   let per_call =
     words_per ~entry:"fib" ~per:(21891. -. 1973.) (ints [ 15 ]) (ints [ 20 ])
   in
+  let per_pivot =
+    let m = 64 in
+    words_per ~entry:"pivots"
+      ~per:(float_of_int (m * (m + 1) * 8))
+      (ints [ m; 2 ]) (ints [ m; 10 ])
+  in
   List.iter
     (fun (what, words, bound) ->
       if words > bound then
@@ -1294,7 +1548,167 @@ let test_alloc_per_call () =
     [
       ("an int map element", per_element, 2.);
       ("a recursive int call", per_call, 12.);
+      ("a pivot-fold element", per_pivot, 30.);
     ]
+
+(* ---------------- skeletons copy struct elements ----------------
+
+   array_copy, array_broadcast_part and array_permute_rows move generic
+   elements between partitions and processors.  A struct element must
+   arrive as a copy, as C copies it, or a field write through
+   array_get_elem(x, ix).f on one side shows on the other.  Both engines
+   share the dispatcher, so each program's output is pinned by hand; on
+   2×1, rank 0 holds x's lower half and rank 1 its upper half. *)
+
+let mesh21 = Topology.mesh ~width:2 ~height:1
+
+let moved_src body =
+  Printf.sprintf
+    {|
+struct _p { int a; int b; };
+typedef struct _p P;
+P mk(Index ix) { P p; p.a = ix[0]; p.b = ix[0] * 10; return p; }
+P zero(Index ix) { P p; return p; }
+int getb(P e, Index ix) { return e.b; }
+int addi(int a, int b) { return a + b; }
+int ident(int r) { return r; }
+int flip(int r) { return 1 - r; }
+int main() {
+  %s
+  return 0;
+}
+|}
+    body
+
+let test_struct_elements_moved () =
+  let moved ?(topology = mesh21) name body printed =
+    layout name ~topology (moved_src body)
+      ~printed:(Test_paths.ranks Fun.id printed)
+  in
+  (* y keeps its own element, x.a[lo] is lo on one side and 99 on the
+     other *)
+  moved "array_copy"
+    {|array<P> x = array_create(1, {4}, {0}, {-1}, mk, DISTR_DEFAULT);
+  array<P> y = array_create(1, {4}, {0}, {-1}, zero, DISTR_DEFAULT);
+  Bounds bds = array_part_bounds(x);
+  int lo = bds->lowerBd[0];
+  array_copy(x, y);
+  array_get_elem(x, {lo}).a = 99;
+  print_int(array_get_elem(y, {lo}).a); print_string(" ");
+  print_int(array_get_elem(x, {lo}).a);
+  array_destroy(x);
+  array_destroy(y);|}
+    [| "0 99"; "2 99" |];
+  (* every partition receives x[0] = {0, 0}; then the root writes its a
+     and rank 1 its b, and the fold orders both writes before the
+     prints: each rank sees only its own write *)
+  moved "array_broadcast_part"
+    {|array<P> x = array_create(1, {2}, {0}, {-1}, mk, DISTR_DEFAULT);
+  array_broadcast_part(x, {0});
+  if (procId == 0) array_get_elem(x, {0}).a = 55;
+  if (procId == 1) array_get_elem(x, {1}).b = 77;
+  int s = array_fold(getb, addi, x);
+  Bounds bds = array_part_bounds(x);
+  P e = array_get_elem(x, bds->lowerBd);
+  print_int(e.a); print_string(","); print_int(e.b); print_string(" ");
+  print_int(s);
+  array_destroy(x);|}
+    [| "55,0 77"; "0,77 77" |];
+  (* on 2×2 three receivers land the one snapshot the root sends, and each
+     must land its own copy *)
+  moved ~topology:mesh22 "array_broadcast_part to three ranks"
+    {|array<P> x = array_create(1, {4}, {0}, {-1}, mk, DISTR_DEFAULT);
+  array_broadcast_part(x, {0});
+  Bounds bds = array_part_bounds(x);
+  array_get_elem(x, bds->lowerBd).b = 70 + procId;
+  int s = array_fold(getb, addi, x);
+  P e = array_get_elem(x, bds->lowerBd);
+  print_int(e.a); print_string(","); print_int(e.b); print_string(" ");
+  print_int(s);
+  array_destroy(x);|}
+    (Array.init 4 (fun r -> Printf.sprintf "0,%d 286" (70 + r)));
+  (* rows stay on their rank under ident and change ranks under flip; a
+     later write into x's row shows in neither y nor z *)
+  moved "array_permute_rows"
+    {|array<P> x = array_create(2, {2, 2}, {0, 0}, {-1, -1}, mk, DISTR_DEFAULT);
+  array<P> y = array_create(2, {2, 2}, {0, 0}, {-1, -1}, zero, DISTR_DEFAULT);
+  array<P> z = array_create(2, {2, 2}, {0, 0}, {-1, -1}, zero, DISTR_DEFAULT);
+  Bounds bds = array_part_bounds(x);
+  array_permute_rows(x, ident, y);
+  array_permute_rows(x, flip, z);
+  array_get_elem(x, bds->lowerBd).a = 99;
+  array_get_elem(x, bds->upperBd).b = 98;
+  int s = array_fold(getb, addi, z);
+  print_int(array_get_elem(y, bds->lowerBd).a); print_string(",");
+  print_int(array_get_elem(y, bds->upperBd).b); print_string(",");
+  print_int(array_get_elem(z, bds->lowerBd).a); print_string(",");
+  print_int(array_get_elem(z, bds->upperBd).b); print_string(" ");
+  print_int(array_get_elem(x, bds->lowerBd).a); print_string(" ");
+  print_int(s);
+  array_destroy(x);
+  array_destroy(y);
+  array_destroy(z);|}
+    [| "0,0,1,10 99 20"; "1,10,0,0 99 20" |]
+
+(* array_permute_rows runs its row function through a direct invoker:
+   a partial application, a builtin and a plain function on int arrays,
+   the same in a program whose typed runners are not trusted, and a
+   function that is not a bijection, which fails alike everywhere *)
+let perm_src ~untrusted last =
+  Printf.sprintf
+    {|
+int rot(int k, int n, int r) { return (r + k) %% n; }
+int init(Index ix) { return ix[0] * 10 + ix[1]; }
+int zero(Index ix) { return 0; }
+int half(int r) { return r / 2; }
+int ident(int r) { return r; }
+%s
+void dump(array<int> b) {
+  Bounds bds = array_part_bounds(b);
+  for (int i = bds->lowerBd[0]; i <= bds->upperBd[0]; i++)
+    for (int j = bds->lowerBd[1]; j <= bds->upperBd[1]; j++) {
+      print_int(array_get_elem(b, {i, j})); print_string(" ");
+    }
+  print_string("|");
+}
+int main() {
+  array<int> a = array_create(2, {4, 2}, {0, 0}, {-1, -1}, init, DISTR_DEFAULT);
+  array<int> b = array_create(2, {4, 2}, {0, 0}, {-1, -1}, zero, DISTR_DEFAULT);
+  array_permute_rows(a, rot(1, 4), b);
+  dump(b);
+  array_permute_rows(b, abs, a);
+  dump(a);
+  array_permute_rows(a, rot(3, 4), b);
+  dump(b);
+  array_permute_rows(b, %s, a);
+  dump(a);
+  return 0;
+}
+|}
+    (if untrusted then "int never(int v) { if (v > 0) return v; }" else "")
+    last
+
+let test_permute_invoker () =
+  List.iter
+    (fun untrusted ->
+      let name = if untrusted then ", untrusted" else "" in
+      layout ("row permutations" ^ name) ~topology:mesh21
+        (perm_src ~untrusted "ident")
+        ~printed:
+          (Test_paths.ranks Fun.id
+             [|
+               "30 31 0 1 |30 31 0 1 |0 1 10 11 |0 1 10 11 |";
+               "10 11 20 21 |10 11 20 21 |20 21 30 31 |20 21 30 31 |";
+             |]);
+      let what = "not a bijection" ^ name in
+      match agree_all ~topology:mesh21 (perm_src ~untrusted "half") what with
+      | Ok _ -> Alcotest.failf "%s: expected a runtime error" what
+      | Error m ->
+          Alcotest.(check string)
+            what
+            "error: array_permute_rows: permutation function is not a bijection"
+            m)
+    [ false; true ]
 
 (* ---------------- satellite regressions ---------------- *)
 
@@ -1399,6 +1813,7 @@ let suite =
         Alcotest.test_case "typed runners trust no void" `Quick
           test_typed_trust;
         Alcotest.test_case "struct layout" `Quick test_struct_layout;
+        Alcotest.test_case "struct layouts meet" `Quick test_layouts_meet;
         Alcotest.test_case "the meter polls a cancel hook" `Quick
           test_meter_cancels;
         Alcotest.test_case "struct merges still copy" `Quick
@@ -1411,5 +1826,9 @@ let suite =
           test_chained_blocks;
         Alcotest.test_case "unboxed cells" `Quick test_unboxed_cells;
         Alcotest.test_case "allocation per call" `Quick test_alloc_per_call;
+        Alcotest.test_case "skeletons copy struct elements" `Quick
+          test_struct_elements_moved;
+        Alcotest.test_case "row permutations through an invoker" `Quick
+          test_permute_invoker;
       ] );
   ]

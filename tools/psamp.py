@@ -6,8 +6,10 @@
 Reads each PREFIX.samples and PREFIX.maps (written by psamp; several
 prefixes add up the samples of several runs), finds each address's
 mapped file, and names its function from `nm -n` (the dynamic
-symbols with `nm -D` when a file has no others); `--lines N` also names
-the N hottest source lines with `addr2line`.  An address in a
+symbols with `nm -D` when a file has no others).  An anonymous OCaml
+closure (a `fun_NNNN` symbol) also shows the `file:line` where it
+starts, from `addr2line`.  `--lines N` also names the N hottest source
+lines.  An address in a
 position-independent file (a PIE executable or a shared library) is
 taken relative to the file, one in a fixed-address executable as it is.
 Samples outside every mapped file count as [anon] or [unmapped].
@@ -16,6 +18,7 @@ Samples outside every mapped file count as [anon] or [unmapped].
 import argparse
 import bisect
 import collections
+import re
 import subprocess
 import sys
 
@@ -64,6 +67,14 @@ def symbols(path):
     return [], []
 
 
+def addr2line(path, addrs):
+    """The `file:line` of each address in [path], in order."""
+    query = "".join("%x\n" % a for a in addrs)
+    return subprocess.run(["addr2line", "-e", path], input=query,
+                          capture_output=True, text=True,
+                          check=False).stdout.splitlines()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("prefix", nargs="+")
@@ -99,6 +110,7 @@ def main():
 
     funcs = collections.Counter()
     where = {}
+    closures = collections.defaultdict(dict)  # file -> {fun_NNNN: start}
     for name, entries in by_file.items():
         if not name.startswith("/"):
             funcs[name] += sum(entries.values())
@@ -110,14 +122,23 @@ def main():
             fn = names[k] if k >= 0 else "[%s+0x%x]" % (base, addr)
             funcs[fn] += n
             where[fn] = base
+            if k >= 0 and re.search(r"\.fun_\d+$", fn):
+                closures[name][fn] = addrs[k]
+    starts = {}
+    for name, syms in closures.items():
+        for fn, loc in zip(syms, addr2line(name, syms.values())):
+            if not loc.startswith("?"):
+                starts[fn] = loc.rsplit("/", 1)[-1].split(" ")[0]
 
     exe = max(by_file, key=lambda nm: sum(by_file[nm].values()))
     print("psamp: %d samples, %d in %s" % (
         total, sum(by_file[exe].values()), exe))
     print("%7s %8s  %s" % ("pct", "samples", "function"))
     for fn, n in funcs.most_common(args.top):
-        print("%7.2f %8d  %s%s" % (100.0 * n / total, n, fn,
-                                   "  [%s]" % where[fn] if fn in where else ""))
+        print("%7.2f %8d  %s%s%s" % (
+            100.0 * n / total, n, fn,
+            " (%s)" % starts[fn] if fn in starts else "",
+            "  [%s]" % where[fn] if fn in where else ""))
 
     if args.lines > 0:
         lines = collections.Counter()
@@ -125,10 +146,7 @@ def main():
             if not name.startswith("/"):
                 continue
             entries = list(entries.items())
-            query = "\n".join("%x" % a for a, _ in entries) + "\n"
-            out = subprocess.run(["addr2line", "-e", name], input=query,
-                                 capture_output=True, text=True,
-                                 check=False).stdout.splitlines()
+            out = addr2line(name, (a for a, _ in entries))
             for (_, n), loc in zip(entries, out):
                 lines[loc if not loc.startswith("??") else
                       "?? in " + name.rsplit("/", 1)[-1]] += n
