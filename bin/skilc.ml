@@ -396,7 +396,8 @@ let run_par_cmd =
          & info [ "chan-cap" ] ~docv:"N"
              ~doc:"Native engine only (an error with the others): \
                    per-link ring-buffer capacity in \
-                   messages (default 256, rounded up to a power of two). \
+                   messages, from 1 to 65536 (default 256, rounded up to a \
+                   power of two). \
                    Senders block fiber-style when a ring is full.")
   in
   Cmd.v

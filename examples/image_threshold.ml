@@ -1,8 +1,7 @@
 (* The paper's section 2.4 motivating example, scaled up into a small image
    pipeline: threshold a synthetic grayscale "image" against a value
    (array_map with a partially applied comparison), then count the
-   above-threshold pixels per row band (array_fold) and write the result to
-   the simulated parallel disk (the future-work I/O skeleton).
+   above-threshold pixels (array_fold).
 
    Run with: dune exec examples/image_threshold.exe *)
 
@@ -27,14 +26,11 @@ let () =
         in
         (* the paper's call: array_map (above_thresh (t), A, B) *)
         Skeletons.map_into ctx (above_thresh threshold) a b;
-        let bright = Skeletons.fold ctx ~conv:(fun v _ -> v) ( + ) b in
-        let file = Par_io.write_array ctx b in
-        (bright, Par_io.bytes_of file, b))
+        (Skeletons.fold ctx ~conv:(fun v _ -> v) ( + ) b, b))
   in
-  let bright, bytes, b = r.Machine.values.(0) in
+  let bright, b = r.Machine.values.(0) in
   Printf.printf "image %dx%d, threshold %.0f: %d bright pixels\n" h w
     threshold bright;
-  Printf.printf "mask written to the striped disk (%d bytes)\n" bytes;
   Printf.printf "simulated time: %.4f s\n\n" r.Machine.time;
   (* a small ASCII rendering of the mask *)
   let flat = Darray.to_flat b in

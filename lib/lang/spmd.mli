@@ -18,10 +18,10 @@ type engine = [ `Ast | `Compiled | `Native ]
     partitions) but executes the ranks with real parallelism on OCaml
     domains ({!Machine.run_native}): no simulated clock, wall-clock [time],
     message counts in [stats], empty trace.  Values and printed output
-    match the simulator for every deterministic-order program (the whole
-    [examples/skil] corpus); only [recv_any] winners may differ, as on a
-    real machine.  Incompatible with [faults]/[reliable]/[trace]/
-    [sim_domains > 1] — [run] raises [Invalid_argument]. *)
+    match the simulator for every program: every receive names its source,
+    so host timing cannot change which message a rank takes.  Incompatible
+    with [faults]/[reliable]/[trace]/[sim_domains > 1] — [run] raises
+    [Invalid_argument]. *)
 
 type optimize = [ `None | `Fuse ]
 (** [`None] (the default) leaves the instantiated program untouched —

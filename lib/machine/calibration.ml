@@ -14,5 +14,4 @@ let gauss_elem_op = 10.2e-6
 let fold_conv_op = 10.0e-6
 let copy_per_byte = 0.10e-6
 let elem_bytes = 4
-let io_per_byte = 2.0e-6
 let scalar_node_op = 2.0e-6

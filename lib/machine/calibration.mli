@@ -26,10 +26,6 @@ val copy_per_byte : float
 val elem_bytes : int
 (** Size of a scalar array element (32-bit ints and floats in 1996). *)
 
-val io_per_byte : float
-(** Simulated parallel-disk transfer cost per byte (for the [Par_io]
-    extension; no measurement in the paper). *)
-
 val scalar_node_op : float
 (** Cost of evaluating one expression node of sequential Skil code in the
     language interpreter (charged at the profile's [Scalar] rate; roughly a

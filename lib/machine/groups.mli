@@ -6,10 +6,11 @@
     as one fiber per rank.  Ranks sit in contiguous groups, each with its own
     {!Scheduler}; one domain at a time drives a group, message delivery
     {!wake}s the destination group, and when every group is idle at once
-    the engine's [quiesce] callback either unblocks someone or reports a
-    stall.  This module owns that protocol; an engine supplies only a
-    [step] and a [quiesce] callback to {!run}, and the driver never knows
-    which engine called it.
+    the engine's [quiesce] callback runs: the simulator's only reports a
+    stall, and the native engine's first re-queues senders parked on the
+    full ring of a rank that has returned.  This module owns that
+    protocol; an engine supplies only a [step] and a [quiesce] callback to
+    {!run}, and the driver never knows which engine called it.
 
     A group's status word is idle, ready (queued for a domain), running,
     running with a wake-up pending (re-step before releasing), or done.

@@ -8,8 +8,6 @@ type message = {
   delivery : delivery;
 }
 
-type waiting = Exact of int * int | Any_source of int
-
 (* Per-source channel: a small tag-bucketed vector of FIFO queues.  At any
    moment only a handful of tags are live between a pair of processors, so a
    linear scan beats a hashtable — and avoids allocating a boxed (src, tag)
@@ -31,7 +29,7 @@ type proc = {
   id : int;
   tm : times;
   channels : chan array; (* indexed by source rank *)
-  mutable waiting : waiting option;
+  mutable waiting : (int * int) option; (* (src, tag) of the parked recv *)
   mutable span_stack : Trace.span list; (* open trace spans, innermost first *)
   stats : Stats.proc;
   (* fault state — allocated/nonempty only when a plan or reliable mode is
@@ -43,44 +41,31 @@ type proc = {
   shard : int; (* the rank group (PDES shard) owning this processor *)
   mutable fid : int; (* fiber id within the owning shard's scheduler *)
   mutable finished_p : bool; (* program body returned (monotone flag) *)
-  mutable any_grant : bool; (* recv_any unblocked by the global-idle grant *)
-  mutable lookahead_row : float array;
-      (* per-source lower bound on message transit into this processor
-         (the per-link lookahead), built lazily on first recv_any *)
 }
 
 (* ------------------------------------------------------------------ *)
-(* Conservative PDES sharding (--sim-domains).
+(* Sharding (--sim-domains).
 
    The simulated processors are partitioned into contiguous-rank shards,
    the rank groups of {!Groups}, which drives them; [--sim-domains 1] is
-   one shard holding every processor.  Because [recv] names its source and
-   per-(src, tag) streams are FIFO, the simulation is a Kahn network: every
-   exact receive is deterministic whatever the shard interleaving, so shards
-   run their fibers freely and only block on actual data dependencies — the
-   conservative-PDES safety condition degenerates to dataflow blocking,
-   which strictly dominates time-window synchronisation.  Cross-shard sends
-   are posted to the destination shard's mailbox (the mutex hand-off is also
-   the happens-before edge that publishes payload memory); per-link
-   lookahead from the cost model's latency and the topology's hop distances
-   is only needed by [recv_any], the one source-nondeterministic primitive.
-   Simulated clocks are per-processor state computed from message arrival
-   times, never from wall time, so results are bit-identical for every
-   shard count. *)
+   one shard holding every processor.  Every receive names its source and
+   per-(src, tag) streams are FIFO, so the simulation is a Kahn network:
+   each receive is deterministic whatever the shard interleaving, and
+   shards run their fibers freely, blocking only on actual data
+   dependencies.  Cross-shard sends are posted to the destination shard's
+   mailbox (the mutex hand-off is also the happens-before edge that
+   publishes payload memory).  Simulated clocks are per-processor state
+   computed from message arrival times, never from wall time, so results
+   are bit-identical for every shard count. *)
 
 type post = { pdst : proc; psrc : int; ptag : int; pmsg : message }
 
 type shard = {
-  smembers : proc array; (* the contiguous rank block owned by this shard *)
   inbox_mutex : Mutex.t;
   mutable inbox : post list; (* reversed; guarded by inbox_mutex *)
   mutable sdone : bool;
       (* guarded by inbox_mutex: posts to a finished shard are dropped, as
          the receiver would have left such messages queued unread *)
-  mutable lb : float;
-      (* published lower bound on every member clock, refreshed at the end
-         of every step; read racily by other shards' recv_any (monotone, so
-         a stale value is a sound lower bound) *)
 }
 
 type t = {
@@ -109,11 +94,6 @@ type t = {
   rto_fixed : float; (* retransmission timeout, bytes-independent part *)
   cancel_on : bool; (* a cancel callback was given; cancel-free runs pay
                        one dead branch per clock advance *)
-  min_delay_factor : float;
-      (* smallest multiplier a fault plan can apply to a message's transit
-         time; scales the lookahead bound so it stays sound under
-         [link.delay] spikes (factor < 1 would otherwise shorten transit
-         below the fault-free bound) *)
 }
 
 type sctx = { m : t; p : proc }
@@ -355,10 +335,7 @@ let sched_of m (p : proc) = Groups.sched m.groups p.shard
    shard when it drains its inbox. *)
 let wake_if_waiting m target ~src ~tag =
   match target.waiting with
-  | Some (Exact (s, t)) when s = src && t = tag ->
-      target.waiting <- None;
-      Scheduler.wake (sched_of m target) target.fid
-  | Some (Any_source t) when t = tag ->
+  | Some (s, t) when s = src && t = tag ->
       target.waiting <- None;
       Scheduler.wake (sched_of m target) target.fid
   | Some _ | None -> ()
@@ -605,7 +582,7 @@ let recv ctx ~src ~tag =
         let msg = Queue.take q in
         if m.reliable && dedup_discard ctx ~src msg then obtain () else msg
     | Some _ | None ->
-        ctx.p.waiting <- Some (Exact (src, tag));
+        ctx.p.waiting <- Some (src, tag);
         Scheduler.block (sched_of m ctx.p);
         obtain ()
   in
@@ -615,134 +592,15 @@ let recv ctx ~src ~tag =
   if m.reliable then charge_ack ctx;
   Obj.obj msg.payload
 
-(* Per-link lookahead: a lower bound on the transit time of any *future*
-   message from [src] into this processor.  Transit is
-   latency + hops * per_hop + bytes * per_byte, all terms non-negative, so
-   dropping the bytes term gives a sound bound; a fault plan's delay spikes
-   multiply transit by [d_delay_factor], hence the [min_delay_factor]
-   scaling (reliable-mode backoffs only ever push arrivals later). *)
-let lookahead_row ctx =
-  let p = ctx.p in
-  if p.lookahead_row == [||] then begin
-    let m = ctx.m in
-    let topology = Groups.topology m.groups in
-    p.lookahead_row <-
-      Array.init
-        (Array.length m.procs)
-        (fun src ->
-          (m.c_latency
-          +. (float_of_int (Topology.hops topology src p.id) *. m.c_per_hop))
-          *. m.min_delay_factor)
-  end;
-  p.lookahead_row
-
-(* Conservative-commit test for [recv_any]: may the head candidate with
-   arrival time [arrival] be accepted now?  Yes iff no processor can still
-   produce a message for us that arrives at or before [arrival]: for every
-   other unfinished processor [o], lb(o) + L(o -> me) must exceed [arrival]
-   *strictly*, where lb(o) is a lower bound on o's clock — its actual clock
-   for shard-mates, the owning shard's published bound otherwise (stale
-   reads only lower it, which is conservative).  A message posted to our
-   mailbox but not yet drained could also beat [arrival], so the mailbox is
-   checked too.
-   Strictness makes the winner independent of which bounds we happened to
-   observe: a message that could tie on arrival never invalidates the
-   commit, because a tie is exactly what the strict test rejects —
-   commits only happen when the present head beats every possible future
-   outright, so every shard count picks the same winner. *)
-let recv_any_safe ctx ~tag ~arrival =
-  let m = ctx.m in
-  let p = ctx.p in
-  let row = lookahead_row ctx in
-  let n = Array.length m.procs in
-  let ok = ref true in
-  let o = ref 0 in
-  while !ok && !o < n do
-    let q = m.procs.(!o) in
-    if !o <> p.id && not q.finished_p then begin
-      let lb = if q.shard = p.shard then q.tm.clock else m.shards.(q.shard).lb in
-      if not (lb +. row.(!o) > arrival) then ok := false
-    end;
-    incr o
-  done;
-  !ok
-  &&
-  let sh = m.shards.(p.shard) in
-  Mutex.lock sh.inbox_mutex;
-  let pending = List.exists (fun po -> po.pdst == p && po.ptag = tag) sh.inbox in
-  Mutex.unlock sh.inbox_mutex;
-  not pending
-
-let recv_any ctx ~tag =
-  let m = ctx.m in
-  (* deterministic choice: earliest arrival, then lowest source rank (the
-     ascending scan with a strict comparison implements the tie-break) *)
-  let best () =
-    let channels = ctx.p.channels in
-    let best_src = ref (-1) and best_q = ref None and best_arrival = ref 0.0 in
-    for src = 0 to Array.length channels - 1 do
-      match chan_find channels.(src) tag with
-      | Some q when not (Queue.is_empty q) ->
-          let msg = Queue.peek q in
-          if !best_src < 0 || msg.arrival < !best_arrival then begin
-            best_src := src;
-            best_q := Some q;
-            best_arrival := msg.arrival
-          end
-      | Some _ | None -> ()
-    done;
-    match !best_q with Some q -> Some (!best_src, q) | None -> None
-  in
-  (* Commit the head candidate only when the lookahead test proves no
-     earlier message can still appear; otherwise park until either a new
-     arrival wakes us or — at global idle, when nothing anywhere can run
-     and no message is in flight — the machine grants the lowest-ranked
-     parked receiver with a candidate ([any_grant]).  The grant can only
-     fire when the candidate set is final, so both paths pick the same
-     deterministic winner for every shard count. *)
-  let rec obtain () =
-    match best () with
-    | Some (src, q)
-      when ctx.p.any_grant
-           || recv_any_safe ctx ~tag ~arrival:(Queue.peek q).arrival ->
-        ctx.p.any_grant <- false;
-        let msg = Queue.take q in
-        if m.reliable && dedup_discard ctx ~src msg then obtain ()
-        else (src, msg)
-    | Some _ | None ->
-        ctx.p.waiting <- Some (Any_source tag);
-        Scheduler.block (sched_of m ctx.p);
-        obtain ()
-  in
-  let src, msg = obtain () in
-  ctx.p.waiting <- None;
-  finish_recv ctx msg;
-  if m.reliable then charge_ack ctx;
-  (src, Obj.obj msg.payload)
-
 let describe_blocked (p : proc) =
   match p.waiting with
-  | Some (Exact (s, t)) ->
+  | Some (s, t) ->
       Printf.sprintf "waiting on recv from p%d, tag %d (clock %.6f s)" s t
         p.tm.clock
-  | Some (Any_source t) ->
-      Printf.sprintf "waiting on recv from any source, tag %d (clock %.6f s)"
-        t p.tm.clock
   | None -> Printf.sprintf "blocked (clock %.6f s)" p.tm.clock
 
 (* ------------------------------------------------------------------ *)
 (* Shard steps and quiescence, the simulator's callbacks to {!Groups.run} *)
-
-(* Refresh the shard's published clock lower bound.  Called only by the
-   domain currently running the shard, at the end of each step; member
-   clocks never decrease, so racy readers see a monotone (hence sound)
-   bound, and infinity once every member has finished. *)
-let publish_lb sh =
-  sh.lb <-
-    Array.fold_left
-      (fun acc (p : proc) ->
-        if p.finished_p then acc else Float.min acc p.tm.clock)
-      infinity sh.smembers
 
 (* Move posted messages into the destination processors' channel queues and
    wake receivers.  Runs on the domain that owns the shard right now, so
@@ -758,15 +616,14 @@ let drain_shard m sh =
       wake_if_waiting m po.pdst ~src:po.psrc ~tag:po.ptag)
     (List.rev posts)
 
-(* Deliver the shard's mail, run its fibers until they all finish or park,
-   and publish its clock bound; true once every member has finished, after
-   which posts to the shard are dropped. *)
+(* Deliver the shard's mail and run its fibers until they all finish or
+   park; true once every member has finished, after which posts to the
+   shard are dropped. *)
 let step m sid =
   let sh = m.shards.(sid) in
   drain_shard m sh;
   let sched = Groups.sched m.groups sid in
   Scheduler.run_until_idle sched;
-  publish_lb sh;
   let finished = Scheduler.all_finished sched in
   if finished then begin
     Mutex.lock sh.inbox_mutex;
@@ -776,43 +633,15 @@ let step m sid =
   end;
   finished
 
-let has_msg (p : proc) tag =
-  let n = Array.length p.channels in
-  let rec go src =
-    src < n
-    &&
-    match chan_find p.channels.(src) tag with
-    | Some q when not (Queue.is_empty q) -> true
-    | Some _ | None -> go (src + 1)
-  in
-  go 0
-
-(* Global idle: nothing can run and no message is in flight, so the
-   candidate set of every parked [recv_any] is final.  Grant the
-   lowest-ranked parked receiver that has a deliverable message — the same
-   winner the eager lookahead commit would have picked had it been able to
-   prove safety — and wake its shard; with no such receiver the machine is
-   stalled for good. *)
+(* Global idle: nothing can run and no message is in flight, and every
+   receive names its source, so no parked receiver can ever be satisfied:
+   the machine is stalled for good. *)
 let quiesce m () =
-  match
-    Array.find_opt
-      (fun p ->
-        match p.waiting with
-        | Some (Any_source tag) -> has_msg p tag
-        | _ -> false)
-      m.procs
-  with
-  | Some p ->
-      p.any_grant <- true;
-      p.waiting <- None;
-      Scheduler.wake (sched_of m p) p.fid;
-      Groups.wake m.groups p.shard
-  | None ->
-      raise
-        (Stalled
-           (Array.to_list m.procs
-           |> List.filter_map (fun (p : proc) ->
-                  if p.finished_p then None else Some (p.id, describe_blocked p))))
+  raise
+    (Stalled
+       (Array.to_list m.procs
+       |> List.filter_map (fun (p : proc) ->
+              if p.finished_p then None else Some (p.id, describe_blocked p))))
 
 (* Simulate [body] on every processor of the run [g]; the makespan (the
    latest finishing clock) and the trace. *)
@@ -871,20 +700,11 @@ let simulate ~trace ~faults ~reliable g body =
           shard = Groups.group_of g id;
           fid = 0;
           finished_p = false;
-          any_grant = false;
-          lookahead_row = [||];
         })
   in
   let shards =
-    Array.init (Groups.count g) (fun sid ->
-        let first, size = Groups.span g sid in
-        {
-          smembers = Array.sub procs first size;
-          inbox_mutex = Mutex.create ();
-          inbox = [];
-          sdone = false;
-          lb = 0.0;
-        })
+    Array.init (Groups.count g) (fun _ ->
+        { inbox_mutex = Mutex.create (); inbox = []; sdone = false })
   in
   let m =
     {
@@ -906,10 +726,6 @@ let simulate ~trace ~faults ~reliable g body =
       reliable;
       rto_fixed;
       cancel_on = Groups.cancellable g;
-      min_delay_factor =
-        (if faults_on && fplan.Fault.link.Fault.delay > 0.0 then
-           Float.min 1.0 fplan.Fault.link.Fault.delay_factor
-         else 1.0);
     }
   in
   Array.iter
@@ -1021,11 +837,6 @@ let recv ctx ~src ~tag =
   | Sim c -> recv c ~src ~tag
   | Native c -> Native.recv c ~src ~tag
 
-let recv_any ctx ~tag =
-  match ctx.eng with
-  | Sim c -> recv_any c ~tag
-  | Native c -> Native.recv_any c ~tag
-
 let sendrecv ctx ~dest ~src ~tag ~bytes v =
   send ctx ~dest ~tag ~bytes v;
   recv ctx ~src ~tag
@@ -1060,6 +871,11 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
     (simulate ~trace ~faults ~reliable)
     f
 
+(* The largest ring capacity: each link's ring holds [chan_cap] slots once
+   it carries a message, and rounding a larger value up to a power of two
+   could overflow. *)
+let max_chan_cap = 65536
+
 (* [time] is wall-clock seconds and the trace is empty.  The block count
    is always honoured: blocks are short-lived work items, so more blocks
    than {!Pool} workers just queue, exactly like the simulator's shards. *)
@@ -1067,6 +883,10 @@ let run_native ?(cost = Cost_model.default) ?(collectives = Coll_alg.Legacy)
     ?(chan_cap = 256) ?domains ?cancel ~topology f =
   let n = Topology.nprocs topology in
   if chan_cap < 1 then invalid_arg "Machine.run_native: chan_cap must be >= 1";
+  if chan_cap > max_chan_cap then
+    invalid_arg
+      (Printf.sprintf "Machine.run_native: chan_cap must be <= %d"
+         max_chan_cap);
   let ngroups =
     match domains with
     | None -> n

@@ -54,30 +54,18 @@ val run :
     false) records per-processor activity intervals (see {!Trace}).
 
     [sim_domains] (default 1) shards the simulated processors into up to
-    that many contiguous-rank logical processes, run as a conservative
-    parallel discrete-event simulation by {!Groups} — the group driver the
-    native engine uses too — on the calling domain plus workers borrowed
-    from {!Pool}'s crew; [sim_domains = 1] is one shard on the calling
-    domain.  Results — values, clocks, makespan, stats, traces — are
-    bit-identical for every [sim_domains]: exact receives form a Kahn
-    network (deterministic under any interleaving) and {!recv_any} commits
-    a candidate only when per-link lookahead (latency + hop distance,
-    scaled by the fault plan's smallest delay factor) proves no earlier
-    arrival can still appear, parking until global quiescence otherwise.
-    The logical shard count is always honoured; only the number of backing
-    worker domains is clamped to the host (see {!Pool.ensure_workers}), so
-    determinism tests at [sim_domains > 1] are meaningful even on a
-    single-core host.
-
-    {!recv_any} — the only source-nondeterministic primitive — uses one
-    rule at every shard count: the earliest simulated arrival wins, ties
-    broken by source rank then enqueue order, and a candidate is committed
-    only once lookahead proves no earlier arrival can still appear.  When
-    no candidate is provably final the receiver parks; when every shard is
-    idle the lowest-ranked parked receiver is granted its earliest
-    deliverable message.  The winner is therefore a pure function of
-    simulated arrival times, never of host scheduling — which is exactly
-    what makes the shard count unobservable.
+    that many contiguous-rank logical processes, driven by {!Groups} — the
+    group driver the native engine uses too — on the calling domain plus
+    workers borrowed from {!Pool}'s crew; [sim_domains = 1] is one shard on
+    the calling domain.  Every receive names its source and each (source,
+    tag) stream is FIFO, so the processors form a Kahn network: each
+    receive takes the same message under any interleaving of the shards,
+    and a processor's clock is computed from simulated arrival times, never
+    from host time.  Results — values, clocks, makespan, stats, traces —
+    are therefore bit-identical for every [sim_domains].  The logical shard
+    count is always honoured; only the number of backing worker domains is
+    clamped to the host (see {!Pool.ensure_workers}), so determinism tests
+    at [sim_domains > 1] are meaningful even on a single-core host.
 
     [faults] installs a deterministic {!Fault.plan}: messages may be
     dropped, duplicated, corruption-flagged or delayed, processors may
@@ -93,10 +81,8 @@ val run :
     numbers, receiver-side dedup of duplicated copies, and ack/timeout/retry
     with capped exponential backoff, all charged in simulated time.
     Retransmission is resolved at send time from the plan's pure decisions,
-    so delivery — and hence program values for deterministic-order programs
-    — always matches the fault-free run; only timing degrades.  (Programs
-    using {!recv_any} may observe a different winner when latency spikes
-    reorder arrivals.)
+    so delivery — and hence program values — always matches the fault-free
+    run; only timing degrades.
 
     [cancel] (default: never) installs a cooperative cancellation
     callback, polled at every clock advance ({!compute}/{!charge}, the
@@ -129,19 +115,19 @@ val run_native :
 (** Run the SPMD program on the {!Native} backend: ranks blocked into up
     to [domains] contiguous groups (default: one rank per group) executing
     with real parallelism on {!Pool}'s worker domains, messages through
-    shared-memory ring buffers of capacity [chan_cap] (default 256), no
-    simulated clock.  The result's [time] is wall-clock seconds, [stats]
-    carries the usual message/skeleton counters (makespan = wall), and the
-    trace is empty.  Exact receives are deterministic (Kahn network);
-    {!recv_any} picks the earliest wall-clock arrival and is therefore
-    timing-dependent — the simulator remains the oracle for makespans and
-    for deterministic [recv_any] winners.  [cost] only seeds the
-    collective-selection predictor (non-Legacy [collectives]); it never
-    affects execution speed.  [cancel] is polled cooperatively (block
-    drives, communication parks, and every {!charge}-family call, which
-    charges nothing on this engine) and raises {!Cancelled}; it may be
-    called from any domain, so it must be thread-safe.
-    @raise Invalid_argument if [chan_cap] or [domains] is below 1.
+    shared-memory ring buffers of capacity [chan_cap] (default 256, at most
+    65536), no simulated clock.  The result's [time] is wall-clock seconds,
+    [stats] carries the usual message/skeleton counters (makespan = wall),
+    and the trace is empty.  Receives are deterministic (a Kahn network),
+    so values match the simulator's, which remains the oracle for
+    makespans.  [cost] only seeds the collective-selection predictor
+    (non-Legacy [collectives]); it never affects execution speed.
+    [cancel] is polled cooperatively (block drives, communication parks,
+    and every {!charge}-family call, which charges nothing on this engine)
+    and raises {!Cancelled}; it may be called from any domain, so it must
+    be thread-safe.
+    @raise Invalid_argument if [chan_cap] or [domains] is below 1, or
+    [chan_cap] is above 65536.
     @raise Stalled on deadlock. *)
 
 (** {1 Processor context} *)
@@ -279,12 +265,6 @@ val send : ctx -> ?rendezvous:bool -> dest:int -> tag:int -> bytes:int -> 'a -> 
 val recv : ctx -> src:int -> tag:int -> 'a
 (** Blocks (in simulation order) until a message from [src] with [tag] is
     available; the local clock advances to at least its arrival time. *)
-
-val recv_any : ctx -> tag:int -> int * 'a
-(** Receive from any source (MPI's ANY_SOURCE): deterministic choice of the
-    queued message with the earliest arrival time (ties broken by lowest
-    source rank).  Returns the source and the payload.  Needed by
-    master/worker skeletons ({!Task_skel.farm}). *)
 
 val sendrecv :
   ctx -> dest:int -> src:int -> tag:int -> bytes:int -> 'a -> 'a

@@ -16,12 +16,10 @@
    memory-model publication idiom — the payload's own memory is published
    by the same edge.  Only the destination block's driver (one domain at a
    time, enforced by the block status word) pops a ring, draining messages
-   into per-(src, tag) FIFO buckets private to the receiving rank, so an
-   exact [recv] is a Kahn-network read: deterministic whatever the domain
-   interleaving.  [recv_any] is the one nondeterministic primitive: it
-   takes the queued message with the smallest (wall-clock arrival, source
-   rank, per-link sequence) key, mirroring the simulator's
-   earliest-arrival-then-lowest-source rule but on real time.
+   into per-(src, tag) FIFO buckets private to the receiving rank.  Every
+   receive names its source, so each is a Kahn-network read: deterministic
+   whatever the domain interleaving, and the values a program computes
+   are the simulator's.
 
    Scheduling.  Blocks are the rank groups of {!Groups}, which drives them
    exactly like the simulator's PDES shards — the native engine never
@@ -29,8 +27,10 @@
    all park, delivers pending messages, and wakes any fiber whose wait is
    now satisfiable (asking the driver to step the block again).  When
    every block is idle at once, [quiesce] re-examines all parked waits and
-   re-queues the blocks that can move; a wait no message can ever satisfy
-   raises [Groups.Stalled], like the simulator's quiescence check.  The
+   re-queues the blocks that can move: a sender parked on the full ring of
+   a rank whose body has returned is released only there, since a finished
+   block never steps again.  A wait no message can ever satisfy raises
+   [Groups.Stalled], like the simulator's quiescence check.  The
    run-wide state (topology, counters, cancel hook, collective deposits)
    is the [Groups.t] both engines share.
 
@@ -39,13 +39,7 @@
    whose program body already returned are dropped, matching the
    simulator's messages-left-queued-unread semantics. *)
 
-type msg = {
-  tag : int;
-  src : int;
-  seq : int; (* per-(src, dst) link sequence, for the recv_any order *)
-  arrival : float; (* wall-clock enqueue stamp *)
-  payload : Obj.t;
-}
+type msg = { tag : int; src : int; payload : Obj.t }
 
 (* SPSC bounded ring; [cap] is a power of two.  [head] is advanced only by
    the consumer, [tail] only by the producer.  Most of the n * n rings of a
@@ -90,7 +84,6 @@ let ring_is_empty r = Atomic.get r.head >= Atomic.get r.tail
 
 type waitn =
   | Nexact of int * int (* recv ~src ~tag *)
-  | Nany of int (* recv_any ~tag *)
   | Nspace of int (* send parked on a full ring to dest *)
 
 type rank = {
@@ -108,7 +101,6 @@ type t = {
   groups : Groups.t; (* the run-wide state and block scheduling *)
   ranks : rank array;
   rings : ring array array; (* rings.(dst).(src) *)
-  seqs : int array array; (* seqs.(src).(dst), touched only by src *)
   space_waiters : int Atomic.t; (* senders parked on a full ring *)
   t0 : float;
 }
@@ -175,12 +167,6 @@ let bucket_nonempty (r : rank) key =
 
 let satisfiable nt (r : rank) = function
   | Nexact (src, tag) -> bucket_nonempty r (src, tag)
-  | Nany tag ->
-      let rec go src =
-        src < Array.length nt.ranks
-        && (bucket_nonempty r (src, tag) || go (src + 1))
-      in
-      go 0
   | Nspace dest ->
       nt.ranks.(dest).nfinished || ring_has_space nt.rings.(dest).(r.id)
 
@@ -188,8 +174,6 @@ let describe_wait (r : rank) =
   match r.nwaiting with
   | Some (Nexact (s, t)) ->
       Printf.sprintf "waiting on recv from p%d, tag %d (native)" s t
-  | Some (Nany t) ->
-      Printf.sprintf "waiting on recv from any source, tag %d (native)" t
   | Some (Nspace d) ->
       Printf.sprintf "waiting for channel space to p%d (native)" d
   | None -> "blocked (native)"
@@ -214,9 +198,7 @@ let send ctx ?rendezvous:_ ~dest ~tag ~bytes v =
   st.Stats.hop_bytes <-
     st.Stats.hop_bytes
     + (bytes * Topology.hops (Groups.topology nt.groups) r.id dest);
-  let seq = nt.seqs.(r.id).(dest) in
-  nt.seqs.(r.id).(dest) <- seq + 1;
-  let m = { tag; src = r.id; seq; arrival = now (); payload = Obj.repr v } in
+  let m = { tag; src = r.id; payload = Obj.repr v } in
   if dest = r.id then mailbox_push r m (* self-send: we are the consumer *)
   else begin
     let dst = nt.ranks.(dest) in
@@ -278,38 +260,6 @@ let recv ctx ~src ~tag =
   r.nwaiting <- None;
   Obj.obj m.payload
 
-(* Earliest (arrival, src, seq) over the heads of all [tag] buckets; each
-   bucket is per-link FIFO so its head already carries the smallest seq. *)
-let best_any nt (r : rank) ~tag =
-  let best = ref None in
-  for src = 0 to Array.length nt.ranks - 1 do
-    match Hashtbl.find_opt r.mailbox (src, tag) with
-    | Some q when not (Queue.is_empty q) ->
-        let m = Queue.peek q in
-        (match !best with
-        | Some (b, _) when b.arrival <= m.arrival -> ()
-        | _ -> best := Some (m, q))
-    | Some _ | None -> ()
-  done;
-  !best
-
-let recv_any ctx ~tag =
-  let nt = ctx.nt in
-  let r = ctx.r in
-  let rec obtain () =
-    drain nt r;
-    match best_any nt r ~tag with
-    | Some (_, q) -> Queue.take q
-    | None ->
-        r.nwaiting <- Some (Nany tag);
-        comm_wait_block ctx;
-        check_cancel nt;
-        obtain ()
-  in
-  let m = obtain () in
-  r.nwaiting <- None;
-  (m.src, Obj.obj m.payload)
-
 (* ------------------------------------------------------------------ *)
 (* Block steps and quiescence, the callbacks to {!Groups.run}          *)
 
@@ -342,9 +292,11 @@ let step nt gid =
 
 (* Every block idle or done: no fiber runs anywhere, so no message is in
    flight and every rank's buckets are quiescent (the owning block's
-   release published them).  Re-queue each block with a satisfiable wait
-   (a sender parked on a ring whose receiver has since finished is the
-   realistic case); if none exists the program is stalled for good. *)
+   release published them).  Re-queue each block with a satisfiable wait:
+   a sender parked on the full ring of a rank, in another block, whose
+   body has since returned.  That block has finished and never steps
+   again, so nothing else wakes the sender.  If no wait is satisfiable the
+   program is stalled for good. *)
 let quiesce nt () =
   let movable = List.filter (waits_satisfiably nt) (Array.to_list nt.ranks) in
   if movable = [] then
@@ -380,7 +332,6 @@ let run groups ~chan_cap f =
       groups;
       ranks;
       rings;
-      seqs = Array.init n (fun _ -> Array.make n 0);
       space_waiters = Atomic.make 0;
       t0 = now ();
     }

@@ -4,10 +4,9 @@
     contiguous groups, each group's fibers run on real domains borrowed
     from {!Pool}'s crew, and messages travel through per-link bounded SPSC
     ring buffers in shared memory — no simulated clock, no cost charging.
-    Exact receives stay deterministic (each (src, tag) stream is FIFO, a
-    Kahn network); {!Machine.recv_any} picks the smallest (wall-clock
-    arrival, source rank, link sequence) candidate and is therefore
-    timing-dependent, as on a real machine.
+    Every receive names its source and each (src, tag) stream is FIFO, so
+    the ranks form a Kahn network: values and printed output are the
+    simulator's whatever the host timing.
 
     This module holds only what differs from the simulator: the rings, the
     per-rank mailboxes and the wall clock.  The run-wide state — topology,
@@ -39,4 +38,3 @@ val send :
     returned are dropped (the simulator leaves them queued unread). *)
 
 val recv : ctx -> src:int -> tag:int -> 'a
-val recv_any : ctx -> tag:int -> int * 'a

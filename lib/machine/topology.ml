@@ -138,8 +138,7 @@ let square_side t = if t.width = t.height then Some t.width else None
    [Machine.run] publishes one topology value to every domain and asserts
    the digest is unchanged when the run completes — the tables are memo
    caches on the per-message hot path, so an accidental mutation would
-   silently corrupt hop costs (and the PDES lookahead bounds derived from
-   them) instead of crashing.  Plain int arithmetic, no truncation (unlike
+   silently corrupt hop costs instead of crashing.  Plain int arithmetic, no truncation (unlike
    [Hashtbl.hash], which stops after a few nodes). *)
 let digest t =
   let h = ref (0x9e3779b9 land max_int) in

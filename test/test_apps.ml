@@ -99,61 +99,6 @@ let test_gauss_partial_more_expensive () =
   Alcotest.(check bool) "pivot search costs time" true
     (t Gauss.Partial > t Gauss.No_pivot_search)
 
-(* ---------------- heat (PDE via ghost cells) ---------------- *)
-
-let plate_boundary ix =
-  if ix.(0) = 0 then 100.0
-  else if ix.(1) = 0 then 50.0
-  else 0.0
-
-let test_heat_matches_reference () =
-  let n = 12 and m = 10 in
-  let expected, ref_iters =
-    Heat.reference ~tol:1e-3 ~n ~m ~boundary:plate_boundary ()
-  in
-  List.iter
-    (fun procs ->
-      let r =
-        run_mesh ~w:procs ~h:1 (fun ctx ->
-            let res = Heat.solve ctx ~tol:1e-3 ~n ~m ~boundary:plate_boundary () in
-            (res.Heat.iterations, res.Heat.final_delta, res.Heat.field))
-      in
-      let iters, delta, field = r.(0) in
-      Alcotest.(check int)
-        (Printf.sprintf "same iteration count on %d procs" procs)
-        ref_iters iters;
-      Alcotest.(check bool) "converged" true (delta <= 1e-3);
-      let flat = Darray.to_flat field in
-      Array.iteri
-        (fun i v ->
-          Alcotest.(check (float 1e-9))
-            (Printf.sprintf "field elem %d" i)
-            expected.(i) v)
-        flat)
-    [ 1; 2; 4 ]
-
-let test_heat_respects_max_iters () =
-  let r =
-    run_mesh ~w:2 ~h:1 (fun ctx ->
-        let res =
-          Heat.solve ctx ~tol:1e-12 ~max_iters:5 ~n:10 ~m:10
-            ~boundary:plate_boundary ()
-        in
-        res.Heat.iterations)
-  in
-  Alcotest.(check int) "stopped at cap" 5 r.(0)
-
-let test_heat_boundaries_fixed () =
-  let r =
-    run_mesh ~w:3 ~h:1 (fun ctx ->
-        (Heat.solve ctx ~tol:1e-2 ~n:9 ~m:9 ~boundary:plate_boundary ())
-          .Heat.field)
-  in
-  let field = r.(0) in
-  Alcotest.(check (float 0.0)) "top edge" 100.0 (Darray.peek field [| 0; 4 |]);
-  Alcotest.(check (float 0.0)) "left edge" 50.0 (Darray.peek field [| 4; 0 |]);
-  Alcotest.(check (float 0.0)) "bottom edge" 0.0 (Darray.peek field [| 8; 4 |])
-
 (* ---------------- matmul ---------------- *)
 
 let test_matmul_matches_reference () =
@@ -198,10 +143,6 @@ let suite =
           test_gauss_partial_more_expensive;
         Alcotest.test_case "matmul vs reference" `Quick
           test_matmul_matches_reference;
-        Alcotest.test_case "heat vs reference" `Quick
-          test_heat_matches_reference;
-        Alcotest.test_case "heat max iters" `Quick test_heat_respects_max_iters;
-        Alcotest.test_case "heat boundaries" `Quick test_heat_boundaries_fixed;
         Alcotest.test_case "workload determinism" `Quick
           test_workload_deterministic;
       ] );

@@ -431,43 +431,6 @@ let test_trace_disabled_is_empty () =
   Alcotest.(check int) "no events" 0
     (List.length (Trace.events r.Machine.trace))
 
-let test_recv_any_earliest_arrival () =
-  (* two messages with the same tag from different sources: recv_any must
-     take the one that arrived first (fewer hops = earlier) *)
-  let r =
-    Machine.run ~topology:(Topology.mesh ~width:4 ~height:1) (fun ctx ->
-        match Machine.self ctx with
-        | 0 ->
-            let s1, (v1 : int) = Machine.recv_any ctx ~tag:9 in
-            let s2, (v2 : int) = Machine.recv_any ctx ~tag:9 in
-            Machine.compute ctx 0.0;
-            [ (s1, v1); (s2, v2) ]
-        | 1 ->
-            Machine.send ctx ~dest:0 ~tag:9 ~bytes:4 111;
-            []
-        | 3 ->
-            (* 3 hops away: same send time, later arrival *)
-            Machine.send ctx ~dest:0 ~tag:9 ~bytes:4 333;
-            []
-        | _ -> [])
-  in
-  Alcotest.(check (list (pair int int)))
-    "nearest first"
-    [ (1, 111); (3, 333) ]
-    r.Machine.values.(0)
-
-let test_recv_any_blocks_until_send () =
-  let r =
-    Machine.run ~topology:(Topology.mesh ~width:2 ~height:1) (fun ctx ->
-        match Machine.self ctx with
-        | 0 -> fst (Machine.recv_any ctx ~tag:4)
-        | _ ->
-            Machine.compute ctx 1.0;
-            Machine.send ctx ~dest:0 ~tag:4 ~bytes:0 ();
-            -1)
-  in
-  Alcotest.(check int) "received from 1" 1 r.Machine.values.(0)
-
 let test_rendezvous_send_blocks_any_profile () =
   (* the default profile is async, but ~rendezvous:true must still block *)
   let r =
@@ -544,10 +507,6 @@ let suite =
         Alcotest.test_case "root collective" `Quick test_root_collective;
         Alcotest.test_case "tags" `Quick test_tags_unique;
         Alcotest.test_case "stats" `Quick test_stats_counts;
-        Alcotest.test_case "recv_any earliest" `Quick
-          test_recv_any_earliest_arrival;
-        Alcotest.test_case "recv_any blocks" `Quick
-          test_recv_any_blocks_until_send;
         Alcotest.test_case "rendezvous send" `Quick
           test_rendezvous_send_blocks_any_profile;
         Alcotest.test_case "bad dest" `Quick test_send_bad_dest_rejected;

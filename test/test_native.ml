@@ -1,9 +1,9 @@
 (* Tests for the native execution backend (Machine.run_native / --engine
    native): random programs against the simulator through the path
    matrix's agreement (test_paths.ml runs the corpus), and the raw Machine
-   API for what the corpus cannot pin — recv_any exactly-once consumption,
-   capacity-1 rings at full backpressure, stall detection, and ring slots
-   allocated only when used. *)
+   API for what the corpus cannot pin — capacity-1 rings at full
+   backpressure, a sender parked on a rank that has returned, stall
+   detection, and ring slots allocated only when used. *)
 
 (* ---------------- random programs: native vs simulator ---------------- *)
 
@@ -18,69 +18,6 @@ let qcheck_native =
                ((Test_paths.native d).set Test_paths.default)
                src))
         [ 1; 2; 4 ])
-
-(* ---------------- recv_any farm: exactly-once consumption -------------- *)
-
-(* A raw master/worker farm over the native machine: rank 0 hands one task
-   at a time to each idle worker and collects results with recv_any.  Every
-   sent task must come back exactly once, and each result must name the
-   worker that actually sent it. *)
-let test_farm_exactly_once () =
-  let ntasks = 200 in
-  let topology = Topology.mesh ~width:4 ~height:1 in
-  let r =
-    Machine.run_native ~topology (fun ctx ->
-        let me = Machine.self ctx in
-        let p = Machine.nprocs ctx in
-        let task_tag = 1 and result_tag = 2 in
-        if me = 0 then begin
-          let next = ref 0 in
-          let outstanding = ref 0 in
-          let got = ref [] in
-          let feed w =
-            if !next < ntasks then begin
-              Machine.send ctx ~dest:w ~tag:task_tag ~bytes:8 (Some !next);
-              incr next;
-              incr outstanding
-            end
-            else Machine.send ctx ~dest:w ~tag:task_tag ~bytes:1 None
-          in
-          for w = 1 to p - 1 do
-            feed w
-          done;
-          while !outstanding > 0 do
-            let src, ((task, worker) : int * int) =
-              Machine.recv_any ctx ~tag:result_tag
-            in
-            got := (task, worker, src) :: !got;
-            decr outstanding;
-            feed src
-          done;
-          !got
-        end
-        else begin
-          let rec serve () =
-            match (Machine.recv ctx ~src:0 ~tag:task_tag : int option) with
-            | Some task ->
-                Machine.send ctx ~dest:0 ~tag:result_tag ~bytes:16 (task, me);
-                serve ()
-            | None -> ()
-          in
-          serve ();
-          []
-        end)
-  in
-  let got = r.Machine.values.(0) in
-  Alcotest.(check int) "every task answered" ntasks (List.length got);
-  List.iter
-    (fun (_, worker, src) ->
-      Alcotest.(check int) "result names its sender" src worker)
-    got;
-  let tasks = List.sort compare (List.map (fun (t, _, _) -> t) got) in
-  Alcotest.(check (list int))
-    "each task consumed exactly once"
-    (List.init ntasks Fun.id)
-    tasks
 
 (* ---------------- capacity-1 rings: no deadlock under backpressure ----- *)
 
@@ -117,6 +54,33 @@ let test_capacity_one_backpressure () =
             sum)
         r.Machine.values)
     [ 1; 2; 4 ]
+
+(* ---------------- a parked sender outlives its receiver ---------------- *)
+
+(* Rank 0 fills a capacity-1 ring to rank 1, which returns without
+   receiving.  Sends to a finished rank are dropped, but the sender is
+   already parked on the full ring: in one block the step that sees rank 1
+   finish wakes it, and across two blocks rank 1's block has finished and
+   never steps again, so only the quiescence check can release it.  Both
+   ranks must return; a [Stalled] here means that release is gone. *)
+let test_parked_sender_released () =
+  let topology = Topology.mesh ~width:2 ~height:1 in
+  List.iter
+    (fun d ->
+      let r =
+        Machine.run_native ~chan_cap:1 ~domains:d ~topology (fun ctx ->
+            if Machine.self ctx = 0 then begin
+              for j = 1 to 8 do
+                Machine.send ctx ~dest:1 ~tag:3 ~bytes:8 j
+              done;
+              8
+            end
+            else 0)
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "d=%d both ranks return" d)
+        [| 8; 0 |] r.Machine.values)
+    [ 1; 2 ]
 
 (* ---------------- stall detection ---------------- *)
 
@@ -217,10 +181,10 @@ let suite =
         qcheck_native;
         Alcotest.test_case "finished blocks never read as stalled" `Quick
           test_finish_race;
-        Alcotest.test_case "farm recv_any exactly-once" `Quick
-          test_farm_exactly_once;
         Alcotest.test_case "capacity-1 backpressure" `Quick
           test_capacity_one_backpressure;
+        Alcotest.test_case "parked sender released when its receiver returns"
+          `Quick test_parked_sender_released;
         Alcotest.test_case "stall detected" `Quick test_stall_detected;
         Alcotest.test_case "ring slots allocated on first push" `Quick
           test_lazy_ring_slots;

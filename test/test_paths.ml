@@ -4,8 +4,7 @@
    [setting] on the ast engine and on the setting's engine paths, which
    must equal ast byte for byte (sharded runs equal one shard); a setting
    must print and return what the default does; native runs must match
-   the compiled simulator's values and counters (recv_any order is their
-   one exemption, and no corpus program uses recv_any).  [corpus] is the
+   the compiled simulator's values and counters.  [corpus] is the
    only table of example programs the tests run, and [source] the only
    reader of examples/skil; tests of one mechanism check their programs
    through [observe]. *)

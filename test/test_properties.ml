@@ -307,88 +307,6 @@ let prop_gauss_residual (procs, n0, seed) =
   let r = run_line ~procs (fun ctx -> Gauss.solve ctx ~n ~matrix) in
   Gauss.residual ~n ~matrix r.Machine.values.(0) < 1e-8
 
-(* ---------------- extensions ---------------- *)
-
-let prop_stencil_matches_dense (procs, n0, seed) =
-  (* map_halo with radius 1 equals the same stencil computed on the host *)
-  let n = max (2 * procs) (4 + (n0 mod 10)) and m = 5 in
-  let init ix = Workload.hash2 ~seed ix.(0) ix.(1) mod 50 in
-  let r =
-    run_line ~procs (fun ctx ->
-        let mk g =
-          Skeletons.create ctx ~gsize:[| n; m |] ~distr:Darray.Default g
-        in
-        let a = mk init in
-        let b = mk (fun _ -> 0) in
-        let f ~get v ix =
-          let row = ix.(0) and c = ix.(1) in
-          if row = 0 || row = n - 1 then v
-          else get (row - 1) c + get (row + 1) c
-        in
-        Stencil.map_halo ctx ~radius:1 ~f a b;
-        b)
-  in
-  let flat = Darray.to_flat r.Machine.values.(0) in
-  let ok = ref true in
-  for row = 0 to n - 1 do
-    for c = 0 to m - 1 do
-      let expected =
-        if row = 0 || row = n - 1 then init [| row; c |]
-        else init [| row - 1; c |] + init [| row + 1; c |]
-      in
-      if flat.((row * m) + c) <> expected then ok := false
-    done
-  done;
-  !ok
-
-let prop_par_io_roundtrip (procs, n0, seed) =
-  let n = 1 + (n0 mod 20) in
-  let init ix = Workload.hash2 ~seed ix.(0) 3 mod 1000 in
-  let r =
-    run_line ~procs (fun ctx ->
-        let a =
-          Skeletons.create ctx ~gsize:[| n |] ~distr:Darray.Default init
-        in
-        let f = Par_io.write_array ctx ~stripes:(1 + (seed mod procs)) a in
-        let b =
-          Skeletons.create ctx ~gsize:[| n |] ~distr:Darray.Default (fun _ ->
-              -1)
-        in
-        Par_io.read_array ctx f b;
-        b)
-  in
-  Darray.to_flat r.Machine.values.(0) = Array.init n (fun i -> init [| i |])
-
-let prop_dc_mergesort (procs, len, seed) =
-  let input =
-    List.init (len mod 25) (fun i -> Workload.hash2 ~seed i 1 mod 100)
-  in
-  let rec merge a b =
-    match (a, b) with
-    | [], l | l, [] -> l
-    | x :: xs, y :: ys -> if x <= y then x :: merge xs b else y :: merge a ys
-  in
-  let r =
-    run_line ~procs (fun ctx ->
-        Task_skel.divide_conquer ctx
-          ~problem_bytes:(fun l -> 4 * List.length l)
-          ~solution_bytes:(fun l -> 4 * List.length l)
-          ~is_trivial:(fun l -> List.length l <= 1)
-          ~solve:Fun.id
-          ~divide:(fun l ->
-            let rec split k acc = function
-              | rest when k = 0 -> (List.rev acc, rest)
-              | [] -> (List.rev acc, [])
-              | x :: rest -> split (k - 1) (x :: acc) rest
-            in
-            split (List.length l / 2) [] l)
-          ~combine:merge
-          (if Machine.self ctx = 0 then Some input else None))
-  in
-  (if input = [] then r.Machine.values.(0) = Some [] || r.Machine.values.(0) = Some []
-   else true)
-  && r.Machine.values.(0) = Some (List.sort compare input)
-
 let prop_simulation_deterministic (procs, n0, seed) =
   (* identical runs produce identical makespans, values and stats *)
   let n = max procs (4 + (n0 mod 12)) in
@@ -577,11 +495,6 @@ let suite =
         qt ~count:20 "gauss residual small"
           (triple (int_range 1 4) (int_range 1 16) (int_range 0 1000))
           prop_gauss_residual;
-        qt ~count:40 "stencil matches dense" gen_array_setup
-          prop_stencil_matches_dense;
-        qt ~count:40 "parallel io roundtrip" gen_array_setup
-          prop_par_io_roundtrip;
-        qt ~count:40 "d&c mergesort" gen_array_setup prop_dc_mergesort;
         qt ~count:20 "simulation deterministic" gen_array_setup
           prop_simulation_deterministic;
         qt ~count:100 "parse/print roundtrip" gen_pure_expr

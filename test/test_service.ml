@@ -237,7 +237,8 @@ let test_bad_indices_classified () =
       ignore (expect_err h Errclass.Invalid))
 
 (* skild's [native-domains=] and [chan-cap=] header fields are rejected on
-   the simulator engines, not ignored. *)
+   the simulator engines, not ignored, and a [chan-cap=] above the native
+   engine's maximum is rejected before any ring is sized from it. *)
 let test_native_fields_rejected () =
   let h = harness () in
   Fun.protect
@@ -258,6 +259,12 @@ let test_native_fields_rejected () =
             Jobspec.id = "ast";
             engine = `Ast;
             chan_cap = Some 4;
+          };
+          {
+            Jobspec.default with
+            Jobspec.id = "huge";
+            engine = `Native;
+            chan_cap = Some max_int;
           };
         ])
 
