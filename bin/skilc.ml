@@ -206,7 +206,7 @@ let collectives_conv =
 let run_par_cmd =
   let run file entry args width height torus profile no_instantiate engine
       no_specialize optimize trace_out want_profile faults_spec fault_seed
-      reliable collectives sim_domains native_domains chan_cap =
+      reliable collectives sim_domains native_domains =
     handle_errors ~file (fun () ->
         let program, _ = load file in
         let topology =
@@ -234,7 +234,7 @@ let run_par_cmd =
         let r =
           Spmd.run ~instantiate:(not no_instantiate) ~engine
             ~specialize:(not no_specialize) ~optimize ~trace ?faults ~reliable
-            ~collectives ~sim_domains ?chan_cap ?native_domains ~cost
+            ~collectives ~sim_domains ?native_domains ~cost
             ~topology program
             ~entry
             ~args:(List.map (fun n -> Value.VInt n) args)
@@ -286,11 +286,12 @@ let run_par_cmd =
                    bodies to closures once, the default), $(b,ast) (the \
                    reference tree-walking interpreter; bit-identical to \
                    compiled), or $(b,native) (the compiled closures \
-                   executed with real parallelism on OCaml domains: \
-                   wall-clock time instead of a simulated makespan, values \
-                   identical to the simulator for deterministic-order \
-                   programs; incompatible with --faults/--reliable/\
-                   --trace-out/--profile/--sim-domains).")
+                   executed with real parallelism on OCaml domains, over \
+                   the simulator's message transport: wall-clock time \
+                   instead of a simulated makespan, values identical to \
+                   the simulator for deterministic-order programs; \
+                   incompatible with --faults/--reliable/--trace-out/\
+                   --profile and with --sim-domains above 1).")
   in
   let no_specialize =
     Arg.(value & flag
@@ -377,7 +378,7 @@ let run_par_cmd =
                    Stats and traces are bit-identical for every $(docv); \
                    only host wall-clock time changes.  Worker domains are \
                    borrowed from the shared pool and clamped to the host's \
-                   cores.")
+                   cores.  $(docv) below 1 is an error with every engine.")
   in
   let native_domains =
     Arg.(value
@@ -386,19 +387,12 @@ let run_par_cmd =
              ~doc:"Native engine only (an error with the others): block \
                    the ranks into $(docv) \
                    contiguous groups, each a unit of real parallelism \
-                   (default: one rank per group).  Worker domains are \
-                   borrowed from the shared pool and clamped to the host's \
-                   cores; the logical grouping is always honoured.")
-  in
-  let chan_cap =
-    Arg.(value
-         & opt (some int) None
-         & info [ "chan-cap" ] ~docv:"N"
-             ~doc:"Native engine only (an error with the others): \
-                   per-link ring-buffer capacity in \
-                   messages, from 1 to 65536 (default 256, rounded up to a \
-                   power of two). \
-                   Senders block fiber-style when a ring is full.")
+                   (default: one rank per group).  A message within a \
+                   group goes straight to the receiver; one between \
+                   groups is posted to the receiving group.  Worker \
+                   domains are borrowed from the shared pool and clamped \
+                   to the host's cores; the logical grouping is always \
+                   honoured.")
   in
   Cmd.v
     (Cmd.info "run-par" ~exits
@@ -407,7 +401,7 @@ let run_par_cmd =
     Term.(const run $ file_arg $ entry_arg $ args_arg $ width $ height
           $ torus $ profile $ no_instantiate $ engine $ no_specialize
           $ optimize $ trace_out $ want_profile $ faults_spec $ fault_seed
-          $ reliable $ collectives $ sim_domains $ native_domains $ chan_cap)
+          $ reliable $ collectives $ sim_domains $ native_domains)
 
 let () =
   let doc = "the Skil compiler (HPDC '96 reproduction)" in

@@ -60,7 +60,7 @@ let entry_name p = p.pentry
 let engine_of p = p.pengine
 
 let run_prepared ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
-    ?chan_cap ?native_domains ?cancel ~topology p ~args =
+    ?native_domains ?cancel ~topology p ~args =
   let { pprogram = program; ptyenv = tyenv; pentry = entry; _ } = p in
   let body ctx =
     let st = Interp.make ~backend:(`Par ctx) ~tyenv program in
@@ -71,12 +71,13 @@ let run_prepared ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
     in
     { value; printed = Interp.output st }
   in
+  (match sim_domains with
+  | Some d when d < 1 -> invalid_arg "Spmd.run: sim_domains must be >= 1"
+  | _ -> ());
   match p.pengine with
   | `Ast | `Compiled ->
       if native_domains <> None then
         invalid_arg "Spmd.run: native_domains needs the native engine";
-      if chan_cap <> None then
-        invalid_arg "Spmd.run: chan_cap needs the native engine";
       Machine.run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
         ?cancel ~topology body
   | `Native ->
@@ -96,23 +97,23 @@ let run_prepared ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
             "Spmd.run: --sim-domains shards the simulator; use \
              native_domains with the native engine"
       | _ -> ());
-      Machine.run_native ?cost ?collectives ?chan_cap
-        ?domains:native_domains ?cancel ~topology body
+      Machine.run_native ?cost ?collectives ?domains:native_domains ?cancel
+        ~topology body
 
-let run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains ?chan_cap
+let run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
     ?native_domains ?cancel ?instantiate ?engine ?specialize ?optimize
     ~topology program ~entry ~args =
   run_prepared ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
-    ?chan_cap ?native_domains ?cancel ~topology
+    ?native_domains ?cancel ~topology
     (prepare ?instantiate ?engine ?specialize ?optimize program ~entry)
     ~args
 
 let run_source ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
-    ?chan_cap ?native_domains ?cancel ?instantiate ?engine ?specialize
-    ?optimize ~topology source ~entry ~args =
-  run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains ?chan_cap
     ?native_domains ?cancel ?instantiate ?engine ?specialize ?optimize
-    ~topology (Parser.parse source) ~entry ~args
+    ~topology source ~entry ~args =
+  run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains ?native_domains
+    ?cancel ?instantiate ?engine ?specialize ?optimize ~topology
+    (Parser.parse source) ~entry ~args
 
 let render ?summary (r : outcome Machine.result) =
   let b = Buffer.create 256 in

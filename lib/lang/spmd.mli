@@ -77,7 +77,6 @@ val run_prepared :
   ?reliable:bool ->
   ?collectives:Coll_alg.mode ->
   ?sim_domains:int ->
-  ?chan_cap:int ->
   ?native_domains:int ->
   ?cancel:(unit -> bool) ->
   topology:Topology.t ->
@@ -99,7 +98,6 @@ val run :
   ?reliable:bool ->
   ?collectives:Coll_alg.mode ->
   ?sim_domains:int ->
-  ?chan_cap:int ->
   ?native_domains:int ->
   ?cancel:(unit -> bool) ->
   ?instantiate:bool ->
@@ -138,12 +136,12 @@ val run :
     domains — results are bit-identical for every value (see
     {!Machine.run}); only host wall-clock time changes.
 
-    [native_domains] and [chan_cap] apply only to the [`Native] engine:
-    the rank-blocking group count and the per-link ring capacity handed to
-    {!Machine.run_native}.  Options of the other kind are rejected, never
-    ignored: [native_domains] or [chan_cap] on [`Ast]/[`Compiled], and
-    [faults], [reliable], [trace] or [sim_domains > 1] on [`Native], raise
-    [Invalid_argument]. *)
+    [native_domains] applies only to the [`Native] engine: the
+    rank-blocking group count handed to {!Machine.run_native}.  Options of
+    the other kind are rejected, never ignored: [native_domains] on
+    [`Ast]/[`Compiled], and [faults], [reliable], [trace] or
+    [sim_domains > 1] on [`Native], raise [Invalid_argument]; so does
+    [sim_domains < 1] on every engine. *)
 
 val run_source :
   ?cost:Cost_model.t ->
@@ -152,7 +150,6 @@ val run_source :
   ?reliable:bool ->
   ?collectives:Coll_alg.mode ->
   ?sim_domains:int ->
-  ?chan_cap:int ->
   ?native_domains:int ->
   ?cancel:(unit -> bool) ->
   ?instantiate:bool ->

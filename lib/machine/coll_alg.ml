@@ -80,9 +80,12 @@ let mode_of_string = function
         (Printf.sprintf "unknown collectives mode %s (expected one of %s)" s
            (String.concat ", " mode_names))
 
+(* The inverse of [mode_of_string]: [Force Tree] is "binomial", since
+   "tree" names [Legacy]. *)
 let mode_to_string = function
   | Legacy -> "tree"
   | Auto -> "auto"
+  | Force Tree -> "binomial"
   | Force a -> alg_name a
 
 (* ------------------------------------------------------------------ *)

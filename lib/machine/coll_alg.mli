@@ -38,6 +38,8 @@ val kind_name : kind -> string
 
 val mode_of_string : string -> (mode, string) result
 val mode_to_string : mode -> string
+(** The inverse of {!mode_of_string} on every name in {!mode_names}. *)
+
 val mode_names : string list
 
 type net = {

@@ -37,9 +37,9 @@ type t = {
   parked : (int, int) Hashtbl.t;
       (* ranks blocked at a root call site rank 0 has not reached *)
   mutable next_tag : int;
-  resumed : int list Atomic.t array;
-      (* per group: its ranks whose root call site now has a value; their
-         fibers are woken before the group's next step *)
+  posts : (unit -> unit) list Atomic.t array;
+      (* per group: deliveries posted to it, newest first; run before the
+         group's next step *)
 }
 
 let create ~topology ~cost ~collectives ~cancel ~ngroups =
@@ -86,7 +86,7 @@ let create ~topology ~cost ~collectives ~cancel ~ngroups =
     deposits = Hashtbl.create 16;
     parked = Hashtbl.create 4;
     next_tag = 0;
-    resumed = Array.init ngroups (fun _ -> Atomic.make []);
+    posts = Array.init ngroups (fun _ -> Atomic.make []);
   }
 
 let nranks t = Array.length t.group_of
@@ -104,10 +104,19 @@ let stats t = t.stats
 let check_cancel t =
   match t.cancel with Some f when f () -> raise Cancelled | _ -> ()
 let cancellable t = t.cancel <> None
-let count t = Array.length t.scheds
 let group_of t rank = t.group_of.(rank)
-let span t g = (t.first.(g), t.first.(g + 1) - t.first.(g))
-let sched t g = t.scheds.(g)
+
+(* Fibers are spawned in rank order ([spawn] checks), so a rank's fiber id
+   is its offset in its group. *)
+let sched_of t rank = t.scheds.(t.group_of.(rank))
+let fiber t rank = rank - t.first.(t.group_of.(rank))
+
+let mailbox t rank =
+  Mailbox.create (sched_of t rank) ~fiber:(fiber t rank) ~nranks:(nranks t)
+
+let spawn t rank f =
+  if Scheduler.spawn (sched_of t rank) f <> fiber t rank then
+    invalid_arg "Groups.spawn: ranks must be spawned in rank order"
 
 let broadcast t =
   Mutex.lock t.mx;
@@ -160,21 +169,36 @@ let finish t g =
   Condition.broadcast t.cv;
   Mutex.unlock t.mx
 
-(* Wake the fibers of [g]'s ranks that {!collective} resumed.  Fibers
-   are spawned in rank order, so a rank's fiber id is its offset in the
-   group. *)
-let resume t g =
-  if Atomic.get t.resumed.(g) <> [] then
-    List.iter
-      (fun rank -> Scheduler.wake t.scheds.(g) (rank - t.first.(g)))
-      (Atomic.exchange t.resumed.(g) [])
+let rec push cell x =
+  let l = Atomic.get cell in
+  if not (Atomic.compare_and_set cell l (x :: l)) then push cell x
+
+(* The push is the release, and the [Atomic.exchange] in [step] the
+   acquire, that publish whatever [f] reads to the domain that runs it.
+   A group that has finished never steps again, so a delivery to it never
+   runs: the receiver would have left such a message queued unread. *)
+let post t g f =
+  if Atomic.get t.status.(g) <> finished then begin
+    push t.posts.(g) f;
+    wake t g
+  end
+
+(* Run the deliveries posted to [g], in post order, then the group's
+   fibers until they all finish or park; true once they have all
+   finished. *)
+let step t g =
+  if Atomic.get t.posts.(g) <> [] then
+    List.iter (fun f -> f ()) (List.rev (Atomic.exchange t.posts.(g) []));
+  check_cancel t;
+  let s = t.scheds.(g) in
+  Scheduler.run_until_idle s;
+  Scheduler.all_finished s
 
 (* Step a claimed group until it finishes or releases.  After a failure
    anywhere, a group stops at the end of its current step instead of
    stepping again. *)
-let rec exec t ~step g =
-  resume t g;
-  match step g with
+let rec exec t g =
+  match step t g with
   | true -> finish t g
   | false ->
       let s = t.status.(g) in
@@ -185,7 +209,7 @@ let rec exec t ~step g =
       else if Atomic.compare_and_set s running idle then broadcast t
       else begin
         Atomic.set s running;
-        exec t ~step g
+        exec t g
       end
   | exception e ->
       record_failure t e (Printexc.get_raw_backtrace ());
@@ -195,8 +219,8 @@ let is_running s =
   let v = Atomic.get s in
   v = running || v = pending
 
-(* [mx] held.  No group is queued or running, so no message is in flight
-   either: a sender's group keeps running until it has woken the
+(* [mx] held.  No group is queued or running, so no delivery is pending
+   either: a sender's group keeps running until its {!post} has woken the
    receiver's. *)
 let quiescent t =
   Queue.is_empty t.readyq
@@ -206,28 +230,37 @@ let quiescent t =
          v = idle || v = finished)
        t.status
 
-let run t ~step ~quiesce =
+(* Quiescent with a fiber not finished: every receive names its source,
+   so no parked fiber can ever be woken, and the run is stalled for
+   good. *)
+let stalled t ~describe =
+  let blocked = ref [] in
+  for rank = nranks t - 1 downto 0 do
+    if not (Scheduler.finished (sched_of t rank) (fiber t rank)) then
+      blocked := (rank, describe rank) :: !blocked
+  done;
+  Stalled !blocked
+
+let run t ~describe =
   let source =
     if t.workers then
       Some
         (Pool.register_source ~poll:(fun () ->
-             Option.map (fun g () -> exec t ~step g) (claim t)))
+             Option.map (fun g () -> exec t g) (claim t)))
     else None
   in
-  let n = count t in
+  let n = Array.length t.scheds in
   let rec drive () =
     match claim t with
     | Some g ->
-        exec t ~step g;
+        exec t g;
         drive ()
     | None ->
         Mutex.lock t.mx;
         if t.ndone = n || failed t then Mutex.unlock t.mx
         else if quiescent t then begin
           Mutex.unlock t.mx;
-          (try quiesce ()
-           with e -> record_failure t e (Printexc.get_raw_backtrace ()));
-          drive ()
+          record_failure t (stalled t ~describe) (Printexc.get_callstack 0)
         end
         else begin
           if Queue.is_empty t.readyq then Condition.wait t.cv t.mx;
@@ -249,10 +282,6 @@ let run t ~step ~quiesce =
 
 (* ------------------------------------------------------------------ *)
 (* Collective call sites                                               *)
-
-let rec push cell x =
-  let l = Atomic.get cell in
-  if not (Atomic.compare_and_set cell l (x :: l)) then push cell x
 
 (* [sites.(rank)] is only touched by the domain running the rank's group.
    At a root site, a rank other than 0 that finds no deposit parks (one
@@ -282,13 +311,13 @@ let collective ?(root = false) t ~rank f =
     with
     | `Took v -> v
     | `Parked ->
-        Scheduler.block t.scheds.(t.group_of.(rank));
+        Scheduler.block (sched_of t rank);
         arrive ()
     | `Evaluated (v, parked) ->
         List.iter
           (fun r ->
-            push t.resumed.(t.group_of.(r)) r;
-            wake t t.group_of.(r))
+            post t t.group_of.(r) (fun () ->
+                Scheduler.wake (sched_of t r) (fiber t r)))
           parked;
         v
   in

@@ -1,16 +1,17 @@
-(** Rank groups: the run-wide state and the scheduling protocol shared by
-    both engines.
+(** Rank groups: the run-wide state, the scheduling protocol and the
+    cross-group message delivery shared by both engines.
 
     Skil programs are SPMD, and both the simulator ({!Machine.run}, at any
     [sim_domains]) and the native engine ({!Machine.run_native}) run them
-    as one fiber per rank.  Ranks sit in contiguous groups, each with its own
-    {!Scheduler}; one domain at a time drives a group, message delivery
-    {!wake}s the destination group, and when every group is idle at once
-    the engine's [quiesce] callback runs: the simulator's only reports a
-    stall, and the native engine's first re-queues senders parked on the
-    full ring of a rank that has returned.  This module owns that
-    protocol; an engine supplies only a [step] and a [quiesce] callback to
-    {!run}, and the driver never knows which engine called it.
+    as one fiber per rank, each with one {!Mailbox}.  Ranks sit in
+    contiguous groups, each with its own {!Scheduler}; one domain at a time
+    drives a group.  A message to a rank of the sender's own group goes
+    straight into the receiver's mailbox; one to another group is a
+    delivery {!post}ed to that group, which its driver runs before its
+    next step.  When every group is idle at once and some rank has not
+    finished, {!run} raises {!Stalled}.  Both engines use this one
+    protocol: an engine spawns its ranks' fibers and describes a blocked
+    rank, and the driver never knows which engine called it.
 
     A group's status word is idle, ready (queued for a domain), running,
     running with a wake-up pending (re-step before releasing), or done.
@@ -29,7 +30,7 @@ type t
 
 exception Stalled of (int * string) list
 (** No rank can make progress; one (rank, description of its wait) per
-    blocked rank.  Raised by either engine's [quiesce]. *)
+    blocked rank.  Raised by {!run} for either engine. *)
 
 exception Cancelled
 (** The run's cancel callback returned true at a poll point. *)
@@ -76,42 +77,40 @@ val cancellable : t -> bool
 
 (** {1 Scheduling} *)
 
-val count : t -> int
-(** Number of groups. *)
-
 val group_of : t -> int -> int
 (** The group holding a rank. *)
 
-val span : t -> int -> int * int
-(** [(first, size)]: the rank range of a group. *)
+val mailbox : t -> int -> 'm Mailbox.t
+(** A fresh mailbox for the rank, bound to the fiber {!spawn} gives it. *)
 
-val sched : t -> int -> Scheduler.t
-(** The group's fiber scheduler; spawn each rank's fiber on its group's
-    scheduler, in rank order, before {!run}. *)
+val spawn : t -> int -> (unit -> unit) -> unit
+(** Spawn the rank's fiber on its group's scheduler.  Call it for every
+    rank, in rank order, before {!run}.
+    @raise Invalid_argument when ranks are spawned out of order. *)
 
-val wake : t -> int -> unit
-(** The group has deliverable work: queue it if idle, or flag a re-step if
-    it is running (which includes a step waking its own group).  Ready and
-    done groups are left alone.  Callable from any domain. *)
+val post : t -> int -> (unit -> unit) -> unit
+(** [post t g f] hands group [g] a delivery from any domain: [f] runs on
+    the domain driving [g], before its next step, after every delivery
+    posted to [g] before it; [g] is woken.  A delivery to a group whose
+    ranks have all finished never runs.  What [f] reads is published to
+    the domain that runs it. *)
 
-val run : t -> step:(int -> bool) -> quiesce:(unit -> unit) -> unit
+val run : t -> describe:(int -> string) -> unit
 (** Drive every group to completion on the calling domain plus any crew
     workers.
 
-    [step g] runs on whichever domain claimed group [g], never on two at
-    once: it delivers pending messages and runs the group's fibers until
-    they all finish or park, returning [true] once they have all finished.
-    A step that returns [false] releases the group — unless a {!wake}
+    A step of group [g] runs on whichever domain claimed [g], never on two
+    at once: it runs the deliveries posted to [g], polls the cancel hook,
+    then runs the group's fibers until they all finish or park.  A step
+    that leaves a fiber not finished releases the group — unless a {!post}
     arrived meanwhile, in which case it is stepped again.
 
-    [quiesce ()] is called on the calling domain when no group is running
-    or ready and at least one is unfinished; nothing else runs during the
-    call.  It must {!wake} at least one group or raise (typically
-    {!Stalled}).
+    When no group is running or ready and a fiber has not finished, nothing
+    can ever wake it: {!run} raises {!Stalled}, with [(rank, describe
+    rank)] for every rank whose fiber has not finished, in rank order.
 
-    The first exception raised by a step or by [quiesce] stops further
-    claims and is re-raised, with its backtrace, once every group has
-    stopped running. *)
+    The first exception raised by a step stops further claims and is
+    re-raised, with its backtrace, once every group has stopped running. *)
 
 (** {1 Collective call sites} *)
 
@@ -125,8 +124,9 @@ val collective : ?root:bool -> t -> rank:int -> (unit -> 'a) -> 'a
 
     With [~root:true] rank 0 evaluates [f], whichever rank arrives first:
     a rank that reaches the site before rank 0 has evaluated it parks its
-    fiber until rank 0 has, so what [f] charges to the evaluating rank is
-    independent of host timing and of the number of groups.  Rank 0 must
+    fiber until rank 0 has ({!post}ing the wake-up to the rank's group),
+    so what [f] charges to the evaluating rank is independent of host
+    timing and of the number of groups.  Rank 0 must
     not wait, before the site, on anything the other ranks do after it. *)
 
 val tags : t -> rank:int -> int -> int

@@ -8,16 +8,6 @@ type message = {
   delivery : delivery;
 }
 
-(* Per-source channel: a small tag-bucketed vector of FIFO queues.  At any
-   moment only a handful of tags are live between a pair of processors, so a
-   linear scan beats a hashtable — and avoids allocating a boxed (src, tag)
-   key per message, which dominated the send/recv hot path. *)
-type chan = {
-  mutable tags : int array;
-  mutable queues : message Queue.t array;
-  mutable nbuckets : int;
-}
-
 (* A processor's simulated clock and its charged compute time.  A
    float-only record stores its fields unboxed, so advancing the clock
    allocates nothing, where a float field of the mixed [proc] record would
@@ -28,8 +18,7 @@ type times = { mutable clock : float; mutable busy : float }
 type proc = {
   id : int;
   tm : times;
-  channels : chan array; (* indexed by source rank *)
-  mutable waiting : (int * int) option; (* (src, tag) of the parked recv *)
+  mbox : message Mailbox.t;
   mutable span_stack : Trace.span list; (* open trace spans, innermost first *)
   stats : Stats.proc;
   (* fault state — allocated/nonempty only when a plan or reliable mode is
@@ -39,8 +28,6 @@ type proc = {
   mutable pending_stalls : Fault.stall list; (* sorted by stall_at *)
   mutable pending_crashes : float list; (* sorted crash times *)
   shard : int; (* the rank group (PDES shard) owning this processor *)
-  mutable fid : int; (* fiber id within the owning shard's scheduler *)
-  mutable finished_p : bool; (* program body returned (monotone flag) *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -52,26 +39,15 @@ type proc = {
    per-(src, tag) streams are FIFO, so the simulation is a Kahn network:
    each receive is deterministic whatever the shard interleaving, and
    shards run their fibers freely, blocking only on actual data
-   dependencies.  Cross-shard sends are posted to the destination shard's
-   mailbox (the mutex hand-off is also the happens-before edge that
-   publishes payload memory).  Simulated clocks are per-processor state
-   computed from message arrival times, never from wall time, so results
-   are bit-identical for every shard count. *)
-
-type post = { pdst : proc; psrc : int; ptag : int; pmsg : message }
-
-type shard = {
-  inbox_mutex : Mutex.t;
-  mutable inbox : post list; (* reversed; guarded by inbox_mutex *)
-  mutable sdone : bool;
-      (* guarded by inbox_mutex: posts to a finished shard are dropped, as
-         the receiver would have left such messages queued unread *)
-}
+   dependencies.  A send to another shard is a delivery {!Groups.post}ed
+   to the destination shard, whose driver adds the message to the
+   receiver's mailbox before its next step.  Simulated clocks are
+   per-processor state computed from message arrival times, never from
+   wall time, so results are bit-identical for every shard count. *)
 
 type t = {
   procs : proc array;
   groups : Groups.t; (* the run-wide state and shard scheduling *)
-  shards : shard array;
   trace : Trace.t;
   trace_on : bool; (* cached Trace.enabled: skips the call (and the float
                       boxing of its arguments) on every clock advance *)
@@ -278,86 +254,16 @@ let with_span ctx ~cat name f =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Channel buckets                                                     *)
+(* Messages                                                            *)
 
-let chan_create () = { tags = [||]; queues = [||]; nbuckets = 0 }
-
-(* Queue holding messages for [tag], or None.  An empty queue is
-   indistinguishable from an absent one to receivers. *)
-let chan_find c tag =
-  let rec go i =
-    if i >= c.nbuckets then None
-    else if c.tags.(i) = tag then Some c.queues.(i)
-    else go (i + 1)
-  in
-  go 0
-
-(* Queue to enqueue into for [tag]: reuse the bucket already carrying the
-   tag, else repurpose a drained bucket (tags only grow, so an empty queue's
-   old tag can never see traffic again from this source in FIFO order —
-   and even if it did, an empty bucket behaves exactly like a missing one),
-   else append a fresh bucket. *)
-let chan_enqueue_queue c tag =
-  let rec go i free =
-    if i >= c.nbuckets then
-      match free with
-      | Some j ->
-          c.tags.(j) <- tag;
-          c.queues.(j)
-      | None ->
-          if c.nbuckets = Array.length c.tags then begin
-            let cap = max 4 (2 * c.nbuckets) in
-            let tags = Array.make cap 0 in
-            Array.blit c.tags 0 tags 0 c.nbuckets;
-            let queues =
-              Array.init cap (fun k ->
-                  if k < c.nbuckets then c.queues.(k) else Queue.create ())
-            in
-            c.tags <- tags;
-            c.queues <- queues
-          end;
-          let j = c.nbuckets in
-          c.nbuckets <- j + 1;
-          c.tags.(j) <- tag;
-          c.queues.(j)
-    else if c.tags.(i) = tag then c.queues.(i)
-    else if free = None && Queue.is_empty c.queues.(i) then go (i + 1) (Some i)
-    else go (i + 1) free
-  in
-  go 0 None
-
-(* ------------------------------------------------------------------ *)
-
-let sched_of m (p : proc) = Groups.sched m.groups p.shard
-
-(* Only ever called for a [target] on the *caller's own* shard: cross-shard
-   deliveries go through [post_cross] and are woken by the destination
-   shard when it drains its inbox. *)
-let wake_if_waiting m target ~src ~tag =
-  match target.waiting with
-  | Some (s, t) when s = src && t = tag ->
-      target.waiting <- None;
-      Scheduler.wake (sched_of m target) target.fid
-  | Some _ | None -> ()
-
-(* Hand a message to another shard's mailbox and wake that shard.  The
-   inbox mutex acquire/release pair is the happens-before edge that
-   publishes the payload (and the sender-side trace record) to the domain
-   that will drain it.  The sender's shard is running until after the
-   wake, so the driver never sees every shard idle while a message sits
-   undrained in a mailbox. *)
-let post_cross m ~target ~src ~tag msg =
-  let sh = m.shards.(target.shard) in
-  Mutex.lock sh.inbox_mutex;
-  (* a receiver that ran to completion would leave this message queued
-     unread, so dropping it is value-equivalent *)
-  let live = not sh.sdone in
-  if live then
-    sh.inbox <- { pdst = target; psrc = src; ptag = tag; pmsg = msg } :: sh.inbox;
-  Mutex.unlock sh.inbox_mutex;
-  if live then Groups.wake m.groups target.shard
-
-let cross_shard m (sender : proc) ~dest = m.procs.(dest).shard <> sender.shard
+(* Queue [msg] in [target]'s mailbox: directly on the sender's own shard,
+   else through {!Groups.post}. *)
+let deliver m (sender : proc) (target : proc) ~tag msg =
+  let src = sender.id in
+  if target.shard = sender.shard then Mailbox.add target.mbox ~src ~tag msg
+  else
+    Groups.post m.groups target.shard (fun () ->
+        Mailbox.add target.mbox ~src ~tag msg)
 
 (* Faulty/reliable send — the cold sibling of [send] below.  Timing here may
    legitimately differ from the plain path (that is the point), but the FIFO
@@ -400,7 +306,6 @@ let send_faulty ctx ~rendezvous ~dest ~tag ~bytes v =
   st.Stats.msgs_sent <- st.Stats.msgs_sent + 1;
   st.Stats.bytes_sent <- st.Stats.bytes_sent + bytes;
   st.Stats.hop_bytes <- st.Stats.hop_bytes + (bytes * hops);
-  let cross = cross_shard m ctx.p ~dest in
   let enqueue ~arrival ~delivery =
     let tmsg =
       if m.trace_on then
@@ -408,11 +313,9 @@ let send_faulty ctx ~rendezvous ~dest ~tag ~bytes v =
           ~sent:ctx.p.tm.clock ~arrival
       else None
     in
-    let msg = { arrival; payload = Obj.repr v; tmsg; seq; delivery } in
-    if cross then post_cross m ~target ~src ~tag msg
-    else Queue.add msg (chan_enqueue_queue target.channels.(src) tag)
+    deliver m ctx.p target ~tag
+      { arrival; payload = Obj.repr v; tmsg; seq; delivery }
   in
-  let wake () = if not cross then wake_if_waiting m target ~src ~tag in
   let record_fault kind =
     if m.trace_on then
       Trace.record_fault m.trace ~kind ~proc:src ~peer:dest ~tag
@@ -463,8 +366,7 @@ let send_faulty ctx ~rendezvous ~dest ~tag ~bytes v =
       record_fault Trace.Fdup;
       enqueue ~arrival ~delivery:Duplicate
     end;
-    sender_wait ~arrival;
-    wake ()
+    sender_wait ~arrival
   end
   else begin
     (* raw faulty mode: the network's misbehaviour reaches the program *)
@@ -492,8 +394,7 @@ let send_faulty ctx ~rendezvous ~dest ~tag ~bytes v =
         record_fault Trace.Fdup;
         enqueue ~arrival ~delivery:Duplicate
       end;
-      sender_wait ~arrival;
-      wake ()
+      sender_wait ~arrival
     end
   end
 
@@ -518,10 +419,8 @@ let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
           ~sent:ctx.p.tm.clock ~arrival
       else None
     in
-    let msg = { arrival; payload = Obj.repr v; tmsg; seq = 0; delivery = Clean } in
-    let cross = cross_shard m ctx.p ~dest in
-    if cross then post_cross m ~target ~src:ctx.p.id ~tag msg
-    else Queue.add msg (chan_enqueue_queue target.channels.(ctx.p.id) tag);
+    deliver m ctx.p target ~tag
+      { arrival; payload = Obj.repr v; tmsg; seq = 0; delivery = Clean };
     let st = ctx.p.stats in
     st.Stats.msgs_sent <- st.Stats.msgs_sent + 1;
     st.Stats.bytes_sent <- st.Stats.bytes_sent + bytes;
@@ -535,8 +434,7 @@ let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
           Trace.Wait;
       ctx.p.tm.clock <- arrival;
       st.Stats.comm_wait <- st.Stats.comm_wait +. wait
-    end;
-    if not cross then wake_if_waiting m target ~src:ctx.p.id ~tag
+    end
   end
 
 let finish_recv ctx msg =
@@ -575,73 +473,25 @@ let recv ctx ~src ~tag =
   let m = ctx.m in
   if src < 0 || src >= Array.length m.procs then
     invalid_arg "Machine.recv: source out of range";
-  let c = ctx.p.channels.(src) in
   let rec obtain () =
-    match chan_find c tag with
-    | Some q when not (Queue.is_empty q) ->
-        let msg = Queue.take q in
+    match Mailbox.take ctx.p.mbox ~src ~tag with
+    | Some msg ->
         if m.reliable && dedup_discard ctx ~src msg then obtain () else msg
-    | Some _ | None ->
-        ctx.p.waiting <- Some (src, tag);
-        Scheduler.block (sched_of m ctx.p);
+    | None ->
+        Mailbox.park ctx.p.mbox ~src ~tag;
         obtain ()
   in
   let msg = obtain () in
-  ctx.p.waiting <- None;
   finish_recv ctx msg;
   if m.reliable then charge_ack ctx;
   Obj.obj msg.payload
 
 let describe_blocked (p : proc) =
-  match p.waiting with
+  match Mailbox.waiting p.mbox with
   | Some (s, t) ->
       Printf.sprintf "waiting on recv from p%d, tag %d (clock %.6f s)" s t
         p.tm.clock
   | None -> Printf.sprintf "blocked (clock %.6f s)" p.tm.clock
-
-(* ------------------------------------------------------------------ *)
-(* Shard steps and quiescence, the simulator's callbacks to {!Groups.run} *)
-
-(* Move posted messages into the destination processors' channel queues and
-   wake receivers.  Runs on the domain that owns the shard right now, so
-   the queue mutations are single-threaded. *)
-let drain_shard m sh =
-  Mutex.lock sh.inbox_mutex;
-  let posts = sh.inbox in
-  sh.inbox <- [];
-  Mutex.unlock sh.inbox_mutex;
-  List.iter
-    (fun po ->
-      Queue.add po.pmsg (chan_enqueue_queue po.pdst.channels.(po.psrc) po.ptag);
-      wake_if_waiting m po.pdst ~src:po.psrc ~tag:po.ptag)
-    (List.rev posts)
-
-(* Deliver the shard's mail and run its fibers until they all finish or
-   park; true once every member has finished, after which posts to the
-   shard are dropped. *)
-let step m sid =
-  let sh = m.shards.(sid) in
-  drain_shard m sh;
-  let sched = Groups.sched m.groups sid in
-  Scheduler.run_until_idle sched;
-  let finished = Scheduler.all_finished sched in
-  if finished then begin
-    Mutex.lock sh.inbox_mutex;
-    sh.sdone <- true;
-    sh.inbox <- [];
-    Mutex.unlock sh.inbox_mutex
-  end;
-  finished
-
-(* Global idle: nothing can run and no message is in flight, and every
-   receive names its source, so no parked receiver can ever be satisfied:
-   the machine is stalled for good. *)
-let quiesce m () =
-  raise
-    (Stalled
-       (Array.to_list m.procs
-       |> List.filter_map (fun (p : proc) ->
-              if p.finished_p then None else Some (p.id, describe_blocked p))))
 
 (* Simulate [body] on every processor of the run [g]; the makespan (the
    latest finishing clock) and the trace. *)
@@ -689,8 +539,7 @@ let simulate ~trace ~faults ~reliable g body =
         {
           id;
           tm = { clock = 0.0; busy = 0.0 };
-          channels = Array.init n (fun _ -> chan_create ());
-          waiting = None;
+          mbox = Groups.mailbox g id;
           span_stack = [];
           stats = Stats.proc (Groups.stats g) id;
           next_seq = (if faulty then Array.make n 0 else [||]);
@@ -698,19 +547,12 @@ let simulate ~trace ~faults ~reliable g body =
           pending_stalls = stalls_for id;
           pending_crashes = crashes_for id;
           shard = Groups.group_of g id;
-          fid = 0;
-          finished_p = false;
         })
-  in
-  let shards =
-    Array.init (Groups.count g) (fun _ ->
-        { inbox_mutex = Mutex.create (); inbox = []; sdone = false })
   in
   let m =
     {
       procs;
       groups = g;
-      shards;
       trace = Trace.create ~enabled:trace ~nprocs:n;
       trace_on = trace;
       c_send_overhead = cf *. params.Cost_model.send_overhead;
@@ -731,16 +573,13 @@ let simulate ~trace ~faults ~reliable g body =
   Array.iter
     (fun p ->
       let eng = Sim { m; p } in
-      p.fid <-
-        Scheduler.spawn (sched_of m p) (fun () ->
-            body p.id eng;
-            p.finished_p <- true))
+      Groups.spawn g p.id (fun () -> body p.id eng))
     m.procs;
   (* the topology's hop tables (and the Coll_alg predictor tables built
      from them) are published read-only to every domain; pin the
      no-mutation-after-publication contract *)
   let topo_digest = Topology.digest topology in
-  Groups.run g ~step:(step m) ~quiesce:(quiesce m);
+  Groups.run g ~describe:(fun id -> describe_blocked m.procs.(id));
   assert (Topology.digest topology = topo_digest);
   (* on clean completion every shard's last step happened before
      [Groups.run] returned, so all member state is visible here *)
@@ -871,22 +710,12 @@ let run ?(cost = Cost_model.default) ?(trace = false) ?faults
     (simulate ~trace ~faults ~reliable)
     f
 
-(* The largest ring capacity: each link's ring holds [chan_cap] slots once
-   it carries a message, and rounding a larger value up to a power of two
-   could overflow. *)
-let max_chan_cap = 65536
-
 (* [time] is wall-clock seconds and the trace is empty.  The block count
    is always honoured: blocks are short-lived work items, so more blocks
    than {!Pool} workers just queue, exactly like the simulator's shards. *)
 let run_native ?(cost = Cost_model.default) ?(collectives = Coll_alg.Legacy)
-    ?(chan_cap = 256) ?domains ?cancel ~topology f =
+    ?domains ?cancel ~topology f =
   let n = Topology.nprocs topology in
-  if chan_cap < 1 then invalid_arg "Machine.run_native: chan_cap must be >= 1";
-  if chan_cap > max_chan_cap then
-    invalid_arg
-      (Printf.sprintf "Machine.run_native: chan_cap must be <= %d"
-         max_chan_cap);
   let ngroups =
     match domains with
     | None -> n
@@ -895,6 +724,6 @@ let run_native ?(cost = Cost_model.default) ?(collectives = Coll_alg.Legacy)
   in
   execute ~cost ~collectives ~cancel ~topology ~ngroups
     (fun g body ->
-      ( Native.run g ~chan_cap (fun id c -> body id (Native c)),
+      ( Native.run g (fun id c -> body id (Native c)),
         Trace.create ~enabled:false ~nprocs:n ))
     f

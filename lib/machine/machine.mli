@@ -34,10 +34,10 @@ val stall_diagnostic : (int * string) list -> string
 
 exception Cancelled
 (** The run's [cancel] callback returned true at a cooperative poll point
-    (every simulated-clock advance, every native block drive and
-    communication park).  Both engines raise this one constructor (it is
-    {!Groups.Cancelled}), so one handler covers any backend — the service
-    layer's deadline watchdog relies on this. *)
+    (every simulated-clock advance, every group step of either engine,
+    and every native receive that parks).  Both engines raise this one
+    constructor (it is {!Groups.Cancelled}), so one handler covers any
+    backend — the service layer's deadline watchdog relies on this. *)
 
 val run :
   ?cost:Cost_model.t ->
@@ -57,15 +57,18 @@ val run :
     that many contiguous-rank logical processes, driven by {!Groups} — the
     group driver the native engine uses too — on the calling domain plus
     workers borrowed from {!Pool}'s crew; [sim_domains = 1] is one shard on
-    the calling domain.  Every receive names its source and each (source,
-    tag) stream is FIFO, so the processors form a Kahn network: each
-    receive takes the same message under any interleaving of the shards,
-    and a processor's clock is computed from simulated arrival times, never
-    from host time.  Results — values, clocks, makespan, stats, traces —
-    are therefore bit-identical for every [sim_domains].  The logical shard
-    count is always honoured; only the number of backing worker domains is
-    clamped to the host (see {!Pool.ensure_workers}), so determinism tests
-    at [sim_domains > 1] are meaningful even on a single-core host.
+    the calling domain.  Each processor has one {!Mailbox}: a message
+    within a shard is added to it directly, one to another shard is a
+    delivery {!Groups.post}ed there.  Every receive names its source and
+    each (source, tag) stream is FIFO, so the processors form a Kahn
+    network: each receive takes the same message under any interleaving of
+    the shards, and a processor's clock is computed from simulated arrival
+    times, never from host time.  Results — values, clocks, makespan,
+    stats, traces — are therefore bit-identical for every [sim_domains].
+    The logical shard count is always honoured; only the number of backing
+    worker domains is clamped to the host (see {!Pool.ensure_workers}), so
+    determinism tests at [sim_domains > 1] are meaningful even on a
+    single-core host.
 
     [faults] installs a deterministic {!Fault.plan}: messages may be
     dropped, duplicated, corruption-flagged or delayed, processors may
@@ -106,7 +109,6 @@ val run :
 val run_native :
   ?cost:Cost_model.t ->
   ?collectives:Coll_alg.mode ->
-  ?chan_cap:int ->
   ?domains:int ->
   ?cancel:(unit -> bool) ->
   topology:Topology.t ->
@@ -115,19 +117,19 @@ val run_native :
 (** Run the SPMD program on the {!Native} backend: ranks blocked into up
     to [domains] contiguous groups (default: one rank per group) executing
     with real parallelism on {!Pool}'s worker domains, messages through
-    shared-memory ring buffers of capacity [chan_cap] (default 256, at most
-    65536), no simulated clock.  The result's [time] is wall-clock seconds,
-    [stats] carries the usual message/skeleton counters (makespan = wall),
-    and the trace is empty.  Receives are deterministic (a Kahn network),
-    so values match the simulator's, which remains the oracle for
-    makespans.  [cost] only seeds the collective-selection predictor
-    (non-Legacy [collectives]); it never affects execution speed.
-    [cancel] is polled cooperatively (block drives, communication parks,
-    and every {!charge}-family call, which charges nothing on this engine)
+    the simulator's transport ({!Mailbox}, and {!Groups.post} across
+    groups) in shared memory, no simulated clock.  The result's [time] is
+    wall-clock seconds, [stats] carries the usual message/skeleton
+    counters (makespan = wall), and the trace is empty.  Receives are
+    deterministic (a Kahn network), so values match the simulator's,
+    which remains the oracle for makespans.  [cost] only seeds the
+    collective-selection predictor (non-Legacy [collectives]); it never
+    affects execution speed.
+    [cancel] is polled cooperatively (block steps, parked receives, and
+    every {!charge}-family call, which charges nothing on this engine)
     and raises {!Cancelled}; it may be called from any domain, so it must
     be thread-safe.
-    @raise Invalid_argument if [chan_cap] or [domains] is below 1, or
-    [chan_cap] is above 65536.
+    @raise Invalid_argument if [domains] is below 1.
     @raise Stalled on deadlock. *)
 
 (** {1 Processor context} *)

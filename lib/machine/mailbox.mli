@@ -1,0 +1,33 @@
+(** A rank's incoming messages: the one transport of both engines.
+
+    Every receive names its source and tag, and each (source, tag) stream
+    is FIFO, so a mailbox is one small tag-bucketed queue per source rank,
+    plus the one stream the rank's fiber is parked on, if any.  The
+    simulator ({!Machine.run}) and the native engine
+    ({!Machine.run_native}) give each rank one mailbox through
+    {!Groups.mailbox}; a message from the same rank group is {!add}ed
+    directly, one from another group through {!Groups.post}.  Only the
+    domain driving the rank's group touches its mailbox, so nothing here
+    is synchronised.  Generic in the message type: the simulator queues
+    its timed records, the native engine bare payloads. *)
+
+type 'm t
+
+val create : Scheduler.t -> fiber:int -> nranks:int -> 'm t
+(** An empty mailbox for the fiber [fiber] of the scheduler, with a queue
+    per source rank [0 .. nranks - 1]. *)
+
+val add : 'm t -> src:int -> tag:int -> 'm -> unit
+(** Queue a message on stream (src, tag), and wake the fiber if it is
+    parked on that stream. *)
+
+val take : 'm t -> src:int -> tag:int -> 'm option
+(** The oldest message on stream (src, tag), removed; [None] when there is
+    none. *)
+
+val park : 'm t -> src:int -> tag:int -> unit
+(** Suspend the calling fiber, which must be the mailbox's, until a
+    message is {!add}ed on stream (src, tag); {!take} then returns it. *)
+
+val waiting : 'm t -> (int * int) option
+(** The (src, tag) stream the fiber is parked on, for stall reports. *)

@@ -2,27 +2,29 @@
 
     The counterpart of the {!Machine} simulator: ranks are blocked into
     contiguous groups, each group's fibers run on real domains borrowed
-    from {!Pool}'s crew, and messages travel through per-link bounded SPSC
-    ring buffers in shared memory — no simulated clock, no cost charging.
-    Every receive names its source and each (src, tag) stream is FIFO, so
-    the ranks form a Kahn network: values and printed output are the
-    simulator's whatever the host timing.
+    from {!Pool}'s crew, and messages travel through the simulator's
+    transport in shared memory — no simulated clock, no cost charging.
+    Each rank has one {!Mailbox}; a send within the sender's group adds to
+    it directly, waking a parked receiver at once, and a send to another
+    group is a delivery {!Groups.post}ed there.  Every receive names its
+    source and each (src, tag) stream is FIFO, so the ranks form a Kahn
+    network: values and printed output are the simulator's whatever the
+    host timing.
 
-    This module holds only what differs from the simulator: the rings, the
-    per-rank mailboxes and the wall clock.  The run-wide state — topology,
-    collective mode, counters, cancel hook, collective deposits and the
-    [Stalled]/[Cancelled] exceptions — is the {!Groups.t} both engines
-    share.  Programs use this engine through {!Machine.run_native}. *)
+    This module holds only what differs from the simulator: the message
+    type (a bare payload) and the wall clock.  The run-wide state —
+    topology, collective mode, counters, cancel hook, collective deposits,
+    scheduling and the [Stalled]/[Cancelled] exceptions — is the
+    {!Groups.t} both engines share.  Programs use this engine through
+    {!Machine.run_native}. *)
 
 type ctx
 
-val run : Groups.t -> chan_cap:int -> (int -> ctx -> unit) -> float
-(** [run groups ~chan_cap f] runs [f rank ctx] as every rank's program, one
-    block per group of [groups], and returns the wall-clock seconds the run
-    took.  [chan_cap] ([>= 1], rounded up to a power of two) bounds each
-    link's ring; senders park fiber-style when a ring is full.  The cancel
-    hook is polled at every block step and every communication park.
-    Message and wait counters go to [Groups.stats groups].
+val run : Groups.t -> (int -> ctx -> unit) -> float
+(** [run groups f] runs [f rank ctx] as every rank's program, one block per
+    group of [groups], and returns the wall-clock seconds the run took.
+    The cancel hook is polled at every block step and after every receive
+    that parks.  Message and wait counters go to [Groups.stats groups].
     @raise Groups.Stalled on deadlock.
     @raise Groups.Cancelled when the cancel hook fires.
     Exceptions raised by [f] propagate (first failure wins, as in the
@@ -34,7 +36,7 @@ val clock : ctx -> float
 val send :
   ctx -> ?rendezvous:bool -> dest:int -> tag:int -> bytes:int -> 'a -> unit
 (** [rendezvous] is accepted for API compatibility and ignored: it only
-    shapes simulated time.  Sends to a rank whose program body already
-    returned are dropped (the simulator leaves them queued unread). *)
+    shapes simulated time.  A message to a rank whose program body already
+    returned is left unread, as on the simulator. *)
 
 val recv : ctx -> src:int -> tag:int -> 'a

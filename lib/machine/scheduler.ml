@@ -62,7 +62,7 @@ let handler t id =
         | _ -> None);
   }
 
-(* Drain the runnable queue and return.  An empty queue with unfinished
+(* Drain the runnable queue and return.  An empty queue with live
    fibers is not a deadlock here: a group goes idle whenever its fibers all
    wait on messages, and is re-run once a delivery wakes one of them.
    Global stall detection is {!Groups.run}'s job (it sees every group idle
@@ -87,3 +87,8 @@ let run_until_idle t =
   done
 
 let all_finished t = t.finished >= t.nfibers
+
+let finished t id =
+  match t.fibers.(id) with
+  | Finished -> true
+  | Ready _ | Suspended _ | Running -> false

@@ -32,3 +32,7 @@ val run_until_idle : t -> unit
 
 val all_finished : t -> bool
 (** All spawned fibers have run to completion. *)
+
+val finished : t -> int -> bool
+(** The fiber has run to completion; {!Groups.run} lists every rank whose
+    fiber has not when it reports a stall. *)

@@ -22,7 +22,6 @@ type t = {
   reliable : bool;
   sim_domains : int;
   native_domains : int option;
-  chan_cap : int option;
   deadline_ms : int option; (* None: the service's default applies *)
   retries : int option; (* transient-failure retries; None: service default *)
   src_bytes : int; (* framing: source length following the JOB header *)
@@ -48,7 +47,6 @@ let default =
     reliable = false;
     sim_domains = 1;
     native_domains = None;
-    chan_cap = None;
     deadline_ms = None;
     retries = None;
     src_bytes = 0;
@@ -75,14 +73,24 @@ let optimize_of_string = function
 
 let optimize_to_string = function `None -> "none" | `Fuse -> "fuse"
 
-let profile_of_string = function
-  | "skil" -> Ok Cost_model.skil
-  | "parix-c" -> Ok Cost_model.parix_c
-  | "parix-c-old" -> Ok Cost_model.parix_c_old
-  | "dpfl" -> Ok Cost_model.dpfl
-  | s -> Error ("unknown profile " ^ s)
+let profiles =
+  [
+    ("skil", Cost_model.skil);
+    ("parix-c", Cost_model.parix_c);
+    ("parix-c-old", Cost_model.parix_c_old);
+    ("dpfl", Cost_model.dpfl);
+  ]
 
-let profile_to_string p = p.Cost_model.profile_name
+let profile_of_string s =
+  match List.assoc_opt s profiles with
+  | Some p -> Ok p
+  | None -> Error ("unknown profile " ^ s)
+
+(* The name [profile_of_string] reads, not the display name. *)
+let profile_to_string p =
+  match List.find_opt (fun (_, q) -> q = p) profiles with
+  | Some (name, _) -> name
+  | None -> p.Cost_model.profile_name
 
 let bool_of_string = function
   | "1" | "true" | "on" | "yes" -> Ok true
@@ -169,8 +177,6 @@ let apply spec (k, v) =
       lift (pos_field k v) (fun sim_domains -> { spec with sim_domains })
   | "native-domains" ->
       lift (pos_field k v) (fun d -> { spec with native_domains = Some d })
-  | "chan-cap" ->
-      lift (pos_field k v) (fun c -> { spec with chan_cap = Some c })
   | "deadline-ms" ->
       let* d = pos_field k v in
       Ok { spec with deadline_ms = Some d }
@@ -227,8 +233,6 @@ let to_kv spec =
        (string_of_int spec.sim_domains)
   |> add (spec.native_domains <> None) "native-domains"
        (match spec.native_domains with Some d -> string_of_int d | None -> "")
-  |> add (spec.chan_cap <> None) "chan-cap"
-       (match spec.chan_cap with Some c -> string_of_int c | None -> "")
   |> add (spec.deadline_ms <> None) "deadline-ms"
        (match spec.deadline_ms with Some d -> string_of_int d | None -> "")
   |> add (spec.retries <> None) "retries"

@@ -23,7 +23,6 @@ type t = {
   reliable : bool;
   sim_domains : int;
   native_domains : int option;
-  chan_cap : int option;
   deadline_ms : int option;  (** [None]: the service default applies *)
   retries : int option;  (** transient-failure retry budget *)
   src_bytes : int;  (** framing: source bytes following the JOB header *)

@@ -248,7 +248,6 @@ let run_job t j =
                    Spmd.run_prepared ?faults ~reliable:spec.Jobspec.reliable
                      ~collectives:spec.Jobspec.collectives
                      ~sim_domains:spec.Jobspec.sim_domains
-                     ?chan_cap:spec.Jobspec.chan_cap
                      ?native_domains:spec.Jobspec.native_domains
                      ~cancel:(fun () -> Atomic.get j.jcancel <> None)
                      ~cost:(Cost_model.make spec.Jobspec.profile)

@@ -980,37 +980,48 @@ let test_bad_indices_classified () =
         [ Coll_alg.Legacy; Coll_alg.Auto; Coll_alg.Force Coll_alg.Tree ])
     [ `Ast; `Compiled; `Native ]
 
-(* The native engine's options are rejected on the simulator engines, as
-   the simulator's are on the native one, instead of being ignored: class
-   invalid, skilc's exit code 2. *)
+(* The native engine's options are rejected on the simulator engines, and
+   the simulator's on the native one, instead of being ignored: class
+   invalid, skilc's exit code 2.  A shard count below one is rejected on
+   the native engine too. *)
 let test_native_options_rejected () =
   let topology = Topology.mesh ~width:2 ~height:1 in
-  let run engine ?native_domains ?chan_cap () =
-    Spmd.run_source ~engine ?native_domains ?chan_cap ~topology
-      "int main() { return 1; }\n" ~entry:"main" ~args:[]
+  let run engine ?native_domains ?faults ?reliable ?trace ?sim_domains () =
+    Spmd.run_source ~engine ?native_domains ?faults ?reliable ?trace
+      ?sim_domains ~topology "int main() { return 1; }\n" ~entry:"main"
+      ~args:[]
+  in
+  let rejected what go =
+    match go () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception e -> (
+        match Errclass.of_exn e with
+        | None ->
+            Alcotest.failf "%s: unclassified %s" what (Printexc.to_string e)
+        | Some (cls, _) ->
+            Alcotest.(check string) (what ^ " class") "invalid"
+              (Errclass.name cls);
+            Alcotest.(check int) (what ^ " exit code") 2 (Errclass.code cls))
   in
   List.iter
     (fun (name, engine) ->
-      List.iter
-        (fun (opt, go) ->
-          let what = name ^ " " ^ opt in
-          match go () with
-          | _ -> Alcotest.failf "%s: accepted" what
-          | exception e -> (
-              match Errclass.of_exn e with
-              | None ->
-                  Alcotest.failf "%s: unclassified %s" what
-                    (Printexc.to_string e)
-              | Some (cls, _) ->
-                  Alcotest.(check string)
-                    (what ^ " class") "invalid" (Errclass.name cls);
-                  Alcotest.(check int) (what ^ " exit code") 2
-                    (Errclass.code cls)))
-        [
-          ("native_domains", fun () -> run engine ~native_domains:2 ());
-          ("chan_cap", fun () -> run engine ~chan_cap:4 ());
-        ])
-    [ ("ast", `Ast); ("compiled", `Compiled) ]
+      rejected (name ^ " native_domains") (fun () ->
+          run engine ~native_domains:2 ()))
+    [ ("ast", `Ast); ("compiled", `Compiled) ];
+  let plan =
+    match Fault.parse ~seed:1 "drop=0.1" with
+    | Ok plan -> plan
+    | Error m -> Alcotest.fail m
+  in
+  List.iter
+    (fun (opt, go) -> rejected ("native " ^ opt) go)
+    [
+      ("faults", fun () -> run `Native ~faults:plan ());
+      ("reliable", fun () -> run `Native ~reliable:true ());
+      ("trace", fun () -> run `Native ~trace:true ());
+      ("sim_domains 2", fun () -> run `Native ~sim_domains:2 ());
+      ("sim_domains 0", fun () -> run `Native ~sim_domains:0 ());
+    ]
 
 (* ---------------- frontend mutations ---------------- *)
 

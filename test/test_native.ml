@@ -1,9 +1,9 @@
 (* Tests for the native execution backend (Machine.run_native / --engine
    native): random programs against the simulator through the path
    matrix's agreement (test_paths.ml runs the corpus), and the raw Machine
-   API for what the corpus cannot pin — capacity-1 rings at full
-   backpressure, a sender parked on a rank that has returned, stall
-   detection, and ring slots allocated only when used. *)
+   API for what the corpus cannot pin — bursts queued before any receive,
+   sends to a rank that has returned, stall detection, and the allocation
+   of a run that sends nothing. *)
 
 (* ---------------- random programs: native vs simulator ---------------- *)
 
@@ -19,20 +19,19 @@ let qcheck_native =
                src))
         [ 1; 2; 4 ])
 
-(* ---------------- capacity-1 rings: no deadlock under backpressure ----- *)
+(* ---------------- bursts queued before any receive ---------------- *)
 
 (* Every rank fires a burst of messages at its right neighbour BEFORE
-   receiving anything, through rings that hold a single message: progress
-   then depends entirely on the driver draining full rings into mailboxes
-   and re-waking parked senders.  Runs at several domain counts so both the
-   same-group and the cross-group parking paths are exercised. *)
-let test_capacity_one_backpressure () =
+   receiving anything: the whole burst waits in the receiver's mailbox.
+   Runs at several domain counts so both the same-group delivery and the
+   cross-group posts are exercised. *)
+let test_bursts_before_receive () =
   let k = 32 in
   let topology = Topology.mesh ~width:4 ~height:1 in
   List.iter
     (fun d ->
       let r =
-        Machine.run_native ~chan_cap:1 ~domains:d ~topology (fun ctx ->
+        Machine.run_native ~domains:d ~topology (fun ctx ->
             let me = Machine.self ctx in
             let p = Machine.nprocs ctx in
             let right = (me + 1) mod p and left = (me + p - 1) mod p in
@@ -55,20 +54,19 @@ let test_capacity_one_backpressure () =
         r.Machine.values)
     [ 1; 2; 4 ]
 
-(* ---------------- a parked sender outlives its receiver ---------------- *)
+(* ---------------- sends to a rank that has returned ---------------- *)
 
-(* Rank 0 fills a capacity-1 ring to rank 1, which returns without
-   receiving.  Sends to a finished rank are dropped, but the sender is
-   already parked on the full ring: in one block the step that sees rank 1
-   finish wakes it, and across two blocks rank 1's block has finished and
-   never steps again, so only the quiescence check can release it.  Both
-   ranks must return; a [Stalled] here means that release is gone. *)
-let test_parked_sender_released () =
+(* Rank 1 returns without receiving, and rank 0 sends it eight messages:
+   in one block they are left unread in rank 1's mailbox, and across two
+   they are posted to rank 1's block, which runs no delivery once it has
+   finished.  A send never waits on its receiver, so both ranks must
+   return. *)
+let test_sends_to_returned_rank () =
   let topology = Topology.mesh ~width:2 ~height:1 in
   List.iter
     (fun d ->
       let r =
-        Machine.run_native ~chan_cap:1 ~domains:d ~topology (fun ctx ->
+        Machine.run_native ~domains:d ~topology (fun ctx ->
             if Machine.self ctx = 0 then begin
               for j = 1 to 8 do
                 Machine.send ctx ~dest:1 ~tag:3 ~bytes:8 j
@@ -140,13 +138,13 @@ let test_finish_race () =
       done)
     [ 2; 4 ]
 
-(* ---------------- ring slots on first push ---------------- *)
+(* ---------------- a run that sends nothing ---------------- *)
 
-(* Each (src, dst) pair has a ring of 256 slots by default, but a run
-   that sends nothing should not pay for 64 * 64 of them: a ring's slot
-   array is allocated by its first push.  A trivial 8x8 run at one block
-   must allocate fewer words than the slot arrays alone would take. *)
-let test_lazy_ring_slots () =
+(* Every rank has a mailbox with one channel per source, 64 * 64 of them
+   on an 8x8 grid, each a few words until it carries a message.  A
+   trivial 8x8 run at one block, which sends nothing, must allocate fewer
+   than 16 words per (source, destination) pair. *)
+let test_quiet_run_allocation () =
   let topology = Topology.mesh ~width:8 ~height:8 in
   let p =
     Spmd.prepare_source ~engine:`Native "int main() { return procId; }\n"
@@ -165,7 +163,7 @@ let test_lazy_ring_slots () =
     (List.init 64 string_of_int)
     (Array.to_list
        (Array.map (fun o -> Value.describe o.Spmd.value) r.Machine.values));
-  let bound = 64. *. 64. *. 256. in
+  let bound = 64. *. 64. *. 16. in
   if allocated >= bound then
     Alcotest.failf "an 8x8 run allocated %.0f words (bound %.0f)" allocated
       bound
@@ -181,12 +179,12 @@ let suite =
         qcheck_native;
         Alcotest.test_case "finished blocks never read as stalled" `Quick
           test_finish_race;
-        Alcotest.test_case "capacity-1 backpressure" `Quick
-          test_capacity_one_backpressure;
-        Alcotest.test_case "parked sender released when its receiver returns"
-          `Quick test_parked_sender_released;
+        Alcotest.test_case "bursts sent before any receive" `Quick
+          test_bursts_before_receive;
+        Alcotest.test_case "sends to a rank that has returned" `Quick
+          test_sends_to_returned_rank;
         Alcotest.test_case "stall detected" `Quick test_stall_detected;
-        Alcotest.test_case "ring slots allocated on first push" `Quick
-          test_lazy_ring_slots;
+        Alcotest.test_case "a run that sends nothing allocates little" `Quick
+          test_quiet_run_allocation;
       ] );
   ]

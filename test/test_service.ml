@@ -236,9 +236,8 @@ let test_bad_indices_classified () =
         (Test_lang.bad_index_src "array_broadcast_part(a, {2, 0})");
       ignore (expect_err h Errclass.Invalid))
 
-(* skild's [native-domains=] and [chan-cap=] header fields are rejected on
-   the simulator engines, not ignored, and a [chan-cap=] above the native
-   engine's maximum is rejected before any ring is sized from it. *)
+(* skild's [native-domains=] header field is rejected on the simulator
+   engines, not ignored. *)
 let test_native_fields_rejected () =
   let h = harness () in
   Fun.protect
@@ -253,18 +252,11 @@ let test_native_fields_rejected () =
               spec.Jobspec.id line)
         [
           { Jobspec.default with Jobspec.id = "nd"; native_domains = Some 2 };
-          { Jobspec.default with Jobspec.id = "cc"; chan_cap = Some 4 };
           {
             Jobspec.default with
             Jobspec.id = "ast";
             engine = `Ast;
-            chan_cap = Some 4;
-          };
-          {
-            Jobspec.default with
-            Jobspec.id = "huge";
-            engine = `Native;
-            chan_cap = Some max_int;
+            native_domains = Some 2;
           };
         ])
 
@@ -524,6 +516,61 @@ let test_reply_roundtrip () =
          msg = "myjob.skil:3:1: stalled: 4 procs blocked\nproc 0: recv";
        })
 
+(* The JOB header a client builds with [Jobspec.to_kv] asks for the spec
+   it was built from, every collectives mode included ("tree" is the
+   legacy mode, "binomial" the forced binomial tree), and a field skild
+   does not know is an error, not ignored. *)
+let test_jobspec_roundtrip () =
+  List.iter
+    (fun name ->
+      match Coll_alg.mode_of_string name with
+      | Ok m ->
+          Alcotest.(check string) ("mode " ^ name) name
+            (Coll_alg.mode_to_string m)
+      | Error e -> Alcotest.fail e)
+    Coll_alg.mode_names;
+  let spec =
+    {
+      Jobspec.id = "j 1";
+      file = "job.skil";
+      entry = "gauss";
+      args = [ 64; -2 ];
+      width = 4;
+      height = 3;
+      torus = true;
+      engine = `Native;
+      optimize = `Fuse;
+      specialize = false;
+      instantiate = false;
+      collectives = Coll_alg.Force Coll_alg.Tree;
+      profile = Cost_model.parix_c;
+      faults = Some "drop=0.1";
+      fault_seed = 7;
+      reliable = true;
+      sim_domains = 2;
+      native_domains = Some 3;
+      deadline_ms = Some 500;
+      retries = Some 0;
+      src_bytes = 123;
+    }
+  in
+  Alcotest.(check (list string))
+    "every field off its default"
+    [
+      "id"; "file"; "entry"; "args"; "width"; "height"; "torus"; "engine";
+      "optimize"; "specialize"; "instantiate"; "collectives"; "profile";
+      "faults"; "fault-seed"; "reliable"; "sim-domains"; "native-domains";
+      "deadline-ms"; "retries"; "src-bytes";
+    ]
+    (List.map fst (Jobspec.to_kv spec));
+  if Jobspec.of_kv (Jobspec.to_kv spec) <> Ok spec then
+    Alcotest.failf "of_kv (to_kv spec) <> Ok spec: %s"
+      (String.concat " "
+         (List.map (fun (k, v) -> k ^ "=" ^ v) (Jobspec.to_kv spec)));
+  match Jobspec.of_kv [ ("chan-cap", "4"); ("src-bytes", "0") ] with
+  | Ok _ -> Alcotest.fail "chan-cap=4 accepted"
+  | Error m -> Alcotest.(check string) "unknown key" "unknown field chan-cap" m
+
 let suite =
   [
     ( "service",
@@ -555,6 +602,8 @@ let suite =
         qt ~count:200 "percent-escape round-trips all byte strings" gen_bytes
           prop_escape_roundtrip;
         Alcotest.test_case "reply lines round-trip" `Quick test_reply_roundtrip;
+        Alcotest.test_case "JOB header fields round-trip" `Quick
+          test_jobspec_roundtrip;
         Alcotest.test_case "cache hits cheaper than cold compiles" `Quick
           test_cache_hit_cheaper_than_cold;
       ] );
