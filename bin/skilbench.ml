@@ -2,9 +2,10 @@
 
    Opens N client connections, streams a windowed mix of jobs — valid
    skeleton programs, compute loops, type/syntax/runtime errors, and in
-   [--hostile] mode stalling programs, deadline-doomed loops, malformed
-   headers, garbage lines, oversized sources, plus clients that vanish
-   mid-job — and checks the daemon's contract from the outside:
+   [--hostile] mode stalling programs, deadline-doomed loops, grids too
+   large to build, malformed headers, garbage lines, oversized sources,
+   plus clients that vanish mid-job — and checks the daemon's contract
+   from the outside:
 
    - every reply parses ({!Proto.parse_reply});
    - every job sent with an id is answered exactly once, with a reply
@@ -59,6 +60,7 @@ type kind =
   | Runtime_err
   | Stall (* par job under faults drop=1: quiescence or deadline *)
   | Doomed (* huge loop with a tiny deadline: expect deadline *)
+  | Huge_grid (* par job on a 100000x100000 grid: invalid *)
   | Oversized (* src-bytes over the daemon's cap: badreq *)
   | Malformed (* unparseable header field: badreq, framed resync *)
   | Garbage (* not even a request line: anonymous badreq *)
@@ -71,6 +73,7 @@ let kind_name = function
   | Runtime_err -> "runtime-err"
   | Stall -> "stall"
   | Doomed -> "doomed"
+  | Huge_grid -> "huge-grid"
   | Oversized -> "oversized"
   | Malformed -> "malformed"
   | Garbage -> "garbage"
@@ -86,6 +89,7 @@ let acceptable kind (outcome : [ `Ok | `Cls of Errclass.t ]) =
   | Runtime_err, `Cls Errclass.Runtime -> true
   | Stall, `Cls (Errclass.Stall | Errclass.Deadline) -> true
   | Doomed, `Cls Errclass.Deadline -> true
+  | Huge_grid, `Cls (Errclass.Invalid | Errclass.Overload) -> true
   | (Oversized | Malformed | Garbage), `Cls Errclass.Badreq -> true
   | ( (Par | Compute | Type_err | Syntax_err | Runtime_err | Stall | Doomed),
       `Cls Errclass.Overload ) ->
@@ -121,6 +125,10 @@ let spec_of ~id ~kind ~engine ~doom_deadline_ms ~oversized_bytes =
           deadline_ms = Some doom_deadline_ms;
         }
         loop_src
+  | Huge_grid ->
+      withsrc
+        { d with Jobspec.id; engine; width = 100000; height = 100000 }
+        par_src
   | Oversized ->
       (* an honest frame whose declared (and real) body length exceeds the
          daemon's cap: tests the skip-and-reply path *)
@@ -288,6 +296,7 @@ let hostile_cycle =
   [
     Par; Compute; Type_err; Par; Syntax_err; Runtime_err; Par; Compute;
     Malformed; Garbage; Par; Doomed; Compute; Stall; Par; Compute;
+    Huge_grid;
   ]
 
 let benign_cycle = [ Par; Compute ]
@@ -440,8 +449,8 @@ let hostile_arg =
   Arg.(value & flag
        & info [ "hostile" ]
            ~doc:"Mix in malformed headers, garbage lines, oversized \
-                 sources, stalling programs, deadline-doomed jobs and \
-                 clients that disconnect mid-job.")
+                 sources, stalling programs, deadline-doomed jobs, grids \
+                 too large to build and clients that disconnect mid-job.")
 
 let engine_arg =
   Arg.(value & opt string "compiled"

@@ -286,10 +286,10 @@ let run_par_cmd =
                    bodies to closures once, the default), $(b,ast) (the \
                    reference tree-walking interpreter; bit-identical to \
                    compiled), or $(b,native) (the compiled closures \
-                   executed with real parallelism on OCaml domains, over \
-                   the simulator's message transport: wall-clock time \
-                   instead of a simulated makespan, values identical to \
-                   the simulator for deterministic-order programs; \
+                   executed with real parallelism on OCaml domains, as \
+                   the simulated machine without its clock: wall-clock \
+                   time instead of a simulated makespan, values and \
+                   printed output identical to the simulator's; \
                    incompatible with --faults/--reliable/--trace-out/\
                    --profile and with --sim-domains above 1).")
   in
@@ -352,9 +352,8 @@ let run_par_cmd =
              ~doc:"Run the machine's Reliable transport: sequence numbers, \
                    receiver-side dedup and ack/timeout/retransmit with \
                    capped exponential backoff, charged in simulated time. \
-                   Under it, every deterministic-order program returns its \
-                   fault-free values regardless of $(b,--faults) drop \
-                   rates.")
+                   Under it, every program returns its fault-free values \
+                   regardless of $(b,--faults) drop rates.")
   in
   let collectives =
     Arg.(value
@@ -365,16 +364,17 @@ let run_par_cmd =
                    $(b,auto) (pick per call from the topology/size cost \
                    model), or a forced algorithm: $(b,binomial), \
                    $(b,pipeline), $(b,vandegeijn), $(b,recdouble), \
-                   $(b,ring), $(b,pairwise), $(b,dissemination), \
-                   $(b,linear).  A forced algorithm applies wherever it \
+                   $(b,ring), $(b,dissemination), $(b,linear).  A forced algorithm applies wherever it \
                    fits and falls back to auto selection elsewhere.")
   in
   let sim_domains =
     Arg.(value & opt int 1
          & info [ "sim-domains" ] ~docv:"N"
-             ~doc:"Shard the simulated machine into $(docv) logical \
-                   processes run as a conservative parallel discrete-event \
-                   simulation on OCaml domains.  Output, simulated times, \
+             ~doc:"Shard the simulated machine into $(docv) contiguous \
+                   rank groups run on OCaml domains; a message between \
+                   groups is posted to the receiving group, and every \
+                   receive names its source, so no group waits on another \
+                   except for data.  Output, simulated times, \
                    Stats and traces are bit-identical for every $(docv); \
                    only host wall-clock time changes.  Worker domains are \
                    borrowed from the shared pool and clamped to the host's \

@@ -122,9 +122,8 @@ val run :
 
     [faults] / [reliable] are handed straight to {!Machine.run}: a
     deterministic fault plan injected under the skeleton runtime, and the
-    reliable transport that lets every deterministic-order program (the
-    whole [examples/skil] corpus) return its fault-free values under
-    message loss.  Without them, behaviour is bit-identical to a build
+    reliable transport that lets every program return its fault-free
+    values under message loss.  Without them, behaviour is bit-identical to a build
     without fault injection.
 
     [collectives] (default [Legacy]) picks the collective-algorithm mode

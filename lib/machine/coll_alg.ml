@@ -16,17 +16,14 @@ type algorithm =
   | Pipeline (* segmented ring pipeline (bcast) *)
   | Vandegeijn (* binomial scatter + ring allgather (bcast) *)
   | Recdouble (* recursive doubling (allreduce); Bruck for allgather *)
-  | Ring (* chunked ring pipeline (reduce / allreduce / allgather) *)
-  | Pairwise (* pairwise exchange (alltoall) *)
+  | Ring (* chunked ring pipeline (allreduce / allgather) *)
   | Dissemination (* dissemination barrier *)
   | Linear (* the seed's linear patterns (scan, gather) *)
 
 type kind =
   | Bcast
-  | Reduce
   | Allreduce
   | Allgather
-  | Alltoall
   | Barrier
   | Scan
   | Gather
@@ -39,23 +36,20 @@ let alg_name = function
   | Vandegeijn -> "vandegeijn"
   | Recdouble -> "recdouble"
   | Ring -> "ring"
-  | Pairwise -> "pairwise"
   | Dissemination -> "dissemination"
   | Linear -> "linear"
 
 let kind_name = function
   | Bcast -> "bcast"
-  | Reduce -> "reduce"
   | Allreduce -> "allreduce"
   | Allgather -> "allgather"
-  | Alltoall -> "alltoall"
   | Barrier -> "barrier"
   | Scan -> "scan"
   | Gather -> "gather"
 
 let mode_names =
   [ "auto"; "tree"; "binomial"; "pipeline"; "vandegeijn"; "recdouble";
-    "ring"; "pairwise"; "dissemination"; "linear" ]
+    "ring"; "dissemination"; "linear" ]
 
 (* "tree" is the legacy mode: the seed's exact code paths, byte-identical
    output.  "binomial" forces the same binomial message patterns through
@@ -72,7 +66,6 @@ let mode_of_string = function
   | "vandegeijn" -> Ok (Force Vandegeijn)
   | "recdouble" -> Ok (Force Recdouble)
   | "ring" -> Ok (Force Ring)
-  | "pairwise" -> Ok (Force Pairwise)
   | "dissemination" -> Ok (Force Dissemination)
   | "linear" -> Ok (Force Linear)
   | s ->
@@ -154,10 +147,8 @@ let net_of topo ~latency ~per_hop ~per_byte ~send_ovh ~recv_ovh =
 
 let candidates = function
   | Bcast -> [ Tree; Pipeline; Vandegeijn ]
-  | Reduce -> [ Tree; Ring ]
   | Allreduce -> [ Tree; Recdouble; Ring ]
   | Allgather -> [ Recdouble; Ring ]
-  | Alltoall -> [ Pairwise ]
   | Barrier -> [ Dissemination; Tree ]
   | Scan -> [ Tree; Linear ]
   | Gather -> [ Linear; Tree ]
@@ -200,7 +191,7 @@ let predict net kind ~bytes alg =
   else
     let b = max bytes 0 in
     match (kind, alg) with
-    | (Bcast | Reduce), Tree -> sum_tree net b
+    | Bcast, Tree -> sum_tree net b
     | Allreduce, Tree -> 2.0 *. sum_tree net b
     | Barrier, Tree -> 2.0 *. sum_tree net 0
     | Barrier, Dissemination -> sum_tree net 0
@@ -219,13 +210,6 @@ let predict net kind ~bytes alg =
             !scatter +. stage net net.hop_pow2.(k - i) (max c (b lsr i))
         done;
         !scatter +. (float_of_int (p - 1) *. stagef net net.hop_next c)
-    | Reduce, Ring ->
-        (* chunked reduce-scatter around the ring, then every rank ships its
-           chunk straight to the root *)
-        let c = chunk_of p b in
-        (float_of_int (p - 1) *. stagef net net.hop_next c)
-        +. stage net net.diam c
-        +. (float_of_int (p - 2) *. net.recv_ovh)
     | Allreduce, Recdouble ->
         let kfloor =
           if is_pow2 p then Array.length net.hop_pow2
@@ -251,7 +235,6 @@ let predict net kind ~bytes alg =
           incr i
         done;
         !t
-    | Alltoall, Pairwise -> float_of_int (p - 1) *. stage net net.diam b
     | Scan, Tree -> sum_tree net b
     | Scan, Linear -> float_of_int (p - 1) *. stagef net net.hop_next b
     | Gather, Linear ->

@@ -12,16 +12,13 @@ type algorithm =
   | Vandegeijn  (** scatter + ring allgather broadcast *)
   | Recdouble  (** recursive doubling (Bruck for allgather) *)
   | Ring  (** chunked ring pipeline *)
-  | Pairwise  (** pairwise exchange all-to-all *)
   | Dissemination  (** dissemination barrier *)
   | Linear  (** the seed's linear scan/gather patterns *)
 
 type kind =
   | Bcast
-  | Reduce
   | Allreduce
   | Allgather
-  | Alltoall
   | Barrier
   | Scan
   | Gather

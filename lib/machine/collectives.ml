@@ -7,8 +7,8 @@
 
    - Algorithm-selecting (Auto / Force): a library of message patterns
      (pipelined broadcast, van de Geijn scatter+allgather, recursive
-     doubling, chunked rings, Bruck allgather, pairwise exchange,
-     dissemination barrier, binomial scan), one picked per call by
+     doubling, chunked rings, Bruck allgather, dissemination barrier,
+     binomial scan), one picked per call by
      [Coll_alg.select] from (topology, p, bytes).
 
    The selecting flavour splits the timing plane from the value plane:
@@ -248,21 +248,6 @@ let ring_steps_pattern ctx ~tag ~steps ~bytes =
     done
   end
 
-(* Ring reduce: reduce-scatter around the ring, then every rank ships its
-   finished chunk straight to the root, which drains them in rank order. *)
-let ring_reduce_pattern ctx ~tag ~root ~bytes =
-  let p = Machine.nprocs ctx in
-  if p > 1 then begin
-    let chunk = max 1 ((bytes + p - 1) / p) in
-    ring_steps_pattern ctx ~tag ~steps:(p - 1) ~bytes:chunk;
-    let me = Machine.self ctx in
-    if me <> root then Machine.send ctx ~dest:root ~tag ~bytes:chunk ()
-    else
-      for src = 0 to p - 1 do
-        if src <> root then recv_unit ctx ~src ~tag
-      done
-  end
-
 (* Recursive-doubling allreduce.  Non-power-of-two p: the first 2r ranks
    (r = p - 2^floor(log2 p)) pair up — odds fold into evens before the
    core rounds and read the result back after them. *)
@@ -387,19 +372,6 @@ let sel_bcast ctx ~tag ~root ~bytes v =
 
 let deposits cell = Array.init (Array.length cell.slots) (slot cell)
 
-let sel_reduce ctx ~tag ~root ~bytes f v =
-  let me = Machine.self ctx in
-  let cell = cell_for ctx ~bytes in
-  cell.slots.(vrank_of ctx root me) <- Some v;
-  let b = cell.sel_bytes in
-  let alg = choose ctx Coll_alg.Reduce ~sel_bytes:b in
-  selected ctx Coll_alg.Reduce alg ~bytes:b @@ fun () ->
-  (match alg with
-   | Coll_alg.Ring -> ring_reduce_pattern ctx ~tag ~root ~bytes:b
-   | _ -> tree_reduce ctx ~tag ~root ~bytes:b unit_op ());
-  (* only the root's return value is meaningful, as in the legacy tree *)
-  if me = root then tree_combine f (deposits cell) else v
-
 let sel_allreduce ctx ~tag ~bytes f v =
   let me = Machine.self ctx in
   let p = Machine.nprocs ctx in
@@ -477,10 +449,6 @@ let bcast ctx ~tag ~root ~bytes v =
   if Machine.coll_legacy ctx then legacy_bcast ctx ~tag ~root ~bytes v
   else sel_bcast ctx ~tag ~root ~bytes v
 
-let reduce ctx ~tag ~root ~bytes f v =
-  if Machine.coll_legacy ctx then legacy_reduce ctx ~tag ~root ~bytes f v
-  else sel_reduce ctx ~tag ~root ~bytes f v
-
 let allreduce ctx ~tag ~bytes f v =
   if Machine.coll_legacy ctx then legacy_allreduce ctx ~tag ~bytes f v
   else sel_allreduce ctx ~tag ~bytes f v
@@ -511,30 +479,6 @@ let allgather ctx ~tag ~bytes v =
     Array.copy (legacy_bcast ctx ~tag ~root:0 ~bytes:(p * bytes) arr)
   end
   else sel_allgather ctx ~tag ~bytes v
-
-let alltoall ctx ~tag ~bytes vs =
-  let p = Machine.nprocs ctx in
-  let me = Machine.self ctx in
-  if Array.length vs <> p then
-    invalid_arg "Collectives.alltoall: need one value per processor";
-  (* point-to-point payloads need no out-of-band value plane: the pairwise
-     schedule carries the real values in both modes (and is the legacy
-     behaviour, since the seed had no all-to-all) *)
-  let body () =
-    let out = Array.make p vs.(me) in
-    for step = 1 to p - 1 do
-      let dest = (me + step) mod p and src = (me + p - step) mod p in
-      out.(src) <-
-        Machine.sendrecv ctx ~dest ~src ~tag ~bytes vs.(dest)
-    done;
-    out
-  in
-  if Machine.coll_legacy ctx then
-    if p = 1 then Array.copy vs else spanned ctx "alltoall" body
-  else begin
-    let alg = choose ctx Coll_alg.Alltoall ~sel_bytes:bytes in
-    selected ctx Coll_alg.Alltoall alg ~bytes body
-  end
 
 let ring_shift ctx ~tag ~bytes ~dest ~src v =
   if dest = Machine.self ctx && src = Machine.self ctx then v

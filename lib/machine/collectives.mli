@@ -10,8 +10,7 @@
 
     - [Auto] / [Force _]: a library of algorithms (pipelined broadcast,
       van de Geijn scatter+allgather, recursive doubling, chunked rings,
-      Bruck allgather, pairwise exchange, dissemination barrier, binomial
-      scan), one picked per call by {!Coll_alg.select} from the machine's
+      Bruck allgather, dissemination barrier, binomial scan), one picked per call by {!Coll_alg.select} from the machine's
       topology, processor count and payload size.  Simulated time is
       charged by running the chosen message pattern with honest byte
       counts; values are combined out-of-band with one canonical
@@ -25,21 +24,11 @@ val bcast : Machine.ctx -> tag:int -> root:int -> bytes:int -> 'a -> 'a
 (** Broadcast of [root]'s value; every processor returns it.  The value
     argument of non-root processors is ignored. *)
 
-val reduce :
-  Machine.ctx ->
-  tag:int ->
-  root:int ->
-  bytes:int ->
-  ('a -> 'a -> 'a) ->
-  'a ->
-  'a
-(** Reduction; only [root]'s return value is meaningful.  [f] should be
-    associative and commutative (the paper makes the same demand of
-    [array_fold]'s folding function). *)
-
 val allreduce :
   Machine.ctx -> tag:int -> bytes:int -> ('a -> 'a -> 'a) -> 'a -> 'a
-(** Combine every processor's value; every processor returns the result. *)
+(** Combine every processor's value; every processor returns the result.
+    [f] should be associative and commutative (the paper makes the same
+    demand of [array_fold]'s folding function). *)
 
 val barrier : Machine.ctx -> tag:int -> unit
 (** All processors synchronize. *)
@@ -47,8 +36,7 @@ val barrier : Machine.ctx -> tag:int -> unit
 val scan :
   Machine.ctx -> tag:int -> bytes:int -> ('a -> 'a -> 'a) -> 'a -> 'a
 (** Inclusive prefix combine in rank order: processor [i] returns
-    [f v0 (f v1 (... vi))] (bracketed as a left fold).  Used by the
-    block-cyclic redistribution extension. *)
+    [f (... (f v0 v1) ...) vi] (bracketed as a left fold). *)
 
 val gather_to : Machine.ctx -> tag:int -> root:int -> bytes:int -> 'a -> 'a array option
 (** Every processor contributes one value; [root] returns [Some arr] with
@@ -57,11 +45,6 @@ val gather_to : Machine.ctx -> tag:int -> root:int -> bytes:int -> 'a -> 'a arra
 val allgather : Machine.ctx -> tag:int -> bytes:int -> 'a -> 'a array
 (** Every processor contributes one value of wire size [bytes] and returns
     a fresh array with [arr.(i)] from processor [i]. *)
-
-val alltoall : Machine.ctx -> tag:int -> bytes:int -> 'a array -> 'a array
-(** Personalized exchange: [vs.(j)] goes to processor [j]; returns a fresh
-    array whose element [i] came from processor [i]'s [vs].  [vs] must have
-    one element per processor.  [bytes] is the wire size of one element. *)
 
 val ring_shift :
   Machine.ctx -> tag:int -> bytes:int -> dest:int -> src:int -> 'a -> 'a

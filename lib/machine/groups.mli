@@ -9,9 +9,9 @@
     straight into the receiver's mailbox; one to another group is a
     delivery {!post}ed to that group, which its driver runs before its
     next step.  When every group is idle at once and some rank has not
-    finished, {!run} raises {!Stalled}.  Both engines use this one
-    protocol: an engine spawns its ranks' fibers and describes a blocked
-    rank, and the driver never knows which engine called it.
+    finished, {!run} raises {!Stalled}.  {!Machine} drives both engines
+    through this one protocol: it spawns the ranks' fibers and describes
+    a blocked rank, and the driver never knows which engine runs.
 
     A group's status word is idle, ready (queued for a domain), running,
     running with a wake-up pending (re-step before releasing), or done.
@@ -19,8 +19,8 @@
     {!Pool} crew workers claim ready groups through a registered work
     source, so no domain is ever spawned here.
 
-    A [t] is also everything about a run that does not depend on the
-    engine: the topology, the cost model, the collective mode and its
+    A [t] is also the run-wide state that is not a rank's own: the
+    topology, the cost model, the collective mode and its
     {!Coll_alg.net}, the cancel hook, every rank's {!Stats.proc}, and one
     collective deposit table ({!collective}, {!tags}): the first rank to
     reach a collective call site computes its value, the others pick it

@@ -27,27 +27,32 @@ type proc = {
   seen : (int * int, unit) Hashtbl.t; (* (src, seq) dedup under Reliable *)
   mutable pending_stalls : Fault.stall list; (* sorted by stall_at *)
   mutable pending_crashes : float list; (* sorted crash times *)
-  shard : int; (* the rank group (PDES shard) owning this processor *)
+  shard : int; (* the rank group (shard or native block) holding it *)
 }
 
 (* ------------------------------------------------------------------ *)
-(* Sharding (--sim-domains).
+(* Rank groups (--sim-domains, and the native engine's blocks).
 
-   The simulated processors are partitioned into contiguous-rank shards,
-   the rank groups of {!Groups}, which drives them; [--sim-domains 1] is
-   one shard holding every processor.  Every receive names its source and
-   per-(src, tag) streams are FIFO, so the simulation is a Kahn network:
-   each receive is deterministic whatever the shard interleaving, and
-   shards run their fibers freely, blocking only on actual data
-   dependencies.  A send to another shard is a delivery {!Groups.post}ed
-   to the destination shard, whose driver adds the message to the
-   receiver's mailbox before its next step.  Simulated clocks are
-   per-processor state computed from message arrival times, never from
-   wall time, so results are bit-identical for every shard count. *)
+   The processors are partitioned into contiguous-rank groups of
+   {!Groups}, which drives them; [--sim-domains 1] is one group holding
+   every processor, and a native run defaults to one rank per group.
+   Every receive names its source and per-(src, tag) streams are FIFO, so
+   a run is a Kahn network: each receive is deterministic whatever the
+   group interleaving, and groups run their fibers freely, blocking only
+   on actual data dependencies.  A send to another group is a delivery
+   {!Groups.post}ed to the destination group, whose driver adds the
+   message to the receiver's mailbox before its next step.  Simulated
+   clocks are per-processor state computed from message arrival times,
+   never from wall time, so results are bit-identical for every group
+   count. *)
 
 type t = {
   procs : proc array;
-  groups : Groups.t; (* the run-wide state and shard scheduling *)
+  groups : Groups.t; (* the run-wide state and group scheduling *)
+  timed : bool;
+      (* false on the native engine: no clock is read or advanced, and
+         [t0] is the wall-clock start its run time is measured from *)
+  t0 : float;
   trace : Trace.t;
   trace_on : bool; (* cached Trace.enabled: skips the call (and the float
                       boxing of its arguments) on every clock advance *)
@@ -72,16 +77,11 @@ type t = {
                        one dead branch per clock advance *)
 }
 
-type sctx = { m : t; p : proc }
-
-(* One context type for both engines: the rank and the run-wide state
-   ({!Groups}) are shared, and [eng] carries what differs — a simulated
-   processor or a native rank (real domains, see {!Native}).  Operations
-   that differ are written for [sctx] below and dispatched on [eng] at the
-   end of the file, so the skeleton/collective/language layers stay
-   engine-agnostic. *)
-type eng = Sim of sctx | Native of Native.ctx
-type ctx = { id : int; g : Groups.t; eng : eng }
+(* One context for both engines.  A native rank is a processor of a run
+   whose [timed] is false: it shares the transport, the counters and the
+   run-wide state ({!Groups}), and the operations below branch only where
+   a clock is read or advanced. *)
+type ctx = { m : t; p : proc }
 
 type 'r result = {
   values : 'r array;
@@ -106,26 +106,32 @@ let stall_diagnostic blocked =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Operations that do not depend on the engine                         *)
+(* The rank and the run                                                *)
 
-let self ctx = ctx.id
-let nprocs ctx = Groups.nranks ctx.g
-let topology ctx = Groups.topology ctx.g
-let coll_mode ctx = Groups.coll_mode ctx.g
-let coll_legacy ctx = Groups.coll_legacy ctx.g
-let coll_net ctx = Groups.coll_net ctx.g
-let rank_stats ctx = Stats.proc (Groups.stats ctx.g) ctx.id
+let self ctx = ctx.p.id
+let nprocs ctx = Array.length ctx.m.procs
+let topology ctx = Groups.topology ctx.m.groups
+let coll_mode ctx = Groups.coll_mode ctx.m.groups
+let coll_legacy ctx = Groups.coll_legacy ctx.m.groups
+let coll_net ctx = Groups.coll_net ctx.m.groups
 
 let record_collective ctx ~name ~bytes =
-  Stats.count_collective (rank_stats ctx) ~name ~bytes
+  Stats.count_collective ctx.p.stats ~name ~bytes
 
-let collective ?root ctx f = Groups.collective ?root ctx.g ~rank:ctx.id f
-let tags ctx n = Groups.tags ctx.g ~rank:ctx.id n
+let collective ?root ctx f =
+  Groups.collective ?root ctx.m.groups ~rank:ctx.p.id f
+
+let tags ctx n = Groups.tags ctx.m.groups ~rank:ctx.p.id n
 
 (* ------------------------------------------------------------------ *)
-(* The simulator: operations on a simulated processor [sctx]           *)
+(* Clocks and charging                                                 *)
 
 let profile (m : t) = (Groups.cost m.groups).Cost_model.profile
+
+let clock ctx =
+  if ctx.m.timed then ctx.p.tm.clock else Unix.gettimeofday () -. ctx.m.t0
+
+let checkpoint_default ctx = ctx.m.faults_on && ctx.m.fplan.Fault.checkpoint
 
 (* An injected transient stall freezes the processor at its first
    clock-advancing action at or after the scheduled time.  Checked (behind
@@ -151,17 +157,21 @@ let rec apply_stalls ctx =
    [compute] or [overhead] (the communication path charges overheads) or
    the language engines' scalar meter, which polls as [compute] does, so
    any running Skil program stays cancellable without touching the
-   skeleton layer.
+   skeleton layer.  Untimed (native) runs poll here too and charge
+   nothing, so a compute-bound native job stays reapable by the service
+   watchdog.
    Receivers parked forever are already surfaced by [Stalled]. *)
 let[@inline] compute ctx seconds =
   assert (seconds >= 0.0);
   if ctx.m.cancel_on then Groups.check_cancel ctx.m.groups;
-  if ctx.m.faults_on then apply_stalls ctx;
-  if ctx.m.trace_on then
-    Trace.record ctx.m.trace ~proc:ctx.p.id ~start:ctx.p.tm.clock
-      ~duration:seconds Trace.Compute;
-  ctx.p.tm.clock <- ctx.p.tm.clock +. seconds;
-  ctx.p.tm.busy <- ctx.p.tm.busy +. seconds
+  if ctx.m.timed then begin
+    if ctx.m.faults_on then apply_stalls ctx;
+    if ctx.m.trace_on then
+      Trace.record ctx.m.trace ~proc:ctx.p.id ~start:ctx.p.tm.clock
+        ~duration:seconds Trace.Compute;
+    ctx.p.tm.clock <- ctx.p.tm.clock +. seconds;
+    ctx.p.tm.busy <- ctx.p.tm.busy +. seconds
+  end
 
 let charge ctx cls ~ops ~base =
   if ops > 0 then begin
@@ -191,16 +201,51 @@ let charge_scalar_nodes ctx ~ops =
 
 let overhead ctx seconds =
   if ctx.m.cancel_on then Groups.check_cancel ctx.m.groups;
-  if ctx.m.faults_on then apply_stalls ctx;
-  if ctx.m.trace_on then
-    Trace.record ctx.m.trace ~proc:ctx.p.id ~start:ctx.p.tm.clock
-      ~duration:seconds Trace.Overhead;
-  ctx.p.tm.clock <- ctx.p.tm.clock +. seconds;
-  ctx.p.stats.Stats.overhead_time <-
-    ctx.p.stats.Stats.overhead_time +. seconds
+  if ctx.m.timed then begin
+    if ctx.m.faults_on then apply_stalls ctx;
+    if ctx.m.trace_on then
+      Trace.record ctx.m.trace ~proc:ctx.p.id ~start:ctx.p.tm.clock
+        ~duration:seconds Trace.Overhead;
+    ctx.p.tm.clock <- ctx.p.tm.clock +. seconds;
+    ctx.p.stats.Stats.overhead_time <-
+      ctx.p.stats.Stats.overhead_time +. seconds
+  end
 
 let charge_copy ctx ~bytes =
   compute ctx (float_of_int bytes *. Calibration.copy_per_byte)
+
+let charge_skeleton_call ctx =
+  let st = ctx.p.stats in
+  st.Stats.skeleton_calls <- st.Stats.skeleton_calls + 1;
+  overhead ctx (profile ctx.m).Cost_model.skeleton_call
+
+(* Plain data, not closures: [Interp.flush_scalar] matches on it at every
+   statement, where an indirect call costs measurably.  Tracing records
+   span op counts and trace records, and a fault plan applies stalls, so
+   those runs keep [charge_scalar_nodes]. *)
+type meter =
+  | Clock of {
+      tm : times;
+      factor : float;
+      cancel_on : bool;
+      groups : Groups.t;
+    }
+  | Poll of Groups.t
+  | Charge of ctx
+  | Idle
+
+let meter ctx =
+  let m = ctx.m in
+  if not m.timed then if m.cancel_on then Poll m.groups else Idle
+  else if m.trace_on || m.faults_on then Charge ctx
+  else
+    Clock
+      {
+        tm = ctx.p.tm;
+        factor = m.c_scalar_factor;
+        cancel_on = m.cancel_on;
+        groups = m.groups;
+      }
 
 (* Checkpoint-protected region: fail-stop crash recovery.
 
@@ -256,8 +301,8 @@ let with_span ctx ~cat name f =
 (* ------------------------------------------------------------------ *)
 (* Messages                                                            *)
 
-(* Queue [msg] in [target]'s mailbox: directly on the sender's own shard,
-   else through {!Groups.post}. *)
+(* Queue [msg] in [target]'s mailbox: directly within the sender's own
+   group, else through {!Groups.post}. *)
 let deliver m (sender : proc) (target : proc) ~tag msg =
   let src = sender.id in
   if target.shard = sender.shard then Mailbox.add target.mbox ~src ~tag msg
@@ -425,9 +470,10 @@ let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
     st.Stats.msgs_sent <- st.Stats.msgs_sent + 1;
     st.Stats.bytes_sent <- st.Stats.bytes_sent + bytes;
     st.Stats.hop_bytes <- st.Stats.hop_bytes + (bytes * hops);
-    if rendezvous || m.sync_comm then begin
+    if m.timed && (rendezvous || m.sync_comm) then begin
       (* Rendezvous-style link: the sender is busy until delivery, so no
-         communication/computation overlap is possible. *)
+         communication/computation overlap is possible.  Untimed runs have
+         no delivery time to wait for. *)
       let wait = Float.max 0.0 (arrival -. ctx.p.tm.clock) in
       if m.trace_on then
         Trace.record m.trace ~proc:ctx.p.id ~start:ctx.p.tm.clock ~duration:wait
@@ -469,6 +515,9 @@ let charge_ack ctx =
   overhead ctx ctx.m.c_send_overhead;
   ctx.p.stats.Stats.acks_sent <- ctx.p.stats.Stats.acks_sent + 1
 
+(* An untimed receive that parks adds the wall time parked to its wait
+   counter and polls the cancel hook, so a native rank stays cancellable
+   while it waits. *)
 let recv ctx ~src ~tag =
   let m = ctx.m in
   if src < 0 || src >= Array.length m.procs then
@@ -477,27 +526,45 @@ let recv ctx ~src ~tag =
     match Mailbox.take ctx.p.mbox ~src ~tag with
     | Some msg ->
         if m.reliable && dedup_discard ctx ~src msg then obtain () else msg
-    | None ->
+    | None when m.timed ->
         Mailbox.park ctx.p.mbox ~src ~tag;
+        obtain ()
+    | None ->
+        let t = Unix.gettimeofday () in
+        Mailbox.park ctx.p.mbox ~src ~tag;
+        let st = ctx.p.stats in
+        st.Stats.comm_wait <- st.Stats.comm_wait +. (Unix.gettimeofday () -. t);
+        Groups.check_cancel m.groups;
         obtain ()
   in
   let msg = obtain () in
-  finish_recv ctx msg;
+  if m.timed then finish_recv ctx msg;
   if m.reliable then charge_ack ctx;
   Obj.obj msg.payload
 
-let describe_blocked (p : proc) =
-  match Mailbox.waiting p.mbox with
-  | Some (s, t) ->
-      Printf.sprintf "waiting on recv from p%d, tag %d (clock %.6f s)" s t
-        p.tm.clock
-  | None -> Printf.sprintf "blocked (clock %.6f s)" p.tm.clock
+let sendrecv ctx ~dest ~src ~tag ~bytes v =
+  send ctx ~dest ~tag ~bytes v;
+  recv ctx ~src ~tag
 
-(* Simulate [body] on every processor of the run [g]; the makespan (the
-   latest finishing clock) and the trace. *)
-let simulate ~trace ~faults ~reliable g body =
+let describe_blocked m (p : proc) =
+  let at =
+    if m.timed then Printf.sprintf "clock %.6f s" p.tm.clock else "native"
+  in
+  match Mailbox.waiting p.mbox with
+  | Some (s, t) -> Printf.sprintf "waiting on recv from p%d, tag %d (%s)" s t at
+  | None -> Printf.sprintf "blocked (%s)" at
+
+(* ------------------------------------------------------------------ *)
+(* Runs                                                                *)
+
+(* Build the run-wide state and one processor per rank, run [f] as every
+   rank's program, and assemble the result both engines return.  A timed
+   run's [time] is its makespan (the latest finishing clock); an untimed
+   run's is the wall clock, read as soon as every rank has finished. *)
+let start ~timed ~trace ~faults ~reliable ~cost ~collectives ~cancel
+    ~topology ~ngroups f =
+  let g = Groups.create ~topology ~cost ~collectives ~cancel ~ngroups in
   let n = Groups.nranks g in
-  let topology = Groups.topology g and cost = Groups.cost g in
   let params = cost.Cost_model.params in
   let cf = cost.Cost_model.profile.Cost_model.comm_factor in
   let faults_on = faults <> None in
@@ -549,10 +616,16 @@ let simulate ~trace ~faults ~reliable g body =
           shard = Groups.group_of g id;
         })
   in
+  (* the topology's hop tables (and the Coll_alg predictor tables built
+     from them) are published read-only to every domain; pin the
+     no-mutation-after-publication contract *)
+  let topo_digest = Topology.digest topology in
   let m =
     {
       procs;
       groups = g;
+      timed;
+      t0 = Unix.gettimeofday ();
       trace = Trace.create ~enabled:trace ~nprocs:n;
       trace_on = trace;
       c_send_overhead = cf *. params.Cost_model.send_overhead;
@@ -570,126 +643,19 @@ let simulate ~trace ~faults ~reliable g body =
       cancel_on = Groups.cancellable g;
     }
   in
+  let values = Array.make n None in
   Array.iter
-    (fun p ->
-      let eng = Sim { m; p } in
-      Groups.spawn g p.id (fun () -> body p.id eng))
-    m.procs;
-  (* the topology's hop tables (and the Coll_alg predictor tables built
-     from them) are published read-only to every domain; pin the
-     no-mutation-after-publication contract *)
-  let topo_digest = Topology.digest topology in
-  Groups.run g ~describe:(fun id -> describe_blocked m.procs.(id));
+    (fun p -> Groups.spawn g p.id (fun () -> values.(p.id) <- Some (f { m; p })))
+    procs;
+  Groups.run g ~describe:(fun id -> describe_blocked m procs.(id));
+  let wall = Unix.gettimeofday () -. m.t0 in
   assert (Topology.digest topology = topo_digest);
-  (* on clean completion every shard's last step happened before
+  (* on clean completion every group's last step happened before
      [Groups.run] returned, so all member state is visible here *)
-  Array.iter
-    (fun (p : proc) -> p.stats.Stats.compute_time <- p.tm.busy)
-    m.procs;
-  ( Array.fold_left (fun acc p -> Float.max acc p.tm.clock) 0.0 m.procs,
-    m.trace )
-
-(* ------------------------------------------------------------------ *)
-(* Engine dispatch: the operations the simulator and the native engine
-   implement differently.  Cost charging, crash protection and trace spans
-   are simulator concepts; the native arms of the charge family poll
-   cancellation instead, as the native [meter] does at every statement of
-   the language engines, so a compute-bound native job stays reapable by
-   the service watchdog. *)
-
-let clock ctx =
-  match ctx.eng with Sim c -> c.p.tm.clock | Native c -> Native.clock c
-
-let checkpoint_default ctx =
-  match ctx.eng with
-  | Sim c -> c.m.faults_on && c.m.fplan.Fault.checkpoint
-  | Native _ -> false
-
-let compute ctx seconds =
-  match ctx.eng with
-  | Sim c -> compute c seconds
-  | Native _ -> Groups.check_cancel ctx.g
-
-let charge ctx cls ~ops ~base =
-  match ctx.eng with
-  | Sim c -> charge c cls ~ops ~base
-  | Native _ -> Groups.check_cancel ctx.g
-
-let charge_scalar_nodes ctx ~ops =
-  match ctx.eng with
-  | Sim c -> charge_scalar_nodes c ~ops
-  | Native _ -> Groups.check_cancel ctx.g
-
-(* Plain data, not closures: [Interp.flush_scalar] matches on it at every
-   statement, where an indirect call costs measurably.  Tracing records
-   span op counts and trace records, and a fault plan applies stalls, so
-   those runs keep [charge_scalar_nodes]. *)
-type meter =
-  | Clock of {
-      tm : times;
-      factor : float;
-      cancel_on : bool;
-      groups : Groups.t;
-    }
-  | Poll of Groups.t
-  | Charge of ctx
-  | Idle
-
-let meter ctx =
-  match ctx.eng with
-  | Sim c when not (c.m.trace_on || c.m.faults_on) ->
-      Clock
-        {
-          tm = c.p.tm;
-          factor = c.m.c_scalar_factor;
-          cancel_on = c.m.cancel_on;
-          groups = ctx.g;
-        }
-  | Sim _ -> Charge ctx
-  | Native _ -> if Groups.cancellable ctx.g then Poll ctx.g else Idle
-
-let charge_skeleton_call ctx =
-  let st = rank_stats ctx in
-  st.Stats.skeleton_calls <- st.Stats.skeleton_calls + 1;
-  match ctx.eng with
-  | Sim c -> overhead c (profile c.m).Cost_model.skeleton_call
-  | Native _ -> Groups.check_cancel ctx.g
-
-let charge_copy ctx ~bytes =
-  match ctx.eng with Sim c -> charge_copy c ~bytes | Native _ -> ()
-
-let protect ctx ~bytes ~snapshot ~restore f =
-  match ctx.eng with
-  | Sim c -> protect c ~bytes ~snapshot ~restore f
-  | Native _ -> f ()
-
-let with_span ctx ~cat name f =
-  match ctx.eng with Sim c -> with_span c ~cat name f | Native _ -> f ()
-
-let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
-  match ctx.eng with
-  | Sim c -> send c ~rendezvous ~dest ~tag ~bytes v
-  | Native c -> Native.send c ~rendezvous ~dest ~tag ~bytes v
-
-let recv ctx ~src ~tag =
-  match ctx.eng with
-  | Sim c -> recv c ~src ~tag
-  | Native c -> Native.recv c ~src ~tag
-
-let sendrecv ctx ~dest ~src ~tag ~bytes v =
-  send ctx ~dest ~tag ~bytes v;
-  recv ctx ~src ~tag
-
-(* ------------------------------------------------------------------ *)
-(* Runs                                                                *)
-
-(* Build the run-wide state, run [f] as every rank's program on the
-   engine, and assemble the result both engines return. *)
-let execute ~cost ~collectives ~cancel ~topology ~ngroups engine f =
-  let g = Groups.create ~topology ~cost ~collectives ~cancel ~ngroups in
-  let values = Array.make (Groups.nranks g) None in
-  let time, trace =
-    engine g (fun id eng -> values.(id) <- Some (f { id; g; eng }))
+  Array.iter (fun (p : proc) -> p.stats.Stats.compute_time <- p.tm.busy) procs;
+  let time =
+    if timed then Array.fold_left (fun acc p -> Float.max acc p.tm.clock) 0.0 procs
+    else wall
   in
   let stats = Groups.stats g in
   stats.Stats.makespan <- time;
@@ -698,21 +664,21 @@ let execute ~cost ~collectives ~cancel ~topology ~ngroups engine f =
       (function Some v -> v | None -> failwith "Machine.run: missing result")
       values
   in
-  { values; time; stats; trace }
+  { values; time; stats; trace = m.trace }
 
 let run ?(cost = Cost_model.default) ?(trace = false) ?faults
     ?(reliable = false) ?(collectives = Coll_alg.Legacy) ?(sim_domains = 1)
     ?cancel ~topology f =
   if sim_domains < 1 then
     invalid_arg "Machine.run: sim_domains must be >= 1";
-  execute ~cost ~collectives ~cancel ~topology
+  start ~timed:true ~trace ~faults ~reliable ~cost ~collectives ~cancel
+    ~topology
     ~ngroups:(min sim_domains (Topology.nprocs topology))
-    (simulate ~trace ~faults ~reliable)
     f
 
-(* [time] is wall-clock seconds and the trace is empty.  The block count
-   is always honoured: blocks are short-lived work items, so more blocks
-   than {!Pool} workers just queue, exactly like the simulator's shards. *)
+(* The block count is always honoured: blocks are short-lived work items,
+   so more blocks than {!Pool} workers just queue, exactly like the
+   simulator's shards. *)
 let run_native ?(cost = Cost_model.default) ?(collectives = Coll_alg.Legacy)
     ?domains ?cancel ~topology f =
   let n = Topology.nprocs topology in
@@ -722,8 +688,5 @@ let run_native ?(cost = Cost_model.default) ?(collectives = Coll_alg.Legacy)
     | Some d when d >= 1 -> min d n
     | Some _ -> invalid_arg "Machine.run_native: domains must be >= 1"
   in
-  execute ~cost ~collectives ~cancel ~topology ~ngroups
-    (fun g body ->
-      ( Native.run g (fun id c -> body id (Native c)),
-        Trace.create ~enabled:false ~nprocs:n ))
-    f
+  start ~timed:false ~trace:false ~faults:None ~reliable:false ~cost
+    ~collectives ~cancel ~topology ~ngroups f

@@ -6,9 +6,14 @@
     messages are matched by (source, tag) in FIFO order, so a run is fully
     deterministic.  Clocks advance through explicit {!charge} / {!compute}
     calls and through the communication cost model; they never depend on
-    host wall-clock time. *)
+    host wall-clock time.
 
-type t
+    {!run_native} is the same machine without its clock: the same
+    processors, transport, counters and collective state, with nothing
+    charged, so a run takes host time only.  Every operation below works
+    on both; only those that read or advance a clock behave differently,
+    as each one says. *)
+
 type ctx
 
 type 'r result = {
@@ -55,7 +60,7 @@ val run :
 
     [sim_domains] (default 1) shards the simulated processors into up to
     that many contiguous-rank logical processes, driven by {!Groups} — the
-    group driver the native engine uses too — on the calling domain plus
+    group driver of {!run_native}'s blocks too — on the calling domain plus
     workers borrowed from {!Pool}'s crew; [sim_domains = 1] is one shard on
     the calling domain.  Each processor has one {!Mailbox}: a message
     within a shard is added to it directly, one to another shard is a
@@ -114,21 +119,22 @@ val run_native :
   topology:Topology.t ->
   (ctx -> 'r) ->
   'r result
-(** Run the SPMD program on the {!Native} backend: ranks blocked into up
-    to [domains] contiguous groups (default: one rank per group) executing
-    with real parallelism on {!Pool}'s worker domains, messages through
-    the simulator's transport ({!Mailbox}, and {!Groups.post} across
-    groups) in shared memory, no simulated clock.  The result's [time] is
-    wall-clock seconds, [stats] carries the usual message/skeleton
-    counters (makespan = wall), and the trace is empty.  Receives are
+(** Run the SPMD program on the native engine: {!run}'s machine without
+    its clock.  The ranks are blocked into up to [domains] contiguous
+    groups (default: one rank per group) that run with real parallelism
+    on {!Pool}'s worker domains, over the simulator's transport in
+    shared memory.  Nothing is charged: every clock, compute time and
+    overhead time stays at zero, a send never waits for delivery, and a
+    receive that parks adds the wall time it waited to
+    [Stats.comm_wait].  The result's [time] is the wall-clock seconds the
+    ranks ran, [stats] carries the usual message/skeleton counters
+    (makespan = wall), and the trace is empty.  Receives are
     deterministic (a Kahn network), so values match the simulator's,
-    which remains the oracle for makespans.  [cost] only seeds the
-    collective-selection predictor (non-Legacy [collectives]); it never
-    affects execution speed.
-    [cancel] is polled cooperatively (block steps, parked receives, and
-    every {!charge}-family call, which charges nothing on this engine)
-    and raises {!Cancelled}; it may be called from any domain, so it must
-    be thread-safe.
+    which remains the oracle for makespans.  [cost] only seeds the collective-selection predictor
+    (non-Legacy [collectives]); it never affects execution speed.
+    [cancel] is polled cooperatively (group steps, parked receives, and
+    every {!charge}-family call and send) and raises {!Cancelled}; it may
+    be called from any domain, so it must be thread-safe.
     @raise Invalid_argument if [domains] is below 1.
     @raise Stalled on deadlock. *)
 
@@ -139,8 +145,8 @@ val nprocs : ctx -> int
 val topology : ctx -> Topology.t
 
 val clock : ctx -> float
-(** The processor's simulated clock; wall-clock seconds since the run
-    started under {!run_native}. *)
+(** The processor's simulated clock; under {!run_native}, which has none,
+    the wall-clock seconds since the run started. *)
 
 val coll_mode : ctx -> Coll_alg.mode
 (** The run's collective-algorithm mode (see [run]'s [collectives]). *)
@@ -157,7 +163,9 @@ val record_collective : ctx -> name:string -> bytes:int -> unit
     this processor's {!Stats.proc}. *)
 
 val compute : ctx -> float -> unit
-(** Charge raw seconds of sequential work (no profile factor applied). *)
+(** Charge raw seconds of sequential work (no profile factor applied).
+    This and every other charge below only polls the cancel hook under
+    {!run_native}. *)
 
 val charge : ctx -> Cost_model.op_class -> ops:int -> base:float -> unit
 (** Charge [ops * base * factor] seconds, where the factor comes from the
@@ -173,8 +181,9 @@ val charge_scalar_nodes : ctx -> ops:int -> unit
 (** {1 The scalar meter} *)
 
 type times = { mutable clock : float; mutable busy : float }
-(** A simulated processor's clock and its charged compute time, which
-    {!run} publishes as [Stats.compute_time]. *)
+(** A processor's simulated clock and its charged compute time, which a
+    run publishes as [Stats.compute_time] (both stay 0 under
+    {!run_native}). *)
 
 (** How a Skil engine charges [ops] expression nodes at each statement:
     plain data, read on every flush, with no call on the common path.
@@ -184,12 +193,12 @@ type times = { mutable clock : float; mutable busy : float }
       [float_of_int ops *. Calibration.scalar_node_op *. factor] to
       [tm.clock], then to [tm.busy]: the operands, order and effects of
       {!charge_scalar_nodes}.
-    - [Poll]: the native engine with a cancel hook; {!Groups.check_cancel},
-      nothing else.
+    - [Poll]: a {!run_native} run, which has no clock, with a cancel
+      hook; {!Groups.check_cancel}, nothing else.
     - [Charge]: a traced run or one with a fault plan, which records span
       op counts and trace records and applies stalls; call
       {!charge_scalar_nodes}.
-    - [Idle]: the native engine without a cancel hook, or no machine
+    - [Idle]: a {!run_native} run without a cancel hook, or no machine
       (sequential evaluation); charge nothing. *)
 type meter =
   | Clock of {
@@ -262,7 +271,9 @@ val send : ctx -> ?rendezvous:bool -> dest:int -> tag:int -> bytes:int -> 'a -> 
     bytes * per_byte].  Under [sync_comm] profiles — or when [rendezvous]
     is set, as on the transputer's synchronous links used by the virtual
     tree topologies — the sender's clock also advances to the arrival time
-    (no overlap).  Self-sends are allowed. *)
+    (no overlap); under {!run_native} a send never waits.  Self-sends are
+    allowed.  A message to a rank whose program has already returned is
+    left unread. *)
 
 val recv : ctx -> src:int -> tag:int -> 'a
 (** Blocks (in simulation order) until a message from [src] with [tag] is

@@ -2,14 +2,14 @@
 
     Every receive names its source and tag, and each (source, tag) stream
     is FIFO, so a mailbox is one small tag-bucketed queue per source rank,
-    plus the one stream the rank's fiber is parked on, if any.  The
-    simulator ({!Machine.run}) and the native engine
-    ({!Machine.run_native}) give each rank one mailbox through
-    {!Groups.mailbox}; a message from the same rank group is {!add}ed
-    directly, one from another group through {!Groups.post}.  Only the
-    domain driving the rank's group touches its mailbox, so nothing here
-    is synchronised.  Generic in the message type: the simulator queues
-    its timed records, the native engine bare payloads. *)
+    plus the one stream the rank's fiber is parked on, if any.
+    {!Machine} gives each rank of either engine ({!Machine.run},
+    {!Machine.run_native}) one mailbox through {!Groups.mailbox}; a
+    message from the same rank group is {!add}ed directly, one from
+    another group through {!Groups.post}.  Only the domain driving the
+    rank's group touches its mailbox, so nothing here is synchronised.
+    Both engines queue the same message record; the type is a parameter
+    because {!Machine}, which defines it, depends on this module. *)
 
 type 'm t
 

@@ -127,22 +127,11 @@ let worker_count () =
   Mutex.unlock crew.mutex;
   n
 
-let clamp_warned = ref false
-
 (* Grow the crew so at least [n] worker domains exist, clamped to the
    host's capacity (the calling domain always participates, hence the -1).
    Returns the number of workers actually available. *)
 let ensure_workers n =
-  let cap = max 0 (Domain.recommended_domain_count () - 1) in
-  let want = min n cap in
-  if n > cap && not !clamp_warned then begin
-    clamp_warned := true;
-    Printf.eprintf
-      "pool: clamping worker domains to %d (host reports %d cores; --jobs x \
-       --sim-domains beyond that would oversubscribe)\n%!"
-      cap
-      (Domain.recommended_domain_count ())
-  end;
+  let want = min n (max 0 (Domain.recommended_domain_count () - 1)) in
   Mutex.lock crew.mutex;
   let missing = want - crew.nworkers in
   if missing > 0 then begin

@@ -19,8 +19,7 @@
     borrow crew workers instead of spawning domains of their own, and the
     crew never exceeds [recommended_domain_count () - 1] workers, so
     [--jobs] × [--sim-domains] oversubscription is structurally impossible
-    (the product is clamped to the crew, with a one-time warning, and excess
-    work just queues).  The logical group count is always honoured and the
+    (the product is clamped to the crew, and excess work just queues).  The logical group count is always honoured and the
     calling domain always drives, so runs complete even on a single-core
     host. *)
 
@@ -64,9 +63,9 @@ val kick : unit -> unit
 
 val ensure_workers : int -> int
 (** Grow the crew to at least [n] worker domains, clamped to
-    [recommended_domain_count () - 1] (one-time warning when the clamp
-    bites).  Returns the crew size actually available — 0 means the calling
-    domain is alone and must drive its source itself. *)
+    [recommended_domain_count () - 1].  Returns the crew size actually
+    available — 0 means the calling domain is alone and must drive its
+    source itself. *)
 
 val worker_count : unit -> int
 (** Current crew size. *)

@@ -59,9 +59,19 @@ let distance_table position =
   done;
   dist
 
+(* The hop table and each rank's mailbox grow with the square of the
+   processor count, so a grid over [max_procs] would take gigabytes before
+   its program starts.  The bound is checked by division: [width * height]
+   may overflow. *)
+let max_procs = 1024
+
 let create ?(embedding_optimized = true) ~width ~height kind =
   if width <= 0 || height <= 0 then
     invalid_arg "Topology.create: non-positive grid dimension";
+  if width > max_procs / height then
+    invalid_arg
+      (Printf.sprintf "Topology.create: a %dx%d grid has more than %d processors"
+         width height max_procs);
   let position =
     positions ~width ~height ~kind ~optimized:embedding_optimized
   in

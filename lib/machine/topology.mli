@@ -16,11 +16,16 @@ type virtual_kind =
 
 type t
 
+val max_procs : int
+(** The most processors a topology may have: 1024. *)
+
 val create :
   ?embedding_optimized:bool -> width:int -> height:int -> virtual_kind -> t
 (** [create ~width ~height kind] builds a topology over a [width x height]
-    mesh.  [embedding_optimized] defaults to [true].
-    @raise Invalid_argument if [width <= 0] or [height <= 0]. *)
+    mesh.  [embedding_optimized] defaults to [true].  Every constructor
+    below goes through it.
+    @raise Invalid_argument if [width <= 0] or [height <= 0], or if the
+    grid has more than {!max_procs} processors. *)
 
 val mesh : width:int -> height:int -> t
 (** Mesh with the [Default] virtual topology. *)

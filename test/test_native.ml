@@ -2,8 +2,8 @@
    native): random programs against the simulator through the path
    matrix's agreement (test_paths.ml runs the corpus), and the raw Machine
    API for what the corpus cannot pin — bursts queued before any receive,
-   sends to a rank that has returned, stall detection, and the allocation
-   of a run that sends nothing. *)
+   sends to a rank that has returned, stall detection, the allocation of
+   a run that sends nothing, and that a native run charges nothing. *)
 
 (* ---------------- random programs: native vs simulator ---------------- *)
 
@@ -138,6 +138,37 @@ let test_finish_race () =
       done)
     [ 2; 4 ]
 
+(* ---------------- the native engine charges nothing ---------------- *)
+
+(* A native run is the simulator's machine without its clock: every
+   charge only polls the cancel hook.  The corpus's first row, run
+   natively at one rank per block and at two blocks, must leave every
+   rank's compute and overhead time at zero, and its time is the wall
+   clock, no later than the wall clock measured around the call. *)
+let test_charges_nothing () =
+  let r = List.hd Test_paths.corpus in
+  List.iter
+    (fun domains ->
+      let t0 = Unix.gettimeofday () in
+      let res =
+        Spmd.run_source ~engine:`Native ?native_domains:domains
+          ~topology:(Test_paths.topology r) (Test_paths.source r.file)
+          ~entry:r.entry
+          ~args:(List.map (fun n -> Value.VInt n) r.args)
+      in
+      let wall = Unix.gettimeofday () -. t0 in
+      let what = Test_paths.name r ^ " --engine native" in
+      Array.iteri
+        (fun i (p : Stats.proc) ->
+          if p.compute_time <> 0.0 || p.overhead_time <> 0.0 then
+            Alcotest.failf "%s: rank %d charged compute %g s, overhead %g s"
+              what i p.compute_time p.overhead_time)
+        res.Machine.stats.Stats.procs;
+      if res.Machine.time > wall then
+        Alcotest.failf "%s: time %g s is later than the wall clock %g s" what
+          res.Machine.time wall)
+    [ None; Some 2 ]
+
 (* ---------------- a run that sends nothing ---------------- *)
 
 (* Every rank has a mailbox with one channel per source, 64 * 64 of them
@@ -186,5 +217,7 @@ let suite =
         Alcotest.test_case "stall detected" `Quick test_stall_detected;
         Alcotest.test_case "a run that sends nothing allocates little" `Quick
           test_quiet_run_allocation;
+        Alcotest.test_case "the native engine charges nothing" `Quick
+          test_charges_nothing;
       ] );
   ]

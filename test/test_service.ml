@@ -260,6 +260,29 @@ let test_native_fields_rejected () =
           };
         ])
 
+(* A grid over Topology.max_procs is an invalid job, not an internal error
+   after the host ran out of memory, and the service answers the next
+   job. *)
+let test_huge_grid_invalid () =
+  let h = harness () in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown h.svc)
+    (fun () ->
+      submit
+        ~spec:
+          {
+            Jobspec.default with
+            Jobspec.id = "huge";
+            width = 100000;
+            height = 100000;
+          }
+        h par_src;
+      let huge_id, _ = expect_err h Errclass.Invalid in
+      Alcotest.(check string) "huge grid id" "huge" huge_id;
+      submit ~spec:{ Jobspec.default with Jobspec.id = "next" } h par_src;
+      let next_id, _, _, _ = expect_ok h in
+      Alcotest.(check string) "answered after it" "next" next_id)
+
 let test_stall_classified () =
   let h = harness () in
   Fun.protect
@@ -585,6 +608,8 @@ let suite =
           test_bad_indices_classified;
         Alcotest.test_case "native-only fields rejected on the simulator"
           `Quick test_native_fields_rejected;
+        Alcotest.test_case "huge grid classified invalid" `Quick
+          test_huge_grid_invalid;
         Alcotest.test_case "total message loss classified as stall" `Quick
           test_stall_classified;
         Alcotest.test_case "deadline expiry, then the service lives on" `Quick

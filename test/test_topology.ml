@@ -92,6 +92,19 @@ let test_invalid () =
     "Topology.create: non-positive grid dimension") (fun () ->
       ignore (Topology.mesh ~width:0 ~height:2))
 
+(* 32x32 is the largest square grid; one more column is rejected, and so is
+   a grid whose processor count overflows an int. *)
+let test_grid_bound () =
+  Alcotest.(check int)
+    "32x32 accepted" 1024
+    (Topology.nprocs (Topology.torus2d ~width:32 ~height:32 ()));
+  List.iter
+    (fun (width, height) ->
+      match Topology.mesh ~width ~height with
+      | _ -> Alcotest.failf "%dx%d accepted" width height
+      | exception Invalid_argument _ -> ())
+    [ (33, 32); (32, 33); (1025, 1); (max_int / 2, 2); (2, max_int) ]
+
 let suite =
   [
     ( "topology",
@@ -109,5 +122,6 @@ let suite =
         Alcotest.test_case "embedding is a permutation" `Quick
           test_embedding_is_permutation;
         Alcotest.test_case "invalid args" `Quick test_invalid;
+        Alcotest.test_case "at most 1024 processors" `Quick test_grid_bound;
       ] );
   ]
