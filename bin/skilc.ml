@@ -106,35 +106,18 @@ let instantiate_cmd =
 
 (* ---------------- emit-c ---------------- *)
 
+(* The C emitter works on the unoptimized instantiated program: fused
+   argument functions and array_create_const have no counterpart in
+   skil_runtime.h, and the emitted C is compared against the historical
+   compiler's shape. *)
 let emit_cmd =
-  let run file entry optimize standalone args =
+  let run file entry standalone args =
     handle_errors ~file (fun () ->
-        (* The C emitter is kept on the unoptimized AST on purpose: fused
-           argument functions and array_create_const have no counterpart in
-           skil_runtime.h, and the emitted C is compared against the
-           historical compiler's shape.  Reject the flag instead of
-           silently ignoring it. *)
-        (match optimize with
-         | `None -> ()
-         | `Fuse ->
-             Printf.eprintf
-               "emit-c: --optimize fuse is not supported: the C back end \
-                emits the unoptimized instantiated program (fusion applies \
-                to the simulated engines only)\n";
-             exit 2);
         let program, env = load file in
         let fo = Instantiate.program env program ~entries:[ entry ] in
         if standalone then
           print_string (Emit_c.standalone fo ~entry ~args)
         else print_string (Emit_c.program fo))
-  in
-  let optimize =
-    Arg.(value
-         & opt (enum [ ("none", `None); ("fuse", `Fuse) ]) `None
-         & info [ "optimize" ] ~docv:"OPT"
-             ~doc:"Accepted for interface symmetry with run-par; only \
-                   $(b,none) is valid here (the back end emits the \
-                   unoptimized program).")
   in
   let standalone =
     Arg.(value & flag
@@ -148,7 +131,7 @@ let emit_cmd =
   Cmd.v
     (Cmd.info "emit-c" ~exits
        ~doc:"Print the message-passing C the compiler back end would emit.")
-    Term.(const run $ file_arg $ entry_arg $ optimize $ standalone $ args_arg)
+    Term.(const run $ file_arg $ entry_arg $ standalone $ args_arg)
 
 (* ---------------- runtime header ---------------- *)
 
@@ -205,8 +188,8 @@ let collectives_conv =
 
 let run_par_cmd =
   let run file entry args width height torus profile no_instantiate engine
-      no_specialize optimize trace_out want_profile faults_spec fault_seed
-      reliable collectives sim_domains native_domains =
+      optimize trace_out want_profile faults_spec reliable collectives
+      sim_domains native_domains =
     handle_errors ~file (fun () ->
         let program, _ = load file in
         let topology =
@@ -219,7 +202,7 @@ let run_par_cmd =
           match faults_spec with
           | None -> None
           | Some spec -> (
-              match Fault.parse ~seed:fault_seed spec with
+              match Fault.parse spec with
               | Ok plan -> Some plan
               | Error msg ->
                   Printf.eprintf "--faults: %s\n" msg;
@@ -232,9 +215,8 @@ let run_par_cmd =
          | None -> ());
         let cost = Cost_model.make profile in
         let r =
-          Spmd.run ~instantiate:(not no_instantiate) ~engine
-            ~specialize:(not no_specialize) ~optimize ~trace ?faults ~reliable
-            ~collectives ~sim_domains ?native_domains ~cost
+          Spmd.run ~instantiate:(not no_instantiate) ~engine ~optimize ~trace
+            ?faults ~reliable ~collectives ~sim_domains ?native_domains ~cost
             ~topology program
             ~entry
             ~args:(List.map (fun n -> Value.VInt n) args)
@@ -293,14 +275,6 @@ let run_par_cmd =
                    incompatible with --faults/--reliable/--trace-out/\
                    --profile and with --sim-domains above 1).")
   in
-  let no_specialize =
-    Arg.(value & flag
-         & info [ "no-specialize" ]
-             ~doc:"Disable payload specialisation in the compiled engine: \
-                   keep every distributed-array element boxed and dispatch \
-                   skeleton argument functions generically (A/B escape \
-                   hatch; results are bit-identical either way).")
-  in
   let optimize =
     Arg.(value
          & opt optimize_conv `None
@@ -337,14 +311,9 @@ let run_par_cmd =
                    key=value fields, e.g. \
                    $(b,drop=0.1,dup=0.05,corrupt=0.02,delay=0.1x8,\
                    stall=2@0.01+0.005,crash=1@0.02,reboot=0.004,ckpt=on). \
-                   Replayable: the same spec and seed reproduce the run \
+                   A $(b,seed=)$(i,N) field keys the plan's PRNG (default \
+                   1).  Replayable: the same spec reproduces the run \
                    bit-for-bit.")
-  in
-  let fault_seed =
-    Arg.(value & opt int 1
-         & info [ "fault-seed" ] ~docv:"N"
-             ~doc:"Seed for the fault plan's splittable PRNG (overridden by \
-                   a seed= field in $(b,--faults)).")
   in
   let reliable =
     Arg.(value & flag
@@ -399,9 +368,9 @@ let run_par_cmd =
        ~doc:"Execute a Skil program on the simulated Parsytec machine, or \
              with real parallelism under $(b,--engine native).")
     Term.(const run $ file_arg $ entry_arg $ args_arg $ width $ height
-          $ torus $ profile $ no_instantiate $ engine $ no_specialize
-          $ optimize $ trace_out $ want_profile $ faults_spec $ fault_seed
-          $ reliable $ collectives $ sim_domains $ native_domains)
+          $ torus $ profile $ no_instantiate $ engine $ optimize
+          $ trace_out $ want_profile $ faults_spec $ reliable $ collectives
+          $ sim_domains $ native_domains)
 
 let () =
   let doc = "the Skil compiler (HPDC '96 reproduction)" in

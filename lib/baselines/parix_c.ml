@@ -22,10 +22,7 @@ let cannon ctx ~q ~bs ~cost ~add ~mul ablock bblock cblock =
   let tag_a = Machine.tags ctx 2 in
   let tag_b = tag_a + 1 in
   let exchange tag ~dest ~src block =
-    if dest = Machine.self ctx && src = Machine.self ctx then block
-    else if Machine.coll_legacy ctx then
-      Machine.sendrecv ctx ~dest ~src ~tag ~bytes:block_bytes block
-    else Collectives.ring_shift ctx ~tag ~bytes:block_bytes ~dest ~src block
+    Collectives.ring_shift ctx ~tag ~bytes:block_bytes ~dest ~src block
   in
   let a = ref ablock and b = ref bblock in
   a := exchange tag_a ~dest:(at bi (bj - bi)) ~src:(at bi (bj + bi)) !a;
@@ -84,25 +81,13 @@ let assemble_blocks ctx ~n ~bs seed blocks =
     blocks;
   out
 
+(* one all-gather of the q*q blocks; every rank assembles locally *)
 let gather_blocks ctx ~n ~q block =
   let bs = n / q in
   let tag = Machine.tags ctx 1 in
-  if Machine.coll_legacy ctx then begin
-    let gathered =
-      Collectives.gather_to ctx ~tag ~root:0 ~bytes:(bs * bs * elem_bytes)
-        block
-    in
-    let full =
-      match gathered with
-      | None -> [||]
-      | Some blocks -> assemble_blocks ctx ~n ~bs block.(0) blocks
-    in
-    Collectives.bcast ctx ~tag ~root:0 ~bytes:(n * n * elem_bytes) full
-  end
-  else
-    (* one all-gather of the q*q blocks; every rank assembles locally *)
-    assemble_blocks ctx ~n ~bs block.(0)
-      (Collectives.allgather ctx ~tag ~bytes:(bs * bs * elem_bytes) block)
+  assemble_blocks ctx ~n ~bs block.(0)
+    (Collectives.allgather ctx ~tag ~bytes:(bs * bs * elem_bytes)
+       ~total:(n * n * elem_bytes) block)
 
 let shortest_paths ctx ~n ~weight =
   let q = square_grid ctx in
@@ -247,21 +232,9 @@ let gauss ?(pivoting = false) ctx ~n ~matrix =
   Machine.charge ctx Cost_model.Kernel ~ops:nloc
     ~base:Calibration.gauss_elem_op;
   (* assemble the solution vector everywhere *)
-  let assemble pieces =
-    let out = Array.make n 0.0 in
-    Array.iter
-      (fun (start, xs) -> Array.blit xs 0 out start (Array.length xs))
-      pieces;
-    out
-  in
-  if Machine.coll_legacy ctx then begin
-    let gathered =
-      Collectives.gather_to ctx ~tag ~root:0 ~bytes:(nloc * elem_bytes)
-        (r0, local_x)
-    in
-    let x = match gathered with None -> [||] | Some pieces -> assemble pieces in
-    Collectives.bcast ctx ~tag ~root:0 ~bytes:(n * elem_bytes) x
-  end
-  else
-    assemble
-      (Collectives.allgather ctx ~tag ~bytes:(nloc * elem_bytes) (r0, local_x))
+  let x = Array.make n 0.0 in
+  Array.iter
+    (fun (start, xs) -> Array.blit xs 0 x start (Array.length xs))
+    (Collectives.allgather ctx ~tag ~bytes:(nloc * elem_bytes)
+       ~total:(n * elem_bytes) (r0, local_x));
+  x

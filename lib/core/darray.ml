@@ -182,24 +182,6 @@ let seed_elem parts =
   | Some v -> v
   | None -> invalid_arg "Darray: no resident element to seed a copy from"
 
-let to_flat a =
-  check_alive a;
-  let n = Index.volume a.gsize in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (seed_elem a.parts) in
-    Array.iter
-      (fun p ->
-        match p.region with
-        | Distribution.Rect b -> blit_rect_part a.gsize p b out
-        | Distribution.Rows { rows; ncols } ->
-            Array.iteri
-              (fun i r -> Array.blit p.data (i * ncols) out (r * ncols) ncols)
-              rows)
-      a.parts;
-    out
-  end
-
 (* Assemble the row-major global image from caller-supplied per-partition
    data snapshots ([snapshots.(r)] standing in for partition [r]'s live
    storage).  The allgather-based [Skeletons.to_flat] rebuilds from data
@@ -224,6 +206,8 @@ let flat_of_snapshots a snapshots =
       a.parts;
     out
   end
+
+let to_flat a = flat_of_snapshots a (Array.map (fun p -> p.data) a.parts)
 
 let row a r =
   check_alive a;

@@ -377,12 +377,7 @@ let gen_mult ctx ?(cost = default_elem_cost) ?kernel ~add ~mul
   let tag_a = Machine.tags ctx 2 in
   let tag_b = tag_a + 1 in
   let exchange tag ~dest ~src block =
-    if dest = me && src = me then block
-    else if Machine.coll_legacy ctx then
-      Machine.sendrecv ctx ~dest ~src ~tag ~bytes:block_bytes block
-    else
-      (* counted and traced as a collective under the selecting modes *)
-      Collectives.ring_shift ctx ~tag ~bytes:block_bytes ~dest ~src block
+    Collectives.ring_shift ctx ~tag ~bytes:block_bytes ~dest ~src block
   in
   (* Work on rotating snapshots: messages travel by reference, and a fast
      processor may mutate its partitions (e.g. through a following
@@ -458,42 +453,21 @@ let to_flat ctx (a : 'a Darray.t) =
   Darray.check_alive a;
   with_span ctx "array_to_flat" @@ fun () ->
   skeleton ctx;
-  let me = rank ctx in
-  let p = Darray.part a ~rank:me in
+  let p = Darray.part a ~rank:(rank ctx) in
   let tag = Machine.tags ctx 1 in
-  let local_bytes = Array.length p.Darray.data * Darray.elem_bytes a in
-  let total_bytes = Index.volume (Darray.gsize a) * Darray.elem_bytes a in
-  if Machine.coll_legacy ctx then begin
-    ignore
-      (Collectives.gather_to ctx ~tag ~root:0 ~bytes:local_bytes
-         p.Darray.data);
-    let flat =
-      if me = 0 then Darray.to_flat a
-      else [||] (* placeholder; replaced by the broadcast below *)
-    in
-    let received =
-      Collectives.bcast ctx ~tag ~root:0 ~bytes:total_bytes flat
-    in
-    (* Every processor returns a private snapshot.  The broadcast travels by
-       reference in the simulator, so returning [received] itself would hand
-       the *same* OCaml array to every processor — a caller mutating its
-       "local" copy would silently mutate all the others (and a root mutating
-       its result could still be read by slow receivers).  Landing the
-       gathered data in caller-owned memory is the same copy
-       [broadcast_part] charges, paid symmetrically on every rank. *)
-    Machine.charge_copy ctx ~bytes:total_bytes;
-    Array.copy received
-  end
-  else begin
-    (* One all-gather instead of gather + broadcast: every rank deposits a
-       snapshot of its partition and rebuilds the global image locally.
-       Snapshots (not live partitions) make the assembly immune to a fast
-       rank mutating its partition after it finishes the collective. *)
-    let parts =
-      Collectives.allgather ctx ~tag ~bytes:local_bytes
-        (Array.copy p.Darray.data)
-    in
-    let flat = Darray.flat_of_snapshots a parts in
-    Machine.charge_copy ctx ~bytes:total_bytes;
-    flat
-  end
+  let elem = Darray.elem_bytes a in
+  let total_bytes = Index.volume (Darray.gsize a) * elem in
+  (* Every rank deposits a snapshot of its partition (a fast rank may
+     mutate its partition once it leaves the collective) and assembles a
+     private global image: messages travel by reference, so one shared
+     result would let a caller mutating its "local" copy mutate all the
+     others.  Landing the image in caller-owned memory is the copy
+     [broadcast_part] charges, paid on every rank. *)
+  let parts =
+    Collectives.allgather ctx ~tag
+      ~bytes:(Array.length p.Darray.data * elem)
+      ~total:total_bytes (Array.copy p.Darray.data)
+  in
+  let flat = Darray.flat_of_snapshots a parts in
+  Machine.charge_copy ctx ~bytes:total_bytes;
+  flat

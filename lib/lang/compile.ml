@@ -180,10 +180,6 @@ type cfn = {
 type t = {
   cfuncs : (string, cfn) Hashtbl.t;
   tyenv : Typecheck.env;
-  specialize : bool;
-      (* payload specialisation: intercept saturated skeleton calls and run
-         them over unboxed int/float partitions (--no-specialize turns the
-         compiled engine back into PR 3's generic-payload version) *)
   typed_slots : bool;  (* see [typed_slots] *)
 }
 
@@ -1691,7 +1687,7 @@ and compile_call fc scope h args =
   match (h.Ast.desc, args) with
   | ( Ast.Var ("array_get_elem" as x),
       [ a; { Ast.desc = Ast.ArrayLit (([ _ ] | [ _; _ ]) as es); _ } ] )
-    when fc.prog.specialize && builtin x && elem_kind () <> Kbox ->
+    when builtin x && elem_kind () <> Kbox ->
       get_elem_lit fc scope (elem_kind ()) a es
   | _ -> compile_apply fc scope h args
 
@@ -1780,7 +1776,7 @@ and compile_apply fc scope h args =
            the list and fall back (the dispatcher re-flushes; that is a
            no-op at pending = 0). *)
         match (x, sealed) with
-        | "array_get_elem", [| sa; si |] when fc.prog.specialize ->
+        | "array_get_elem", [| sa; si |] ->
             dyn (fun f ->
                 bump f 2;
                 let va = sa f in
@@ -1792,7 +1788,7 @@ and compile_apply fc scope h args =
                 | _ ->
                     Interp.builtin f.st ~apply:(rt_apply fc.prog f.st) x
                       [ va; vi ])
-        | "array_put_elem", [| sa; si; sv |] when fc.prog.specialize ->
+        | "array_put_elem", [| sa; si; sv |] ->
             dyn (fun f ->
                 bump f 2;
                 let va = sa f in
@@ -1806,7 +1802,7 @@ and compile_apply fc scope h args =
                 | _ ->
                     Interp.builtin f.st ~apply:(rt_apply fc.prog f.st) x
                       [ va; vi; v ])
-        | "array_part_bounds", [| sa |] when fc.prog.specialize ->
+        | "array_part_bounds", [| sa |] ->
             dyn (fun f ->
                 bump f 2;
                 let va = sa f in
@@ -1818,10 +1814,7 @@ and compile_apply fc scope h args =
                     Interp.builtin f.st ~apply:(rt_apply fc.prog f.st) x [ va ])
         | _ -> (
             let dispatch () =
-              match
-                if fc.prog.specialize then specialize_skeleton fc.prog h x
-                else None
-              with
+              match specialize_skeleton fc.prog h x with
               | Some handle ->
                   (* same flush point as the generic dispatcher's array_*
                      entry; the handler's own fallback re-flushing is a
@@ -2417,7 +2410,7 @@ let signature t (f : Ast.func) =
     c_invoke = (fun _ _ -> missing ());
   }
 
-let program ~tyenv ?(specialize = true) (prog_ast : Ast.program) : t =
+let program ~tyenv (prog_ast : Ast.program) : t =
   let scratch = Interp.make ~tyenv prog_ast in
   let funcs =
     List.filter_map
@@ -2430,7 +2423,6 @@ let program ~tyenv ?(specialize = true) (prog_ast : Ast.program) : t =
     {
       cfuncs = Hashtbl.create 32;
       tyenv;
-      specialize;
       typed_slots = typed_slots tyenv scratch funcs;
     }
   in

@@ -19,19 +19,19 @@
 type t
 (** A compiled program: closure code for every function with a body. *)
 
-val program : tyenv:Typecheck.env -> ?specialize:bool -> Ast.program -> t
+val program : tyenv:Typecheck.env -> Ast.program -> t
 (** Compile a {e typechecked} program ([tyenv] must come from
     [Typecheck.check] on this exact AST — field-position annotations are
     read off the expression nodes).
 
-    [specialize] (default [true]) additionally intercepts saturated
-    skeleton calls whose element type is statically int or double: their
-    distributed arrays are stored as flat unboxed [int array]/[float array]
-    partitions and their argument functions run as unboxed closures — the
-    paper's "translation by instantiation" applied to the data plane.
-    Struct/pointer payloads and curried skeleton applications fall back to
-    the generic boxed path.  Either way the observable behaviour (output,
-    values, makespans, Stats, traces) is bit-identical. *)
+    Saturated skeleton calls whose element type is statically int or
+    double are specialised: their distributed arrays are stored as flat
+    unboxed [int array]/[float array] partitions and their argument
+    functions run as unboxed closures — the paper's "translation by
+    instantiation" applied to the data plane.  Struct/pointer payloads and
+    curried skeleton applications take the generic boxed path, with the
+    same observable behaviour (output, values, makespans, Stats,
+    traces). *)
 
 val call : t -> Interp.state -> string -> Value.t list -> Value.t
 (** Call a compiled function or builtin by name.  [st] must be built over

@@ -161,8 +161,8 @@ let ctx_of st =
 
 (* Every statement of both engines runs this, so the common case, a
    simulated run's [Clock] meter, charges here with no call: the same
-   operands in the same order as [Machine.charge_scalar_nodes].  It is
-   written out rather than called from Machine because a call across
+   operands in the same order as the [Charge] meter's [Machine.charge].
+   It is written out rather than called from Machine because a call across
    modules is not inlined in every build (dune's dev profile compiles with
    -opaque). *)
 let flush_scalar st =
@@ -177,7 +177,9 @@ let flush_scalar st =
          m.tm.clock <- m.tm.clock +. seconds;
          m.tm.busy <- m.tm.busy +. seconds
      | Machine.Poll g -> Groups.check_cancel g
-     | Machine.Charge ctx -> Machine.charge_scalar_nodes ctx ~ops
+     | Machine.Charge ctx ->
+         Machine.charge ctx Cost_model.Scalar ~ops
+           ~base:Calibration.scalar_node_op
      | Machine.Idle -> ());
     st.pending_ops <- 0
   end

@@ -18,8 +18,8 @@ type prepared = {
   pcompiled : Compile.t option; (* Some iff pengine <> `Ast *)
 }
 
-let prepare ?(instantiate = true) ?(engine = `Compiled) ?(specialize = true)
-    ?(optimize = `None) program ~entry =
+let prepare ?(instantiate = true) ?(engine = `Compiled) ?(optimize = `None)
+    program ~entry =
   let tyenv = Typecheck.check program in
   let program, tyenv =
     if instantiate then begin
@@ -47,14 +47,13 @@ let prepare ?(instantiate = true) ?(engine = `Compiled) ?(specialize = true)
     | `Compiled | `Native ->
         (* translate once; the closure code is shared by all processors
            (and, via the service cache, by all future runs) *)
-        Some (Compile.program ~tyenv ~specialize program)
+        Some (Compile.program ~tyenv program)
   in
   { pprogram = program; ptyenv = tyenv; pentry = entry; pengine = engine;
     pcompiled }
 
-let prepare_source ?instantiate ?engine ?specialize ?optimize source ~entry =
-  prepare ?instantiate ?engine ?specialize ?optimize (Parser.parse source)
-    ~entry
+let prepare_source ?instantiate ?engine ?optimize source ~entry =
+  prepare ?instantiate ?engine ?optimize (Parser.parse source) ~entry
 
 let entry_name p = p.pentry
 let engine_of p = p.pengine
@@ -101,19 +100,19 @@ let run_prepared ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
         ~topology body
 
 let run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
-    ?native_domains ?cancel ?instantiate ?engine ?specialize ?optimize
-    ~topology program ~entry ~args =
+    ?native_domains ?cancel ?instantiate ?engine ?optimize ~topology program
+    ~entry ~args =
   run_prepared ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
     ?native_domains ?cancel ~topology
-    (prepare ?instantiate ?engine ?specialize ?optimize program ~entry)
+    (prepare ?instantiate ?engine ?optimize program ~entry)
     ~args
 
 let run_source ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
-    ?native_domains ?cancel ?instantiate ?engine ?specialize ?optimize
-    ~topology source ~entry ~args =
+    ?native_domains ?cancel ?instantiate ?engine ?optimize ~topology source
+    ~entry ~args =
   run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains ?native_domains
-    ?cancel ?instantiate ?engine ?specialize ?optimize ~topology
-    (Parser.parse source) ~entry ~args
+    ?cancel ?instantiate ?engine ?optimize ~topology (Parser.parse source)
+    ~entry ~args
 
 let render ?summary (r : outcome Machine.result) =
   let b = Buffer.create 256 in

@@ -44,7 +44,6 @@ type prepared
 val prepare :
   ?instantiate:bool ->
   ?engine:engine ->
-  ?specialize:bool ->
   ?optimize:optimize ->
   Ast.program ->
   entry:string ->
@@ -58,7 +57,6 @@ val prepare :
 val prepare_source :
   ?instantiate:bool ->
   ?engine:engine ->
-  ?specialize:bool ->
   ?optimize:optimize ->
   string ->
   entry:string ->
@@ -102,7 +100,6 @@ val run :
   ?cancel:(unit -> bool) ->
   ?instantiate:bool ->
   ?engine:engine ->
-  ?specialize:bool ->
   ?optimize:optimize ->
   topology:Topology.t ->
   Ast.program ->
@@ -113,12 +110,8 @@ val run :
     first via {!run_source} or explicitly).  When [instantiate] is true
     (default), the program is first translated by instantiation, exactly as
     the Skil compiler would, and the first-order result is executed.
-    [specialize] (default true, [`Compiled] only) stores int/double array
-    payloads unboxed and runs monomorphic argument functions as unboxed
-    closures — results are bit-identical either way (see
-    {!Compile.program}).  [trace] records structured events for {!Profile}
-    (default false).  [printed] collects the calling processor's print_*
-    output.
+    [trace] records structured events for {!Profile} (default false).
+    [printed] collects the calling processor's print_* output.
 
     [faults] / [reliable] are handed straight to {!Machine.run}: a
     deterministic fault plan injected under the skeleton runtime, and the
@@ -153,7 +146,6 @@ val run_source :
   ?cancel:(unit -> bool) ->
   ?instantiate:bool ->
   ?engine:engine ->
-  ?specialize:bool ->
   ?optimize:optimize ->
   topology:Topology.t ->
   string ->

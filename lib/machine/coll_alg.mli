@@ -60,14 +60,9 @@ val net_of :
   recv_ovh:float ->
   net
 
-val candidates : kind -> algorithm list
-
 val pipeline_plan : net -> bytes:int -> int * int
 (** [(segments, segment_bytes)] for the pipelined broadcast; shared by the
     predictor and the implementation. *)
-
-val predict : net -> kind -> bytes:int -> algorithm -> float
-(** Estimated completion time; [infinity] for a non-candidate pairing. *)
 
 val select : net -> kind -> bytes:int -> algorithm
 

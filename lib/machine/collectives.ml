@@ -443,48 +443,52 @@ let sel_allgather ctx ~tag ~bytes v =
   Array.init p (slot cell)
 
 (* ------------------------------------------------------------------ *)
-(* Public API                                                           *)
+(* Public API: the only code that branches on the collective mode        *)
+
+let legacy ctx =
+  match Machine.coll_mode ctx with
+  | Coll_alg.Legacy -> true
+  | Coll_alg.Auto | Coll_alg.Force _ -> false
 
 let bcast ctx ~tag ~root ~bytes v =
-  if Machine.coll_legacy ctx then legacy_bcast ctx ~tag ~root ~bytes v
+  if legacy ctx then legacy_bcast ctx ~tag ~root ~bytes v
   else sel_bcast ctx ~tag ~root ~bytes v
 
 let allreduce ctx ~tag ~bytes f v =
-  if Machine.coll_legacy ctx then legacy_allreduce ctx ~tag ~bytes f v
+  if legacy ctx then legacy_allreduce ctx ~tag ~bytes f v
   else sel_allreduce ctx ~tag ~bytes f v
 
 let barrier ctx ~tag =
-  if Machine.coll_legacy ctx then legacy_barrier ctx ~tag
-  else sel_barrier ctx ~tag
+  if legacy ctx then legacy_barrier ctx ~tag else sel_barrier ctx ~tag
 
 let scan ctx ~tag ~bytes f v =
-  if Machine.coll_legacy ctx then
+  if legacy ctx then
     spanned ctx "scan" @@ fun () -> linear_scan ctx ~tag ~bytes f v
   else sel_scan ctx ~tag ~bytes f v
 
 let gather_to ctx ~tag ~root ~bytes v =
-  if Machine.coll_legacy ctx then legacy_gather_to ctx ~tag ~root ~bytes v
+  if legacy ctx then legacy_gather_to ctx ~tag ~root ~bytes v
   else sel_gather ctx ~tag ~root ~bytes v
 
-let allgather ctx ~tag ~bytes v =
-  if Machine.coll_legacy ctx then begin
-    (* composition of the legacy primitives; each rank still returns a
-       private array (messages travel by reference in the simulator) *)
-    let p = Machine.nprocs ctx in
+(* Legacy: the seed's gather to rank 0, then its broadcast of [total]
+   bytes, the wire size of what the caller assembles from the values.
+   The broadcast travels by reference, so each rank copies it into a
+   private array. *)
+let allgather ?total ctx ~tag ~bytes v =
+  if legacy ctx then begin
+    let total = Option.value total ~default:(Machine.nprocs ctx * bytes) in
     let arr =
       match legacy_gather_to ctx ~tag ~root:0 ~bytes v with
       | Some a -> a
       | None -> [||]
     in
-    Array.copy (legacy_bcast ctx ~tag ~root:0 ~bytes:(p * bytes) arr)
+    Array.copy (legacy_bcast ctx ~tag ~root:0 ~bytes:total arr)
   end
   else sel_allgather ctx ~tag ~bytes v
 
 let ring_shift ctx ~tag ~bytes ~dest ~src v =
   if dest = Machine.self ctx && src = Machine.self ctx then v
-  else if Machine.coll_legacy ctx then
-    spanned ctx "ring_shift" @@ fun () ->
-    Machine.sendrecv ctx ~dest ~src ~tag ~bytes v
+  else if legacy ctx then Machine.sendrecv ctx ~dest ~src ~tag ~bytes v
   else begin
     Machine.record_collective ctx ~name:"ring_shift[pairwise]" ~bytes;
     spanned ctx "ring_shift[pairwise]" @@ fun () ->

@@ -16,6 +16,9 @@
       counts; values are combined out-of-band with one canonical
       bracketing, so every algorithm returns bit-identical values.
 
+    This module is the only code that branches on the mode: the skeletons
+    and the baselines call it and run whatever the mode picks.
+
     Every collective must be called by all processors of the machine with
     the same [tag] and compatible arguments.  [bytes] is the simulated wire
     size of one payload. *)
@@ -42,11 +45,18 @@ val gather_to : Machine.ctx -> tag:int -> root:int -> bytes:int -> 'a -> 'a arra
 (** Every processor contributes one value; [root] returns [Some arr] with
     [arr.(i)] from processor [i], others return [None]. *)
 
-val allgather : Machine.ctx -> tag:int -> bytes:int -> 'a -> 'a array
+val allgather :
+  ?total:int -> Machine.ctx -> tag:int -> bytes:int -> 'a -> 'a array
 (** Every processor contributes one value of wire size [bytes] and returns
-    a fresh array with [arr.(i)] from processor [i]. *)
+    a fresh array with [arr.(i)] from processor [i].  Under [Legacy] the
+    values are gathered to processor 0, which broadcasts [total] bytes
+    (default [nprocs * bytes]): the wire size of what the caller assembles
+    from them. *)
 
 val ring_shift :
   Machine.ctx -> tag:int -> bytes:int -> dest:int -> src:int -> 'a -> 'a
 (** Simultaneous shift: send the value to [dest], return the one received
-    from [src].  Used for Gentleman's partition rotations. *)
+    from [src]; a shift from and to the calling processor returns the value
+    and sends nothing.  Under [Legacy] a plain {!Machine.sendrecv}; the
+    selecting modes count and trace it as the collective
+    [ring_shift[pairwise]].  Used for Gentleman's partition rotations. *)

@@ -139,7 +139,7 @@ let parse_at what s =
 
 let ( let* ) = Result.bind
 
-let parse ?(seed = 1) spec =
+let parse spec =
   let fields =
     String.split_on_char ',' spec
     |> List.map String.trim
@@ -236,7 +236,7 @@ let parse ?(seed = 1) spec =
             in
             go acc rest)
   in
-  go (none ~seed, None) fields
+  go (none ~seed:1, None) fields
 
 let describe p =
   let b = Buffer.create 64 in

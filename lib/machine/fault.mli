@@ -70,7 +70,7 @@ val decision :
 val uniform : seed:int -> key:int array -> float
 (** The underlying splittable draw in [0, 1) — exposed for tests. *)
 
-val parse : ?seed:int -> string -> (plan, string) result
+val parse : string -> (plan, string) result
 (** Parse a [--faults] spec: comma-separated [key=value] fields.
 
     {v
@@ -82,10 +82,8 @@ val parse : ?seed:int -> string -> (plan, string) result
     crash=1@0.02      processor 1 fail-stops at t=0.02 (repeatable)
     reboot=0.004      crash reboot penalty in seconds
     ckpt=on|off       override the default checkpoint policy
-    seed=N            override the PRNG seed
-    v}
-
-    [seed] (default 1) keys the PRNG unless the spec overrides it. *)
+    seed=N            key the PRNG with N (default 1)
+    v} *)
 
 val describe : plan -> string
 (** One-line human-readable summary of the plan. *)

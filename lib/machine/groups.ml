@@ -13,13 +13,7 @@ exception Stalled of (int * string) list
 exception Cancelled
 
 type t = {
-  topology : Topology.t;
-  cost : Cost_model.t;
-  coll_mode : Coll_alg.mode;
-  coll_legacy : bool; (* cached [coll_mode = Legacy] *)
-  coll_net : Coll_alg.net option; (* Some iff not coll_legacy *)
   cancel : (unit -> bool) option;
-  stats : Stats.t; (* every rank's counters; makespan set by the engine *)
   first : int array; (* first rank of each group; [first.(count)] = nranks *)
   group_of : int array;
   scheds : Scheduler.t array;
@@ -42,8 +36,7 @@ type t = {
          group's next step *)
 }
 
-let create ~topology ~cost ~collectives ~cancel ~ngroups =
-  let nranks = Topology.nprocs topology in
+let create ~nranks ~cancel ~ngroups =
   if ngroups < 1 || ngroups > nranks then
     invalid_arg "Groups.create: need 1 <= ngroups <= nranks";
   let base = nranks / ngroups and rem = nranks mod ngroups in
@@ -52,25 +45,8 @@ let create ~topology ~cost ~collectives ~cancel ~ngroups =
   for g = 0 to ngroups - 1 do
     Array.fill group_of first.(g) (first.(g + 1) - first.(g)) g
   done;
-  let params = cost.Cost_model.params in
-  let cf = cost.Cost_model.profile.Cost_model.comm_factor in
   {
-    topology;
-    cost;
-    coll_mode = collectives;
-    coll_legacy = (collectives = Coll_alg.Legacy);
-    coll_net =
-      (if collectives = Coll_alg.Legacy then None
-       else
-         Some
-           (Coll_alg.net_of topology
-              ~latency:(cf *. params.Cost_model.msg_latency)
-              ~per_hop:(cf *. params.Cost_model.per_hop)
-              ~per_byte:(cf *. params.Cost_model.per_byte)
-              ~send_ovh:(cf *. params.Cost_model.send_overhead)
-              ~recv_ovh:(cf *. params.Cost_model.recv_overhead)));
     cancel;
-    stats = Stats.create nranks;
     first;
     group_of;
     scheds = Array.init ngroups (fun _ -> Scheduler.create ());
@@ -90,17 +66,6 @@ let create ~topology ~cost ~collectives ~cancel ~ngroups =
   }
 
 let nranks t = Array.length t.group_of
-let topology t = t.topology
-let cost t = t.cost
-let coll_mode t = t.coll_mode
-let coll_legacy t = t.coll_legacy
-
-let coll_net t =
-  match t.coll_net with
-  | Some n -> n
-  | None -> invalid_arg "Machine.coll_net: Legacy collectives mode"
-
-let stats t = t.stats
 let check_cancel t =
   match t.cancel with Some f when f () -> raise Cancelled | _ -> ()
 let cancellable t = t.cancel <> None

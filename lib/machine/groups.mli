@@ -1,5 +1,5 @@
-(** Rank groups: the run-wide state, the scheduling protocol and the
-    cross-group message delivery shared by both engines.
+(** Rank groups: the scheduling protocol, the cross-group message delivery
+    and the collective call sites shared by both engines.
 
     Skil programs are SPMD, and both the simulator ({!Machine.run}, at any
     [sim_domains]) and the native engine ({!Machine.run_native}) run them
@@ -19,12 +19,10 @@
     {!Pool} crew workers claim ready groups through a registered work
     source, so no domain is ever spawned here.
 
-    A [t] is also the run-wide state that is not a rank's own: the
-    topology, the cost model, the collective mode and its
-    {!Coll_alg.net}, the cancel hook, every rank's {!Stats.proc}, and one
-    collective deposit table ({!collective}, {!tags}): the first rank to
-    reach a collective call site computes its value, the others pick it
-    up. *)
+    A [t] also holds the cancel hook and the one collective deposit table
+    ({!collective}, {!tags}): the first rank to reach a collective call
+    site computes its value, the others pick it up.  The run's topology,
+    cost profile, collective mode and counters belong to {!Machine}. *)
 
 type t
 
@@ -35,37 +33,14 @@ exception Stalled of (int * string) list
 exception Cancelled
 (** The run's cancel callback returned true at a poll point. *)
 
-val create :
-  topology:Topology.t ->
-  cost:Cost_model.t ->
-  collectives:Coll_alg.mode ->
-  cancel:(unit -> bool) option ->
-  ngroups:int ->
-  t
-(** Block the topology's ranks [0 .. nranks - 1] into [ngroups] contiguous
-    groups: sizes are [nranks / ngroups], the first [nranks mod ngroups]
-    groups one rank larger.  Every group starts ready.  When [ngroups > 1]
-    the {!Pool} crew is grown towards [ngroups - 1] workers (clamped to the
-    host).  The {!Coll_alg.net} is built from [cost]'s communication
-    coefficients unless [collectives] is [Legacy].
+val create : nranks:int -> cancel:(unit -> bool) option -> ngroups:int -> t
+(** Block the ranks [0 .. nranks - 1] into [ngroups] contiguous groups:
+    sizes are [nranks / ngroups], the first [nranks mod ngroups] groups one
+    rank larger.  Every group starts ready.  When [ngroups > 1] the {!Pool}
+    crew is grown towards [ngroups - 1] workers (clamped to the host).
     @raise Invalid_argument unless [1 <= ngroups <= nranks]. *)
 
-(** {1 Run-wide state} *)
-
-val nranks : t -> int
-val topology : t -> Topology.t
-val cost : t -> Cost_model.t
-val coll_mode : t -> Coll_alg.mode
-
-val coll_legacy : t -> bool
-(** [coll_mode t = Legacy], cached. *)
-
-val coll_net : t -> Coll_alg.net
-(** @raise Invalid_argument under [Legacy], where none is built. *)
-
-val stats : t -> Stats.t
-(** Every rank's counters, [Stats.proc (stats t) rank]; the engine sets
-    the makespan when the run ends. *)
+(** {1 Cancellation} *)
 
 val check_cancel : t -> unit
 (** Raise {!Cancelled} if the run's cancel callback fires; a single dead

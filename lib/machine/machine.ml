@@ -48,7 +48,13 @@ type proc = {
 
 type t = {
   procs : proc array;
-  groups : Groups.t; (* the run-wide state and group scheduling *)
+  groups : Groups.t;
+      (* the group driver, the cancel hook and the collective call sites *)
+  topology : Topology.t;
+  profile : Cost_model.profile;
+  coll_mode : Coll_alg.mode;
+  coll_net : Coll_alg.net option; (* Some iff [coll_mode] is not Legacy *)
+  stats : Stats.t; (* every rank's counters; makespan set when the run ends *)
   timed : bool;
       (* false on the native engine: no clock is read or advanced, and
          [t0] is the wall-clock start its run time is measured from *)
@@ -79,8 +85,8 @@ type t = {
 
 (* One context for both engines.  A native rank is a processor of a run
    whose [timed] is false: it shares the transport, the counters and the
-   run-wide state ({!Groups}), and the operations below branch only where
-   a clock is read or advanced. *)
+   run-wide state, and the operations below branch only where a clock is
+   read or advanced. *)
 type ctx = { m : t; p : proc }
 
 type 'r result = {
@@ -110,10 +116,13 @@ let stall_diagnostic blocked =
 
 let self ctx = ctx.p.id
 let nprocs ctx = Array.length ctx.m.procs
-let topology ctx = Groups.topology ctx.m.groups
-let coll_mode ctx = Groups.coll_mode ctx.m.groups
-let coll_legacy ctx = Groups.coll_legacy ctx.m.groups
-let coll_net ctx = Groups.coll_net ctx.m.groups
+let topology ctx = ctx.m.topology
+let coll_mode ctx = ctx.m.coll_mode
+
+let coll_net ctx =
+  match ctx.m.coll_net with
+  | Some n -> n
+  | None -> invalid_arg "Machine.coll_net: Legacy collectives mode"
 
 let record_collective ctx ~name ~bytes =
   Stats.count_collective ctx.p.stats ~name ~bytes
@@ -125,8 +134,6 @@ let tags ctx n = Groups.tags ctx.m.groups ~rank:ctx.p.id n
 
 (* ------------------------------------------------------------------ *)
 (* Clocks and charging                                                 *)
-
-let profile (m : t) = (Groups.cost m.groups).Cost_model.profile
 
 let clock ctx =
   if ctx.m.timed then ctx.p.tm.clock else Unix.gettimeofday () -. ctx.m.t0
@@ -180,23 +187,7 @@ let charge ctx cls ~ops ~base =
        | s :: _ -> Trace.span_add_ops s cls ops
        | [] -> ());
     compute ctx
-      (float_of_int ops *. base *. Cost_model.factor (profile ctx.m) cls)
-  end
-
-(* The Skil engines' per-statement scalar charge on a traced run or one
-   with a fault plan (the [meter] below charges the others inline): same
-   math as [charge ctx Scalar ~ops ~base:Calibration.scalar_node_op] (same
-   operand order, so simulated clocks stay bit-identical), with the factor
-   lookup hoisted to machine construction. *)
-let charge_scalar_nodes ctx ~ops =
-  if ops > 0 then begin
-    if ctx.m.trace_on then
-      (match ctx.p.span_stack with
-       | s :: _ -> Trace.span_add_ops s Cost_model.Scalar ops
-       | [] -> ());
-    compute ctx
-      (float_of_int ops *. Calibration.scalar_node_op
-      *. ctx.m.c_scalar_factor)
+      (float_of_int ops *. base *. Cost_model.factor ctx.m.profile cls)
   end
 
 let overhead ctx seconds =
@@ -217,12 +208,12 @@ let charge_copy ctx ~bytes =
 let charge_skeleton_call ctx =
   let st = ctx.p.stats in
   st.Stats.skeleton_calls <- st.Stats.skeleton_calls + 1;
-  overhead ctx (profile ctx.m).Cost_model.skeleton_call
+  overhead ctx ctx.m.profile.Cost_model.skeleton_call
 
 (* Plain data, not closures: [Interp.flush_scalar] matches on it at every
    statement, where an indirect call costs measurably.  Tracing records
    span op counts and trace records, and a fault plan applies stalls, so
-   those runs keep [charge_scalar_nodes]. *)
+   those runs keep [charge]. *)
 type meter =
   | Clock of {
       tm : times;
@@ -338,7 +329,7 @@ let send_faulty ctx ~rendezvous ~dest ~tag ~bytes v =
   let plan = m.fplan in
   overhead ctx m.c_send_overhead;
   let src = ctx.p.id in
-  let hops = Topology.hops (Groups.topology m.groups) src dest in
+  let hops = Topology.hops m.topology src dest in
   let transit =
     m.c_latency
     +. (float_of_int hops *. m.c_per_hop)
@@ -451,7 +442,7 @@ let send ctx ?(rendezvous = false) ~dest ~tag ~bytes v =
     send_faulty ctx ~rendezvous ~dest ~tag ~bytes v
   else begin
     overhead ctx m.c_send_overhead;
-    let hops = Topology.hops (Groups.topology m.groups) ctx.p.id dest in
+    let hops = Topology.hops m.topology ctx.p.id dest in
     let arrival =
       ctx.p.tm.clock +. m.c_latency
       +. (float_of_int hops *. m.c_per_hop)
@@ -563,8 +554,9 @@ let describe_blocked m (p : proc) =
    run's is the wall clock, read as soon as every rank has finished. *)
 let start ~timed ~trace ~faults ~reliable ~cost ~collectives ~cancel
     ~topology ~ngroups f =
-  let g = Groups.create ~topology ~cost ~collectives ~cancel ~ngroups in
-  let n = Groups.nranks g in
+  let n = Topology.nprocs topology in
+  let g = Groups.create ~nranks:n ~cancel ~ngroups in
+  let stats = Stats.create n in
   let params = cost.Cost_model.params in
   let cf = cost.Cost_model.profile.Cost_model.comm_factor in
   let faults_on = faults <> None in
@@ -572,8 +564,11 @@ let start ~timed ~trace ~faults ~reliable ~cost ~collectives ~cancel
     match faults with Some p -> p | None -> Fault.none ~seed:0
   in
   let faulty = faults_on || reliable in
+  let c_send_overhead = cf *. params.Cost_model.send_overhead in
+  let c_recv_overhead = cf *. params.Cost_model.recv_overhead in
   let c_latency = cf *. params.Cost_model.msg_latency in
   let c_per_hop = cf *. params.Cost_model.per_hop in
+  let c_per_byte = cf *. params.Cost_model.per_byte in
   (* retransmission timeout ~ a round trip across the network diameter; the
      per-message bytes term is added at send time *)
   let rto_fixed =
@@ -608,7 +603,7 @@ let start ~timed ~trace ~faults ~reliable ~cost ~collectives ~cancel
           tm = { clock = 0.0; busy = 0.0 };
           mbox = Groups.mailbox g id;
           span_stack = [];
-          stats = Stats.proc (Groups.stats g) id;
+          stats = Stats.proc stats id;
           next_seq = (if faulty then Array.make n 0 else [||]);
           seen = Hashtbl.create (if reliable then 64 else 1);
           pending_stalls = stalls_for id;
@@ -624,15 +619,27 @@ let start ~timed ~trace ~faults ~reliable ~cost ~collectives ~cancel
     {
       procs;
       groups = g;
+      topology;
+      profile = cost.Cost_model.profile;
+      coll_mode = collectives;
+      coll_net =
+        (match collectives with
+         | Coll_alg.Legacy -> None
+         | Coll_alg.Auto | Coll_alg.Force _ ->
+             Some
+               (Coll_alg.net_of topology ~latency:c_latency ~per_hop:c_per_hop
+                  ~per_byte:c_per_byte ~send_ovh:c_send_overhead
+                  ~recv_ovh:c_recv_overhead));
+      stats;
       timed;
       t0 = Unix.gettimeofday ();
       trace = Trace.create ~enabled:trace ~nprocs:n;
       trace_on = trace;
-      c_send_overhead = cf *. params.Cost_model.send_overhead;
-      c_recv_overhead = cf *. params.Cost_model.recv_overhead;
+      c_send_overhead;
+      c_recv_overhead;
       c_latency;
       c_per_hop;
-      c_per_byte = cf *. params.Cost_model.per_byte;
+      c_per_byte;
       sync_comm = cost.Cost_model.profile.Cost_model.sync_comm;
       c_scalar_factor =
         Cost_model.factor cost.Cost_model.profile Cost_model.Scalar;
@@ -657,7 +664,6 @@ let start ~timed ~trace ~faults ~reliable ~cost ~collectives ~cancel
     if timed then Array.fold_left (fun acc p -> Float.max acc p.tm.clock) 0.0 procs
     else wall
   in
-  let stats = Groups.stats g in
   stats.Stats.makespan <- time;
   let values =
     Array.map

@@ -31,8 +31,8 @@ exception Stalled of (int * string) list
     source, tag and its clock at block time.  Raised both for genuine
     program deadlocks and for receivers starved by dropped messages under a
     fault plan without [~reliable].  Both engines raise this one
-    constructor: it is {!Groups.Stalled}, defined with the run-wide state
-    they share. *)
+    constructor: it is {!Groups.Stalled}, raised by the group driver they
+    share. *)
 
 val stall_diagnostic : (int * string) list -> string
 (** Render a {!Stalled} payload as a multi-line human-readable report. *)
@@ -149,10 +149,8 @@ val clock : ctx -> float
     the wall-clock seconds since the run started. *)
 
 val coll_mode : ctx -> Coll_alg.mode
-(** The run's collective-algorithm mode (see [run]'s [collectives]). *)
-
-val coll_legacy : ctx -> bool
-(** [coll_mode ctx = Legacy], cached. *)
+(** The run's collective-algorithm mode (see [run]'s [collectives]); only
+    {!Collectives} branches on it. *)
 
 val coll_net : ctx -> Coll_alg.net
 (** The topology/cost summary the selection layer predicts from.  Only
@@ -171,13 +169,6 @@ val charge : ctx -> Cost_model.op_class -> ops:int -> base:float -> unit
 (** Charge [ops * base * factor] seconds, where the factor comes from the
     run's language profile and the operation class. *)
 
-val charge_scalar_nodes : ctx -> ops:int -> unit
-(** Exactly [charge ctx Scalar ~ops ~base:Calibration.scalar_node_op], with
-    the profile factor hoisted to machine construction — the per-statement
-    charge of the Skil execution engines on a traced run or one with a
-    fault plan (see {!type-meter}).  The floating-point operand order
-    matches {!charge}, so clocks are bit-identical either way. *)
-
 (** {1 The scalar meter} *)
 
 type times = { mutable clock : float; mutable busy : float }
@@ -192,12 +183,12 @@ type times = { mutable clock : float; mutable busy : float }
       cancel hook when [cancel_on], then add
       [float_of_int ops *. Calibration.scalar_node_op *. factor] to
       [tm.clock], then to [tm.busy]: the operands, order and effects of
-      {!charge_scalar_nodes}.
+      [charge ctx Scalar ~ops ~base:Calibration.scalar_node_op].
     - [Poll]: a {!run_native} run, which has no clock, with a cancel
       hook; {!Groups.check_cancel}, nothing else.
     - [Charge]: a traced run or one with a fault plan, which records span
       op counts and trace records and applies stalls; call
-      {!charge_scalar_nodes}.
+      [charge ctx Scalar ~ops ~base:Calibration.scalar_node_op].
     - [Idle]: a {!run_native} run without a cancel hook, or no machine
       (sequential evaluation); charge nothing. *)
 type meter =

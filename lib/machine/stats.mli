@@ -35,7 +35,6 @@ type t = {
 }
 
 val create : int -> t
-val fresh_proc : unit -> proc
 val proc : t -> int -> proc
 val total_msgs : t -> int
 val total_bytes : t -> int
@@ -51,6 +50,4 @@ val coll_alg_totals : t -> (string * int) list
 (** Aggregate call count per ["kind[algorithm]"] label, sorted. *)
 
 val count_collective : proc -> name:string -> bytes:int -> unit
-val max_compute : t -> float
-val avg_comm_wait : t -> float
 val pp_summary : Format.formatter -> t -> unit

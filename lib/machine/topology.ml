@@ -3,8 +3,6 @@ type virtual_kind = Default | Ring | Torus2d
 type t = {
   width : int;
   height : int;
-  kind : virtual_kind;
-  optimized : bool;
   position : (int * int) array; (* rank -> physical mesh position *)
   dist : int array; (* rank pair -> hops, row-major n x n (read-only) *)
 }
@@ -78,8 +76,6 @@ let create ?(embedding_optimized = true) ~width ~height kind =
   {
     width;
     height;
-    kind;
-    optimized = embedding_optimized;
     position;
     dist = distance_table position;
   }
@@ -99,8 +95,6 @@ let torus2d ?(embedding_optimized = true) ~width ~height () =
 let nprocs t = t.width * t.height
 let width t = t.width
 let height t = t.height
-let kind t = t.kind
-let embedding_optimized t = t.optimized
 
 let check_rank t r =
   if r < 0 || r >= nprocs t then invalid_arg "Topology: rank out of range"
@@ -162,13 +156,3 @@ let digest t =
     t.position;
   Array.iter mix t.dist;
   !h
-
-let pp ppf t =
-  let k =
-    match t.kind with
-    | Default -> "default"
-    | Ring -> "ring"
-    | Torus2d -> "torus2d"
-  in
-  Format.fprintf ppf "%dx%d mesh, %s topology%s" t.width t.height k
-    (if t.optimized then "" else " (naive embedding)")

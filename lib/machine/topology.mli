@@ -39,8 +39,6 @@ val torus2d : ?embedding_optimized:bool -> width:int -> height:int -> unit -> t
 val nprocs : t -> int
 val width : t -> int
 val height : t -> int
-val kind : t -> virtual_kind
-val embedding_optimized : t -> bool
 
 val grid_coords : t -> int -> int * int
 (** [grid_coords t rank] is the [(column, row)] position of [rank] in the
@@ -74,5 +72,3 @@ val digest : t -> int
     domains of a sharded [Machine.run]; the machine asserts the digest is
     unchanged after the run to pin the no-mutation-after-publication
     contract. *)
-
-val pp : Format.formatter -> t -> unit

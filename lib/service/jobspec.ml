@@ -13,12 +13,10 @@ type t = {
   torus : bool;
   engine : Spmd.engine;
   optimize : Spmd.optimize;
-  specialize : bool;
   instantiate : bool;
   collectives : Coll_alg.mode;
   profile : Cost_model.profile;
   faults : string option; (* raw spec, parsed per run by [fault_plan] *)
-  fault_seed : int;
   reliable : bool;
   sim_domains : int;
   native_domains : int option;
@@ -38,12 +36,10 @@ let default =
     torus = false;
     engine = `Compiled;
     optimize = `None;
-    specialize = true;
     instantiate = true;
     collectives = Coll_alg.Legacy;
     profile = Cost_model.skil;
     faults = None;
-    fault_seed = 1;
     reliable = false;
     sim_domains = 1;
     native_domains = None;
@@ -150,10 +146,6 @@ let apply spec (k, v) =
       match optimize_of_string v with
       | Ok optimize -> Ok { spec with optimize }
       | Error e -> err e)
-  | "specialize" -> (
-      match bool_of_string v with
-      | Ok specialize -> Ok { spec with specialize }
-      | Error e -> err e)
   | "instantiate" -> (
       match bool_of_string v with
       | Ok instantiate -> Ok { spec with instantiate }
@@ -167,8 +159,6 @@ let apply spec (k, v) =
       | Ok profile -> Ok { spec with profile }
       | Error e -> err e)
   | "faults" -> Ok { spec with faults = Some v }
-  | "fault-seed" ->
-      lift (int_field k v) (fun fault_seed -> { spec with fault_seed })
   | "reliable" -> (
       match bool_of_string v with
       | Ok reliable -> Ok { spec with reliable }
@@ -215,7 +205,6 @@ let to_kv spec =
   |> add (spec.engine <> d.engine) "engine" (engine_to_string spec.engine)
   |> add (spec.optimize <> d.optimize) "optimize"
        (optimize_to_string spec.optimize)
-  |> add (not spec.specialize) "specialize" "0"
   |> add (not spec.instantiate) "instantiate" "0"
   |> add
        (spec.collectives <> d.collectives)
@@ -226,8 +215,6 @@ let to_kv spec =
        <> d.profile.Cost_model.profile_name)
        "profile" (profile_to_string spec.profile)
   |> add (spec.faults <> None) "faults" (Option.value spec.faults ~default:"")
-  |> add (spec.fault_seed <> d.fault_seed) "fault-seed"
-       (string_of_int spec.fault_seed)
   |> add spec.reliable "reliable" "1"
   |> add (spec.sim_domains <> d.sim_domains) "sim-domains"
        (string_of_int spec.sim_domains)
@@ -248,7 +235,7 @@ let fault_plan spec =
   match spec.faults with
   | None -> Ok None
   | Some raw -> (
-      match Fault.parse ~seed:spec.fault_seed raw with
+      match Fault.parse raw with
       | Ok plan -> Ok (Some plan)
       | Error msg -> Error ("faults: " ^ msg))
 
@@ -264,7 +251,6 @@ let cache_key spec ~source =
             source;
             spec.entry;
             engine_to_string spec.engine;
-            string_of_bool spec.specialize;
             string_of_bool spec.instantiate;
             optimize_to_string spec.optimize;
           ]))

@@ -14,12 +14,12 @@ type t = {
   torus : bool;
   engine : Spmd.engine;
   optimize : Spmd.optimize;
-  specialize : bool;
   instantiate : bool;
   collectives : Coll_alg.mode;
   profile : Cost_model.profile;
   faults : string option;
-  fault_seed : int;
+      (** a [--faults] spec, parsed per run; its [seed=] field keys the
+          plan's PRNG (default 1) *)
   reliable : bool;
   sim_domains : int;
   native_domains : int option;
@@ -55,7 +55,7 @@ val to_kv : t -> (string * string) list
 val topology : t -> Topology.t
 
 val fault_plan : t -> (Fault.plan option, string) result
-(** Parse the raw [faults] spec (if any) with the spec's seed. *)
+(** Parse the raw [faults] spec (if any). *)
 
 val cache_key : t -> source:string -> string
 (** Digest over source, entry, engine and the pipeline switches — exactly

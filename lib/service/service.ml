@@ -237,7 +237,6 @@ let run_job t j =
                  (fun () ->
                    Spmd.prepare_source ~instantiate:spec.Jobspec.instantiate
                      ~engine:spec.Jobspec.engine
-                     ~specialize:spec.Jobspec.specialize
                      ~optimize:spec.Jobspec.optimize j.jsource
                      ~entry:spec.Jobspec.entry)
              in

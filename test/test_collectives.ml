@@ -90,6 +90,35 @@ let test_gather () =
       | _, None -> ())
     r.Machine.values
 
+(* Legacy allgather is the seed's gather to rank 0 (p - 1 messages of
+   [bytes]) then its broadcast tree (p - 1 messages of [total]), and every
+   rank gets an array of its own, however the broadcast shares it. *)
+let test_legacy_allgather_total () =
+  List.iter
+    (fun p ->
+      let r =
+        run ~procs:p (fun ctx ->
+            Collectives.allgather ctx ~tag:0 ~bytes:8 ~total:1000
+              (10 * Machine.self ctx))
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "p=%d bytes on the wire" p)
+        ((p - 1) * (8 + 1000))
+        (Stats.total_bytes r.Machine.stats);
+      Array.iteri
+        (fun i a ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "p=%d rank %d" p i)
+            (Array.init p (fun j -> 10 * j))
+            a;
+          Array.iteri
+            (fun j b ->
+              if j <> i && a == b then
+                Alcotest.failf "p=%d: ranks %d and %d share an array" p i j)
+            r.Machine.values)
+        r.Machine.values)
+    sizes
+
 let test_ring_shift () =
   let r =
     run ~procs:5 (fun ctx ->
@@ -285,6 +314,8 @@ let suite =
         Alcotest.test_case "scan" `Quick test_scan;
         Alcotest.test_case "gather" `Quick test_gather;
         Alcotest.test_case "ring shift" `Quick test_ring_shift;
+        Alcotest.test_case "legacy allgather total" `Quick
+          test_legacy_allgather_total;
         Alcotest.test_case "reduce is logarithmic" `Quick
           test_reduce_stages_logarithmic;
         Alcotest.test_case "every algorithm matches legacy values" `Quick

@@ -11,8 +11,8 @@
 let mesh22 = Topology.mesh ~width:2 ~height:2
 let torus22 = Topology.torus2d ~width:2 ~height:2 ()
 
-(* ast, compiled and --no-specialize agree byte for byte, or fail with one
-   diagnostic; the ast outcome *)
+(* ast and compiled agree byte for byte, or fail with one diagnostic; the
+   ast outcome *)
 let agree ?(collectives = "tree") ~topology src name =
   Test_paths.agree_engines ~what:name
     (fun s -> Test_paths.observe ~topology s src)
@@ -220,7 +220,7 @@ let test_gen_mult_pairs () =
        "gen_mult int (+) (/)")
 
 (* The monomorphic kernels read and write their blocks unchecked: against
-   the closure loop (ast and --no-specialize run it) on elements near
+   the closure loop (the ast engine runs it) on elements near
    int_max, whose sums would overflow a branchless min, and below zero,
    and on seeded matrices holding int_max, sums that wrap around,
    negatives and ties, at block sizes 1 to 5 on the 2×2 torus (an odd
@@ -377,9 +377,8 @@ int g(P s, P *q, int v, Index ix) { int z = poke(q); return s.y * 10 + z + v; }|
 
    Expressions of static type int or float run unboxed, and returns of a
    variable the activation owns skip the copy.  Each program below sits on
-   an edge of those paths; ast, compiled and --no-specialize must agree
-   byte for byte and the native engine in values, or all fail with one
-   diagnostic. *)
+   an edge of those paths; ast and compiled must agree byte for byte and
+   the native engine in values, or all fail with one diagnostic. *)
 
 let agree_all ?(topology = mesh22) ?(instantiate = true) ?(entry = "main")
     ?(args = []) src name =
@@ -614,7 +613,7 @@ int main() { return 0; }
    array, a field write stores into it, and the compiled engine reads a
    field at its compile-time position (an int or float field of a struct
    without type parameters unboxed) and stores [x.f = e] in one closure.
-   Each program must agree over ast, compiled, --no-specialize and native,
+   Each program must agree over ast, compiled and native,
    and print what C value semantics give: the engines share [Value.copy],
    so agreement alone would not catch a copy that shares fields. *)
 
@@ -1057,10 +1056,10 @@ let test_meter_cancels () =
    A direct invoker stores an applied argument into its reused frame once
    when the body never assigns that parameter and every element would
    store that very value anyway: the invoker lends it, or it is neither a
-   struct nor an Index.  Each program sits on one side of that rule; ast,
-   compiled and --no-specialize must agree byte for byte and native in
-   values, and the printed output is pinned, since the engines would
-   agree on a wrong answer they share. *)
+   struct nor an Index.  Each program sits on one side of that rule; ast
+   and compiled must agree byte for byte and native in values, and the
+   printed output is pinned, since the engines would agree on a wrong
+   answer they share. *)
 
 (* bodies that assign an applied parameter: every element must see the
    applied value, through map, fold's conversion and merge, array_create's

@@ -1009,7 +1009,7 @@ let test_native_options_rejected () =
           run engine ~native_domains:2 ()))
     [ ("ast", `Ast); ("compiled", `Compiled) ];
   let plan =
-    match Fault.parse ~seed:1 "drop=0.1" with
+    match Fault.parse "drop=0.1" with
     | Ok plan -> plan
     | Error m -> Alcotest.fail m
   in

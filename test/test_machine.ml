@@ -244,7 +244,8 @@ let test_cancel_every_engine () =
              if Machine.self ctx = 0 then
                for _ = 1 to 100_000 do
                  Atomic.incr ticks;
-                 Machine.charge_scalar_nodes ctx ~ops:1
+                 Machine.charge ctx Cost_model.Scalar ~ops:1
+                   ~base:Calibration.scalar_node_op
                done
              else ignore (Machine.recv ctx ~src:0 ~tag:0 : int))
        with

@@ -33,19 +33,21 @@ type row = {
   height : int;
   torus : bool;
   golden : string option;  (** the test/golden file of its default rendering *)
+  auto_golden : string option;  (** ... of its rendering under [auto] *)
   cc : bool;  (** emit-c --standalone builds it; checked at 1x1 *)
 }
 
-let row ?(args = []) ?(torus = false) ?golden ?(cc = false) file entry
-    (width, height) =
-  { file; entry; args; width; height; torus; golden; cc }
+let row ?(args = []) ?(torus = false) ?golden ?auto_golden ?(cc = false) file
+    entry (width, height) =
+  { file; entry; args; width; height; torus; golden; auto_golden; cc }
 
 let corpus =
   [
-    row "gauss.skil" "gauss" ~args:[ 16 ] (2, 2) ~golden:"gauss.out";
+    row "gauss.skil" "gauss" ~args:[ 16 ] (2, 2) ~golden:"gauss.out"
+      ~auto_golden:"gauss_auto.out";
     row "shpaths.skil" "shpaths" ~args:[ 16 ] (2, 2) ~golden:"shpaths.out";
     row "matmul.skil" "matmul" ~args:[ 8 ] (2, 2) ~torus:true ~cc:true
-      ~golden:"matmul.out";
+      ~golden:"matmul.out" ~auto_golden:"matmul_auto.out";
     row "threshold.skil" "main" ~args:[ 8 ] (2, 1) ~golden:"threshold.out";
     row "quicksort.skil" "main" (2, 2) ~golden:"quicksort.out";
     row "jacobi.skil" "jacobi" ~args:[ 16 ] (2, 2) ~cc:true
@@ -81,7 +83,6 @@ let pipelined = [ "gauss.skil"; "matmul.skil"; "jacobi.skil" ]
 (* Everything [skilc run-par] takes that changes how a run goes. *)
 type setup = {
   engine : Spmd.engine;
-  specialize : bool;
   instantiate : bool;
   optimize : Spmd.optimize;
   collectives : string;  (** a --collectives name *)
@@ -93,9 +94,9 @@ type setup = {
 }
 
 let default =
-  { engine = `Compiled; specialize = true; instantiate = true;
-    optimize = `None; collectives = "tree"; profile = "skil"; faults = None;
-    reliable = false; sim_domains = 1; native_domains = None }
+  { engine = `Compiled; instantiate = true; optimize = `None;
+    collectives = "tree"; profile = "skil"; faults = None; reliable = false;
+    sim_domains = 1; native_domains = None }
 
 (* Everything observable about a run.  The --profile text and the Chrome
    trace are functions of the trace's records and the makespan, so runs
@@ -142,8 +143,7 @@ let observe ?(topology = Topology.mesh ~width:2 ~height:2) ?(entry = "main")
     Spmd.run_source ~cost ~trace:(trace && s.engine <> `Native) ?cancel ?faults
       ~reliable:s.reliable ~collectives ~sim_domains:s.sim_domains
       ?native_domains:s.native_domains ~instantiate:s.instantiate
-      ~engine:s.engine ~specialize:s.specialize ~optimize:s.optimize
-      ~topology src ~entry ~args
+      ~engine:s.engine ~optimize:s.optimize ~topology src ~entry ~args
   with
   | exception e -> (
       match Errclass.of_exn e with Some (_, m) -> Error m | None -> raise e)
@@ -268,9 +268,6 @@ let ast = path [ "--engine"; "ast" ] (fun s -> { s with engine = `Ast })
 let compiled =
   path [ "--engine"; "compiled" ] (fun s -> { s with engine = `Compiled })
 
-let no_specialize =
-  path [ "--no-specialize" ] (fun s -> { s with specialize = false })
-
 let sharded n =
   path [ "--sim-domains"; string_of_int n ] (fun s ->
       { s with sim_domains = n })
@@ -280,7 +277,7 @@ let native d =
     [ "--engine"; "native"; "--native-domains"; string_of_int d ]
     (fun s -> { s with engine = `Native; native_domains = Some d })
 
-let simulated = [ compiled; no_specialize ]
+let simulated = [ compiled ]
 
 (* each path's run of setup [s] must agree with [reference] in [cls] *)
 let against ~what cls reference run s =
@@ -367,7 +364,9 @@ let test_corpus_complete () =
   Alcotest.(check (list string))
     "test/golden files no row compares" []
     (uncovered (goldens ()) ".out" (fun f ->
-         List.exists (fun r -> r.golden = Some f) corpus))
+         List.exists
+           (fun r -> r.golden = Some f || r.auto_golden = Some f)
+           corpus))
 
 let what r st = name r ^ ", " ^ pname st.path
 
@@ -395,7 +394,8 @@ let baseline =
   let table = List.map (fun r -> (r, lazy (check r))) corpus in
   fun r -> Lazy.force (List.assq r table)
 
-(* rows x [sts] x engine paths, against ast and the default setting *)
+(* rows x [sts] x engine paths, against ast and the default setting; a
+   row's rendering under --collectives auto against its auto golden *)
 let test_settings sts () =
   List.iter
     (fun r ->
@@ -409,6 +409,14 @@ let test_settings sts () =
               (fun s -> observe_row s r)
               s
           in
+          if st.path.flags = [ "--collectives"; "auto" ] then
+            Option.iter
+              (fun g ->
+                Alcotest.(check string)
+                  (what ^ " = test/golden/" ^ g)
+                  (read (Filename.concat (goldens ()) g))
+                  (ok ~what o).rendering)
+              r.auto_golden;
           expect ~what:(what ^ " vs default") Values base o;
           let none = (ok ~what base).ops and fused = (ok ~what o).ops in
           let most = none - if List.mem r.file pipelined then 1 else 0 in
@@ -424,7 +432,7 @@ let meter_probe = "int main() { int x = 1 + 2 * 3 - 4 + 5; return x; }\n"
 
 (* A simulated run without a trace charges each statement through the
    scalar meter (Machine.meter), and a cancel hook makes the meter poll
-   it; a traced run charges through Machine.charge_scalar_nodes.  Each
+   it; a traced run charges through Machine.charge.  Each
    row's default setting, untraced and with a hook that never fires, must
    equal its traced run on every simulated path in all but the trace, and
    so must [meter_probe]. *)
@@ -596,8 +604,7 @@ let test_cli () =
     corpus;
   List.iter
     (check (List.find (fun r -> r.file = "jacobi.skil") corpus))
-    ([ ast; compiled; no_specialize; sharded 2; sharded 4; native 1; native 2;
-       native 4 ]
+    ([ ast; compiled; sharded 2; sharded 4; native 1; native 2; native 4 ]
     @ List.map (fun st -> st.path) settings)
 
 (* The matrix's cases.  Settings older than the matrix are reported by

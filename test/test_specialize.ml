@@ -1,9 +1,9 @@
 (* Property: payload specialisation is unobservable.  Random monomorphic
    Skil programs — an int or float array initialised, mapped with a
    partially-applied element function, folded and printed — must behave
-   bit-identically under the reference interpreter, the compiled engine
-   with payload specialisation and the compiled engine with --no-specialize,
-   as the path matrix's [Bytes] agreement defines it (test_paths.ml). *)
+   bit-identically under the reference interpreter and the compiled engine,
+   which specialises them, as the path matrix's [Bytes] agreement defines
+   it (test_paths.ml). *)
 
 let qt ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest
@@ -91,8 +91,6 @@ let prop_specialisation_unobservable src =
   let run s = Test_paths.observe s src in
   let a = run { Test_paths.default with engine = `Ast } in
   Test_paths.agrees Bytes a (run Test_paths.default)
-  && Test_paths.agrees Bytes a
-       (run { Test_paths.default with specialize = false })
 
 (* Element functions with random loop control: a while loop nested in a
    for loop, each able to break, continue or return at a random point.
@@ -145,9 +143,9 @@ let suite =
   [
     ( "specialize",
       [
-        qt "random monomorphic programs: ast = spec = no-spec" gen_program
+        qt "random monomorphic programs: ast = spec" gen_program
           prop_specialisation_unobservable;
-        qt "random loop control: ast = spec = no-spec" gen_loop_program
+        qt "random loop control: ast = spec" gen_loop_program
           prop_specialisation_unobservable;
       ] );
   ]
