@@ -161,7 +161,7 @@ type cfn = {
   mutable c_ix_safe : bool;
       (* body provably never assigns through an Index subscript, so a
          skeleton element loop may lend it the iteration's scratch index
-         without a private copy (see [stmt_writes]) *)
+         without a private copy (see [writes]) *)
   mutable c_lend : bool;
       (* body never assigns through a struct field either, and no code in
          the program writes through a value it did not copy, so a direct
@@ -352,7 +352,7 @@ let combine1 ce g =
   let ops, r = node 1 ce ce.run in
   { ops; run = (fun f -> g (r f)); typed = Boxed }
 
-(* Whether a body contains an assignment whose target satisfies [lhs].
+(* Whether [stmts] contain an assignment whose target satisfies [lhs].
    Assigning through an Index subscript (ix[i] = ...) is the only
    operation that mutates an Index array in place, and assigning through a
    struct field (s.f = ...) the only one that mutates a struct in place.
@@ -362,34 +362,9 @@ let combine1 ce g =
    argument without a private copy: it can neither mutate nor retain it.
    Other code can still reach what it was lent, unless every assignment
    in the program is rooted in a local variable (see [shared_target]). *)
-let rec expr_writes lhs (e : Ast.expr) =
-  let w = expr_writes lhs in
-  match e.Ast.desc with
-  | Ast.Assign (l, r) -> lhs l.Ast.desc || w l || w r
-  | Ast.Int _ | Ast.Float _ | Ast.Str _ | Ast.Chr _ | Ast.Var _
-  | Ast.OpSection _ ->
-      false
-  | Ast.Call (f, args) -> w f || List.exists w args
-  | Ast.Binop (_, a, b) | Ast.Idx (a, b) -> w a || w b
-  | Ast.Unop (_, a) | Ast.Field (a, _) | Ast.Arrow (a, _) | Ast.Deref a
-  | Ast.New a ->
-      w a
-  | Ast.ArrayLit es -> List.exists w es
-  | Ast.Cond (a, b, c) -> w a || w b || w c
-
-let rec stmt_writes lhs s =
-  let we = expr_writes lhs and ws = stmt_writes lhs in
-  let opt f = Option.fold ~none:false ~some:f in
-  match s with
-  | Ast.SExpr e -> we e
-  | Ast.SDecl (_, _, init) -> opt we init
-  | Ast.SIf (c, a, b) -> we c || List.exists ws a || List.exists ws b
-  | Ast.SWhile (c, b) -> we c || List.exists ws b
-  | Ast.SFor (i, c, st, b) ->
-      opt ws i || opt we c || opt we st || List.exists ws b
-  | Ast.SReturn e -> opt we e
-  | Ast.SBreak | Ast.SContinue -> false
-  | Ast.SBlock b -> List.exists ws b
+let writes lhs stmts =
+  Ast.exists_stmts stmts ~expr:(fun (e : Ast.expr) ->
+      match e.Ast.desc with Ast.Assign (l, _) -> lhs l.Ast.desc | _ -> false)
 
 let index_target = function Ast.Idx _ -> true | _ -> false
 let field_target = function Ast.Idx _ | Ast.Field _ -> true | _ -> false
@@ -2285,17 +2260,6 @@ let rec holds_void = function
   | VStruct s -> Array.exists holds_void s.s_vals
   | _ -> false
 
-let rec stmt_exists p s =
-  p s
-  ||
-  match s with
-  | Ast.SIf (_, a, b) -> List.exists (stmt_exists p) (a @ b)
-  | Ast.SWhile (_, b) | Ast.SBlock b -> List.exists (stmt_exists p) b
-  | Ast.SFor (i, _, _, b) ->
-      Option.fold ~none:false ~some:(stmt_exists p) i
-      || List.exists (stmt_exists p) b
-  | _ -> false
-
 let typed_slots tyenv scratch funcs =
   (* a distributed array or a function starts void too, but no typed
      place can receive one *)
@@ -2313,7 +2277,7 @@ let typed_slots tyenv scratch funcs =
       (match Typecheck.expand tyenv f.Ast.f_ret with
        | Ast.TVoid -> true
        | _ -> not (falls_through body))
-      && not (List.exists (stmt_exists void_default) body))
+      && not (Ast.exists_stmts ~stmt:void_default body))
     funcs
 
 (* ---------------- program ---------------- *)
@@ -2330,14 +2294,12 @@ let compile_func t scratch ~lendable (f : Ast.func) =
     }
   in
   let fbody = Option.get f.Ast.f_body in
-  cfn.c_ix_safe <- not (List.exists (stmt_writes index_target) fbody);
-  cfn.c_lend <-
-    lendable && not (List.exists (stmt_writes field_target) fbody);
+  cfn.c_ix_safe <- not (writes index_target fbody);
+  cfn.c_lend <- lendable && not (writes field_target fbody);
   cfn.c_assigns <-
     Array.of_list
       (List.map
-         (fun p ->
-           List.exists (stmt_writes (rooted_in p.Ast.p_name)) fbody)
+         (fun p -> writes (rooted_in p.Ast.p_name) fbody)
          f.Ast.f_params);
   (* a parameter holds the activation's own copy unless an invoker may lend
      it: any of them under [c_lend], the last (an element function's
@@ -2438,8 +2400,7 @@ let program ~tyenv (prog_ast : Ast.program) : t =
   let lendable =
     not
       (List.exists
-         (fun f ->
-           List.exists (stmt_writes shared_target) (Option.get f.Ast.f_body))
+         (fun f -> writes shared_target (Option.get f.Ast.f_body))
          funcs)
   in
   List.iter (compile_func t scratch ~lendable) funcs;

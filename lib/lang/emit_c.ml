@@ -111,33 +111,19 @@ let rec collect_types acc t =
       collect_types (List.fold_left collect_types acc args) ret
   | _ -> acc
 
-let rec stmt_types acc = function
-  | Ast.SDecl (t, _, _) -> collect_types acc t
-  | Ast.SIf (_, a, b) ->
-      List.fold_left stmt_types (List.fold_left stmt_types acc a) b
-  | Ast.SWhile (_, b) -> List.fold_left stmt_types acc b
-  | Ast.SFor (i, _, _, b) ->
-      let acc = match i with Some s -> stmt_types acc s | None -> acc in
-      List.fold_left stmt_types acc b
-  | Ast.SBlock b -> List.fold_left stmt_types acc b
-  | Ast.SExpr _ | Ast.SReturn _ | Ast.SBreak | Ast.SContinue -> acc
-
 let used_named_types program =
-  List.fold_left
-    (fun acc top ->
-      match top with
+  let acc = ref [] in
+  let add t = acc := collect_types !acc t in
+  let decl = function Ast.SDecl (t, _, _) -> add t | _ -> () in
+  List.iter
+    (function
       | Ast.TFunc f ->
-          let acc = collect_types acc f.Ast.f_ret in
-          let acc =
-            List.fold_left
-              (fun acc p -> collect_types acc p.Ast.p_type)
-              acc f.Ast.f_params
-          in
-          (match f.Ast.f_body with
-           | Some body -> List.fold_left stmt_types acc body
-           | None -> acc)
-      | _ -> acc)
-    [] program
+          add f.Ast.f_ret;
+          List.iter (fun p -> add p.Ast.p_type) f.Ast.f_params;
+          Option.iter (List.iter (Ast.iter_stmt ignore decl)) f.Ast.f_body
+      | _ -> ())
+    program;
+  !acc
 
 (* ---------------- standalone dialect ---------------- *)
 
@@ -372,14 +358,6 @@ let find_typedef program name =
       | _ -> None)
     program
 
-let rec subst_simple s = function
-  | Ast.TVar v as t -> (
-      match List.assoc_opt v s with Some t' -> t' | None -> t)
-  | Ast.TPtr t -> Ast.TPtr (subst_simple s t)
-  | Ast.TNamed (n, args) -> Ast.TNamed (n, List.map (subst_simple s) args)
-  | Ast.TFun (a, r) -> Ast.TFun (List.map (subst_simple s) a, subst_simple s r)
-  | t -> t
-
 let emit_type_instances buf program =
   let used = used_named_types program in
   List.iter
@@ -402,7 +380,7 @@ let emit_type_instances buf program =
               List.iter
                 (fun (ft, fname) ->
                   Buffer.add_string buf
-                    ("  " ^ mangle_type (subst_simple s ft) ^ " " ^ fname
+                    ("  " ^ mangle_type (Ast.subst_type s ft) ^ " " ^ fname
                    ^ ";\n"))
                 sd.Ast.s_fields;
               Buffer.add_string buf "};\n"
@@ -415,7 +393,7 @@ let emit_type_instances buf program =
                   in
                   Buffer.add_string buf
                     ("typedef "
-                    ^ mangle_type (subst_simple s td.Ast.td_type)
+                    ^ mangle_type (Ast.subst_type s td.Ast.td_type)
                     ^ " " ^ mangle_type t ^ ";\n")
               | _ -> ()))
       | _ -> ())
@@ -474,58 +452,28 @@ let find_func prog name =
 
 let take k xs = List.filteri (fun i _ -> i < k) xs
 
-(* [f] over every expression node of the program's bodies, parents first *)
-let rec expr_fold f acc (e : Ast.expr) =
-  let acc = f acc e in
-  match e.Ast.desc with
-  | Ast.Var _ | Ast.Int _ | Ast.Float _ | Ast.Str _ | Ast.Chr _
-  | Ast.OpSection _ ->
-      acc
-  | Ast.Call (g, args) -> List.fold_left (expr_fold f) (expr_fold f acc g) args
-  | Ast.Binop (_, a, b) | Ast.Assign (a, b) | Ast.Idx (a, b) ->
-      expr_fold f (expr_fold f acc a) b
-  | Ast.Unop (_, a) | Ast.Field (a, _) | Ast.Arrow (a, _) | Ast.Deref a
-  | Ast.New a ->
-      expr_fold f acc a
-  | Ast.ArrayLit es -> List.fold_left (expr_fold f) acc es
-  | Ast.Cond (a, b, c) -> expr_fold f (expr_fold f (expr_fold f acc a) b) c
-
-let rec stmt_fold f acc = function
-  | Ast.SExpr e | Ast.SReturn (Some e) | Ast.SDecl (_, _, Some e) ->
-      expr_fold f acc e
-  | Ast.SDecl (_, _, None) | Ast.SReturn None | Ast.SBreak | Ast.SContinue ->
-      acc
-  | Ast.SIf (c, a, b) ->
-      List.fold_left (stmt_fold f)
-        (List.fold_left (stmt_fold f) (expr_fold f acc c) a)
-        b
-  | Ast.SWhile (c, b) -> List.fold_left (stmt_fold f) (expr_fold f acc c) b
-  | Ast.SFor (i, c, s, b) ->
-      let acc = match i with Some s -> stmt_fold f acc s | None -> acc in
-      let acc = match c with Some e -> expr_fold f acc e | None -> acc in
-      let acc = match s with Some e -> expr_fold f acc e | None -> acc in
-      List.fold_left (stmt_fold f) acc b
-  | Ast.SBlock b -> List.fold_left (stmt_fold f) acc b
-
-let program_fold f acc prog =
-  List.fold_left
-    (fun acc -> function
+(* [f] on every expression node of the program's bodies, parents first *)
+let iter_bodies f prog =
+  List.iter
+    (function
       | Ast.TFunc { Ast.f_body = Some body; _ } ->
-          List.fold_left (stmt_fold f) acc body
-      | _ -> acc)
-    acc prog
+          List.iter (Ast.iter_stmt f ignore) body
+      | _ -> ())
+    prog
 
 (* every name the program references (function heads and plain variables);
    [new] is recorded as its runtime hook skil_new *)
 let program_names prog =
-  let add acc x = if List.mem x acc then acc else x :: acc in
-  program_fold
-    (fun acc (e : Ast.expr) ->
+  let names = ref [] in
+  let add x = if not (List.mem x !names) then names := x :: !names in
+  iter_bodies
+    (fun (e : Ast.expr) ->
       match e.Ast.desc with
-      | Ast.Var x -> add acc x
-      | Ast.New _ -> add acc "skil_new"
-      | _ -> acc)
-    [] prog
+      | Ast.Var x -> add x
+      | Ast.New _ -> add "skil_new"
+      | _ -> ())
+    prog;
+  !names
 
 (* one functional slot of a skeleton instance: the C expression applying it
    to [actuals], with lifted arguments passed through instance parameters *)
@@ -706,7 +654,7 @@ let semit_type_instances buf program =
               List.iter
                 (fun (ft, fname) ->
                   Buffer.add_string buf
-                    ("  " ^ stype (subst_simple s ft) ^ " " ^ fname ^ ";\n"))
+                    ("  " ^ stype (Ast.subst_type s ft) ^ " " ^ fname ^ ";\n"))
                 sd.Ast.s_fields;
               Buffer.add_string buf "};\n"
           | _ -> (
@@ -718,7 +666,7 @@ let semit_type_instances buf program =
                   in
                   Buffer.add_string buf
                     ("typedef "
-                    ^ stype (subst_simple s td.Ast.td_type)
+                    ^ stype (Ast.subst_type s td.Ast.td_type)
                     ^ " " ^ stype t ^ ";\n")
               | _ -> ()))
       | _ -> ())
@@ -777,8 +725,8 @@ let standalone (prog : Ast.program) ~entry ~args =
     | Ast.Var g | Ast.Call ({ Ast.desc = Ast.Var g; _ }, _) -> find_func prog g
     | _ -> None
   in
-  program_fold
-    (fun () (e : Ast.expr) ->
+  iter_bodies
+    (fun (e : Ast.expr) ->
       match e.Ast.desc with
       | Ast.Call ({ Ast.desc = Ast.Var "array_fold"; _ }, conv :: _) -> (
           match conv_func conv with
@@ -792,7 +740,7 @@ let standalone (prog : Ast.program) ~entry ~args =
                    (Ast.type_to_string f.Ast.f_ret))
           | _ -> ())
       | _ -> ())
-    () prog;
+    prog;
   let celt = stype elem in
   let carr = flat elem ^ "array" in
   (* walk the bodies first: instances and generic-skeleton usage drive what

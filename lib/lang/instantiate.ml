@@ -31,23 +31,6 @@ type st = {
 
 (* ---------------- types ---------------- *)
 
-let rec subst_type s t =
-  match t with
-  | Ast.TVar v -> (
-      match List.assoc_opt v s with Some t' -> t' | None -> t)
-  | Ast.TPtr t -> Ast.TPtr (subst_type s t)
-  | Ast.TNamed (n, args) -> Ast.TNamed (n, List.map (subst_type s) args)
-  | Ast.TFun (args, ret) ->
-      Ast.TFun (List.map (subst_type s) args, subst_type s ret)
-  | Ast.TMeta { contents = Ast.Link t } -> subst_type s t
-  | Ast.TMeta { contents = Ast.Unbound _ } ->
-      (* ambiguous instantiation, e.g. an unused polymorphic result; C
-         defaults such things to int and so do we *)
-      Ast.TInt
-  | ( Ast.TInt | Ast.TFloat | Ast.TChar | Ast.TVoid | Ast.TString
-    | Ast.TIndex | Ast.TBounds ) as t ->
-      t
-
 let rec ground line t =
   match t with
   | Ast.TVar v -> unsupported line "unresolved type variable $%s" v
@@ -147,7 +130,7 @@ let rec ensure_spec st line g ~tyinst ~fargs =
           end
           else
             params :=
-              { Ast.p_type = subst_type s p.Ast.p_type;
+              { Ast.p_type = Ast.subst_type s p.Ast.p_type;
                 p_name = p.Ast.p_name }
               :: !params)
         fn.Ast.f_params;
@@ -160,14 +143,12 @@ let rec ensure_spec st line g ~tyinst ~fargs =
         | None -> unsupported line "%s has no body to instantiate" g
         | Some body ->
             List.map
-              (fun stmt ->
-                Ast.map_stmt_types (subst_type s)
-                  (rewrite_stmt st s bindings stmt))
+              (Ast.map_stmt (rewrite st s bindings) (Ast.subst_type s))
               body
       in
       st.out <-
         {
-          Ast.f_ret = subst_type s fn.Ast.f_ret;
+          Ast.f_ret = Ast.subst_type s fn.Ast.f_ret;
           f_name = name;
           f_params = params;
           f_body = Some body;
@@ -184,7 +165,7 @@ and flatten_call f args =
   | _ -> (f, args)
 
 and tyinst_of _st s (e : Ast.expr) =
-  List.map (fun (v, t) -> (v, subst_type s t)) e.Ast.inst
+  List.map (fun (v, t) -> (v, Ast.subst_type s t)) e.Ast.inst
 
 (* Analyze an expression in functional-argument position into an fdesc. *)
 and analyze st s bindings (e : Ast.expr) : fdesc =
@@ -221,7 +202,7 @@ and analyze st s bindings (e : Ast.expr) : fdesc =
       | Ast.OpSection op ->
           let t =
             match head.Ast.inst with
-            | (_, t) :: _ -> subst_type s t
+            | (_, t) :: _ -> Ast.subst_type s t
             | [] -> Ast.TInt
           in
           {
@@ -251,7 +232,7 @@ and analyze st s bindings (e : Ast.expr) : fdesc =
                     List.mapi
                       (fun i _ ->
                         match List.nth_opt sch.Typecheck.sch_params (nprior + i) with
-                        | Some t -> subst_type s t
+                        | Some t -> Ast.subst_type s t
                         | None -> Ast.TInt)
                       args
                 | None -> List.map (fun _ -> Ast.TInt) args)
@@ -288,7 +269,8 @@ and analyze st s bindings (e : Ast.expr) : fdesc =
                     fargs := analyze st s bindings arg :: !fargs
                   else begin
                     lifted := rewrite st s bindings arg :: !lifted;
-                    ltypes := subst_type sub (subst_type s pt) :: !ltypes
+                    ltypes :=
+                      Ast.subst_type sub (Ast.subst_type s pt) :: !ltypes
                   end)
                 supplied_params args;
               let fargs = List.rev !fargs in
@@ -323,9 +305,7 @@ and rebuild line d =
 
 and rewrite st s bindings (e : Ast.expr) : Ast.expr =
   let line = e.Ast.line in
-  let re = rewrite st s bindings in
   match e.Ast.desc with
-  | Ast.Int _ | Ast.Float _ | Ast.Str _ | Ast.Chr _ -> e
   | Ast.OpSection _ ->
       unsupported line "operator section outside a functional position"
   | Ast.Var p when List.mem_assoc p bindings ->
@@ -338,16 +318,7 @@ and rewrite st s bindings (e : Ast.expr) : Ast.expr =
       mk ~line (Ast.Var name)
   | Ast.Var _ -> e
   | Ast.Call (f, args) -> rewrite_call st s bindings line f args
-  | Ast.Binop (op, a, b) -> mk ~line (Ast.Binop (op, re a, re b))
-  | Ast.Unop (op, a) -> mk ~line (Ast.Unop (op, re a))
-  | Ast.Assign (l, r) -> mk ~line (Ast.Assign (re l, re r))
-  | Ast.Idx (a, i) -> mk ~line (Ast.Idx (re a, re i))
-  | Ast.Field (a, f) -> mk ~line (Ast.Field (re a, f))
-  | Ast.Arrow (a, f) -> mk ~line (Ast.Arrow (re a, f))
-  | Ast.Deref a -> mk ~line (Ast.Deref (re a))
-  | Ast.ArrayLit es -> mk ~line (Ast.ArrayLit (List.map re es))
-  | Ast.Cond (a, b, c) -> mk ~line (Ast.Cond (re a, re b, re c))
-  | Ast.New a -> mk ~line (Ast.New (re a))
+  | _ -> Ast.map_expr (rewrite st s bindings) e
 
 and rewrite_call st s bindings line f args =
   let head, args = flatten_call f args in
@@ -426,29 +397,6 @@ and rewrite_call st s bindings line f args =
             in
             mk ~line (Ast.Call (mk ~line (Ast.Var g), out_args)))
   | _ -> unsupported line "computed function calls are not supported"
-
-and rewrite_stmt st s bindings stmt =
-  let re = rewrite st s bindings in
-  match stmt with
-  | Ast.SExpr e -> Ast.SExpr (re e)
-  | Ast.SDecl (t, n, init) -> Ast.SDecl (t, n, Option.map re init)
-  | Ast.SIf (c, a, b) ->
-      Ast.SIf
-        ( re c,
-          List.map (rewrite_stmt st s bindings) a,
-          List.map (rewrite_stmt st s bindings) b )
-  | Ast.SWhile (c, b) ->
-      Ast.SWhile (re c, List.map (rewrite_stmt st s bindings) b)
-  | Ast.SFor (i, c, stp, b) ->
-      Ast.SFor
-        ( Option.map (rewrite_stmt st s bindings) i,
-          Option.map re c,
-          Option.map re stp,
-          List.map (rewrite_stmt st s bindings) b )
-  | Ast.SReturn e -> Ast.SReturn (Option.map re e)
-  | Ast.SBreak -> Ast.SBreak
-  | Ast.SContinue -> Ast.SContinue
-  | Ast.SBlock b -> Ast.SBlock (List.map (rewrite_stmt st s bindings) b)
 
 (* ---------------- entry point ---------------- *)
 

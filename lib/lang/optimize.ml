@@ -52,46 +52,6 @@ type ctx = {
 
 (* ---------------- generic expression utilities ---------------- *)
 
-let rec iter_expr f (e : Ast.expr) =
-  f e;
-  match e.Ast.desc with
-  | Ast.Int _ | Ast.Float _ | Ast.Str _ | Ast.Chr _ | Ast.Var _
-  | Ast.OpSection _ ->
-      ()
-  | Ast.Call (h, args) -> List.iter (iter_expr f) (h :: args)
-  | Ast.Binop (_, a, b) | Ast.Assign (a, b) | Ast.Idx (a, b) ->
-      iter_expr f a;
-      iter_expr f b
-  | Ast.Unop (_, a) | Ast.Field (a, _) | Ast.Arrow (a, _) | Ast.Deref a
-  | Ast.New a ->
-      iter_expr f a
-  | Ast.ArrayLit es -> List.iter (iter_expr f) es
-  | Ast.Cond (a, b, c) ->
-      iter_expr f a;
-      iter_expr f b;
-      iter_expr f c
-
-let rec iter_stmt fe fs (s : Ast.stmt) =
-  fs s;
-  match s with
-  | Ast.SExpr e -> iter_expr fe e
-  | Ast.SDecl (_, _, init) -> Option.iter (iter_expr fe) init
-  | Ast.SIf (c, a, b) ->
-      iter_expr fe c;
-      List.iter (iter_stmt fe fs) a;
-      List.iter (iter_stmt fe fs) b
-  | Ast.SWhile (c, b) ->
-      iter_expr fe c;
-      List.iter (iter_stmt fe fs) b
-  | Ast.SFor (i, c, st, b) ->
-      Option.iter (iter_stmt fe fs) i;
-      Option.iter (iter_expr fe) c;
-      Option.iter (iter_expr fe) st;
-      List.iter (iter_stmt fe fs) b
-  | Ast.SReturn e -> Option.iter (iter_expr fe) e
-  | Ast.SBreak | Ast.SContinue -> ()
-  | Ast.SBlock b -> List.iter (iter_stmt fe fs) b
-
 (* Occurrences of [x]: as a [Var] node, or as a declared name. *)
 let mentions_stmts x stmts =
   let n = ref 0 in
@@ -99,7 +59,7 @@ let mentions_stmts x stmts =
     match e.Ast.desc with Ast.Var y when y = x -> incr n | _ -> ()
   in
   let fs = function Ast.SDecl (_, y, _) when y = x -> incr n | _ -> () in
-  List.iter (iter_stmt fe fs) stmts;
+  List.iter (Ast.iter_stmt fe fs) stmts;
   !n
 
 let mentions_stmt x s = mentions_stmts x [ s ]
@@ -109,29 +69,9 @@ let mentions_stmt x s = mentions_stmts x [ s ]
    clobber another).  Replacements are inserted as fresh copies and are not
    themselves traversed. *)
 let rec subst_expr sub (e : Ast.expr) : Ast.expr =
-  let mk d = Ast.mk ~line:e.Ast.line ~col:e.Ast.col d in
   match e.Ast.desc with
-  | Ast.Var x -> (
-      match List.assoc_opt x sub with
-      | Some r -> subst_expr [] r
-      | None -> mk (Ast.Var x))
-  | (Ast.Int _ | Ast.Float _ | Ast.Str _ | Ast.Chr _ | Ast.OpSection _) as d
-    ->
-      mk d
-  | Ast.Call (h, args) ->
-      mk (Ast.Call (subst_expr sub h, List.map (subst_expr sub) args))
-  | Ast.Binop (op, a, b) ->
-      mk (Ast.Binop (op, subst_expr sub a, subst_expr sub b))
-  | Ast.Unop (op, a) -> mk (Ast.Unop (op, subst_expr sub a))
-  | Ast.Assign (a, b) -> mk (Ast.Assign (subst_expr sub a, subst_expr sub b))
-  | Ast.Idx (a, b) -> mk (Ast.Idx (subst_expr sub a, subst_expr sub b))
-  | Ast.Field (a, f) -> mk (Ast.Field (subst_expr sub a, f))
-  | Ast.Arrow (a, f) -> mk (Ast.Arrow (subst_expr sub a, f))
-  | Ast.Deref a -> mk (Ast.Deref (subst_expr sub a))
-  | Ast.ArrayLit es -> mk (Ast.ArrayLit (List.map (subst_expr sub) es))
-  | Ast.Cond (a, b, c) ->
-      mk (Ast.Cond (subst_expr sub a, subst_expr sub b, subst_expr sub c))
-  | Ast.New a -> mk (Ast.New (subst_expr sub a))
+  | Ast.Var x when List.mem_assoc x sub -> subst_expr [] (List.assoc x sub)
+  | _ -> Ast.map_expr (subst_expr sub) e
 
 let copy_expr e = subst_expr [] e
 
@@ -164,7 +104,7 @@ let rec var_counts x (e : Ast.expr) =
 
 let node_count e =
   let n = ref 0 in
-  iter_expr (fun _ -> incr n) e;
+  Ast.iter_expr (fun _ -> incr n) e;
   !n
 
 let is_leaf (e : Ast.expr) =
@@ -224,16 +164,12 @@ let rec expr_effect ctx (e : Ast.expr) =
   | Ast.ArrayLit es -> all es
   | Ast.Cond (a, b, c) -> all [ a; b; c ]
 
+(* joining at every node revisits its children, but the join is
+   idempotent, so the result is the same *)
 let stmts_effect ctx stmts =
   let acc = ref Pure in
-  let fe e =
-    match e with
-    (* iter_expr visits children itself; only join at each node *)
-    | _ -> acc := eff_join !acc (expr_effect ctx e)
-  in
-  (* joining at every node revisits children, but the lattice join is
-     idempotent so the result is the same — keep it simple *)
-  List.iter (iter_stmt (fun e -> fe e) (fun _ -> ())) stmts;
+  let fe e = acc := eff_join !acc (expr_effect ctx e) in
+  List.iter (Ast.iter_stmt fe ignore) stmts;
   !acc
 
 let compute_effects ctx =
@@ -261,15 +197,6 @@ let compute_effects ctx =
 (* Just enough typing to answer "is this expression a scalar int/float, and
    which?" for hoisted declarations.  Returns [None] whenever unsure; every
    caller treats [None] as "don't rewrite". *)
-
-let rec subst_typ sub (t : Ast.typ) =
-  match t with
-  | Ast.TVar v -> ( match List.assoc_opt v sub with Some t -> t | None -> t)
-  | Ast.TNamed (n, args) -> Ast.TNamed (n, List.map (subst_typ sub) args)
-  | Ast.TPtr t -> Ast.TPtr (subst_typ sub t)
-  | Ast.TFun (args, r) ->
-      Ast.TFun (List.map (subst_typ sub) args, subst_typ sub r)
-  | t -> t
 
 let rec type_of ctx locals (e : Ast.expr) : Ast.typ option =
   let expand t = Some (Typecheck.expand ctx.env t) in
@@ -321,7 +248,7 @@ let rec type_of ctx locals (e : Ast.expr) : Ast.typ option =
               match
                 List.find_opt (fun (_, fn) -> fn = f) sd.Ast.s_fields
               with
-              | Some (ft, _) -> expand (subst_typ sub ft)
+              | Some (ft, _) -> expand (Ast.subst_type sub ft)
               | None -> None)
           | _ -> None)
       | _ -> None)
@@ -341,7 +268,7 @@ let rec type_of ctx locals (e : Ast.expr) : Ast.typ option =
               | vars when List.length h.Ast.inst = List.length vars ->
                   (* the pre-optimizer typecheck left the instantiation on
                      the head Var *)
-                  expand (subst_typ h.Ast.inst sch.Typecheck.sch_ret)
+                  expand (Ast.subst_type h.Ast.inst sch.Typecheck.sch_ret)
               | _ -> None)
           | _ -> None)
       | _ -> None)
@@ -394,12 +321,12 @@ let assigned_names stmts =
     | Ast.SDecl (_, x, _) -> Hashtbl.replace tbl x ()
     | _ -> ()
   in
-  List.iter (iter_stmt fe fs) stmts;
+  List.iter (Ast.iter_stmt fe fs) stmts;
   tbl
 
 let invariant_under killed e =
   let ok = ref true in
-  iter_expr
+  Ast.iter_expr
     (fun (e : Ast.expr) ->
       match e.Ast.desc with
       | Ast.Var x when Hashtbl.mem killed x -> ok := false
@@ -602,7 +529,7 @@ let array_profile fbody x =
         incr destroys
     | _ -> ()
   in
-  List.iter (iter_stmt (fun _ -> ()) fs) fbody;
+  List.iter (Ast.iter_stmt ignore fs) fbody;
   (!creates, !destroys, !bare_decls)
 
 (* [x] is a dead intermediate if its only mentions in the whole body are one
@@ -746,7 +673,7 @@ let try_dead_copy ctx fbody s : Ast.stmt list option =
               incr copy_targets
           | _ -> ()
         in
-        List.iter (iter_stmt (fun _ -> ()) fs) fbody;
+        List.iter (Ast.iter_stmt ignore fs) fbody;
         match array_profile fbody d with
         | [ (_, decl_mentions) ], destroys, bare
           when mentions_stmts d fbody
@@ -791,7 +718,7 @@ let array_read_only ctx arr stmts =
           args
     | _ -> ()
   in
-  List.iter (iter_stmt fe (fun _ -> ())) stmts;
+  List.iter (Ast.iter_stmt fe ignore) stmts;
   mentions_stmts arr stmts = !reads
 
 let bcast_pattern = function
@@ -979,14 +906,12 @@ let cleanup_dead_arrays ctx body =
           candidates := (x, s) :: !candidates
       | _ -> ()
     in
-    List.iter (iter_stmt (fun _ -> ()) fs) body;
+    List.iter (Ast.iter_stmt ignore fs) body;
     List.fold_left
       (fun body (x, create_stmt) ->
         let destroys = ref 0 in
         List.iter
-          (iter_stmt
-             (fun _ -> ())
-             (fun s -> if is_destroy x s then incr destroys))
+          (Ast.iter_stmt ignore (fun s -> if is_destroy x s then incr destroys))
           body;
         (* the decl is the only non-destroy mention? *)
         if mentions_stmts x body = 1 + !destroys then begin
@@ -1004,7 +929,7 @@ let cleanup_dead_arrays ctx body =
 let locals_after s locals =
   match s with Ast.SDecl (t, x, _) -> (x, t) :: locals | _ -> locals
 
-let fold_consts_in ctx e = iter_expr (fold_const_creates ctx) e
+let fold_consts_in ctx e = Ast.iter_expr (fold_const_creates ctx) e
 
 let rec opt_stmt ctx fbody locals s : Ast.stmt list =
   match s with
@@ -1113,7 +1038,7 @@ let program ~env (prog : Ast.program) : Ast.program =
           List.iter (fun (p : Ast.param) -> use p.Ast.p_name) f.Ast.f_params;
           Option.iter
             (List.iter
-               (iter_stmt
+               (Ast.iter_stmt
                   (fun (e : Ast.expr) ->
                     match e.Ast.desc with Ast.Var x -> use x | _ -> ())
                   (function Ast.SDecl (_, x, _) -> use x | _ -> ())))

@@ -46,20 +46,9 @@ let rec expand env t =
           if List.length td.Ast.td_params <> List.length args then t
           else
             let subst = List.combine td.Ast.td_params args in
-            expand env (substitute subst td.Ast.td_type)
+            expand env (Ast.subst_type subst td.Ast.td_type)
       | None -> t)
   | t -> t
-
-and substitute subst = function
-  | Ast.TVar v as t -> (
-      match List.assoc_opt v subst with Some t' -> t' | None -> t)
-  | Ast.TPtr t -> Ast.TPtr (substitute subst t)
-  | Ast.TNamed (n, args) -> Ast.TNamed (n, List.map (substitute subst) args)
-  | Ast.TFun (args, ret) ->
-      Ast.TFun (List.map (substitute subst) args, substitute subst ret)
-  | (Ast.TInt | Ast.TFloat | Ast.TChar | Ast.TVoid | Ast.TString | Ast.TIndex
-    | Ast.TBounds | Ast.TMeta _) as t ->
-      t
 
 let rec occurs r = function
   | Ast.TMeta r' when r == r' -> true
@@ -271,8 +260,8 @@ type ctx = {
 let instantiate_scheme sch =
   let subst = List.map (fun var -> (var, fresh_meta ())) sch.sch_vars in
   ( subst,
-    List.map (substitute subst) sch.sch_params,
-    substitute subst sch.sch_ret )
+    List.map (Ast.subst_type subst) sch.sch_params,
+    Ast.subst_type subst sch.sch_ret )
 
 let operator_scheme op =
   match op with
@@ -311,7 +300,7 @@ let rec field_type ctx line t field =
           match
             List.find_opt (fun (_, fname) -> fname = field) s.Ast.s_fields
           with
-          | Some (ft, _) -> substitute subst ft
+          | Some (ft, _) -> Ast.subst_type subst ft
           | None -> err line "structure %s has no field %s" n field))
   | t -> err line "%s has no fields" (Ast.type_to_string t)
 
@@ -471,51 +460,15 @@ and check_block ctx stmts =
   List.iter (check_stmt ctx) stmts;
   ctx.locals <- saved
 
-(* Resolve recorded instantiations once a function body is fully checked. *)
-let rec zonk_expr env (e : Ast.expr) =
+(* Resolve the instantiations recorded on a node once its function body
+   is fully checked. *)
+let zonk_inst env (e : Ast.expr) =
   e.Ast.inst <- List.map (fun (v', t) -> (v', zonk env t)) e.Ast.inst;
   (* a bare pardata instantiation (e.g. passing an array to a generic
      function) is fine; a pardata nested inside a constructed type is not *)
   List.iter
     (fun (_, t) -> check_pardata_placement env (epos e) ~inside:false t)
-    e.Ast.inst;
-  match e.Ast.desc with
-  | Ast.Int _ | Ast.Float _ | Ast.Str _ | Ast.Chr _ | Ast.Var _
-  | Ast.OpSection _ ->
-      ()
-  | Ast.Call (f, args) ->
-      zonk_expr env f;
-      List.iter (zonk_expr env) args
-  | Ast.Binop (_, a, b) | Ast.Assign (a, b) | Ast.Idx (a, b) ->
-      zonk_expr env a;
-      zonk_expr env b
-  | Ast.Unop (_, a) | Ast.Field (a, _) | Ast.Arrow (a, _) | Ast.Deref a
-  | Ast.New a ->
-      zonk_expr env a
-  | Ast.ArrayLit es -> List.iter (zonk_expr env) es
-  | Ast.Cond (a, b, c) ->
-      zonk_expr env a;
-      zonk_expr env b;
-      zonk_expr env c
-
-let rec zonk_stmt env = function
-  | Ast.SExpr e -> zonk_expr env e
-  | Ast.SDecl (_, _, init) -> Option.iter (zonk_expr env) init
-  | Ast.SIf (c, a, b) ->
-      zonk_expr env c;
-      List.iter (zonk_stmt env) a;
-      List.iter (zonk_stmt env) b
-  | Ast.SWhile (c, b) ->
-      zonk_expr env c;
-      List.iter (zonk_stmt env) b
-  | Ast.SFor (i, c, s, b) ->
-      Option.iter (zonk_stmt env) i;
-      Option.iter (zonk_expr env) c;
-      Option.iter (zonk_expr env) s;
-      List.iter (zonk_stmt env) b
-  | Ast.SReturn e -> Option.iter (zonk_expr env) e
-  | Ast.SBreak | Ast.SContinue -> ()
-  | Ast.SBlock b -> List.iter (zonk_stmt env) b
+    e.Ast.inst
 
 (* ---------------- entry points ---------------- *)
 
@@ -533,7 +486,7 @@ let check_function env fn =
         }
       in
       check_block ctx body;
-      List.iter (zonk_stmt env) body
+      List.iter (Ast.iter_stmt (zonk_inst env) ignore) body
 
 let fresh_env () =
   let env =
@@ -554,12 +507,6 @@ let check program =
     (function Ast.TFunc fn -> check_function env fn | _ -> ())
     program;
   env
-
-let check_expr_in env e =
-  let ctx = { env; locals = []; ret = Ast.TVoid; in_loop = false } in
-  let t = check_expr ctx e in
-  zonk_expr env e;
-  zonk env t
 
 let function_scheme env name = Hashtbl.find_opt env.funcs name
 let struct_def env name = Hashtbl.find_opt env.structs name

@@ -23,9 +23,6 @@ type env
 val check : Ast.program -> env
 (** Check a whole program.  @raise Type_error on the first error. *)
 
-val check_expr_in : env -> Ast.expr -> Ast.typ
-(** Type an isolated expression against the global environment (tests). *)
-
 val function_scheme : env -> string -> scheme option
 (** User-defined or builtin function/constant. *)
 
@@ -35,16 +32,11 @@ val is_pardata : env -> string -> bool
 val expand : env -> Ast.typ -> Ast.typ
 (** Resolve typedefs and follow unification links (one level). *)
 
-val zonk : env -> Ast.typ -> Ast.typ
-(** Fully resolve a type, erasing solved unification variables. *)
-
-val builtins : (string * scheme) list
-(** The skeleton interface of paper section 3 plus a small C runtime
-    (print functions, min/max, NULL, the DISTR_* constants, ...). *)
-
 val builtin_scheme : string -> scheme option
-(** O(1) lookup into {!builtins} (hashtable built once — the execution
-    engines hit this on every unbound identifier and curried apply). *)
+(** The scheme of a builtin: the skeleton interface of paper section 3 plus
+    a small C runtime (print functions, min/max, NULL, the DISTR_*
+    constants, ...).  O(1): the execution engines look one up on every
+    unbound identifier and curried apply. *)
 
 val is_builtin : string -> bool
 

@@ -723,6 +723,33 @@ let test_instantiate_rejects_computed_function () =
        false
      with Instantiate.Unsupported _ -> true)
 
+(* The pass lists (and numbers) its instances in the order it finishes
+   them, and it reaches a node's children last to first: [g] before [f],
+   the else branch before the then branch.  The corpus's printed output
+   would not change under another order; this does. *)
+let test_instantiate_order () =
+  let fo =
+    instantiate ~entry:"main"
+      {|
+        int f(int x) { return x + 1; }
+        int g(int x) { return x * 2; }
+        int h(int x) { return x - 3; }
+        $t id($t x) { return x; }
+        int main() {
+          int a = f(1) + g(2);
+          if (a > 0) { a = h(a); } else { a = id(a); }
+          float z = id(1.5);
+          return a;
+        }
+      |}
+  in
+  Alcotest.(check (list string))
+    "instances in order"
+    [ "g"; "f"; "id_1"; "h"; "id_2"; "main" ]
+    (List.filter_map
+       (function Ast.TFunc fn -> Some fn.Ast.f_name | _ -> None)
+       fo)
+
 (* ---------------- SPMD execution ---------------- *)
 
 let shpaths_src =
@@ -1218,6 +1245,7 @@ let suite =
           test_instantiate_repassed_lift_types;
         Alcotest.test_case "rejects computed functions" `Quick
           test_instantiate_rejects_computed_function;
+        Alcotest.test_case "instance order" `Quick test_instantiate_order;
       ] );
     ( "lang spmd",
       [

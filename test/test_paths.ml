@@ -70,6 +70,26 @@ let row_flags r =
 
 let name r = String.concat " " (r.file :: row_flags r)
 
+(* skilc's frontend output for a row, each with its test/golden file: the
+   instantiated functions and the emitted C of the program's [golden] row,
+   and the standalone C of a row [cc] builds *)
+let frontend_goldens r =
+  let base = Filename.remove_extension r.file in
+  let file = Filename.concat "examples/skil" r.file in
+  (if r.golden = None then []
+   else
+     [
+       (base ^ "_instantiate.out", [ "instantiate"; file; "--entry"; r.entry ]);
+       (base ^ "_emit_c.out", [ "emit-c"; file; "--entry"; r.entry ]);
+     ])
+  @
+  if r.cc then
+    [
+      ( base ^ "_standalone.out",
+        "emit-c" :: file :: "--standalone" :: entry_flags r );
+    ]
+  else []
+
 let topology r =
   if r.torus then Topology.torus2d ~width:r.width ~height:r.height ()
   else Topology.mesh ~width:r.width ~height:r.height
@@ -365,7 +385,9 @@ let test_corpus_complete () =
     "test/golden files no row compares" []
     (uncovered (goldens ()) ".out" (fun f ->
          List.exists
-           (fun r -> r.golden = Some f || r.auto_golden = Some f)
+           (fun r ->
+             r.golden = Some f || r.auto_golden = Some f
+             || List.mem_assoc f (frontend_goldens r))
            corpus))
 
 let what r st = name r ^ ", " ^ pname st.path
@@ -565,6 +587,30 @@ let test_standalone_c () =
         end)
       corpus
 
+(* skilc instantiate, emit-c and emit-c --standalone print each row's
+   frontend goldens byte for byte.  They run from the repository root, as
+   CI runs them: instantiate names the file it read. *)
+let test_frontend () =
+  let exe = Filename.concat (Sys.getcwd ()) (skilc ()) in
+  let root = Filename.dirname (Filename.dirname (examples ())) in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun (g, args) ->
+          let golden = read (Filename.concat (goldens ()) g) in
+          let cwd = Sys.getcwd () in
+          Sys.chdir root;
+          let out =
+            Fun.protect
+              ~finally:(fun () -> Sys.chdir cwd)
+              (fun () -> command exe args)
+          in
+          Alcotest.(check string)
+            (String.concat " " ("skilc" :: args) ^ " = test/golden/" ^ g)
+            golden out)
+        (frontend_goldens r))
+    corpus
+
 (* Every path's run-par spelling through skilc.exe reproduces the
    in-process rendering (values only for native), the default's spellings
    on every row; the help page is whole. *)
@@ -624,6 +670,7 @@ let suite =
         Alcotest.test_case "sharded paths" `Quick test_sharded;
         Alcotest.test_case "untraced and cancellable paths" `Quick test_meter;
         Alcotest.test_case "standalone C" `Quick test_standalone_c;
+        Alcotest.test_case "skilc frontend goldens" `Quick test_frontend;
         Alcotest.test_case "skilc run-par spellings" `Quick test_cli;
       ] );
   ]
