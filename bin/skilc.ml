@@ -191,7 +191,10 @@ let run_par_cmd =
       optimize trace_out want_profile faults_spec reliable collectives
       sim_domains native_domains =
     handle_errors ~file (fun () ->
-        let program, _ = load file in
+        let prepared =
+          Spmd.prepare_source ~instantiate:(not no_instantiate) ~engine
+            ~optimize (read_file file) ~entry
+        in
         let topology =
           if torus then Topology.torus2d ~width ~height ()
           else Topology.mesh ~width ~height
@@ -215,10 +218,8 @@ let run_par_cmd =
          | None -> ());
         let cost = Cost_model.make profile in
         let r =
-          Spmd.run ~instantiate:(not no_instantiate) ~engine ~optimize ~trace
-            ?faults ~reliable ~collectives ~sim_domains ?native_domains ~cost
-            ~topology program
-            ~entry
+          Spmd.run_prepared ~trace ?faults ~reliable ~collectives ~sim_domains
+            ?native_domains ~cost ~topology prepared
             ~args:(List.map (fun n -> Value.VInt n) args)
         in
         print_string (Spmd.render ~summary:(engine, cost) r);

@@ -14,8 +14,6 @@ exception Singular
 type elemrec = { value : float; row : int; col : int }
 (** The paper's [elemrec] struct used by the pivot-search fold. *)
 
-val elemrec_bytes : int
-
 val run :
   ?pivoting:pivoting ->
   Machine.ctx ->

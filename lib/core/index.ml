@@ -2,7 +2,6 @@ type t = int array
 type size = int array
 type bounds = { lower : t; upper : t }
 
-let equal (a : t) (b : t) = a = b
 let volume (s : size) = Array.fold_left ( * ) 1 s
 let extent b = Array.init (Array.length b.lower) (fun d -> b.upper.(d) - b.lower.(d))
 

@@ -11,7 +11,6 @@ type size = int array
 type bounds = { lower : t; upper : t }
 (** A rectangular region: [lower] inclusive, [upper] exclusive. *)
 
-val equal : t -> t -> bool
 val volume : size -> int
 
 val extent : bounds -> size

@@ -1,5 +1,7 @@
 type ctx = Machine.ctx
 
+(* charged per element when [?cost] is omitted: a generic arithmetic
+   element visit *)
 let default_elem_cost = 10.0e-6
 
 let skeleton ctx = Machine.charge_skeleton_call ctx

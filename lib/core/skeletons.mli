@@ -13,9 +13,6 @@
 
 type ctx = Machine.ctx
 
-val default_elem_cost : float
-(** Used when [?cost] is omitted: a generic arithmetic element visit. *)
-
 (** {1 Creation and destruction} *)
 
 val create :

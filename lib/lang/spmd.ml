@@ -18,8 +18,9 @@ type prepared = {
   pcompiled : Compile.t option; (* Some iff pengine <> `Ast *)
 }
 
-let prepare ?(instantiate = true) ?(engine = `Compiled) ?(optimize = `None)
-    program ~entry =
+let prepare_source ?(instantiate = true) ?(engine = `Compiled)
+    ?(optimize = `None) source ~entry =
+  let program = Parser.parse source in
   let tyenv = Typecheck.check program in
   let program, tyenv =
     if instantiate then begin
@@ -51,12 +52,6 @@ let prepare ?(instantiate = true) ?(engine = `Compiled) ?(optimize = `None)
   in
   { pprogram = program; ptyenv = tyenv; pentry = entry; pengine = engine;
     pcompiled }
-
-let prepare_source ?instantiate ?engine ?optimize source ~entry =
-  prepare ?instantiate ?engine ?optimize (Parser.parse source) ~entry
-
-let entry_name p = p.pentry
-let engine_of p = p.pengine
 
 let run_prepared ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
     ?native_domains ?cancel ~topology p ~args =
@@ -99,20 +94,13 @@ let run_prepared ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
       Machine.run_native ?cost ?collectives ?domains:native_domains ?cancel
         ~topology body
 
-let run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
-    ?native_domains ?cancel ?instantiate ?engine ?optimize ~topology program
-    ~entry ~args =
-  run_prepared ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
-    ?native_domains ?cancel ~topology
-    (prepare ?instantiate ?engine ?optimize program ~entry)
-    ~args
-
 let run_source ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
     ?native_domains ?cancel ?instantiate ?engine ?optimize ~topology source
     ~entry ~args =
-  run ?cost ?trace ?faults ?reliable ?collectives ?sim_domains ?native_domains
-    ?cancel ?instantiate ?engine ?optimize ~topology (Parser.parse source)
-    ~entry ~args
+  run_prepared ?cost ?trace ?faults ?reliable ?collectives ?sim_domains
+    ?native_domains ?cancel ~topology
+    (prepare_source ?instantiate ?engine ?optimize source ~entry)
+    ~args
 
 let render ?summary (r : outcome Machine.result) =
   let b = Buffer.create 256 in

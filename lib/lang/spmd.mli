@@ -20,8 +20,8 @@ type engine = [ `Ast | `Compiled | `Native ]
     message counts in [stats], empty trace.  Values and printed output
     match the simulator for every program: every receive names its source,
     so host timing cannot change which message a rank takes.  Incompatible
-    with [faults]/[reliable]/[trace]/[sim_domains > 1] — [run] raises
-    [Invalid_argument]. *)
+    with [faults]/[reliable]/[trace]/[sim_domains > 1] — {!run_prepared}
+    raises [Invalid_argument]. *)
 
 type optimize = [ `None | `Fuse ]
 (** [`None] (the default) leaves the instantiated program untouched —
@@ -30,7 +30,7 @@ type optimize = [ `None | `Fuse ]
     instantiation: value-identical results (same printed output, same
     return value) with strictly fewer charged element-ops and a smaller
     makespan wherever a rewrite fires.  Requires [instantiate = true];
-    {!run} raises [Invalid_argument] otherwise. *)
+    {!prepare_source} raises [Invalid_argument] otherwise. *)
 
 type prepared
 (** A program carried through the whole translation pipeline — typecheck,
@@ -41,19 +41,6 @@ type prepared
     run many").  Immutable after construction and safe to share across
     domains. *)
 
-val prepare :
-  ?instantiate:bool ->
-  ?engine:engine ->
-  ?optimize:optimize ->
-  Ast.program ->
-  entry:string ->
-  prepared
-(** Translate [program] for [engine] (default [`Compiled]) down to a
-    reusable handle.  Raises the usual frontend exceptions
-    ({!Typecheck.Type_error}, {!Instantiate.Unsupported},
-    [Invalid_argument]) — all translation-time failures happen here, so a
-    cached handle can only fail at run time. *)
-
 val prepare_source :
   ?instantiate:bool ->
   ?engine:engine ->
@@ -61,12 +48,14 @@ val prepare_source :
   string ->
   entry:string ->
   prepared
-(** Parse + {!prepare}; additionally raises {!Lexer.Error} /
-    {!Parser.Error} with [file:line:col]-ready positions. *)
-
-val entry_name : prepared -> string
-
-val engine_of : prepared -> engine
+(** Parse and translate a program for [engine] (default [`Compiled]) down
+    to a reusable handle.  When [instantiate] is true (default), the
+    program is translated by instantiation, exactly as the Skil compiler
+    would, and the first-order result is what runs.  Raises the usual
+    frontend exceptions ({!Lexer.Error} / {!Parser.Error} with
+    [file:line:col]-ready positions, {!Typecheck.Type_error},
+    {!Instantiate.Unsupported}, [Invalid_argument]) — all translation-time
+    failures happen here, so a cached handle can only fail at run time. *)
 
 val run_prepared :
   ?cost:Cost_model.t ->
@@ -81,43 +70,18 @@ val run_prepared :
   prepared ->
   args:Value.t list ->
   outcome Machine.result
-(** Execute a prepared handle on [topology].  [run p ~entry ~args ...] is
-    exactly [run_prepared (prepare p ~entry) ~args ...], so a cache-hit
-    run is byte-identical to a fresh compile-and-run by construction
-    (pinned by a QCheck property in [test/test_service.ml]).  [cancel] is
-    the cooperative cancellation hook of {!Machine.run} /
-    {!Machine.run_native}; when it fires the run raises
-    {!Machine.Cancelled}. *)
-
-val run :
-  ?cost:Cost_model.t ->
-  ?trace:bool ->
-  ?faults:Fault.plan ->
-  ?reliable:bool ->
-  ?collectives:Coll_alg.mode ->
-  ?sim_domains:int ->
-  ?native_domains:int ->
-  ?cancel:(unit -> bool) ->
-  ?instantiate:bool ->
-  ?engine:engine ->
-  ?optimize:optimize ->
-  topology:Topology.t ->
-  Ast.program ->
-  entry:string ->
-  args:Value.t list ->
-  outcome Machine.result
-(** Type-check is assumed done (pass the program through {!Typecheck.check}
-    first via {!run_source} or explicitly).  When [instantiate] is true
-    (default), the program is first translated by instantiation, exactly as
-    the Skil compiler would, and the first-order result is executed.
-    [trace] records structured events for {!Profile} (default false).
-    [printed] collects the calling processor's print_* output.
+(** Execute a prepared handle on [topology].  [run_source] is exactly
+    [run_prepared (prepare_source ...)], so a cache-hit run is
+    byte-identical to a fresh compile-and-run by construction (pinned by a
+    QCheck property in [test/test_service.ml]).  [trace] records
+    structured events for {!Profile} (default false).  [printed] collects
+    each processor's print_* output.
 
     [faults] / [reliable] are handed straight to {!Machine.run}: a
     deterministic fault plan injected under the skeleton runtime, and the
     reliable transport that lets every program return its fault-free
-    values under message loss.  Without them, behaviour is bit-identical to a build
-    without fault injection.
+    values under message loss.  Without them, behaviour is bit-identical
+    to a build without fault injection.
 
     [collectives] (default [Legacy]) picks the collective-algorithm mode
     (see {!Machine.run}): [Legacy] keeps the seed's binomial trees and is
@@ -133,7 +97,9 @@ val run :
     the other kind are rejected, never ignored: [native_domains] on
     [`Ast]/[`Compiled], and [faults], [reliable], [trace] or
     [sim_domains > 1] on [`Native], raise [Invalid_argument]; so does
-    [sim_domains < 1] on every engine. *)
+    [sim_domains < 1] on every engine.  [cancel] is the cooperative
+    cancellation hook of {!Machine.run} / {!Machine.run_native}; when it
+    fires the run raises {!Machine.Cancelled}. *)
 
 val run_source :
   ?cost:Cost_model.t ->
@@ -152,7 +118,7 @@ val run_source :
   entry:string ->
   args:Value.t list ->
   outcome Machine.result
-(** Parse + type-check + {!run}.  Frontend failures surface as
+(** {!prepare_source} then {!run_prepared}.  Frontend failures surface as
     {!Lexer.Error} / {!Parser.Error} / {!Typecheck.Type_error} /
     {!Instantiate.Unsupported}, each carrying the [line]/[col] of the
     offending token — {!Errclass.of_exn} (lib/service) renders them as

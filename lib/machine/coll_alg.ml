@@ -18,7 +18,7 @@ type algorithm =
   | Recdouble (* recursive doubling (allreduce); Bruck for allgather *)
   | Ring (* chunked ring pipeline (allreduce / allgather) *)
   | Dissemination (* dissemination barrier *)
-  | Linear (* the seed's linear patterns (scan, gather) *)
+  | Linear (* the seed's linear scan *)
 
 type kind =
   | Bcast
@@ -26,7 +26,6 @@ type kind =
   | Allgather
   | Barrier
   | Scan
-  | Gather
 
 type mode = Legacy | Auto | Force of algorithm
 
@@ -45,7 +44,6 @@ let kind_name = function
   | Allgather -> "allgather"
   | Barrier -> "barrier"
   | Scan -> "scan"
-  | Gather -> "gather"
 
 let mode_names =
   [ "auto"; "tree"; "binomial"; "pipeline"; "vandegeijn"; "recdouble";
@@ -98,7 +96,6 @@ type net = {
   hop_pow2 : int array;
       (* hop_pow2.(k) = max hops rank -> rank + 2^k: a binomial round's
          critical path does go through the worst edge of that round *)
-  diam : int; (* max hops over all pairs *)
 }
 
 let rounds_of p =
@@ -125,12 +122,6 @@ let net_of topo ~latency ~per_hop ~per_byte ~send_ovh ~recv_ovh =
     done;
     float_of_int !s /. float_of_int p
   in
-  let diam = ref 0 in
-  for i = 0 to p - 1 do
-    for j = i + 1 to p - 1 do
-      diam := max !diam (Topology.hops topo i j)
-    done
-  done;
   {
     p;
     alpha = send_ovh +. recv_ovh +. latency;
@@ -140,7 +131,6 @@ let net_of topo ~latency ~per_hop ~per_byte ~send_ovh ~recv_ovh =
     per_byte;
     hop_next = (if p > 1 then mean_next () else 0.0);
     hop_pow2 = Array.init (rounds_of p) (fun k -> max_dist (1 lsl k));
-    diam = !diam;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -151,7 +141,6 @@ let candidates = function
   | Allgather -> [ Recdouble; Ring ]
   | Barrier -> [ Dissemination; Tree ]
   | Scan -> [ Tree; Linear ]
-  | Gather -> [ Linear; Tree ]
 
 let stagef net h b =
   net.alpha +. (h *. net.per_hop) +. (float_of_int b *. net.per_byte)
@@ -237,17 +226,6 @@ let predict net kind ~bytes alg =
         !t
     | Scan, Tree -> sum_tree net b
     | Scan, Linear -> float_of_int (p - 1) *. stagef net net.hop_next b
-    | Gather, Linear ->
-        stage net net.diam b +. (float_of_int (p - 2) *. net.recv_ovh)
-    | Gather, Tree ->
-        let t = ref 0.0 and k = ref 1 in
-        let i = ref 0 in
-        while !k < p do
-          t := !t +. stage net net.hop_pow2.(!i) (min !k (p - !k) * b);
-          k := 2 * !k;
-          incr i
-        done;
-        !t
     | _ -> infinity
 
 let select net kind ~bytes =

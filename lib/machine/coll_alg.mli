@@ -13,7 +13,7 @@ type algorithm =
   | Recdouble  (** recursive doubling (Bruck for allgather) *)
   | Ring  (** chunked ring pipeline *)
   | Dissemination  (** dissemination barrier *)
-  | Linear  (** the seed's linear scan/gather patterns *)
+  | Linear  (** the seed's linear scan *)
 
 type kind =
   | Bcast
@@ -21,7 +21,6 @@ type kind =
   | Allgather
   | Barrier
   | Scan
-  | Gather
 
 type mode =
   | Legacy
@@ -48,7 +47,6 @@ type net = {
   per_byte : float;
   hop_next : float;  (** mean hops rank -> rank+1 (ring-edge average) *)
   hop_pow2 : int array;  (** max hops rank -> rank + 2^k, k < ceil(log2 p) *)
-  diam : int;
 }
 
 val net_of :

@@ -318,27 +318,6 @@ let binomial_scan_pattern ctx ~tag ~bytes =
     k := 2 * !k
   done
 
-(* Binomial gather: the reduce tree with payloads growing by subtree size
-   (a sender at round [offset] has absorbed min(offset, p - vrank) items). *)
-let tree_gather_pattern ctx ~tag ~root ~bytes =
-  let p = Machine.nprocs ctx in
-  let me = vrank_of ctx root (Machine.self ctx) in
-  let offset = ref 1 in
-  let participating = ref true in
-  while !participating && !offset < p do
-    let span = 2 * !offset in
-    if me mod span = !offset then begin
-      let sub = min !offset (p - me) in
-      Machine.send ctx ~rendezvous:true
-        ~dest:(rank_of ctx root (me - !offset))
-        ~tag ~bytes:(sub * bytes) ();
-      participating := false
-    end
-    else if me mod span = 0 && me + !offset < p then
-      recv_unit ctx ~src:(rank_of ctx root (me + !offset)) ~tag;
-    offset := 2 * !offset
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Algorithm-selecting front ends                                       *)
 
@@ -416,19 +395,6 @@ let sel_scan ctx ~tag ~bytes f v =
   done;
   !acc
 
-let sel_gather ctx ~tag ~root ~bytes v =
-  let me = Machine.self ctx in
-  let p = Machine.nprocs ctx in
-  let cell = cell_for ctx ~bytes in
-  cell.slots.(me) <- Some v;
-  let b = cell.sel_bytes in
-  let alg = choose ctx Coll_alg.Gather ~sel_bytes:b in
-  selected ctx Coll_alg.Gather alg ~bytes:b @@ fun () ->
-  (match alg with
-   | Coll_alg.Tree -> tree_gather_pattern ctx ~tag ~root ~bytes:b
-   | _ -> ignore (linear_gather ctx ~tag ~root ~bytes:b () : unit array option));
-  if me = root then Some (Array.init p (slot cell)) else None
-
 let sel_allgather ctx ~tag ~bytes v =
   let me = Machine.self ctx in
   let p = Machine.nprocs ctx in
@@ -465,10 +431,6 @@ let scan ctx ~tag ~bytes f v =
   if legacy ctx then
     spanned ctx "scan" @@ fun () -> linear_scan ctx ~tag ~bytes f v
   else sel_scan ctx ~tag ~bytes f v
-
-let gather_to ctx ~tag ~root ~bytes v =
-  if legacy ctx then legacy_gather_to ctx ~tag ~root ~bytes v
-  else sel_gather ctx ~tag ~root ~bytes v
 
 (* Legacy: the seed's gather to rank 0, then its broadcast of [total]
    bytes, the wire size of what the caller assembles from the values.

@@ -41,10 +41,6 @@ val scan :
 (** Inclusive prefix combine in rank order: processor [i] returns
     [f (... (f v0 v1) ...) vi] (bracketed as a left fold). *)
 
-val gather_to : Machine.ctx -> tag:int -> root:int -> bytes:int -> 'a -> 'a array option
-(** Every processor contributes one value; [root] returns [Some arr] with
-    [arr.(i)] from processor [i], others return [None]. *)
-
 val allgather :
   ?total:int -> Machine.ctx -> tag:int -> bytes:int -> 'a -> 'a array
 (** Every processor contributes one value of wire size [bytes] and returns

@@ -95,9 +95,3 @@ let factor p = function
   | Kernel -> p.kernel_factor
   | Mapped -> p.mapped_factor
   | Scalar -> p.scalar_factor
-
-let pp_profile ppf p =
-  Format.fprintf ppf
-    "%s (kernel x%.2f, mapped x%.2f, skeleton call %.0f us, %s comm)"
-    p.profile_name p.kernel_factor p.mapped_factor (p.skeleton_call *. 1e6)
-    (if p.sync_comm then "sync" else "async")

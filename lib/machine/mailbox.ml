@@ -10,21 +10,18 @@ type 'm chan = {
 
 type 'm t = {
   chans : 'm chan array; (* indexed by source rank *)
+  empty : 'm chan; (* every source's channel until its first message *)
   sched : Scheduler.t;
   fiber : int;
   mutable psrc : int; (* the stream the fiber is parked on; -1: none *)
   mutable ptag : int;
 }
 
+let fresh () = { tags = [||]; queues = [||]; nbuckets = 0 }
+
 let create sched ~fiber ~nranks =
-  {
-    chans =
-      Array.init nranks (fun _ -> { tags = [||]; queues = [||]; nbuckets = 0 });
-    sched;
-    fiber;
-    psrc = -1;
-    ptag = 0;
-  }
+  let empty = fresh () in
+  { chans = Array.make nranks empty; empty; sched; fiber; psrc = -1; ptag = 0 }
 
 (* Queue to enqueue into for [tag]: reuse the bucket already carrying the
    tag, else repurpose a drained bucket (tags only grow, so an empty queue's
@@ -63,7 +60,16 @@ let enqueue_queue c tag =
 (* Clearing the parked stream before the wake-up keeps a second message
    on it from waking the fiber twice. *)
 let add mb ~src ~tag m =
-  Queue.add m (enqueue_queue mb.chans.(src) tag);
+  let c = mb.chans.(src) in
+  let c =
+    if c != mb.empty then c
+    else begin
+      let c = fresh () in
+      mb.chans.(src) <- c;
+      c
+    end
+  in
+  Queue.add m (enqueue_queue c tag);
   if mb.psrc = src && mb.ptag = tag then begin
     mb.psrc <- -1;
     Scheduler.wake mb.sched mb.fiber

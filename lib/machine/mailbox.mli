@@ -1,8 +1,9 @@
 (** A rank's incoming messages: the one transport of both engines.
 
     Every receive names its source and tag, and each (source, tag) stream
-    is FIFO, so a mailbox is one small tag-bucketed queue per source rank,
-    plus the one stream the rank's fiber is parked on, if any.
+    is FIFO, so a mailbox is one small tag-bucketed queue per source rank
+    that has sent to it, plus the one stream the rank's fiber is parked
+    on, if any.
     {!Machine} gives each rank of either engine ({!Machine.run},
     {!Machine.run_native}) one mailbox through {!Groups.mailbox}; a
     message from the same rank group is {!add}ed directly, one from
@@ -14,8 +15,9 @@
 type 'm t
 
 val create : Scheduler.t -> fiber:int -> nranks:int -> 'm t
-(** An empty mailbox for the fiber [fiber] of the scheduler, with a queue
-    per source rank [0 .. nranks - 1]. *)
+(** An empty mailbox for the fiber [fiber] of the scheduler, for source
+    ranks [0 .. nranks - 1].  A source's queues are made at its first
+    message, so a mailbox starts at one word per source. *)
 
 val add : 'm t -> src:int -> tag:int -> 'm -> unit
 (** Queue a message on stream (src, tag), and wake the fiber if it is

@@ -1,4 +1,4 @@
-type virtual_kind = Default | Ring | Torus2d
+type virtual_kind = Default | Torus2d
 
 type t = {
   width : int;
@@ -18,24 +18,11 @@ let folded_line n =
   done;
   slot
 
-(* Snake (boustrophedon) order through a width x height mesh: consecutive
-   linear positions are mesh-adjacent. *)
-let snake_position ~width i =
-  let row = i / width in
-  let col = i mod width in
-  let col = if row mod 2 = 0 then col else width - 1 - col in
-  (col, row)
-
 let positions ~width ~height ~kind ~optimized =
   let n = width * height in
   let row_major i = (i mod width, i / width) in
   match (kind, optimized) with
   | Default, _ | _, false -> Array.init n row_major
-  | Ring, true ->
-      (* Fold the ring into the snake so both the step edges and the
-         wrap-around edge stay short. *)
-      let slot = folded_line n in
-      Array.init n (fun i -> snake_position ~width slot.(i))
   | Torus2d, true ->
       (* Classic folded torus: fold each dimension independently, making
          every torus neighbour (wrap-around included) at most 2 hops away. *)
@@ -82,13 +69,6 @@ let create ?(embedding_optimized = true) ~width ~height kind =
 
 let mesh ~width ~height = create ~width ~height Default
 
-let ring ~nprocs =
-  if nprocs <= 0 then invalid_arg "Topology.ring: non-positive size";
-  (* Pick the most square mesh that holds nprocs processors exactly. *)
-  let rec best w = if nprocs mod w = 0 then w else best (w - 1) in
-  let w = best (int_of_float (sqrt (float_of_int nprocs))) in
-  create ~width:(nprocs / w) ~height:w Ring
-
 let torus2d ?(embedding_optimized = true) ~width ~height () =
   create ~embedding_optimized ~width ~height Torus2d
 
@@ -116,14 +96,6 @@ let hops t a b =
   check_rank t a;
   check_rank t b;
   t.dist.((a * nprocs t) + b)
-
-let ring_next t rank =
-  check_rank t rank;
-  (rank + 1) mod nprocs t
-
-let ring_prev t rank =
-  check_rank t rank;
-  (rank + nprocs t - 1) mod nprocs t
 
 let torus_neighbor t rank dir =
   let x, y = grid_coords t rank in

@@ -3,15 +3,14 @@
     The hardware is a [width x height] 2-D mesh of processors with XY
     routing.  Processors are identified by ranks [0 .. nprocs-1].  A virtual
     (software) topology in the sense of Parix maps ranks onto mesh positions;
-    with [optimized_embedding] the mapping folds rings and tori into the mesh
-    so that every virtual neighbour is at most 2 hops away, mirroring Parix's
+    with [optimized_embedding] the mapping folds a torus into the mesh so
+    that every virtual neighbour is at most 2 hops away, mirroring Parix's
     optimized virtual topologies.  Without it (the paper's "old C" style)
     ranks are laid out row-major and wrap-around edges route across the whole
     mesh. *)
 
 type virtual_kind =
   | Default  (** identity mapping onto the mesh *)
-  | Ring  (** 1-D ring over all processors *)
   | Torus2d  (** 2-D torus over the processor grid *)
 
 type t
@@ -29,9 +28,6 @@ val create :
 
 val mesh : width:int -> height:int -> t
 (** Mesh with the [Default] virtual topology. *)
-
-val ring : nprocs:int -> t
-(** Ring folded onto a near-square mesh of [nprocs] processors. *)
 
 val torus2d : ?embedding_optimized:bool -> width:int -> height:int -> unit -> t
 (** 2-D torus over a [width x height] processor grid. *)
@@ -53,9 +49,6 @@ val mesh_position : t -> int -> int * int
 val hops : t -> int -> int -> int
 (** [hops t a b] is the number of mesh links a message from [a] to [b]
     traverses under XY routing of the embedded positions.  [hops t a a = 0]. *)
-
-val ring_next : t -> int -> int
-val ring_prev : t -> int -> int
 
 val torus_neighbor : t -> int -> [ `North | `South | `East | `West ] -> int
 (** Neighbour in the logical processor grid with wrap-around.  North/South

@@ -38,7 +38,6 @@ val optimize_of_string : string -> (Spmd.optimize, string) result
 val optimize_to_string : Spmd.optimize -> string
 val profile_of_string : string -> (Cost_model.profile, string) result
 val profile_to_string : Cost_model.profile -> string
-val bool_of_string : string -> (bool, string) result
 
 (** {1 Wire mapping} *)
 
@@ -59,5 +58,5 @@ val fault_plan : t -> (Fault.plan option, string) result
 
 val cache_key : t -> source:string -> string
 (** Digest over source, entry, engine and the pipeline switches — exactly
-    the inputs of {!Spmd.prepare}, and nothing run-specific, so one cached
-    handle serves every topology/fault/deadline combination. *)
+    the inputs of {!Spmd.prepare_source}, and nothing run-specific, so one
+    cached handle serves every topology/fault/deadline combination. *)

@@ -12,11 +12,6 @@ val escape : string -> string
 
 val unescape : string -> (string, string) result
 
-val parse_kv : string -> ((string * string) list, string) result
-(** Split ["k=v k=v ..."] (values escaped) into an assoc list. *)
-
-val render_kv : (string * string) list -> string
-
 type request =
   | Ping
   | Stats_req

@@ -94,7 +94,10 @@ let test_dpfl_profile_slower_same_values () =
   let weight = Workload.graph_weight ~seed ~n ~max_weight:15 in
   let topology = Topology.torus2d ~width:q ~height:q () in
   let skil = Machine.run ~topology (fun ctx -> Shortest_paths.distances ctx ~n ~weight) in
-  let dpfl = Dpfl.run ~topology (fun ctx -> Shortest_paths.distances ctx ~n ~weight) in
+  let dpfl =
+    Machine.run ~cost:(Cost_model.make Cost_model.dpfl) ~topology (fun ctx ->
+        Shortest_paths.distances ctx ~n ~weight)
+  in
   Alcotest.(check (array int)) "same values" skil.Machine.values.(0)
     dpfl.Machine.values.(0);
   Alcotest.(check bool) "dpfl slower" true (dpfl.Machine.time > skil.Machine.time)

@@ -15,26 +15,6 @@ let test_grid_coords () =
   check "wrap x" 3 (Topology.rank_of_grid t (-1, 0));
   check "wrap y" 1 (Topology.rank_of_grid t (1, -2))
 
-let test_ring_neighbors () =
-  let t = Topology.ring ~nprocs:6 in
-  check "next wraps" 0 (Topology.ring_next t 5);
-  check "prev wraps" 5 (Topology.ring_prev t 0);
-  for i = 0 to 5 do
-    check "next/prev inverse" i (Topology.ring_prev t (Topology.ring_next t i))
-  done
-
-let test_ring_embedding_short () =
-  (* Optimized ring embedding: every ring edge, wrap-around included, is at
-     most 2 mesh hops. *)
-  let t = Topology.ring ~nprocs:12 in
-  for i = 0 to 11 do
-    let j = Topology.ring_next t i in
-    Alcotest.(check bool)
-      (Printf.sprintf "edge %d->%d short" i j)
-      true
-      (Topology.hops t i j <= 2)
-  done
-
 let test_torus_neighbors_short () =
   let t = Topology.torus2d ~width:4 ~height:4 () in
   for r = 0 to 15 do
@@ -82,7 +62,6 @@ let test_embedding_is_permutation () =
       done)
     [
       Topology.mesh ~width:5 ~height:3;
-      Topology.ring ~nprocs:10;
       Topology.torus2d ~width:5 ~height:4 ();
       Topology.torus2d ~embedding_optimized:false ~width:3 ~height:3 ();
     ]
@@ -111,9 +90,6 @@ let suite =
       [
         Alcotest.test_case "mesh hops" `Quick test_mesh_hops;
         Alcotest.test_case "grid coords" `Quick test_grid_coords;
-        Alcotest.test_case "ring neighbors" `Quick test_ring_neighbors;
-        Alcotest.test_case "ring embedding short" `Quick
-          test_ring_embedding_short;
         Alcotest.test_case "torus edges short" `Quick test_torus_neighbors_short;
         Alcotest.test_case "naive wrap long" `Quick test_torus_naive_long_wrap;
         Alcotest.test_case "torus directions" `Quick
